@@ -1,38 +1,13 @@
-"""Hot per-level summation kernels.
+"""Hot per-level summation kernels (numpy).
 
 Everything here reduces sums over a whole degree level {|n| = k} to O(k*m)
 work through composition counts C(x+m-2, m-2) and iterated prefix sums,
-instead of enumerating the level. Two interchangeable implementations are
-provided:
-
-  * compiled loops (numba @njit, the default), and
-  * a vectorized pure-numpy path, selected by setting the environment
-    variable SPHSHIFT_NO_NUMBA=1 (or automatically when numba is absent).
-
-Both paths use the same summation order; ``benchmarks/bench_kernels.py``
-compares them for speed and agreement.
+instead of enumerating the level.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_WANT_NUMBA = not os.environ.get("SPHSHIFT_NO_NUMBA", "")
-
-try:
-    if _WANT_NUMBA:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-
-BACKEND = "numba" if njit is not None else "numpy"
-
-
-# -- pure-numpy implementations --------------------------------------------
 
 
 def _comp_counts(x, m):
@@ -43,14 +18,19 @@ def _comp_counts(x, m):
     return counts
 
 
-def _iterated_prefix(g, reps):
-    w = g
-    for _ in range(reps):
+def _pair_weights(n, m, p, offset):
+    """(u+offset)^(p/2) for u = 0..n-1, prefix-summed m-2 times.
+
+    Entry x sums (n_l + offset)^(p/2) over every way of spreading x units
+    on the m-1 coordinates other than n_j.
+    """
+    w = (np.arange(n, dtype=np.float64) + offset) ** (p / 2.0)
+    for _ in range(m - 2):
         w = np.cumsum(w)
     return w
 
 
-def self_level_powersums_numpy(d2, m, p):
+def self_level_powersums(d2, m, p):
     """sum over {|n| = k} of |self-commutator coefficient|^p, per level.
 
     d2 holds delta2(0..kmax); returns an array over k = 0..kmax. The
@@ -61,6 +41,7 @@ def self_level_powersums_numpy(d2, m, p):
     kmax = len(d2) - 1
     out = np.empty(kmax + 1)
     out[0] = (d2[0] / m) ** p
+    counts = _comp_counts(np.arange(kmax + 1), m)
     for k in range(1, kmax + 1):
         b = d2[k] / (k + m)
         diff = b - d2[k - 1] / (k + m - 1)
@@ -68,158 +49,46 @@ def self_level_powersums_numpy(d2, m, p):
             out[k] = abs(k * diff + b) ** p
             continue
         t = np.arange(k + 1, dtype=np.float64)
-        vals = np.abs(t * diff + b) ** p
-        out[k] = float(np.dot(_comp_counts(k - t, m), vals))
+        out[k] = float(np.dot(counts[k::-1], np.abs(t * diff + b) ** p))
     return out
 
 
-def pairsum_numpy(k, m, p, offset):
+def pairsum(k, m, p, offset):
     """sum over {|n| = k, n_j > 0} of n_j^(p/2) * (n_l + offset)^(p/2), j != l."""
     if k == 0:
         return 0.0
-    u = np.arange(k, dtype=np.float64)
-    g = (u + offset) ** (p / 2.0)
-    w = _iterated_prefix(g, m - 2)
+    w = _pair_weights(k, m, p, offset)
     t = np.arange(1, k + 1, dtype=np.float64)
     return float(np.dot(t ** (p / 2.0), w[::-1]))
 
 
-def cross_level_powersums_numpy(d2, m, p):
-    """sum over {|n| = k} of |cross-commutator singular value|^p, per level."""
+def cross_level_powersums(d2, m, p):
+    """sum over {|n| = k} of |cross-commutator singular value|^p, per level.
+
+    Level k carries |D_k|^p times the pair sum at offset 1; the pair sums
+    of all levels are one convolution of t^(p/2) with the pair weights.
+    """
     kmax = len(d2) - 1
     out = np.zeros(kmax + 1)
     if kmax == 0:
         return out
-    u = np.arange(kmax, dtype=np.float64)
-    w = _iterated_prefix((u + 1.0) ** (p / 2.0), m - 2)
-    tpow = np.arange(1, kmax + 1, dtype=np.float64) ** (p / 2.0)
-    for k in range(1, kmax + 1):
-        diff = d2[k] / (k + m) - d2[k - 1] / (k + m - 1)
-        out[k] = abs(diff) ** p * float(np.dot(tpow[:k], w[k - 1 :: -1]))
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
+    pair = np.convolve(k ** (p / 2.0), _pair_weights(kmax, m, p, 1.0))[:kmax]
+    out[1:] = np.abs(diff) ** p * pair
     return out
 
 
-def abs_sum_numpy(k, m, p, s):
+def abs_sum(k, m, p, s):
     """sum over {|n| = k} of |s*n_j - 1|^p."""
     t = np.arange(k + 1, dtype=np.float64)
     vals = np.abs(s * t - 1.0) ** p
     return float(np.dot(_comp_counts(k - t, m), vals))
 
 
-def kahan_cumsum_numpy(x):
-    """Cumulative sums; the numpy path delegates to np.cumsum."""
+def kahan_cumsum(x):
+    """Cumulative sums of x as a plain left-to-right np.cumsum.
+
+    The name is kept for its callers; no compensation is applied.
+    """
     return np.cumsum(x)
-
-
-# -- compiled implementations ----------------------------------------------
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _comp_count_nb(x, m):
-        c = 1.0
-        for i in range(1, m - 1):
-            c *= (x + i) / i
-        return c
-
-    @njit(cache=True)
-    def _self_level_powersums_nb(d2, m, p):
-        kmax = len(d2) - 1
-        out = np.empty(kmax + 1)
-        out[0] = (d2[0] / m) ** p
-        counts = np.empty(kmax + 1)
-        for x in range(kmax + 1):
-            counts[x] = _comp_count_nb(x, m)
-        for k in range(1, kmax + 1):
-            b = d2[k] / (k + m)
-            diff = b - d2[k - 1] / (k + m - 1)
-            if m == 1:
-                out[k] = abs(k * diff + b) ** p
-                continue
-            acc = 0.0
-            for t in range(k + 1):
-                acc += counts[k - t] * abs(t * diff + b) ** p
-            out[k] = acc
-        return out
-
-    @njit(cache=True)
-    def _pair_weights_nb(kmax, m, p, offset):
-        w = np.empty(kmax)
-        for u in range(kmax):
-            w[u] = (u + offset) ** (p / 2.0)
-        for _ in range(m - 2):
-            acc = 0.0
-            for u in range(kmax):
-                acc += w[u]
-                w[u] = acc
-        return w
-
-    @njit(cache=True)
-    def _pairsum_nb(k, m, p, offset):
-        if k == 0:
-            return 0.0
-        w = _pair_weights_nb(k, m, p, offset)
-        acc = 0.0
-        for t in range(1, k + 1):
-            acc += t ** (p / 2.0) * w[k - t]
-        return acc
-
-    @njit(cache=True)
-    def _cross_level_powersums_nb(d2, m, p):
-        kmax = len(d2) - 1
-        out = np.zeros(kmax + 1)
-        if kmax == 0:
-            return out
-        w = _pair_weights_nb(kmax, m, p, 1.0)
-        tpow = np.empty(kmax + 1)
-        for t in range(kmax + 1):
-            tpow[t] = t ** (p / 2.0)
-        for k in range(1, kmax + 1):
-            diff = d2[k] / (k + m) - d2[k - 1] / (k + m - 1)
-            acc = 0.0
-            for t in range(1, k + 1):
-                acc += tpow[t] * w[k - t]
-            out[k] = abs(diff) ** p * acc
-        return out
-
-    @njit(cache=True)
-    def _abs_sum_nb(k, m, p, s):
-        acc = 0.0
-        for t in range(k + 1):
-            acc += _comp_count_nb(k - t, m) * abs(s * t - 1.0) ** p
-        return acc
-
-    @njit(cache=True)
-    def _kahan_cumsum_nb(x):
-        out = np.empty(len(x))
-        total = 0.0
-        comp = 0.0
-        for i in range(len(x)):
-            y = x[i] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            out[i] = total
-        return out
-
-    def self_level_powersums(d2, m, p):
-        return _self_level_powersums_nb(np.asarray(d2, dtype=np.float64), m, float(p))
-
-    def cross_level_powersums(d2, m, p):
-        return _cross_level_powersums_nb(np.asarray(d2, dtype=np.float64), m, float(p))
-
-    def pairsum(k, m, p, offset):
-        return _pairsum_nb(k, m, float(p), float(offset))
-
-    def abs_sum(k, m, p, s):
-        return _abs_sum_nb(k, m, float(p), float(s))
-
-    def kahan_cumsum(x):
-        return _kahan_cumsum_nb(np.asarray(x, dtype=np.float64))
-
-else:
-    self_level_powersums = self_level_powersums_numpy
-    cross_level_powersums = cross_level_powersums_numpy
-    pairsum = pairsum_numpy
-    abs_sum = abs_sum_numpy
-    kahan_cumsum = kahan_cumsum_numpy

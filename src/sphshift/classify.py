@@ -9,6 +9,7 @@ require the exact path; floating families can only earn "consistent".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -173,10 +174,17 @@ def complete_hyperexpansion_up_to(
     seq: ScalarSequence, Q: int = DEFAULT_Q, K: int = DEFAULT_K_EXACT
 ) -> int:
     """Largest Q' <= Q with the expansion property at every order 1..Q'."""
-    for q in range(1, Q + 1):
-        if not is_q_expansion(seq, q, K).value:
-            return q - 1
-    return Q
+    return _expansion_depth(is_q_expansion(seq, q, K) for q in range(1, Q + 1))
+
+
+def _expansion_depth(verdicts) -> int:
+    """Number of leading True verdicts in the order-1, 2, ... sequence."""
+    depth = 0
+    for v in verdicts:
+        if not v.value:
+            break
+        depth += 1
+    return depth
 
 
 def subnormal_consistency(
@@ -193,6 +201,7 @@ def subnormal_consistency(
     """
     if P < 1 or K < 1:
         raise ValueError("P and K must be >= 1")
+    vals, exact = _gamma_list(seq, K + P)
     sup_exact = seq.sup_delta2_exact()
     if sup_exact is None and seq.sup_delta2_declared is None:
         probe = seq.delta2_array(max(K, 1000))
@@ -201,7 +210,10 @@ def subnormal_consistency(
                 f"{seq.name}: delta2 keeps growing over the probe horizon; "
                 "rescaling by sup delta is undefined for an unbounded sequence"
             )
-        sup_val = float(np.max(probe))
+        # exact gamma comes with exact delta2: the exact value at the
+        # sampled maximum keeps the check exact
+        at = int(np.argmax(probe))
+        sup_val = seq.delta2_exact(at) if exact else float(probe[at])
         mode = "sampled"
     elif sup_exact is not None:
         sup_val = sup_exact
@@ -210,12 +222,14 @@ def subnormal_consistency(
         sup_val = float(seq.sup_delta2_declared)
         mode = "analytic"
 
-    vals, exact = _gamma_list(seq, K + P)
     if exact and isinstance(sup_val, Fraction):
         scaled = [v / sup_val ** k for k, v in enumerate(vals)]
         tol = 0
     else:
-        scaled = [float(v) / float(sup_val) ** k for k, v in enumerate(vals)]
+        # log space (log gamma = 2 log bbeta): float(sup) ** k overflows
+        ks = np.arange(K + P + 1)
+        log_scaled = 2.0 * seq.log_bbeta_array(K + P) - ks * math.log(float(sup_val))
+        scaled = np.exp(log_scaled).tolist()
         exact = False
         tol = FLOAT_SIGN_TOL
     diffs = scaled
@@ -306,6 +320,7 @@ def classification(
     """Run the whole battery on one sequence."""
     qmax = Q if qmax is None else qmax
     order, order_mode = q_isometry_order(seq, qmax, K)
+    q_expansion = {q: is_q_expansion(seq, q, K) for q in range(1, Q + 1)}
     return Classification(
         bounded=seq.is_bounded(horizon),
         compact=is_compact(seq, horizon),
@@ -314,7 +329,7 @@ def classification(
         hyponormal=is_hyponormal(seq, K),
         q_isometry_order=order,
         q_isometry_mode=order_mode,
-        q_expansion={q: is_q_expansion(seq, q, K) for q in range(1, Q + 1)},
-        complete_hyperexpansion_up_to=complete_hyperexpansion_up_to(seq, Q, K),
+        q_expansion=q_expansion,
+        complete_hyperexpansion_up_to=_expansion_depth(q_expansion.values()),
         subnormal=subnormal_consistency(seq, P, K),
     )

@@ -335,9 +335,6 @@ class PolynomialGamma(ScalarSequence):
             acc = acc * k + c
         return acc
 
-    def gamma_poly(self, k: int) -> Fraction:
-        return self._eval(self.coefficients, k) / self._eval(self.coefficients, 0)
-
     def delta2(self, k: int) -> float:
         return float(self.delta2_exact(k))
 

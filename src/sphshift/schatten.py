@@ -267,35 +267,38 @@ def cutoff_check(
     For a non-compact family no grid point p <= m may converge; the
     report carries the verdicts, the first converging exponent, and any
     violations of that rule. Compact families are tagged and skipped.
+    Each distinct exponent is decided once, and the report's grid lists
+    the distinct exponents in increasing order.
     """
     _require_m(m)
     if not p_grid:
         raise ValueError("p grid must be non-empty")
+    grid = sorted({float(p) for p in p_grid})
     noncompact = _is_noncompact(seq, K)
     if noncompact is False:
         return {
             "skipped": True,
             "reason": "compact",
-            "grid": [float(p) for p in p_grid],
+            "grid": grid,
         }
     verdicts = {}
     violations = []
     transition = None
     last_diverging = None
-    for p in sorted(p_grid):
+    for p in grid:
         v = decide(seq, m, p, K)
-        verdicts[float(p)] = v.verdict
+        verdicts[p] = v.verdict
         if v.verdict == "converges" and transition is None:
-            transition = float(p)
+            transition = p
         if v.verdict == "diverges" and transition is None:
-            last_diverging = float(p)
+            last_diverging = p
         if p <= m and v.verdict == "converges":
-            violations.append(float(p))
+            violations.append(p)
     return {
         "skipped": False,
         "noncompact": noncompact,
-        "grid": [float(p) for p in sorted(p_grid)],
-        "verdicts": {str(k): v for k, v in sorted(verdicts.items())},
+        "grid": grid,
+        "verdicts": {str(k): v for k, v in verdicts.items()},
         "transition": transition,
         "last_diverging": last_diverging,
         "violations": violations,

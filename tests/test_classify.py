@@ -153,6 +153,12 @@ class TestSubnormalConsistency:
         with pytest.raises(ValueError):
             subnormal_consistency(seq, 4, 50)
 
+    def test_float_rescale_in_log_space(self):
+        # float gamma with sup delta2 = 4: 4.0 ** k overflows for k > 511
+        rep = subnormal_consistency(HpSpace(2, 0.5), 8, 600)
+        assert rep["mode"] == "sampled" and rep["rescale_mode"] == "analytic"
+        assert not rep["pass"] and rep["witness"] == (2, 0)
+
     def test_scale_invariance_of_criterion(self):
         # rescaling is built in: a pre-scaled copy must give the same verdict
         base = HpSpace(2, 3)
@@ -187,6 +193,19 @@ class TestIsometryForcesUnitRadii:
 
 
 class TestFullClassification:
+    def test_each_expansion_order_decided_once(self, monkeypatch):
+        calls = []
+        real = classify.is_q_expansion
+
+        def counting(seq, q, K):
+            calls.append(q)
+            return real(seq, q, K)
+
+        monkeypatch.setattr(classify, "is_q_expansion", counting)
+        c = classification(HpSpace(2, 3), P=4, Q=4, K=50)
+        assert sorted(calls) == [1, 2, 3, 4]
+        assert c.complete_hyperexpansion_up_to == 0
+
     def test_hp_classification_bundle(self):
         c = classification(HpSpace(2, 1), P=8, Q=4, K=150)
         assert c.hyponormal.value is False

@@ -100,6 +100,17 @@ class TestClassify:
         assert body["hyponormal"]["value"] is False
         assert body["subnormal"]["witness"] == [2, 0]
 
+    def test_poly_gamma_deep_horizon(self, capsys):
+        # poly-gamma declares no sup: the sampled sup 4 is taken exactly,
+        # so the check stays exact and no float 4.0 ** k can overflow
+        code, doc = run_json(capsys, [
+            "classify", "--family", "poly-gamma", "--gamma-coeffs", "1,2,1", "--K", "600",
+        ])
+        assert code == 0
+        sub = doc["classification"]["subnormal"]
+        assert sub["mode"] == "exact" and sub["rescale_mode"] == "sampled"
+        assert sub["witness_value"] == "-7/16"
+
     def test_witness_suppressed_by_default(self, capsys):
         code, doc = run_json(capsys, ["classify", "--family", "alt-twelve", "--m", "2"])
         assert code == 0

@@ -181,6 +181,20 @@ class TestCutoff:
         assert rep["transition"] == 2.25
         assert rep["violations"] == []
 
+    def test_repeated_exponents_decided_once(self, monkeypatch):
+        calls = []
+        real_decide = schatten.decide
+
+        def counting_decide(seq, m, p, K):
+            calls.append(p)
+            return real_decide(seq, m, p, K)
+
+        monkeypatch.setattr(schatten, "decide", counting_decide)
+        rep = cutoff_check(HpSpace(2, 4), 2, [3, 1.5, 1.5, 1, 3.0], K=10_000)
+        assert rep["grid"] == [1.0, 1.5, 3.0]
+        assert sorted(calls) == [1.0, 1.5, 3.0]
+        assert list(rep["verdicts"]) == ["1.0", "1.5", "3.0"]
+
     def test_hardy_m3_grid(self):
         rep = cutoff_check(HpSpace(3, 3), 3, [2, 3, 3.5], K=50_000)
         assert list(rep["verdicts"].values()) == ["diverges", "diverges", "converges"]
