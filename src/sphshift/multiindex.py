@@ -19,6 +19,8 @@ class MultiIndex(tuple):
     """
 
     def __new__(cls, components):
+        if isinstance(components, MultiIndex):
+            return components  # immutable and validated on construction
         comps = tuple(int(c) for c in components)
         if len(comps) < 1:
             raise ValueError("multi-index needs arity m >= 1")
@@ -36,14 +38,15 @@ class MultiIndex(tuple):
     def add_unit(self, j: int) -> "MultiIndex":
         """n + e_j (1 <= j <= m)."""
         self._check_axis(j)
-        return MultiIndex(self[:j - 1] + (self[j - 1] + 1,) + self[j:])
+        # a neighbour of a valid index is valid: skip the constructor's checks
+        return tuple.__new__(MultiIndex, self[:j - 1] + (self[j - 1] + 1,) + self[j:])
 
     def sub_unit(self, j: int):
         """n - e_j, or None when n_j = 0 (the out-of-domain branch)."""
         self._check_axis(j)
         if self[j - 1] == 0:
             return None
-        return MultiIndex(self[:j - 1] + (self[j - 1] - 1,) + self[j:])
+        return tuple.__new__(MultiIndex, self[:j - 1] + (self[j - 1] - 1,) + self[j:])
 
     def _check_axis(self, j: int) -> None:
         if not 1 <= j <= len(self):

@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .multiindex import MultiIndex
 from .scalarseq import ScalarSequence
 
@@ -42,6 +40,7 @@ class SphericalShift:
             raise ValueError("arity m must be >= 1")
         self.m = int(m)
         self.seq = seq
+        self._pairs = {}  # level k -> _level_pair(k)
 
     # -- weights and norms --------------------------------------------------
 
@@ -69,16 +68,20 @@ class SphericalShift:
 
     def q_diag(self, k: int, s: int) -> float:
         """Eigenvalue of the s-th iterate of X -> sum_i T_i* X T_i applied to
-        the identity, on any e_n with |n| = k: delta2(k)...delta2(k+s-1)."""
+        the identity, on any e_n with |n| = k: delta2(k)...delta2(k+s-1).
+
+        Exact when the family is; otherwise (bbeta(k+s)/bbeta(k))^2 in log
+        space. math.inf when the value overflows a float.
+        """
         if s < 0:
             raise ValueError("power s must be >= 0")
         if s == 0:
             return 1.0
-        # log-space product via the cached cumulative sums
-        self.seq._ensure(k + s - 1)
-        d2 = self.seq._d2[k : k + s]
+        exact = self.q_diag_exact(k, s)
         try:
-            return float(math.exp(np.sum(np.log(d2))))
+            if exact is not None:
+                return float(exact)
+            return math.exp(2.0 * (self.seq.log_bbeta(k + s) - self.seq.log_bbeta(k)))
         except OverflowError:
             return math.inf
 
@@ -116,14 +119,19 @@ class SphericalShift:
     # -- commutator coefficients ---------------------------------------------
 
     def _level_pair(self, k: int):
-        """(delta2(k)/(k+m), delta2(k-1)/(k+m-1)) exactly when possible."""
-        a = self.seq.delta2_exact(k)
-        b = self.seq.delta2_exact(k - 1) if k >= 1 else Fraction(0)
-        if a is not None and b is not None:
-            return a / (k + self.m), (b / (k + self.m - 1) if k >= 1 else Fraction(0))
-        cur = self.seq.delta2(k) / (k + self.m)
-        prev = self.seq.delta2(k - 1) / (k + self.m - 1) if k >= 1 else 0.0
-        return cur, prev
+        """(delta2(k)/(k+m), delta2(k-1)/(k+m-1)) exactly when possible;
+        evaluated once per level."""
+        if k not in self._pairs:
+            a = self.seq.delta2_exact(k)
+            b = self.seq.delta2_exact(k - 1) if k >= 1 else Fraction(0)
+            if a is not None and b is not None:
+                pair = a / (k + self.m), (b / (k + self.m - 1) if k >= 1 else Fraction(0))
+            else:
+                cur = self.seq.delta2(k) / (k + self.m)
+                prev = self.seq.delta2(k - 1) / (k + self.m - 1) if k >= 1 else 0.0
+                pair = cur, prev
+            self._pairs[k] = pair
+        return self._pairs[k]
 
     def self_comm_coeff(self, j: int, n) -> float:
         """Diagonal entry of [T_j*, T_j] at e_n."""

@@ -63,6 +63,12 @@ def test_unit_arithmetic():
     assert tuple(MultiIndex((1, 0)).add_unit(2)) == (1, 1)
     assert MultiIndex((0, 3)).sub_unit(1) is None
     assert tuple(MultiIndex((2, 1)).sub_unit(1)) == (1, 1)
+    assert type(MultiIndex((2, 1)).add_unit(1).sub_unit(2)) is MultiIndex
+
+
+def test_constructor_returns_a_multiindex_unchanged():
+    n = MultiIndex((2, 0, 1))
+    assert MultiIndex(n) is n
 
 
 def test_degree():

@@ -127,6 +127,17 @@ class TestQDiagonal:
         for label, seq in suite_m2:
             assert SphericalShift(2, seq).q_diag(7, 0) == 1.0
 
+    def test_float_family_in_log_space(self):
+        s = SphericalShift(2, ConstantDelta(0.5))
+        assert s.q_diag_exact(3, 2) is None
+        assert s.q_diag(3, 2) == pytest.approx(0.0625, rel=1e-14)
+
+    def test_overflow_is_inf(self):
+        # exact path: float() of the product 10^400 overflows
+        assert SphericalShift(2, ConstantDelta(10 ** 100)).q_diag(0, 2) == math.inf
+        # float path: exp of the log-space sum 2 log(1e200) overflows
+        assert SphericalShift(2, ConstantDelta(1e100)).q_diag(0, 2) == math.inf
+
     def test_one_variable_shift_power_norms(self, suite_m2):
         # independent route: build the associated 1-variable shift as a
         # truncation matrix and push basis vectors through s-fold products

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphshift.multiindex import enumerate_level
-from sphshift.scalarseq import AlternatingTwelve, HpSpace
+from sphshift import truncation
+from sphshift.multiindex import enumerate_level, multinomial
+from sphshift.scalarseq import AlternatingTwelve, HpSpace, default_suite
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
     StructuralAssumptionError,
@@ -73,6 +74,20 @@ class TestShiftMatrix:
                         seq.delta2(n.degree()), rel=1e-13
                     ), label
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_entries_are_the_weights_bit_for_bit(self, m):
+        N = 5
+        basis = build_basis(m, N)
+        for label, seq in default_suite(m):
+            s = SphericalShift(m, seq)
+            for j in range(1, m + 1):
+                mat = build_shift_matrix(s, j, basis).matrix
+                expected = np.zeros_like(mat)
+                for col, n in enumerate(basis.indices):
+                    if n.degree() < N:
+                        expected[basis.index_of(n.add_unit(j)), col] = s.weight(j, n)
+                assert np.array_equal(mat, expected), (label, j)
+
 
 class TestCommutator:
     def test_self_commutator_is_zero(self):
@@ -116,6 +131,25 @@ class TestQPower:
                 if n.degree() <= N - 1:
                     assert q1[col, col] == pytest.approx(seq.delta2(n.degree()), rel=1e-13), label
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_recursion_matches_multinomial_expansion(self, m):
+        # reference: sum over |alpha| = k of (k!/alpha!) (T^alpha)* T^alpha
+        N = 6 if m < 4 else 5
+        basis = build_basis(m, N)
+        for label, seq in default_suite(m):
+            ts = build_tuple_matrices(SphericalShift(m, seq), basis)
+            for k in range(4):
+                expansion = np.zeros((basis.dimension, basis.dimension))
+                for alpha in enumerate_level(m, k):
+                    t_alpha = np.eye(basis.dimension)
+                    for i, a in enumerate(alpha):
+                        for _ in range(a):
+                            t_alpha = ts[i].matrix @ t_alpha
+                    expansion += multinomial(alpha) * (t_alpha.T @ t_alpha)
+                stop = basis.level_slice(N - k).stop
+                dev = np.max(np.abs(q_power_bruteforce(ts, k).matrix - expansion)[:stop, :stop])
+                assert dev <= 1e-13, (label, k, dev)
+
     def test_k2_szego_origin(self):
         basis = build_basis(2, 5)
         ts = build_tuple_matrices(szego(), basis)
@@ -143,10 +177,38 @@ class TestCompareClosedForm:
         assert compare_with_closed_form(alt, ("cross_comm", 1, 2), 8) <= 1e-12
 
     def test_oracle_suite_all_families(self, suite_m2, suite_m3):
-        for m, suite in ((2, suite_m2), (3, suite_m3)):
+        for m, suite, N in ((2, suite_m2, 8), (3, suite_m3, 8), (4, default_suite(4), 5)):
             for label, seq in suite:
-                rows = oracle_suite(SphericalShift(m, seq), N=8, tol=1e-10)
+                rows = oracle_suite(SphericalShift(m, seq), N=N, tol=1e-10)
                 assert all(r["pass"] for r in rows), (m, label, rows)
+
+    @pytest.mark.parametrize("planted", [("self_comm", 1), ("cross_comm", 1, 2), ("bq", 2)])
+    def test_defect_at_one_index_is_caught(self, planted, monkeypatch):
+        # one interior column of one closed form is off by 1e-6: only that
+        # row may fail, so every interior column is compared
+        n0 = (1, 1, 1)
+        original = truncation._expected_interior
+
+        def perturbed(shift, kind, basis, interior):
+            expected = original(shift, kind, basis, interior)
+            if kind == planted:
+                col = basis.index_of(n0)
+                row = basis.index_of((0, 2, 1)) if kind[0] == "cross_comm" else col
+                expected[row, col] += 1e-6
+            return expected
+
+        monkeypatch.setattr(truncation, "_expected_interior", perturbed)
+        rows = oracle_suite(SphericalShift(3, HpSpace(3, 4)), N=6, tol=1e-10)
+        assert [r["kind"] for r in rows if not r["pass"]] == ["/".join(map(str, planted))]
+
+    def test_wrong_target_is_caught(self):
+        class Misplaced(SphericalShift):
+            def cross_comm_coeff(self, j, l, n):
+                coeff, target = super().cross_comm_coeff(j, l, n)
+                return coeff, (None if target is None else n)
+
+        rows = oracle_suite(Misplaced(2, HpSpace(2, 3)), N=6, tol=1e-10)
+        assert {r["kind"] for r in rows if not r["pass"]} == {"cross_comm/1/2", "cross_comm/2/1"}
 
 
 class TestGramSingularValues:
