@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .scalarseq import BoundednessReport, ScalarSequence
-from .spectra import _suspect_unbounded
+from .spectra import essential_normality_gate, suspect_unbounded
 
 DEFAULT_K_EXACT = 200
 DEFAULT_K_SAMPLED = 10_000
@@ -52,6 +52,7 @@ def _gamma_list(seq: ScalarSequence, upto: int):
     g0 = seq.gamma_exact(upto)
     if g0 is not None:
         return [seq.gamma_exact(k) for k in range(upto + 1)], True
+    seq.log_bbeta_array(upto)  # grow the snapshot once, not once per k
     return [seq.gamma(k) for k in range(upto + 1)], False
 
 
@@ -60,19 +61,26 @@ def _diff(vals):
 
 
 def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
-    """delta_k -> 0, i.e. the tuple consists of compact operators."""
+    """delta_k -> 0, i.e. the tuple consists of compact operators. The one
+    compactness rule, also behind the Schatten cut-off; value None when the
+    sample decides nothing, and the note names the deciding branch."""
     if seq.delta2_limit is not None:
         return Verdict(seq.delta2_limit == 0, "analytic", note="declared limit of delta2")
     if seq.delta2_liminf is not None and seq.delta2_liminf > 0:
         return Verdict(False, "analytic", note="declared liminf of delta2 is positive")
     d2 = seq.delta2_array(K)
     tail = d2[-max(1, K // 10):]
-    return Verdict(
-        bool(np.max(tail) < 1e-8),
-        "sampled",
-        horizon=K,
-        note=f"tail max delta2 = {float(np.max(tail)):.3e}",
-    )
+    top, low, peak = float(np.max(tail)), float(np.min(tail)), float(np.max(d2))
+    sups = [float(np.max(q)) for q in np.array_split(d2, 4)]
+    if top < 1e-12:
+        value, note = True, f"tail max delta2 = {top:.3e} < 1e-12"
+    elif all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
+        value, note = True, f"quarter sups of delta2 fall, last/first = {sups[-1] / sups[0]:.3e}"
+    elif low > 1e-3 * peak:
+        value, note = False, f"tail min delta2 = {low:.3e} > 1e-3 * max = {peak:.3e}"
+    else:
+        value, note = None, f"tail delta2 in [{low:.3e}, {top:.3e}], max {peak:.3e}: undecided"
+    return Verdict(value, "sampled", horizon=K, note=note)
 
 
 def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
@@ -89,15 +97,8 @@ def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Ve
             witness=witness,
             note="declared by family",
         )
-    d2 = seq.delta2_array(K)
-    diffs = np.abs(np.diff(d2[-max(2, K // 10):]))
-    worst = float(np.max(diffs))
-    return Verdict(
-        bool(worst < 1e-6),
-        "sampled",
-        horizon=K,
-        note=f"tail max |delta2 difference| = {worst:.3e}",
-    )
+    gate = essential_normality_gate(seq, K, K // 10)
+    return Verdict(gate["value"], "sampled", horizon=K, note=gate["detail"])
 
 
 def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
@@ -205,7 +206,7 @@ def subnormal_consistency(
     sup_exact = seq.sup_delta2_exact()
     if sup_exact is None and seq.sup_delta2_declared is None:
         probe = seq.delta2_array(max(K, 1000))
-        if _suspect_unbounded(probe):
+        if suspect_unbounded(probe):
             raise ValueError(
                 f"{seq.name}: delta2 keeps growing over the probe horizon; "
                 "rescaling by sup delta is undefined for an unbounded sequence"

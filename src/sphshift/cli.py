@@ -217,6 +217,7 @@ def cmd_dump_sequence(args) -> int:
     writer.writerow(
         ["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]
     )
+    seq.log_bbeta_array(args.K + args.Q)  # grow the snapshot once, not once per row
     for k in range(args.K + 1):
         row = [k, repr(seq.delta2(k)), repr(seq.gamma(k)), repr(seq.log_bbeta(k))]
         row += [repr(shift.bq_diag(k, q)) for q in range(1, args.Q + 1)]
@@ -340,7 +341,7 @@ def cmd_analyze(args) -> int:
 
     t0 = time.perf_counter()
     payload["classification"] = classify.classification(
-        seq, P=args.P, Q=args.Q, K=args.K_exact
+        seq, P=args.P, Q=args.Q, K=args.K_exact, horizon=args.K
     ).to_dict()
     timings["classify_s"] = time.perf_counter() - t0
 

@@ -50,11 +50,16 @@ def _to_number(x):
 
 
 class ScalarSequence:
-    """Base class: caching, log-space accumulation, finite differences.
+    """Base class: the delta2 snapshot, log-space accumulation, finite differences.
 
-    Subclasses implement ``delta2(k)`` (and usually ``delta2_exact`` and a
-    vectorized ``delta2_array``) plus declared metadata. Instances are
-    immutable after construction; caches only grow and never change values.
+    Subclasses implement ``delta2(k)`` (and usually ``delta2_exact``) plus
+    declared metadata, and may override the generator hook
+    ``_delta2_values(kmax)``, which returns delta2(0..kmax) as float64 and
+    which only ``_ensure`` calls. ``_ensure`` keeps the one snapshot of
+    delta2 every array reader shares: ``delta2_array`` and
+    ``log_bbeta_array`` serve read-only views of it, and it grows to
+    exactly the horizon asked for. Instances are immutable after
+    construction; caches only grow and never change values.
     """
 
     name = "scalar-sequence"
@@ -70,7 +75,7 @@ class ScalarSequence:
 
     def __init__(self):
         self._d2 = np.zeros(0)
-        self._logbb = np.zeros(1)  # log_bbeta[0] = 0
+        self._logbb = np.zeros(0)  # built from _d2 on first use
         self._gamma_exact_cache: Optional[list] = None
 
     # -- core evaluators ------------------------------------------------
@@ -84,43 +89,49 @@ class ScalarSequence:
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         return None
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
-        """delta2(0..kmax) inclusive as float64."""
-        return np.array([self.delta2(k) for k in range(kmax + 1)])
+    def _delta2_values(self, kmax: int) -> np.ndarray:
+        return np.array([self.delta2(k) for k in range(kmax + 1)], dtype=np.float64)
 
-    # -- cached log-space machinery --------------------------------------
+    # -- the cached snapshot ---------------------------------------------
 
     def _ensure(self, kmax: int) -> None:
-        if len(self._d2) >= kmax + 1:
+        if len(self._d2) > kmax:
             return
-        grow = max(kmax + 1, 2 * len(self._d2), 64)
-        try:
-            d2 = self.delta2_array(grow - 1)
-        except TableRangeError:
-            if grow - 1 <= kmax:
-                raise
-            # geometric growth overshot a finite table; retry at exact size
-            grow = kmax + 1
-            d2 = self.delta2_array(kmax)
+        d2 = self._delta2_values(kmax)
         if np.any(d2 <= 0):
             bad = int(np.argmax(d2 <= 0))
             raise ValueError(f"{self.name}: delta2({bad}) = {d2[bad]} is not positive")
-        logbb = np.empty(grow + 1)
-        logbb[0] = 0.0
-        np.cumsum(0.5 * np.log(d2), out=logbb[1:])
+        d2.flags.writeable = False
         self._d2 = d2
-        self._logbb = logbb
+
+    def delta2_array(self, kmax: int) -> np.ndarray:
+        """delta2(0..kmax) inclusive as float64, a read-only view."""
+        self._ensure(kmax)
+        return self._d2[: kmax + 1]
 
     def log_bbeta(self, k: int) -> float:
-        if k > 0:
-            self._ensure(k - 1)  # log bbeta(k) consumes delta2(0..k-1) only
-        return float(self._logbb[k])
+        return float(self.log_bbeta_array(k)[k])
 
     def log_bbeta_array(self, kmax: int) -> np.ndarray:
-        """log bbeta(0..kmax) inclusive."""
-        if kmax > 0:
-            self._ensure(kmax - 1)
-        return self._logbb[: kmax + 1].copy()
+        """log bbeta(0..kmax) inclusive, a read-only view.
+
+        log bbeta(k) consumes delta2(0..k-1) only, but a snapshot that
+        must grow is grown through delta2(kmax), which the same caller
+        usually reads next; a finite table without a tail still serves
+        one step past its last row.
+        """
+        if len(self._logbb) <= kmax:
+            if len(self._d2) < kmax:
+                try:
+                    self._ensure(kmax)
+                except TableRangeError:
+                    self._ensure(kmax - 1)
+            logbb = np.empty(len(self._d2) + 1)
+            logbb[0] = 0.0
+            np.cumsum(0.5 * np.log(self._d2), out=logbb[1:])
+            logbb.flags.writeable = False
+            self._logbb = logbb
+        return self._logbb[: kmax + 1]
 
     def gamma(self, k: int) -> float:
         """Float gamma; saturates to inf/0.0 outside float range (use
@@ -251,7 +262,7 @@ class HpSpace(ScalarSequence):
             return None
         return Fraction(k + self.m) / (k + p)
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         k = np.arange(kmax + 1, dtype=np.float64)
         return (k + self.m) / (k + float(self.p))
 
@@ -288,7 +299,7 @@ class ConstantDelta(ScalarSequence):
         c = _as_fraction(self.c)
         return None if c is None else c * c
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.full(kmax + 1, float(self.c) ** 2)
 
     def sup_delta2_exact(self) -> Optional[Fraction]:
@@ -341,7 +352,7 @@ class PolynomialGamma(ScalarSequence):
     def delta2_exact(self, k: int) -> Fraction:
         return self._eval(self.coefficients, k + 1) / self._eval(self.coefficients, k)
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         k = np.arange(kmax + 2, dtype=np.float64)
         vals = np.zeros_like(k)
         for c in reversed(self.coefficients):
@@ -392,7 +403,7 @@ class RhoEta(ScalarSequence):
             rho.append(rho[-1] + self.eta_exact(j))
         return rho[k]
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         eta = np.zeros(kmax + 1)
         l = 0
         while True:
@@ -442,7 +453,7 @@ class AlternatingTwelve(ScalarSequence):
     def delta2_exact(self, k: int) -> Fraction:
         return Fraction(1, 3) if k % 2 == 0 else Fraction(1, 4)
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         out = np.full(kmax + 1, 0.25)
         out[::2] = 1.0 / 3.0
         return out
@@ -484,6 +495,8 @@ class Tabulated(ScalarSequence):
             setattr(self, key, val)
         if any(float(v) <= 0 for v in self.values):
             raise ValueError("all tabulated delta2 values must be positive")
+        if isinstance(self.tail, tuple) and self.tail[0] == "const" and float(self.tail[1]) <= 0:
+            raise ValueError(f"const tail value {self.tail[1]} must be positive")
 
     def _tail_value(self, k: int):
         tail = self.tail
@@ -506,9 +519,6 @@ class Tabulated(ScalarSequence):
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         v = self.values[k] if k < len(self.values) else self._tail_value(k)
         return _as_fraction(v)
-
-    def delta2_array(self, kmax: int) -> np.ndarray:
-        return np.array([self.delta2(k) for k in range(kmax + 1)])
 
     def is_bounded(self, K: int = 10_000) -> BoundednessReport:
         if self.sup_delta2_declared is None and (
@@ -568,7 +578,7 @@ class ScaledSequence(ScalarSequence):
             return None
         return c * c * b
 
-    def delta2_array(self, kmax: int) -> np.ndarray:
+    def _delta2_values(self, kmax: int) -> np.ndarray:
         return float(self.c) ** 2 * self.base.delta2_array(kmax)
 
     def params(self):

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
+from .classify import is_compact
 from .scalarseq import ScalarSequence
 from .shift import SphericalShift
 from .spectra import essential_normality_gate
@@ -127,23 +128,6 @@ def _fit_tail_exponent(terms: np.ndarray, K: int) -> Tuple[str, Optional[float]]
     return "inconclusive", slope
 
 
-def _is_noncompact(seq: ScalarSequence, K: int) -> Optional[bool]:
-    """True = delta does not tend to 0, False = it does, None = unknown."""
-    if seq.delta2_limit is not None:
-        return seq.delta2_limit > 0
-    if seq.delta2_liminf is not None and seq.delta2_liminf > 0:
-        return True
-    d2 = seq.delta2_array(K)
-    sups = [float(np.max(q)) for q in np.array_split(d2, 4)]
-    if np.max(d2[-max(1, K // 10) :]) < 1e-12:
-        return False
-    if all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
-        return False
-    if float(np.min(d2[-max(1, K // 10) :])) > 1e-3 * float(np.max(d2)):
-        return True
-    return None
-
-
 def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> SchattenVerdict:
     """Full membership verdict for the commutators at exponent p.
 
@@ -171,11 +155,11 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
         )
 
     t1, t2 = criterion_term_arrays(seq, m, p, K)
-    cum1 = _kernels.kahan_cumsum(t1)
-    cum2 = _kernels.kahan_cumsum(t2)
     checkpoints = _checkpoint_grid(K)
-    ps1 = [float(cum1[c - 1]) for c in checkpoints]
-    ps2 = [float(cum2[c - 1]) for c in checkpoints]
+    # only the checkpoint sums are kept: each full cumsum is dropped at once
+    at = np.array(checkpoints) - 1
+    ps1 = _kernels.kahan_cumsum(t1)[at].tolist()
+    ps2 = _kernels.kahan_cumsum(t2)[at].tolist()
 
     status1, slope1 = _fit_tail_exponent(t1, K)
     status2, slope2 = _fit_tail_exponent(t2, K)
@@ -205,10 +189,10 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
             f"series1 {status1} (slope {slope1}), series2 {status2} (slope {slope2})"
         )
 
-    noncompact = _is_noncompact(seq, K)
+    compact = is_compact(seq, K).value
     cutoff_ok = None
-    if noncompact is not None:
-        cutoff_ok = not (noncompact and verdict == "converges" and p <= m)
+    if compact is not None:
+        cutoff_ok = compact or not (verdict == "converges" and p <= m)
 
     return SchattenVerdict(
         p=float(p),
@@ -274,8 +258,8 @@ def cutoff_check(
     if not p_grid:
         raise ValueError("p grid must be non-empty")
     grid = sorted({float(p) for p in p_grid})
-    noncompact = _is_noncompact(seq, K)
-    if noncompact is False:
+    compact = is_compact(seq, K).value
+    if compact:
         return {
             "skipped": True,
             "reason": "compact",
@@ -296,7 +280,7 @@ def cutoff_check(
             violations.append(p)
     return {
         "skipped": False,
-        "noncompact": noncompact,
+        "noncompact": None if compact is None else not compact,
         "grid": grid,
         "verdicts": {str(k): v for k, v in verdicts.items()},
         "transition": transition,

@@ -86,13 +86,12 @@ class SphericalShift:
             return math.inf
 
     def q_diag_exact(self, k: int, s: int) -> Optional[Fraction]:
-        out = Fraction(1)
-        for i in range(k, k + s):
-            d2 = self.seq.delta2_exact(i)
-            if d2 is None:
-                return None
-            out *= d2
-        return out
+        """delta2(k)...delta2(k+s-1) = gamma(k+s)/gamma(k) from the
+        sequence's cached exact gamma; None when gamma is not exact."""
+        top = self.seq.gamma_exact(k + s)
+        if top is None:
+            return None
+        return top / self.seq.gamma_exact(k)
 
     def bq_diag(self, k: int, q: int) -> float:
         """Diagonal entry of the order-q defect sum_{s} (-1)^s C(q,s) Q^s."""

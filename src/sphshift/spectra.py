@@ -129,7 +129,8 @@ def _richardson(js, log_vals) -> Optional[float]:
     return math.exp((j2 * a2 - j1 * a1) / (j2 - j1))
 
 
-def _suspect_unbounded(d2: np.ndarray) -> bool:
+def suspect_unbounded(d2: np.ndarray) -> bool:
+    """The one unboundedness heuristic: delta2 quarter sups rise, last > 2 x first."""
     quarters = np.array_split(d2, 4)
     sups = [float(np.max(q)) for q in quarters]
     return all(b > a for a, b in zip(sups, sups[1:])) and sups[-1] > 2.0 * sups[0]
@@ -149,7 +150,7 @@ def outer_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
         est.mode = "analytic"
         est.note = "family declares lim delta2"
         return est
-    if _suspect_unbounded(seq._d2[:K]):
+    if suspect_unbounded(seq.delta2_array(K - 1)):
         est.value = math.inf
         est.mode = "unbounded-suspected"
         est.note = "delta2 quarter-sups increase without settling; sup may be infinite"
@@ -202,7 +203,7 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
     # independent accumulation: full log delta2 sums, halved only at the end
     s_full = np.empty(K + 1)
     s_full[0] = 0.0
-    np.cumsum(np.log(seq._d2[:K]), out=s_full[1:])
+    np.cumsum(np.log(seq.delta2_array(K - 1)), out=s_full[1:])
     m_infty = []
     for j in js:
         window = (s_full[j:] - s_full[: K + 1 - j]) / (2 * j)

@@ -24,7 +24,13 @@ from sphshift.classify import (
     q_isometry_order,
     subnormal_consistency,
 )
-from sphshift.spectra import outer_radius, convergence_radius, inner_radius
+from sphshift.schatten import cutoff_check, decide
+from sphshift.spectra import (
+    convergence_radius,
+    essential_normality_gate,
+    inner_radius,
+    outer_radius,
+)
 
 
 class TestCompactEssentiallyNormal:
@@ -49,6 +55,35 @@ class TestCompactEssentiallyNormal:
         v = is_compact(seq, K=200_000)
         assert v.value is True
         assert v.mode == "sampled"
+
+    def test_classification_and_cutoff_agree_on_held_table(self):
+        # delta2 = 1/(k+1) held past k = 20000: the tail max is still 1e-4
+        # at K = 10000, but the quarter sups fall by more than 1e-2
+        seq = Tabulated([Fraction(1, k + 1) for k in range(20_000)], tail="hold")
+        K = 10_000
+        compact = classification(seq, P=2, Q=2, K=20, horizon=K).compact
+        assert compact.value is True and compact.mode == "sampled"
+        assert "quarter sups" in compact.note
+        rep = cutoff_check(seq, 2, [1.0, 3.0], K=K)
+        assert rep["skipped"] and rep["reason"] == "compact"
+
+    def test_undecided_sample_is_none_everywhere(self):
+        # delta2 alternates 1 and 1e-6: neither settles at 0 nor stays away
+        seq = Tabulated([1], tail=lambda k: Fraction(1, 10**6) if k % 2 else Fraction(1))
+        v = is_compact(seq, K=10_000)
+        assert v.value is None and v.mode == "sampled" and v.horizon == 10_000
+        assert v.note
+        rep = cutoff_check(seq, 2, [1.0, 3.0], K=10_000)
+        assert rep["skipped"] is False and rep["noncompact"] is None
+        assert decide(seq, 2, 1.0, K=10_000).cutoff_consistent is None
+
+    def test_sampled_essential_normality_is_the_spectral_gate(self):
+        seq = Tabulated([1], tail=lambda k: Fraction(1) if k % 2 else Fraction(1, 2))
+        v = is_essentially_normal(seq, K=10_000)
+        gate = essential_normality_gate(seq, 10_000, 1_000)
+        assert (v.value, v.mode, v.horizon, v.note) == (
+            gate["value"], "sampled", 10_000, gate["detail"])
+        assert v.value is False
 
 
 class TestHyponormal:

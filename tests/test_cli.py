@@ -183,6 +183,19 @@ class TestErrors:
         assert code == 2
         assert "tail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", ["const:0", "const:-1"])
+    @pytest.mark.parametrize("command", [
+        ["dump-sequence"], ["spectrum"], ["schatten", "--p", "2"], ["cutoff"],
+        ["classify"], ["analyze"],
+    ], ids=lambda c: c[0])
+    def test_nonpositive_const_tail_is_a_usage_error(self, tmp_path, capsys, command, tail):
+        table = tmp_path / "d2.csv"
+        table.write_text("1\n1/2\n")
+        code = main(command + ["--family", "tabulated", "--table", str(table),
+                               "--tail", tail])
+        assert code == 2
+        assert "const tail" in capsys.readouterr().err
+
     def test_table_with_hold_tail(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"
         table.write_text("# delta2 values\n1\n1/2\n")

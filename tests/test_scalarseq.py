@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sphshift.classify import classification
 from sphshift.scalarseq import (
     AlternatingTwelve,
     ConstantDelta,
@@ -16,6 +17,8 @@ from sphshift.scalarseq import (
     make_family,
     default_suite,
 )
+from sphshift.schatten import cutoff_check
+from sphshift.spectra import spectral_report
 
 
 class TestHpSpace:
@@ -137,6 +140,7 @@ class TestTabulated:
         seq = Tabulated([1, Fraction(1, 2), Fraction(1, 3)])
         assert seq.log_bbeta(2) == pytest.approx(0.5 * math.log(0.5))
         assert seq.gamma(3) == pytest.approx(1 / 6)
+        assert seq.log_bbeta(3) == pytest.approx(0.5 * math.log(1 / 6))
         with pytest.raises(TableRangeError):
             seq.log_bbeta(4)
 
@@ -158,6 +162,42 @@ class TestTabulated:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Tabulated([1, 0])
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_nonpositive_const_tail(self, value):
+        with pytest.raises(ValueError, match="const tail"):
+            Tabulated([1], tail=("const", Fraction(value)))
+
+
+class TestSnapshot:
+    def test_views_are_read_only(self):
+        seq = HpSpace(2, 3)
+        for arr in (seq.delta2_array(100), seq.log_bbeta_array(100)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    @pytest.mark.parametrize("make", [
+        lambda: HpSpace(2, 3),
+        lambda: Tabulated([Fraction(1, k + 1) for k in range(20_000)], tail="hold"),
+    ], ids=["hp", "held-table"])
+    def test_every_layer_reads_one_snapshot(self, make, monkeypatch):
+        seq = make()
+        hook = type(seq)._delta2_values
+        sizes = []
+
+        def counting(self, kmax):
+            sizes.append(kmax + 1)
+            return hook(self, kmax)
+
+        monkeypatch.setattr(type(seq), "_delta2_values", counting)
+        K = 10_000
+        spectral_report(seq, 2, K=K, J=20)
+        cutoff_check(seq, 2, [1.0, 3.0], K=K)
+        classification(seq, P=2, Q=2, K=20, horizon=K)
+        assert sizes == [K + 1]
 
 
 class TestSequenceMachinery:
