@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ DEFAULT_K_EXACT = 200
 DEFAULT_K_SAMPLED = 10_000
 DEFAULT_P = 8
 DEFAULT_Q = 6
-FLOAT_SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,58 @@ class Verdict:
         }
 
 
-def _gamma_list(seq: ScalarSequence, upto: int):
-    """(values, exact_flag): exact Fractions when the family has them."""
-    g0 = seq.gamma_exact(upto)
-    if g0 is not None:
-        return [seq.gamma_exact(k) for k in range(upto + 1)], True
-    seq.log_bbeta_array(upto)  # grow the snapshot once, not once per k
-    return [seq.gamma(k) for k in range(upto + 1)], False
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _diff(vals):
-    return [b - a for a, b in zip(vals, vals[1:])]
+def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
+    """Yield (q, lead, tol, den) for q = 1..Q, each an array over k = 0..K.
+
+    The q-th forward difference of gamma is gamma(k) * L_q(k) with
+    L_q(k) = sum_{s<=q} (-1)^(q-s) C(q,s) prod_{i<s} delta2(k+i), the
+    diagonal of the defect operator B_q; gamma > 0, so its sign is the sign
+    of L_q, which reads only the window delta2(k..k+q-1). With ``scale`` S,
+    delta2 is divided by S, giving the differences of gamma(k) / S^k.
+
+    Exact delta2 (and S exact or absent) runs on Python ints: lead is
+    L_q * den with den the window's cleared, positive denominators, and
+    tol = 0. Otherwise lead is L_q in float64, den is None, and |lead| <=
+    tol, the formula's forward error bound 4(q+1) u sum_s C(q,s) P_s(k),
+    counts as zero; a window whose bound overflows decides nothing.
+    """
+    vals = [seq.delta2_exact(k) for k in range(K + Q)]
+    exact = None not in vals and (scale is None or isinstance(scale, Fraction))
+    if exact:
+        S = Fraction(1) if scale is None else scale
+        num = np.array([v.numerator * S.denominator for v in vals], dtype=object)
+        den = np.array([v.denominator * S.numerator for v in vals], dtype=object)
+    else:
+        num = seq.delta2_array(K + Q - 1) / (1.0 if scale is None else float(scale))
+        den = np.ones(K + Q)
+    one = np.ones(K + 1, dtype=num.dtype)
+    prods, dens = [one], [one]  # prod_{i<s} num(k+i); prod_{s<=i<q} den(k+i)
+    for q in range(1, Q + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods.append(prods[-1] * num[q - 1: q + K])
+            dens = [d * den[q - 1: q + K] for d in dens] + [one]
+            terms = [(-1) ** (q - s) * math.comb(q, s) * prods[s] * dens[s]
+                     for s in range(q + 1)]
+            lead = sum(terms)
+            if not exact:
+                tol = 4 * (q + 1) * _U * sum(np.abs(t) for t in terms)
+        if exact:
+            yield q, lead, 0, dens[0]
+        else:
+            yield q, lead, np.where(np.isfinite(tol), tol, np.nan), None
+
+
+def _first(mask) -> Optional[int]:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _local_value(lead, den, k: int):
+    """L_q(k): an exact Fraction, or a float on the float path."""
+    return float(lead[k]) if den is None else Fraction(lead[k], den[k])
 
 
 def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
@@ -121,9 +161,8 @@ def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
         else:
             return Verdict(True, "exact", horizon=K, note="no drop up to the horizon")
     d2 = seq.delta2_array(K)
-    drops = np.nonzero(np.diff(d2) < -FLOAT_SIGN_TOL)[0]
-    if len(drops):
-        k = int(drops[0])
+    k = _first(np.diff(d2) < -4 * _U * (d2[:-1] + d2[1:]))  # a few ulps of the pair
+    if k is not None:
         return Verdict(False, "sampled", horizon=K, witness=(k,))
     return Verdict(True, "sampled", horizon=K, note="no drop up to the horizon")
 
@@ -138,37 +177,24 @@ def q_isometry_order(
     """
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    vals, exact = _gamma_list(seq, K + qmax)
-    mode = "exact" if exact else "consistent-sampled"
-    tol = 0.0 if exact else FLOAT_SIGN_TOL * max(abs(float(v)) for v in vals)
-    diffs = vals
-    for q in range(1, qmax + 1):
-        diffs = _diff(diffs)
-        window = diffs[: K + 1]
-        if all(abs(d) <= tol for d in window):
-            return q, mode
-    return None, mode
+    for q, lead, tol, den in _local_defects(seq, qmax, K):
+        if np.all(np.abs(lead) <= tol):
+            break
+    else:
+        q = None
+    return q, "consistent-sampled" if den is None else "exact"
 
 
 def is_q_expansion(seq: ScalarSequence, q: int, K: int = DEFAULT_K_EXACT) -> Verdict:
     """(-1)^q * (q-th difference of gamma at k) <= 0 for all k <= K."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    vals, exact = _gamma_list(seq, K + q)
-    diffs = vals
-    for _ in range(q):
-        diffs = _diff(diffs)
-    sign = (-1) ** q
-    tol = 0.0 if exact else FLOAT_SIGN_TOL * max(abs(float(v)) for v in vals)
-    for k in range(K + 1):
-        if sign * diffs[k] > tol:
-            return Verdict(
-                False,
-                "exact" if exact else "sampled",
-                horizon=K,
-                witness=(k, diffs[k] if exact else float(diffs[k])),
-            )
-    return Verdict(True, "exact" if exact else "sampled", horizon=K)
+    *_, (_, lead, tol, den) = _local_defects(seq, q, K)  # the last window is order q
+    mode = "sampled" if den is None else "exact"
+    k = _first((-1) ** q * lead > tol)
+    if k is not None:
+        return Verdict(False, mode, horizon=K, witness=(k, _local_value(lead, den, k)))
+    return Verdict(True, mode, horizon=K)
 
 
 def complete_hyperexpansion_up_to(
@@ -197,12 +223,12 @@ def subnormal_consistency(
     the sup of delta2 (gt_k = gamma_k / S^k, which squashes the weights
     below 1); subnormality itself is scale-invariant, so nothing is lost.
     The check is (-1)^p * (p-th difference of gt at k) >= 0 for p <= P,
-    k <= K: a pass means "consistent with subnormality up to order P",
-    a failure is definitive and returns the violating (p, k).
+    k <= K, read from the windows of delta2 / S: a pass means "consistent
+    with subnormality up to order P", a failure is definitive and returns
+    the violating (p, k) with the local value L_p(k) as witness_value.
     """
     if P < 1 or K < 1:
         raise ValueError("P and K must be >= 1")
-    vals, exact = _gamma_list(seq, K + P)
     sup_exact = seq.sup_delta2_exact()
     if sup_exact is None and seq.sup_delta2_declared is None:
         probe = seq.delta2_array(max(K, 1000))
@@ -211,67 +237,36 @@ def subnormal_consistency(
                 f"{seq.name}: delta2 keeps growing over the probe horizon; "
                 "rescaling by sup delta is undefined for an unbounded sequence"
             )
-        # exact gamma comes with exact delta2: the exact value at the
-        # sampled maximum keeps the check exact
+        # the exact value at the sampled maximum keeps exact data exact
         at = int(np.argmax(probe))
-        sup_val = seq.delta2_exact(at) if exact else float(probe[at])
-        mode = "sampled"
+        exact_at = seq.delta2_exact(at)
+        sup_val = float(probe[at]) if exact_at is None else exact_at
+        rescale_mode = "sampled"
     elif sup_exact is not None:
-        sup_val = sup_exact
-        mode = "exact"
+        sup_val, rescale_mode = sup_exact, "exact"
     else:
-        sup_val = float(seq.sup_delta2_declared)
-        mode = "analytic"
+        sup_val, rescale_mode = float(seq.sup_delta2_declared), "analytic"
 
-    if exact and isinstance(sup_val, Fraction):
-        scaled = [v / sup_val ** k for k, v in enumerate(vals)]
-        tol = 0
-    else:
-        # log space (log gamma = 2 log bbeta): float(sup) ** k overflows
-        ks = np.arange(K + P + 1)
-        log_scaled = 2.0 * seq.log_bbeta_array(K + P) - ks * math.log(float(sup_val))
-        scaled = np.exp(log_scaled).tolist()
-        exact = False
-        tol = FLOAT_SIGN_TOL
-    diffs = scaled
-    for p in range(1, P + 1):
-        diffs = _diff(diffs)
-        sign = (-1) ** p
-        for k in range(K + 1):
-            if sign * diffs[k] < -tol:
-                return {
-                    "pass": False,
-                    "witness": (p, k),
-                    "witness_value": str(diffs[k]) if exact else float(diffs[k]),
-                    "order": P,
-                    "horizon": K,
-                    "mode": "exact" if exact else "sampled",
-                    "rescale_mode": mode,
-                }
-    return {
-        "pass": True,
-        "witness": None,
-        "order": P,
-        "horizon": K,
-        "mode": "exact" if exact else "sampled",
-        "rescale_mode": mode,
-    }
+    report = {"pass": True, "witness": None, "order": P, "horizon": K}
+    for p, lead, tol, den in _local_defects(seq, P, K, scale=sup_val):
+        k = _first((-1) ** p * lead < -tol)
+        if k is not None:
+            value = _local_value(lead, den, k)
+            report.update({"pass": False, "witness": (p, k),
+                           "witness_value": value if den is None else str(value)})
+            break
+    report.update({"mode": "sampled" if den is None else "exact", "rescale_mode": rescale_mode})
+    return report
 
 
 def is_szego(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
     """delta2(k) = 1 for all k <= K: the tuple is the constant-one shift
-    (equivalently, the iterated positive map fixes the identity)."""
-    exact0 = seq.delta2_exact(0)
-    if exact0 is not None:
-        for k in range(K + 1):
-            v = seq.delta2_exact(k)
-            if v is None or v != 1:
-                return Verdict(False, "exact", horizon=K, witness=(k,))
-        return Verdict(True, "exact", horizon=K)
-    for k in range(K + 1):
-        if seq.delta2(k) != 1.0:
-            return Verdict(False, "sampled", horizon=K, witness=(k,))
-    return Verdict(True, "sampled", horizon=K)
+    (equivalently, the iterated positive map fixes the identity), i.e. the
+    first-order defect L_1(k) = delta2(k) - 1 vanishes on the window."""
+    _, lead, tol, den = next(_local_defects(seq, 1, K))
+    k = _first(np.abs(lead) > tol)
+    mode = "sampled" if den is None else "exact"
+    return Verdict(k is None, mode, horizon=K, witness=None if k is None else (k,))
 
 
 @dataclass

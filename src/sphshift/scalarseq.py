@@ -49,6 +49,17 @@ def _to_number(x):
     return Fraction(x)
 
 
+def _float_square(c) -> float:
+    """float(c) ** 2; ValueError unless it is a finite positive float."""
+    try:
+        c2 = float(c) ** 2
+    except OverflowError:
+        c2 = math.inf
+    if not 0.0 < c2 < math.inf:
+        raise ValueError("weight c: c**2 is not a finite positive float")
+    return c2
+
+
 class ScalarSequence:
     """Base class: the delta2 snapshot, log-space accumulation, finite differences.
 
@@ -178,15 +189,6 @@ class ScalarSequence:
             sum((-1) ** (q - s) * math.comb(q, s) * self.gamma(k + s) for s in range(q + 1))
         )
 
-    def kernel_coefficient(self, k: int, m: int):
-        """Power-series coefficient of the rotation-invariant kernel:
-        binom(m-1+k, k) / gamma(k). Exact when gamma is."""
-        binom = math.comb(m - 1 + k, k)
-        g = self.gamma_exact(k)
-        if g is not None:
-            return binom / g
-        return binom / self.gamma(k)
-
     def is_bounded(self, K: int = 10_000) -> BoundednessReport:
         if K < 1:
             raise ValueError("sample horizon K must be >= 1")
@@ -285,7 +287,7 @@ class ConstantDelta(ScalarSequence):
         if self.c <= 0:
             raise ValueError("constant weight c must be positive")
         self.name = "constant"
-        c2 = float(self.c) ** 2
+        c2 = self._c2 = _float_square(self.c)
         self.delta2_limit = c2
         self.sup_delta2_declared = c2
         self.monotone_nondecreasing = True
@@ -293,14 +295,14 @@ class ConstantDelta(ScalarSequence):
         self.diff_decay_ck = True
 
     def delta2(self, k: int) -> float:
-        return float(self.c) ** 2
+        return self._c2
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
         return None if c is None else c * c
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
-        return np.full(kmax + 1, float(self.c) ** 2)
+        return np.full(kmax + 1, self._c2)
 
     def sup_delta2_exact(self) -> Optional[Fraction]:
         c = _as_fraction(self.c)
@@ -559,7 +561,7 @@ class ScaledSequence(ScalarSequence):
         self.c = _to_number(c)
         if self.c <= 0:
             raise ValueError("scale factor must be positive")
-        c2 = float(self.c) ** 2
+        c2 = self._c2 = _float_square(self.c)
         self.name = f"scaled({base.name})"
         for attr in ("delta2_limit", "delta2_liminf", "delta2_limsup", "sup_delta2_declared"):
             v = getattr(base, attr)
@@ -569,7 +571,7 @@ class ScaledSequence(ScalarSequence):
         self.diff_decay_ck = base.diff_decay_ck
 
     def delta2(self, k: int) -> float:
-        return float(self.c) ** 2 * self.base.delta2(k)
+        return self._c2 * self.base.delta2(k)
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
@@ -579,7 +581,7 @@ class ScaledSequence(ScalarSequence):
         return c * c * b
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
-        return float(self.c) ** 2 * self.base.delta2_array(kmax)
+        return self._c2 * self.base.delta2_array(kmax)
 
     def params(self):
         return {"base": self.base.describe(), "c": str(self.c)}

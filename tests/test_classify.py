@@ -10,6 +10,7 @@ from sphshift.scalarseq import (
     PolynomialGamma,
     RhoEta,
     Tabulated,
+    default_suite,
 )
 from sphshift.shift import SphericalShift
 from sphshift import classify
@@ -269,3 +270,106 @@ class TestFullClassification:
         assert c.essentially_normal.value is True
         assert c.compact.value is False
         assert c.bounded.verdict == "family-declared"
+
+
+_E, _A = "exact", "analytic"
+_YES, _NO0 = (True, _E, None), (False, _E, 0)
+# label -> (szego, hyponormal, expansion orders 1..6, isometry order,
+#           hyperexpansion depth, subnormal (pass, witness)); every verdict
+#           is (value, mode, witness position)
+_PINS = {
+    "szego": (_YES, (True, _A, None), [_YES] * 6, 1, 6, (True, None)),
+    "bergman": (_NO0, (True, _A, None), [_NO0] * 6, None, 0, (True, None)),
+    "rho-eta": ((False, _E, 3), (True, _A, None),
+                [_YES, (False, _E, 2), _YES, _NO0, _NO0, _NO0], None, 1, (False, (3, 3))),
+    "alt-twelve": (_NO0, _NO0, [_NO0] * 4 + [(False, _E, 1)] * 2, None, 0, (False, (2, 0))),
+    "constant-half": (_NO0, (True, _A, None), [_NO0] * 6, None, 0, (True, None)),
+    "poly-gamma-sq": (_NO0, _NO0, [_YES, _NO0] + [_YES] * 4, 3, 1, (False, (2, 0))),
+}
+_DRURY_ARVESON = {
+    2: (_NO0, _NO0, [_YES] * 6, 2, 6, (False, (2, 0))),
+    3: (_NO0, _NO0, [_YES, _NO0] + [_YES] * 4, 3, 1, (False, (2, 0))),
+}
+
+
+def _verdict_pin(v):
+    return (v.value, v.mode, None if v.witness is None else v.witness[0])
+
+
+@pytest.mark.parametrize("m,label", [(m, label) for m in (2, 3) for label in
+                                     ("szego", "bergman", "drury-arveson", "rho-eta",
+                                      "alt-twelve", "constant-half", "poly-gamma-sq")])
+def test_default_suite_classification_pinned(m, label):
+    seq = dict(default_suite(m))[label]
+    szego, hypo, expansion, order, depth, subnormal = (
+        _DRURY_ARVESON[m] if label == "drury-arveson" else _PINS[label])
+    c = classification(seq, K=200)
+    assert _verdict_pin(c.compact) == (False, _A, None)
+    assert _verdict_pin(c.essentially_normal) == (
+        (False, _A, 0) if label == "alt-twelve" else (True, _A, None))
+    assert _verdict_pin(c.szego) == szego
+    assert _verdict_pin(c.hyponormal) == hypo
+    assert [_verdict_pin(c.q_expansion[q]) for q in range(1, 7)] == expansion
+    assert (c.q_isometry_order, c.q_isometry_mode) == (order, _E)
+    assert c.complete_hyperexpansion_up_to == depth
+    assert (c.subnormal["pass"], c.subnormal["witness"]) == subnormal
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class TestLocalWindows:
+    """The verdicts read L_q(k) over windows of q consecutive delta2 values;
+    nabla_gamma, the difference of the whole gamma list, is the reference."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_window_signs_match_gamma_differences(self, m):
+        for label, seq in default_suite(m):
+            for q, lead, tol, den in classify._local_defects(seq, 6, 200):
+                assert den is not None and tol == 0
+                for k in range(201):
+                    assert _sign(lead[k]) == _sign(seq.nabla_gamma(k, q)), (label, q, k)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rescaled_window_signs_match_rescaled_differences(self, m):
+        for label, seq in default_suite(m):
+            S = seq.sup_delta2_exact() or seq.delta2_exact(0)
+            diffs = [seq.gamma_exact(k) / S ** k for k in range(207)]
+            for q, lead, tol, den in classify._local_defects(seq, 6, 200, scale=S):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                for k in range(201):
+                    assert _sign(lead[k]) == _sign(diffs[k]), (label, q, k)
+
+    def test_witness_value_is_the_local_value(self):
+        # alt-twelve: L_5(1) over the window 1/4, 1/3, 1/4, 1/3, 1/4
+        v = is_q_expansion(AlternatingTwelve(), 5, 200)
+        assert v.witness == (1, Fraction(-235, 576))
+        assert AlternatingTwelve().nabla_gamma(1, 5) == Fraction(-235, 576) / 3
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_family_agrees_with_exact(self, m):
+        for p in ("1/2", "1", "3/2", "2", "5/2", "3", "4"):
+            exact, approx = HpSpace(m, Fraction(p)), HpSpace(m, float(Fraction(p)))
+            assert q_isometry_order(approx, 6, 200)[0] == q_isometry_order(exact, 6, 200)[0], p
+            for q in range(1, 7):
+                assert (is_q_expansion(approx, q, 200).value
+                        == is_q_expansion(exact, q, 200).value), (p, q)
+
+    def test_isometry_and_szego_agree_on_a_perturbed_float_table(self):
+        # delta2(1) = 1 + 1e-13 is not 1: neither verdict may call this an isometry
+        seq = Tabulated([1.0, 1.0 + 1e-13, 1.0], tail="hold")
+        order, mode = q_isometry_order(seq)
+        assert order is None and mode == "consistent-sampled"
+        szego = is_szego(seq)
+        assert szego.value is False and szego.witness == (1,)
+
+    def test_tiny_float_drop_is_not_hyponormal(self):
+        v = is_hyponormal(Tabulated([1e-20, 5e-21], tail="hold"))
+        assert v.value is False and v.mode == "sampled" and v.witness == (0,)
+
+    def test_overflowing_float_window_decides_nothing(self):
+        # delta2 = 1e300: the windows of q >= 2 overflow, and an
+        # overflowed window must not pass for a zero
+        seq = ConstantDelta(1e150)
+        assert q_isometry_order(seq, 4, 20) == (None, "consistent-sampled")

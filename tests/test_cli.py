@@ -1,8 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import sphshift
 
 from sphshift.cli import main
 
@@ -111,6 +117,22 @@ class TestClassify:
         assert sub["mode"] == "exact" and sub["rescale_mode"] == "sampled"
         assert sub["witness_value"] == "-7/16"
 
+    def test_tiny_p_finishes(self, capsys):
+        # exact delta2(k) = (k+2)/(k+1e-300): gamma(k) has tens of thousands of digits
+        # at k = 200, the windows of q consecutive values do not
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, ["classify", "--family", "hp", "--m", "2", "--p", "1e-300"])
+        assert code == 0 and time.perf_counter() - t0 < 10
+        assert doc["classification"]["q_isometry_mode"] == "exact"
+
+    def test_long_decimal_table_at_deep_horizon(self, tmp_path, capsys):
+        table = tmp_path / "d2.csv"
+        table.write_text("".join(f"{1 / math.sqrt(k + 1):.16f}\n" for k in range(3000)))
+        code, doc = run_json(capsys, ["classify", "--family", "tabulated", "--table", str(table),
+                                      "--tail", "hold", "--m", "2", "--K", "2000"])
+        assert code == 0
+        assert doc["classification"]["q_isometry_mode"] == "exact"
+
     def test_witness_suppressed_by_default(self, capsys):
         code, doc = run_json(capsys, ["classify", "--family", "alt-twelve", "--m", "2"])
         assert code == 0
@@ -174,6 +196,15 @@ class TestErrors:
 
     def test_arity_out_of_range(self, capsys):
         assert main(["classify", "--family", "szego", "--m", "9"]) == 2
+
+    def test_weight_square_outside_float_range(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphshift.cli", "schatten", "--family", "constant",
+             "--c", "1e300", "--m", "2", "--p", "2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "c**2" in proc.stderr
 
     def test_table_overrun(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"

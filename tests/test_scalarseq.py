@@ -242,19 +242,19 @@ class TestSequenceMachinery:
         with pytest.raises(ValueError):
             HpSpace(2, 2).nabla_gamma(0, 0)
 
-    def test_kernel_coefficient(self):
-        szego = HpSpace(2, 2)
-        assert all(szego.kernel_coefficient(k, 2) == k + 1 for k in range(30))
-        da = HpSpace(2, 1)
-        assert all(da.kernel_coefficient(k, 2) == 1 for k in range(30))
-        assert AlternatingTwelve().kernel_coefficient(0, 5) == 1
-
     def test_log_bbeta_recurrence(self, suite_m2):
         for label, seq in suite_m2:
             for k in (0, 5, 113):
                 lhs = seq.log_bbeta(k + 1) - seq.log_bbeta(k)
                 rhs = 0.5 * math.log(seq.delta2(k))
                 assert abs(lhs - rhs) < 1e-12, label
+
+    def test_weight_square_must_be_a_positive_float(self):
+        for c in ("1e300", "1e-200", 1e300):
+            with pytest.raises(ValueError):
+                ConstantDelta(c)
+            with pytest.raises(ValueError):
+                HpSpace(2, 3).scale(c)
 
     def test_scale(self):
         base = HpSpace(2, 3)
