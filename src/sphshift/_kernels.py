@@ -7,11 +7,26 @@ instead of enumerating the level.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+
 import numpy as np
+
+# Elements per row block of self_level_powersums, one scratch block per
+# worker (larger blocks cost memory and gain no speed), and the kmax from
+# which it splits the blocks over threads.
+_BLOCK = 1 << 16
+_SERIAL_KMAX = 2000
 
 
 def _comp_counts(x, m):
-    """C(x+m-2, m-2) for integer array x >= 0: compositions of x in m-1 parts."""
+    """C(x+m-2, m-2) for integer array x >= 0: compositions of x in m-1 parts.
+
+    With m = 1 there are no parts, and only x = 0 splits into none.
+    """
+    if m == 1:
+        return (np.asarray(x) == 0).astype(np.float64)
     counts = np.ones_like(x, dtype=np.float64)
     for i in range(1, m - 1):
         counts *= (x + i) / i
@@ -30,26 +45,97 @@ def _pair_weights(n, m, p, offset):
     return w
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _row_blocks(kmax):
+    """Level blocks [k0, k1) covering 1..kmax, each of about _BLOCK elements.
+
+    A block holds k1 - k0 rows of k1 columns; its size depends only on k0,
+    so every level lands in the same block whoever computes it.
+    """
+    blocks, k0 = [], 1
+    while k0 <= kmax:
+        rows = max(1, (math.isqrt((k0 + 1) ** 2 + 4 * _BLOCK) - (k0 + 1)) // 2)
+        k1 = min(k0 + rows, kmax + 1)
+        blocks.append((k0, k1))
+        k0 = k1
+    return blocks
+
+
+def _split_runs(blocks, n):
+    """Contiguous runs of whole blocks, at most n, of about equal element count."""
+    sizes = [(k1 - k0) * k1 for k0, k1 in blocks]
+    total, done, runs = sum(sizes), 0, [[]]
+    for block, size in zip(blocks, sizes):
+        if done >= total * len(runs) / n:
+            runs.append([])
+        runs[-1].append(block)
+        done += size
+    return runs
+
+
 def self_level_powersums(d2, m, p):
     """sum over {|n| = k} of |self-commutator coefficient|^p, per level.
 
-    d2 holds delta2(0..kmax); returns an array over k = 0..kmax. The
-    coefficient at n with n_j = t is t*D_k + b_k where b_k = d2[k]/(k+m)
+    d2 holds delta2(0..kmax) and p > 0; returns an array over k = 0..kmax.
+    The coefficient at n with n_j = t is t*D_k + b_k where b_k = d2[k]/(k+m)
     and D_k = d2[k]/(k+m) - d2[k-1]/(k+m-1); the t = 0 branch coincides
     with the formula, so one linear form covers the whole level.
+
+    With s = k - t units on the other coordinates the coefficient is
+    c_k - s*D_k, c_k = b_k + k*D_k, and s carries the weight
+    C(s+m-2, m-2) whatever k is. A block of adjacent levels is then one
+    2-D array over (k, s), reduced row by row. From kmax = _SERIAL_KMAX on,
+    the blocks are split over the process's CPUs; the result does not
+    depend on how many there are.
     """
     kmax = len(d2) - 1
     out = np.empty(kmax + 1)
     out[0] = (d2[0] / m) ** p
-    counts = _comp_counts(np.arange(kmax + 1), m)
-    for k in range(1, kmax + 1):
-        b = d2[k] / (k + m)
-        diff = b - d2[k - 1] / (k + m - 1)
-        if m == 1:
-            out[k] = abs(k * diff + b) ** p
-            continue
-        t = np.arange(k + 1, dtype=np.float64)
-        out[k] = float(np.dot(counts[k::-1], np.abs(t * diff + b) ** p))
+    if kmax == 0:
+        return out
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    b = d2[1:] / (k + m)
+    diff = np.empty(kmax + 1)
+    diff[1:] = b - d2[:-1] / (k + m - 1)
+    c = np.empty(kmax + 1)
+    c[1:] = b + k * diff[1:]
+    weights = _comp_counts(np.arange(kmax + 1), m)
+    s = np.arange(kmax + 1, dtype=np.float64)
+
+    errors = []
+
+    def run(blocks):
+        try:
+            buf = np.empty(max((k1 - k0) * k1 for k0, k1 in blocks))
+            for k0, k1 in blocks:
+                V = buf[: (k1 - k0) * k1].reshape(k1 - k0, k1)
+                np.multiply.outer(diff[k0:k1], s[:k1], out=V)
+                np.subtract(c[k0:k1, None], V, out=V)
+                V[:, k0:][np.triu_indices(k1 - k0, 1)] = 0.0  # s > k lies off the level
+                np.abs(V, out=V)
+                np.power(V, p, out=V)
+                V *= weights[:k1]
+                out[k0:k1] = V.sum(axis=1)
+        except Exception as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    blocks = _row_blocks(kmax)
+    runs = _split_runs(blocks, _cpu_count()) if kmax >= _SERIAL_KMAX else [blocks]
+    workers = [threading.Thread(target=run, args=(r,)) for r in runs[1:]]
+    for w in workers:
+        w.start()
+    run(runs[0])
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
     return out
 
 

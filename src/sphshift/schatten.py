@@ -84,12 +84,17 @@ def criterion_terms(seq: ScalarSequence, m: int, p: float, k: int) -> Tuple[floa
 
 
 def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int):
-    """(t1, t2) vectorized over k = 1..K."""
+    """(t1, t2) vectorized over k = 1..K.
+
+    A difference whose p-th power leaves the float range gives an inf t2
+    term, which the partial sums report as "inf".
+    """
     _require_m(m)
     d2 = seq.delta2_array(K)
     k = np.arange(1, K + 1, dtype=np.float64)
     t1 = d2[1:] ** p * k ** (m - p - 1)
-    t2 = np.abs(np.diff(d2)) ** p * k ** (m - 1)
+    with np.errstate(over="ignore"):
+        t2 = np.abs(np.diff(d2)) ** p * k ** (m - 1)
     return t1, t2
 
 

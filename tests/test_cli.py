@@ -206,6 +206,21 @@ class TestErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "c**2" in proc.stderr
 
+    def test_overflowing_schatten_terms_warn_nothing(self):
+        # delta2(0) = 2e300: the cubed first difference leaves the float range
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphshift.cli", "schatten", "--family", "hp",
+             "--m", "2", "--p-space", "1e-300", "--p", "3"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(proc.stdout, parse_constant=no_constant)
+        assert doc["schatten"]["partial_sums_2"][0] == "inf"
+
     def test_table_overrun(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"
         table.write_text("1\n1/2\n")

@@ -31,7 +31,7 @@ def test_pairsum_matches_enumeration(m, p):
             assert got == pytest.approx(enum_pairsum(k, m, p, offset), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_abs_sum_matches_enumeration(m):
     for k in (0, 1, 5, 30):
         for s in (0.0, 1.0, 0.37, -2.0):
@@ -78,6 +78,54 @@ def test_level_powersums_match_enumeration(m, p, kmax, seed):
         got = _kernels.cross_level_powersums(d2, m, p)
         want = [enum_cross_level(d2, m, p, k) for k in range(kmax + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def loop_self_level(d2, m, p):
+    """The per-level loop that the row-block kernel replaced: one dot per level."""
+    kmax = len(d2) - 1
+    out = np.empty(kmax + 1)
+    out[0] = (d2[0] / m) ** p
+    counts = np.array([math.comb(x + m - 2, m - 2) if m >= 2 else 0
+                       for x in range(kmax + 1)], dtype=np.float64)
+    for k in range(1, kmax + 1):
+        b = d2[k] / (k + m)
+        diff = b - d2[k - 1] / (k + m - 1)
+        if m == 1:
+            out[k] = abs(k * diff + b) ** p
+            continue
+        t = np.arange(k + 1, dtype=np.float64)
+        out[k] = float(np.dot(counts[k::-1], np.abs(t * diff + b) ** p))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_self_level_sums_match_loop_across_blocks(m, monkeypatch):
+    # kmax 6000 spans hundreds of row blocks, split over two workers
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(100 + m)
+    d2 = rng.uniform(0.1, 3.0, size=6001)
+    p = 1.0 + 0.7 * m
+    assert len(_kernels._row_blocks(6000)) > 100
+    np.testing.assert_allclose(
+        _kernels.self_level_powersums(d2, m, p), loop_self_level(d2, m, p), rtol=1e-12)
+
+
+def test_self_level_sums_independent_of_cpu_count(monkeypatch):
+    d2 = np.random.default_rng(7).uniform(0.1, 3.0, size=6001)
+    outs = []
+    for n in (1, 2, 7):
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda n=n: n)
+        assert len(_kernels._split_runs(_kernels._row_blocks(6000), n)) == n
+        outs.append(_kernels.self_level_powersums(d2, 3, 3.3))
+    assert all(np.array_equal(outs[0], o) for o in outs[1:])
+
+
+def test_self_level_sums_raise_a_worker_error(monkeypatch):
+    # the second run's block is malformed, so its worker thread fails
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_row_blocks", lambda kmax: [(1, kmax + 1), (kmax, 1)])
+    with pytest.raises(ValueError):
+        _kernels.self_level_powersums(np.ones(3001), 2, 2.0)
 
 
 def test_kahan_cumsum_matches_fsum(rng):
