@@ -14,10 +14,8 @@ import threading
 import numpy as np
 
 # Elements per row block of self_level_powersums, one scratch block per
-# worker (larger blocks cost memory and gain no speed), and the kmax from
-# which it splits the blocks over threads.
+# worker (larger blocks cost memory and gain no speed).
 _BLOCK = 1 << 16
-_SERIAL_KMAX = 2000
 
 
 def _comp_counts(x, m):
@@ -54,10 +52,11 @@ def _cpu_count():
 
 
 def _row_blocks(kmax):
-    """Level blocks [k0, k1) covering 1..kmax, each of about _BLOCK elements.
+    """Level blocks [k0, k1) covering 1..kmax.
 
-    A block holds k1 - k0 rows of k1 columns; its size depends only on k0,
-    so every level lands in the same block whoever computes it.
+    A block holds k1 - k0 rows of k1 columns: about _BLOCK elements, or one
+    row when a level is wider than that. Its size depends only on k0, so
+    every level lands in the same block whoever computes it.
     """
     blocks, k0 = [], 1
     while k0 <= kmax:
@@ -66,18 +65,6 @@ def _row_blocks(kmax):
         blocks.append((k0, k1))
         k0 = k1
     return blocks
-
-
-def _split_runs(blocks, n):
-    """Contiguous runs of whole blocks, at most n, of about equal element count."""
-    sizes = [(k1 - k0) * k1 for k0, k1 in blocks]
-    total, done, runs = sum(sizes), 0, [[]]
-    for block, size in zip(blocks, sizes):
-        if done >= total * len(runs) / n:
-            runs.append([])
-        runs[-1].append(block)
-        done += size
-    return runs
 
 
 def self_level_powersums(d2, m, p):
@@ -91,9 +78,9 @@ def self_level_powersums(d2, m, p):
     With s = k - t units on the other coordinates the coefficient is
     c_k - s*D_k, c_k = b_k + k*D_k, and s carries the weight
     C(s+m-2, m-2) whatever k is. A block of adjacent levels is then one
-    2-D array over (k, s), reduced row by row. From kmax = _SERIAL_KMAX on,
-    the blocks are split over the process's CPUs; the result does not
-    depend on how many there are.
+    2-D array over (k, s), reduced row by row. The blocks are dealt out
+    over the process's CPUs; the result does not depend on how many there
+    are.
     """
     kmax = len(d2) - 1
     out = np.empty(kmax + 1)
@@ -127,7 +114,8 @@ def self_level_powersums(d2, m, p):
             errors.append(exc)
 
     blocks = _row_blocks(kmax)
-    runs = _split_runs(blocks, _cpu_count()) if kmax >= _SERIAL_KMAX else [blocks]
+    n = min(_cpu_count(), len(blocks))
+    runs = [blocks[i::n] for i in range(n)]
     workers = [threading.Thread(target=run, args=(r,)) for r in runs[1:]]
     for w in workers:
         w.start()
