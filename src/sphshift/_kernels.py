@@ -1,8 +1,10 @@
 """Hot per-level summation kernels (numpy).
 
-Everything here reduces sums over a whole degree level {|n| = k} to O(k*m)
-work through composition counts C(x+m-2, m-2) and iterated prefix sums,
-instead of enumerating the level.
+Sums over a whole degree level {|n| = k} are reduced through composition
+counts C(x+m-2, m-2) and iterated prefix sums instead of enumerating the
+level: O(k) work per level for the self-commutator sums, and for the
+cross-commutator sums one convolution over all levels up to K, done by FFT
+in O(K log K).
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import numpy as np
 # Elements per row block of self_level_powersums, one scratch block per
 # worker (larger blocks cost memory and gain no speed).
 _BLOCK = 1 << 16
+
+# Levels whose cross pair sums are summed directly. Below this the sums are
+# still far from a power of the level, which the tilt of the FFT bands
+# assumes: at p = 200, FFT bands from level 1 or 2 up lost 3e-3 or 1e-12.
+_BASE = 64
 
 
 def _comp_counts(x, m):
@@ -136,11 +143,68 @@ def pairsum(k, m, p, offset):
     return float(np.dot(t ** (p / 2.0), w[::-1]))
 
 
+def _normalized(x):
+    """x scaled by a power of two (exactly) so that its maximum lies in [0.5, 1)."""
+    e = int(np.frexp(x.max())[1])
+    return np.ldexp(x, -e), e
+
+
+def _cross_pair_sums(n, m, p):
+    """Pair sums at offset 1 of levels 1..n: entry l is sum_{i+j=l} a[i] w[j],
+    a[i] = (i+1)^(p/2) and w the pair weights.
+
+    Every term is positive and the sums grow like l^(p+m-1). Entries
+    0.._BASE-1 are summed directly. Above them, each band [lo, hi) of
+    entries is one FFT product of a[:hi] and w[:hi], both tilted by
+    r^i with r = e^(-lambda), lambda = (p+m-1)/hi, so that the band's
+    tilted outputs sit at the peak of l^(p+m-1) e^(-lambda l) and none is
+    lost under the transform's rounding error, which is relative to the
+    largest output. The ratio hi/lo = 1 + min(1, 3/sqrt(p+m-1)) keeps the
+    band's low end above about e^-4.5 times that peak. Inputs are scaled
+    by powers of two, which is exact, and the output is untilted by
+    dividing by r^l. Where a sum or w overflows float64 the entry is inf,
+    as a direct sum gives.
+    """
+    with np.errstate(over="ignore"):
+        a = np.arange(1, n + 1, dtype=np.float64) ** (p / 2.0)
+        w = _pair_weights(n, m, p, 1.0)
+    # w is nondecreasing, at least a, and each pair sum is at least its w
+    finite = int(np.isfinite(w).sum())
+    out = np.full(n, np.inf)
+    base = min(finite, _BASE)
+    lag = np.subtract.outer(np.arange(base), np.arange(base))
+    with np.errstate(over="ignore"):
+        out[:base] = (np.tril(w[np.abs(lag)]) * a[:base]).sum(axis=1)
+    exponent = p + m - 1
+    ratio = 1.0 + min(1.0, 3.0 / math.sqrt(exponent))
+    lo = base
+    while lo < finite:
+        hi = min(finite, math.ceil(lo * ratio))
+        tilt = math.exp(-exponent / hi) ** np.arange(hi)
+        at, ea = _normalized(a[:hi] * tilt)
+        wt, ew = _normalized(w[:hi] * tilt)
+        # a power of two >= 2*hi - 1 - lo: no wrapped-around term reaches [lo, hi)
+        size = 1 << (2 * hi - lo - 2).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(at, size) * np.fft.rfft(wt, size), size)
+        with np.errstate(over="ignore"):
+            out[lo:hi] = np.ldexp(conv[lo:hi] / tilt[lo:hi], ea + ew)
+        lo = hi
+    return out
+
+
 def cross_level_powersums(d2, m, p):
     """sum over {|n| = k} of |cross-commutator singular value|^p, per level.
 
     Level k carries |D_k|^p times the pair sum at offset 1; the pair sums
-    of all levels are one convolution of t^(p/2) with the pair weights.
+    of all levels are one convolution of t^(p/2) with the pair weights:
+    levels 1..64 summed directly, the rest in tilted FFT bands
+    (_cross_pair_sums). A band's FFT rounding error is about log2(size)
+    ulps of its largest tilted output, and each of its levels is above
+    about e^-4.5 times that output, so the relative error per level is
+    bounded by about 90 * log2(size) ulps, 3e-13 at K = 20000.
+    Against a direct convolution the worst seen is 5.2e-15, over
+    m = 2..5, p <= 200 and K <= 20000, at every level where the direct sum
+    is finite; where it overflows, the level is inf as well.
     """
     kmax = len(d2) - 1
     out = np.zeros(kmax + 1)
@@ -148,8 +212,7 @@ def cross_level_powersums(d2, m, p):
         return out
     k = np.arange(1, kmax + 1, dtype=np.float64)
     diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
-    pair = np.convolve(k ** (p / 2.0), _pair_weights(kmax, m, p, 1.0))[:kmax]
-    out[1:] = np.abs(diff) ** p * pair
+    out[1:] = np.abs(diff) ** p * _cross_pair_sums(kmax, m, p)
     return out
 
 

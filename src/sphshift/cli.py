@@ -2,7 +2,8 @@
 
 Reports are schema-stable JSON with fixed key order; identical requests
 produce identical reports apart from the wall-clock timing block. Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification failure, 2 usage error, 141 when the
+reader closes standard output early (128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .scalarseq import (
     FAMILY_NAMES,
 )
 from .shift import SphericalShift
-from .truncation import oracle_suite
+from .truncation import StructuralAssumptionError, oracle_suite
 
 SCHEMA_VERSION = 1
 CLI_MAX_ARITY = 8
@@ -175,6 +176,7 @@ def _write_text(text: str, out) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main()
 
 
 def _base_report(args, seq: ScalarSequence) -> dict:
@@ -479,6 +481,14 @@ def main(argv=None) -> int:
     except (UnknownFamilyError, TableRangeError, ValueError, FileNotFoundError) as exc:
         print(f"sphshift: {exc}", file=sys.stderr)
         return 2
+    except (spectra.CrossCheckError, StructuralAssumptionError) as exc:
+        print(f"sphshift: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to /dev/null, so
+        # that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

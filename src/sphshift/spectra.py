@@ -38,6 +38,10 @@ class NotEssentiallyNormalError(Exception):
     """The essential-spectrum shell formula requires essential normality."""
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent routes to one quantity disagree."""
+
+
 @dataclass
 class RadiusEstimate:
     value: float
@@ -210,7 +214,7 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
         m_infty.append(math.exp(float(np.min(window))))
     for j, a, b in zip(js, vals, m_infty):
         if abs(a - b) > MINFTY_RTOL * max(abs(a), abs(b), 1e-300):
-            raise RuntimeError(
+            raise CrossCheckError(
                 f"m-infinity cross-check failed at lag {j}: {a!r} vs {b!r}"
             )
 

@@ -10,7 +10,9 @@ import pytest
 
 import sphshift
 
+from sphshift import cli, spectra
 from sphshift.cli import main
+from sphshift.truncation import StructuralAssumptionError
 
 
 def run_json(capsys, argv):
@@ -220,6 +222,40 @@ class TestErrors:
 
         doc = json.loads(proc.stdout, parse_constant=no_constant)
         assert doc["schatten"]["partial_sums_2"][0] == "inf"
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader closed the pipe before the CSV (far beyond one buffer) is written
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sphshift.cli", "dump-sequence", "--family", "bergman",
+                 "--m", "2", "--K", "5000"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    def test_failed_cross_check_is_a_verification_failure(self, capsys, monkeypatch):
+        # a negative tolerance fails the m-infinity cross-check at the first lag
+        monkeypatch.setattr(spectra, "MINFTY_RTOL", -1.0)
+        assert main(["spectrum", "--family", "bergman", "--m", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sphshift: m-infinity cross-check failed")
+        assert captured.err.count("\n") == 1
+
+    def test_structural_assumption_is_a_verification_failure(self, capsys, monkeypatch):
+        def not_shift_structured(shift, N, tol):
+            raise StructuralAssumptionError("C*C has off-diagonal magnitude 1.000e+00")
+
+        monkeypatch.setattr(cli, "oracle_suite", not_shift_structured)
+        assert main(["verify", "--m", "2", "--N", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sphshift: C*C has off-diagonal magnitude 1.000e+00\n"
 
     def test_table_overrun(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"

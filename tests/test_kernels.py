@@ -1,6 +1,7 @@
 """The level-sum kernels against direct enumeration of each level."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,58 @@ def test_level_powersums_match_enumeration(m, p, kmax, seed):
         got = _kernels.cross_level_powersums(d2, m, p)
         want = [enum_cross_level(d2, m, p, k) for k in range(kmax + 1)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def direct_cross_level(d2, m, p):
+    """The direct O(K^2) convolution that the banded FFT replaced."""
+    kmax = len(d2) - 1
+    out = np.zeros(kmax + 1)
+    if kmax == 0:
+        return out
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
+    pair = np.convolve(k ** (p / 2.0), _kernels._pair_weights(kmax, m, p, 1.0))[:kmax]
+    out[1:] = np.abs(diff) ** p * pair
+    return out
+
+
+def unit_difference_d2(kmax, m):
+    # delta2(k) = (k+m)(k+1) makes every D_k exactly 1, so each level is its
+    # pair sum and no |D_k|^p underflows at large p
+    k = np.arange(kmax + 1, dtype=np.float64)
+    return (k + m) * (k + 1)
+
+
+def assert_levels_match(got, want):
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    assert not np.isnan(got).any()
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cross_level_sums_match_direct_convolution(m):
+    # kmax 1..64 stay in the direct base band; 65 opens the first FFT band
+    for p in (1.0, 2.5, m + 1.35, 8.0, 20.0, 40.0, 80.0):
+        for kmax in (1, 2, 63, 64, 65, 600, 5000, 20000):
+            d2 = unit_difference_d2(kmax, m)
+            with np.errstate(over="ignore"):
+                want = direct_cross_level(d2, m, p)
+            assert_levels_match(_kernels.cross_level_powersums(d2, m, p), want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [200.0, 1000.0])
+def test_cross_level_sums_overflow_to_inf(m, p):
+    # p = 200 overflows inside the FFT bands, p = 1000 inside the base band
+    d2 = unit_difference_d2(2000, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cross_level_powersums(d2, m, p)
+    with np.errstate(over="ignore"):
+        want = direct_cross_level(d2, m, p)
+    assert np.isinf(want).any() and np.isfinite(want[1:]).any()
+    assert_levels_match(got, want)
 
 
 def loop_self_level(d2, m, p):
