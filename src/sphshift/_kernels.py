@@ -4,7 +4,8 @@ Sums over a whole degree level {|n| = k} are reduced through composition
 counts C(x+m-2, m-2) and iterated prefix sums instead of enumerating the
 level: O(k) work per level for the self-commutator sums, and for the
 cross-commutator sums one convolution over all levels up to K, done by FFT
-in O(K log K).
+in O(K log K). fit_slope is the one least-squares line fit of the tail
+exponents.
 """
 
 from __future__ import annotations
@@ -192,6 +193,38 @@ def _cross_pair_sums(n, m, p):
     return out
 
 
+def _log_cross_pair_sums(n, m, p, lo):
+    """Natural logs of the pair sums of _cross_pair_sums, entries lo..n-1.
+
+    The same tilted bands, fed from log a and log w: neither the inputs nor
+    the sums leave the float range, whatever their size. Used only where
+    the float pair sum overflows; the relative error grows with the size of
+    the log, about 1e-13 at sums near e^1000.
+    """
+    la = (p / 2.0) * np.log(np.arange(1, n + 1, dtype=np.float64))
+    lw = la
+    for _ in range(m - 2):
+        lw = np.logaddexp.accumulate(lw)
+    exponent = p + m - 1
+    ratio = 1.0 + min(1.0, 3.0 / math.sqrt(exponent))
+    start = lo
+    out = np.empty(n - lo)
+    while lo < n:
+        hi = min(n, math.ceil(lo * ratio))
+        lam = exponent / hi
+        tilt = lam * np.arange(hi)
+        ta = la[:hi] - tilt
+        tw = lw[:hi] - tilt
+        ca, cw = ta.max(), tw.max()
+        size = 1 << (2 * hi - lo - 2).bit_length()
+        conv = np.fft.irfft(
+            np.fft.rfft(np.exp(ta - ca), size) * np.fft.rfft(np.exp(tw - cw), size), size
+        )
+        out[lo - start : hi - start] = np.log(conv[lo:hi]) + tilt[lo:hi] + (ca + cw)
+        lo = hi
+    return out
+
+
 def cross_level_powersums(d2, m, p):
     """sum over {|n| = k} of |cross-commutator singular value|^p, per level.
 
@@ -204,7 +237,9 @@ def cross_level_powersums(d2, m, p):
     bounded by about 90 * log2(size) ulps, 3e-13 at K = 20000.
     Against a direct convolution the worst seen is 5.2e-15, over
     m = 2..5, p <= 200 and K <= 20000, at every level where the direct sum
-    is finite; where it overflows, the level is inf as well.
+    is finite. Where the pair sum overflows float64, the level is
+    exp(p log|D_k| + log pair sum) from _log_cross_pair_sums: 0 where
+    that underflows, inf where it overflows, and never NaN.
     """
     kmax = len(d2) - 1
     out = np.zeros(kmax + 1)
@@ -212,7 +247,14 @@ def cross_level_powersums(d2, m, p):
         return out
     k = np.arange(1, kmax + 1, dtype=np.float64)
     diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
-    out[1:] = np.abs(diff) ** p * _cross_pair_sums(kmax, m, p)
+    pair = _cross_pair_sums(kmax, m, p)
+    over = np.isinf(pair)
+    out[1:] = np.abs(diff) ** p * np.where(over, 1.0, pair)
+    if over.any():
+        lo = int(np.argmax(over))
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = p * np.log(np.abs(diff[lo:])) + _log_cross_pair_sums(kmax, m, p, lo)
+            out[1 + lo :][over[lo:]] = np.exp(logs[over[lo:]])
     return out
 
 
@@ -221,6 +263,22 @@ def abs_sum(k, m, p, s):
     t = np.arange(k + 1, dtype=np.float64)
     vals = np.abs(s * t - 1.0) ** p
     return float(np.dot(_comp_counts(k - t, m), vals))
+
+
+def fit_slope(x, y):
+    """Least-squares slope of y against x, in closed form from the centred data.
+
+    The two sums of products are pairwise sums (np.sum), which stay within
+    a few ulps of an extended-precision fit where np.dot does not. An inf
+    or NaN in y gives NaN, as np.polyfit does, and no warning.
+    """
+    xc = x - x.mean()
+    with np.errstate(invalid="ignore"):
+        prod = y - y.mean()
+        prod *= xc
+        num = prod.sum()
+    np.multiply(xc, xc, out=prod)
+    return float(num / prod.sum())
 
 
 def kahan_cumsum(x):

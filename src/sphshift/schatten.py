@@ -86,14 +86,14 @@ def criterion_terms(seq: ScalarSequence, m: int, p: float, k: int) -> Tuple[floa
 def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int):
     """(t1, t2) vectorized over k = 1..K.
 
-    A difference whose p-th power leaves the float range gives an inf t2
-    term, which the partial sums report as "inf".
+    A delta2 or a difference whose p-th power leaves the float range gives
+    an inf term, which the partial sums report as "inf".
     """
     _require_m(m)
     d2 = seq.delta2_array(K)
     k = np.arange(1, K + 1, dtype=np.float64)
-    t1 = d2[1:] ** p * k ** (m - p - 1)
     with np.errstate(over="ignore"):
+        t1 = d2[1:] ** p * k ** (m - p - 1)
         t2 = np.abs(np.diff(d2)) ** p * k ** (m - 1)
     return t1, t2
 
@@ -111,21 +111,23 @@ def _checkpoint_grid(K: int) -> list:
     return sorted(pts)
 
 
-def _fit_tail_exponent(terms: np.ndarray, K: int) -> Tuple[str, Optional[float]]:
+def _fit_tail_exponent(terms: np.ndarray, logk: np.ndarray) -> Tuple[str, Optional[float]]:
     """Classify one series from the decay exponent of its tail terms.
 
-    terms[i] is the term at k = i+1. Returns (status, slope) with status
-    in {"converges", "diverges", "inconclusive", "zero-tail"}.
+    terms[i] is the term at k = i+1, and logk holds log k over the fit
+    window k in [K // 2, K]. Returns (status, slope) with status in
+    {"converges", "diverges", "inconclusive", "zero-tail"}.
     """
-    lo = K // 2
-    ks = np.arange(lo, K + 1, dtype=np.float64)
-    tail = terms[lo - 1 :]
+    tail = terms[len(terms) - len(logk) :]
     pos = tail > 0
-    if not np.any(pos):
+    count = np.count_nonzero(pos)
+    if count == 0:
         return "zero-tail", None
-    if np.count_nonzero(pos) < MIN_FIT_POINTS:
+    if count < MIN_FIT_POINTS:
         return "inconclusive", None
-    slope = float(np.polyfit(np.log(ks[pos]), np.log(tail[pos]), 1)[0])
+    if count < len(tail):
+        logk, tail = logk[pos], tail[pos]
+    slope = _kernels.fit_slope(logk, np.log(tail))
     if slope < -1.0 - FIT_MARGIN:
         return "converges", slope
     if slope > -1.0 + FIT_MARGIN:
@@ -166,8 +168,9 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
     ps1 = _kernels.kahan_cumsum(t1)[at].tolist()
     ps2 = _kernels.kahan_cumsum(t2)[at].tolist()
 
-    status1, slope1 = _fit_tail_exponent(t1, K)
-    status2, slope2 = _fit_tail_exponent(t2, K)
+    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
+    status1, slope1 = _fit_tail_exponent(t1, logk)
+    status2, slope2 = _fit_tail_exponent(t2, logk)
 
     override = seq.schatten_override(m, p)
     if override is not None:

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .scalarseq import ScalarSequence
 
 DEFAULT_K = 100_000
@@ -32,6 +33,10 @@ STABLE_WINDOW = 5
 STABLE_TOL = 1e-4
 MINFTY_RTOL = 1e-9
 ESSNORM_SAMPLED_TOL = 1e-6
+
+# Values of k per block of the lag scans: the block and its J-lag halo stay
+# in cache, and larger blocks gain no speed.
+_CHUNK = 1 << 16
 
 
 class NotEssentiallyNormalError(Exception):
@@ -98,17 +103,27 @@ class SpectralReport:
         }
 
 
-def _lag_sequence(logbb: np.ndarray, J: int, reduce) -> Tuple[list, list]:
-    """Per-lag extreme of the window averages (logbb[k+j]-logbb[k])/j."""
-    js, vals = [], []
-    K = len(logbb) - 1
-    for j in range(1, J + 1):
-        if j >= K:
-            break
-        window = (logbb[j:] - logbb[: K + 1 - j]) / j
-        js.append(j)
-        vals.append(float(reduce(window)))
-    return js, vals
+def _lag_extremes(cum: np.ndarray, J: int, reduce) -> np.ndarray:
+    """Per-lag extreme over k of cum[k+j] - cum[k], for lags j = 1..min(J, K-1).
+
+    reduce is np.maximum or np.minimum. The scan runs over blocks of _CHUNK
+    values of k, all lags per block, through one scratch buffer, so it
+    allocates nothing of length K. A NaN difference makes its lag NaN.
+    """
+    K = len(cum) - 1
+    lags = min(J, K - 1)
+    out = np.empty(lags)
+    buf = np.empty(min(_CHUNK, K))
+    for k0 in range(0, K, _CHUNK):
+        for j in range(1, lags + 1):
+            n = min(_CHUNK, K + 1 - j - k0)
+            if n <= 0:
+                break
+            d = buf[:n]
+            np.subtract(cum[k0 + j : k0 + j + n], cum[k0 : k0 + n], out=d)
+            r = reduce.reduce(d)
+            out[j - 1] = r if k0 == 0 else reduce(out[j - 1], r)
+    return out
 
 
 def _stabilized(seq_vals) -> bool:
@@ -144,8 +159,9 @@ def outer_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
     """R: radius of the closed ball that is the joint spectrum."""
     if J < 1 or K < 2:
         raise ValueError("need J >= 1 and K >= 2")
-    logbb = seq.log_bbeta_array(K)
-    js, logvals = _lag_sequence(logbb, J, np.max)
+    ext = _lag_extremes(seq.log_bbeta_array(K), J, np.maximum)
+    js = list(range(1, len(ext) + 1))
+    logvals = (ext / js).tolist()
     vals = [math.exp(v) for v in logvals]
     est = RadiusEstimate(value=math.nan, mode="", j_grid=js, sequence=vals)
     est.richardson = _richardson(js, logvals)
@@ -171,16 +187,14 @@ def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimat
     """r: liminf_j bbeta_j^(1/j), the member-series convergence radius."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    logbb = seq.log_bbeta_array(K)
-    j = np.arange(1, K + 1)
-    a = logbb[1:] / j
     tail_start = K // 2
-    tail = a[tail_start - 1 :]
+    tail = seq.log_bbeta_array(K)[tail_start:] / np.arange(tail_start, K + 1)
+    low = math.exp(float(np.min(tail)))
     est = RadiusEstimate(
-        value=math.exp(float(np.min(tail))),
+        value=low,
         mode="sampled-stable",
         j_grid=[tail_start, K],
-        sequence=[math.exp(float(np.min(tail))), math.exp(float(a[-1]))],
+        sequence=[low, math.exp(float(tail[-1]))],
         note=f"running infimum over the tail j in [{tail_start}, {K}]",
     )
     if seq.delta2_limit is not None:
@@ -200,18 +214,18 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
     """
     if J < 1 or K < 2:
         raise ValueError("need J >= 1 and K >= 2")
-    logbb = seq.log_bbeta_array(K)
-    js, logvals = _lag_sequence(logbb, J, np.min)
+    ext = _lag_extremes(seq.log_bbeta_array(K), J, np.minimum)
+    js = list(range(1, len(ext) + 1))
+    logvals = (ext / js).tolist()
     vals = [math.exp(v) for v in logvals]
 
     # independent accumulation: full log delta2 sums, halved only at the end
     s_full = np.empty(K + 1)
     s_full[0] = 0.0
-    np.cumsum(np.log(seq.delta2_array(K - 1)), out=s_full[1:])
-    m_infty = []
-    for j in js:
-        window = (s_full[j:] - s_full[: K + 1 - j]) / (2 * j)
-        m_infty.append(math.exp(float(np.min(window))))
+    np.log(seq.delta2_array(K - 1), out=s_full[1:])
+    np.cumsum(s_full[1:], out=s_full[1:])
+    halved = _lag_extremes(s_full, J, np.minimum) / (2 * np.array(js))
+    m_infty = [math.exp(v) for v in halved.tolist()]
     for j, a, b in zip(js, vals, m_infty):
         if abs(a - b) > MINFTY_RTOL * max(abs(a), abs(b), 1e-300):
             raise CrossCheckError(
@@ -292,17 +306,17 @@ def point_spectrum_boundary(
         r = convergence_radius(seq, K).value
     if not math.isfinite(r) or r <= 0:
         return "inconclusive", None
-    logbb = seq.log_bbeta_array(K)
-    ks = np.arange(K // 2, K + 1)
-    lgamma = np.vectorize(math.lgamma)
-    logterms = (
-        lgamma(m + ks)
-        - math.lgamma(m)
-        - lgamma(ks + 1.0)
-        + 2.0 * ks * math.log(r)
-        - 2.0 * logbb[ks]
-    )
-    slope = float(np.polyfit(np.log(ks), logterms, 1)[0])
+    ks = np.arange(K // 2, K + 1, dtype=np.float64)
+    # log C(m-1+k, k) = sum_{i<m} log((k+i)/i)
+    logterms = 2.0 * math.log(r) * ks - 2.0 * seq.log_bbeta_array(K)[K // 2 :]
+    buf = np.empty_like(ks)
+    for i in range(1, m):
+        np.add(ks, i, out=buf)
+        buf /= i
+        np.log(buf, out=buf)
+        logterms += buf
+    np.log(ks, out=buf)
+    slope = _kernels.fit_slope(buf, logterms)
     if slope < -1.1:
         return "closed-ball", slope
     if slope > -0.9:

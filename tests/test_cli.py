@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -76,6 +77,21 @@ class TestSchatten:
         ])
         assert code == 0
         assert doc["schatten"]["verdict"] == "converges"
+
+    def test_overflowing_terms_warn_nothing(self, capsys, tmp_path):
+        # every other delta2^3 overflows: the series-1 tail holds inf terms
+        table = tmp_path / "alt.csv"
+        table.write_text("\n".join("1" if i % 2 == 0 else "1e200" for i in range(3000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(capsys, [
+                "schatten", "--family", "tabulated", "--table", str(table), "--tail", "hold",
+                "--m", "2", "--p", "3", "--K", "2000",
+            ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert doc["schatten"]["tail_exponents"][0] == "nan"
+        assert "series1 inconclusive (slope nan)" in doc["schatten"]["reason"]
 
     def test_inf_exponent(self, capsys):
         code, doc = run_json(capsys, [

@@ -1,7 +1,9 @@
 """The level-sum kernels against direct enumeration of each level."""
 
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +133,49 @@ def test_cross_level_sums_overflow_to_inf(m, p):
         want = direct_cross_level(d2, m, p)
     assert np.isinf(want).any() and np.isfinite(want[1:]).any()
     assert_levels_match(got, want)
+
+
+def exact_pair_sums(kmax, m):
+    """Pair sums at p = 200 in integers: level k sums (i+1)^100 w_{k-1-i}."""
+    a = [(i + 1) ** 100 for i in range(kmax)]
+    w = a
+    for _ in range(m - 2):
+        w = list(itertools.accumulate(w))
+    return lambda k: sum(a[i] * w[k - 1 - i] for i in range(k))
+
+
+def test_cross_level_sums_where_pair_sums_overflow_and_powers_underflow():
+    # bergman at m = 2: |D_k|^200 = ((k+2)(k+3))^-200 underflows from level 4
+    # on and the pair sums overflow from level 68 on; the exact levels from
+    # 68 on round to 0
+    kmax = 2000
+    k = np.arange(kmax + 1, dtype=np.float64)
+    d2 = (k + 2) / (k + 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cross_level_powersums(d2, 2, 200.0)
+    assert not np.isnan(got).any()
+    pair = exact_pair_sums(kmax, 2)
+    for level in (1, 2, 3, 68, 69, 500, 1500, 2000):
+        want = float(Fraction(pair(level), ((level + 2) * (level + 3)) ** 200))
+        assert got[level] == pytest.approx(want, rel=1e-12, abs=0.0), level
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cross_level_sums_carry_the_size_of_overflowing_pair_sums(m):
+    # D_k = 2^-10 exactly: |D_k|^200 = 2^-2000 underflows to 0, yet from
+    # level 68 on the pair sum makes the level a normal float
+    kmax = 2000
+    d2 = unit_difference_d2(kmax, m) / 1024
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cross_level_powersums(d2, m, 200.0)
+    pair = exact_pair_sums(kmax, m)
+    for level in (68, 69, 100, 700, 1999, 2000):
+        want = float(Fraction(pair(level), 2 ** 2000))
+        assert want > 0
+        # the log route keeps about 1400 * 2^-52 of each level, relative
+        assert got[level] == pytest.approx(want, rel=1e-12), level
 
 
 def loop_self_level(d2, m, p):

@@ -5,6 +5,10 @@ An AST scan of every ``src/sphshift/*.py`` file. It fails on a
 (dunder names such as ``__init__`` are public protocol and pass), and on
 ``from .x import _name``. The ``_kernels`` module may be imported as a
 module; its functions are public.
+
+A second scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
+least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
+``vectorize`` (a Python loop per element), by attribute or by import.
 """
 
 import ast
@@ -14,6 +18,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sphshift"
 ALLOWED_PRIVATE_MODULES = {"_kernels"}
+FORBIDDEN_CALLS = {"polyfit", "vectorize"}
 
 
 def _private(name: str) -> bool:
@@ -51,4 +56,37 @@ def test_scan_catches_each_kind_of_violation():
     assert found == [
         "m.py:2: imports private name _helper",
         "m.py:5: reads ._d2 of another object",
+    ]
+
+
+def forbidden_calls(source: str, filename: str) -> list:
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr in FORBIDDEN_CALLS:
+            out.append(f"{filename}:{node.lineno}: uses {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in FORBIDDEN_CALLS:
+                    out.append(f"{filename}:{node.lineno}: imports {alias.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_polyfit_or_vectorize(path):
+    assert forbidden_calls(path.read_text(), path.name) == []
+
+
+def test_forbidden_call_scan_catches_each_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy import vectorize\n"
+        "slope = np.polyfit(x, y, 1)[0]\n"
+        "f = numpy.vectorize(g)\n"
+        "h = np.polynomial.polyfit\n"
+    )
+    assert sorted(forbidden_calls(source, "m.py")) == [
+        "m.py:2: imports vectorize",
+        "m.py:3: uses polyfit",
+        "m.py:4: uses vectorize",
+        "m.py:5: uses polyfit",
     ]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,10 @@ from sphshift.scalarseq import (
     PolynomialGamma,
     RhoEta,
     Tabulated,
+    default_suite,
 )
 from sphshift.shift import SphericalShift
-from sphshift import schatten
+from sphshift import _kernels, schatten
 from sphshift.schatten import (
     asymptotic_lemma_check,
     closed_form_level_sums,
@@ -121,6 +123,32 @@ class TestDecide:
         assert not v.analytic
         assert v.verdict == "inconclusive"
         assert abs(v.tail_exponents[0] + 1.0) < 0.05
+
+
+class TestTailFit:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_slope_matches_polyfit_on_suite_tails(self, m):
+        K = schatten.DEFAULT_K
+        ks = np.arange(K // 2, K + 1, dtype=np.float64)
+        for label, seq in default_suite(m):
+            for p in (m - 0.5, m + 0.5, m + 1.5):
+                for terms in schatten.criterion_term_arrays(seq, m, p, K):
+                    tail = terms[K // 2 - 1 :]
+                    pos = tail > 0
+                    if np.count_nonzero(pos) < schatten.MIN_FIT_POINTS:
+                        continue
+                    x, y = np.log(ks[pos]), np.log(tail[pos])
+                    want = np.polyfit(x, y, 1)[0]
+                    got = _kernels.fit_slope(x, y)
+                    assert got == pytest.approx(want, rel=1e-10), (label, p)
+
+    def test_infinite_tail_term_is_inconclusive_without_warning(self):
+        terms = np.arange(1, 2001, dtype=np.float64) ** -2.0
+        terms[1500] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, slope = schatten._fit_tail_exponent(terms, np.log(np.arange(1000, 2001.0)))
+        assert status == "inconclusive" and math.isnan(slope)
 
 
 class TestRhoEtaWitness:

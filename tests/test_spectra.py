@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from sphshift.scalarseq import (
     PolynomialGamma,
     RhoEta,
     Tabulated,
+    default_suite,
 )
 from sphshift import spectra
 from sphshift.spectra import (
@@ -25,6 +27,40 @@ from sphshift.spectra import (
 
 K = 20_000
 J = 40
+
+
+def loop_lag_sequence(logbb, J, reduce):
+    """The per-lag loop that the chunked scan replaced: one full window per lag."""
+    js, vals = [], []
+    K = len(logbb) - 1
+    for j in range(1, J + 1):
+        if j >= K:
+            break
+        window = (logbb[j:] - logbb[: K + 1 - j]) / j
+        js.append(j)
+        vals.append(float(reduce(window)))
+    return js, vals
+
+
+def chunked_lag_sequence(cum, J, reduce):
+    ext = spectra._lag_extremes(cum, J, reduce)
+    js = list(range(1, len(ext) + 1))
+    return js, (ext / js).tolist()
+
+
+def old_point_spectrum_boundary(seq, m, K, r):
+    """The lgamma and np.polyfit fit that point_spectrum_boundary replaced."""
+    logbb = seq.log_bbeta_array(K)
+    ks = np.arange(K // 2, K + 1)
+    lgamma = np.vectorize(math.lgamma)
+    logterms = (
+        lgamma(m + ks)
+        - math.lgamma(m)
+        - lgamma(ks + 1.0)
+        + 2.0 * ks * math.log(r)
+        - 2.0 * logbb[ks]
+    )
+    return float(np.polyfit(np.log(ks), logterms, 1)[0])
 
 
 class TestRadii:
@@ -110,6 +146,56 @@ class TestRadii:
             convergence_radius(HpSpace(2, 2), 1)
 
 
+class TestChunkedLagScan:
+    CHUNK = spectra._CHUNK
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_bit_identical_to_loop_across_chunk_edges(self, n, rng):
+        cum = np.cumsum(rng.normal(size=n + 1))
+        for numpy_reduce, ufunc in ((np.max, np.maximum), (np.min, np.minimum)):
+            assert chunked_lag_sequence(cum, 60, ufunc) == loop_lag_sequence(cum, 60, numpy_reduce)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, CHUNK])
+    def test_bit_identical_when_lags_reach_the_horizon(self, chunk, rng, monkeypatch):
+        monkeypatch.setattr(spectra, "_CHUNK", chunk)
+        for n in (2, 3, 5, 8, 20):
+            cum = np.cumsum(rng.normal(size=n + 1))
+            for lags in (n - 1, n, n + 5):
+                for numpy_reduce, ufunc in ((np.max, np.maximum), (np.min, np.minimum)):
+                    assert chunked_lag_sequence(cum, lags, ufunc) == loop_lag_sequence(
+                        cum, lags, numpy_reduce)
+
+    @pytest.mark.parametrize("chunk", [4, CHUNK])
+    def test_infinities_and_nan_match_loop(self, chunk, rng, monkeypatch):
+        monkeypatch.setattr(spectra, "_CHUNK", chunk)
+        cum = np.cumsum(rng.normal(size=41))
+        cum[[5, 30]] = np.inf
+        cum[17] = -np.inf
+        with_nan = cum.copy()
+        with_nan[23] = np.nan
+        with np.errstate(invalid="ignore"):
+            for data in (cum, with_nan):
+                for numpy_reduce, ufunc in ((np.max, np.maximum), (np.min, np.minimum)):
+                    got = chunked_lag_sequence(data, 12, ufunc)
+                    want = loop_lag_sequence(data, 12, numpy_reduce)
+                    assert np.array_equal(got[1], want[1], equal_nan=True)
+                    assert got[0] == want[0]
+        assert any(math.isnan(v) for v in chunked_lag_sequence(with_nan, 12, np.maximum)[1])
+
+    def test_report_peak_memory_stays_under_four_arrays(self):
+        n = 1_000_000
+        seq = HpSpace(2, 3)
+        seq.log_bbeta_array(n)
+        seq.delta2_array(n)
+        tracemalloc.start()
+        try:
+            spectral_report(seq, 2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (n + 1)
+
+
 class TestEssentialShell:
     def test_bergman_unit_sphere(self):
         assert essential_shell(HpSpace(2, 3), K) == (1.0, 1.0)
@@ -145,6 +231,14 @@ class TestPointSpectrum:
         seq = PolynomialGamma([1, 4, 6, 4, 1])
         verdict, slope = point_spectrum_boundary(seq, 2, K)
         assert verdict == "closed-ball" and slope == pytest.approx(-3, abs=0.05)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_lgamma_polyfit_fit(self, m):
+        for label, seq in default_suite(m):
+            r = convergence_radius(seq, K).value
+            verdict, slope = point_spectrum_boundary(seq, m, K, r=r)
+            want = old_point_spectrum_boundary(seq, m, K, r)
+            assert slope == pytest.approx(want, rel=1e-10, abs=1e-10), label
 
 
 class TestCombinatorialCorrectionFactor:
