@@ -239,7 +239,10 @@ def cross_level_powersums(d2, m, p):
     m = 2..5, p <= 200 and K <= 20000, at every level where the direct sum
     is finite. Where the pair sum overflows float64, the level is
     exp(p log|D_k| + log pair sum) from _log_cross_pair_sums: 0 where
-    that underflows, inf where it overflows, and never NaN.
+    that underflows, inf where it overflows, and never NaN. Where instead
+    |D_k|^p underflows to 0 (D_k != 0) under a finite pair sum, the level
+    is the same exp of the sum of logs, so it is 0 only when the level
+    itself is below the float range.
     """
     kmax = len(d2) - 1
     out = np.zeros(kmax + 1)
@@ -249,7 +252,11 @@ def cross_level_powersums(d2, m, p):
     diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
     pair = _cross_pair_sums(kmax, m, p)
     over = np.isinf(pair)
-    out[1:] = np.abs(diff) ** p * np.where(over, 1.0, pair)
+    powered = np.abs(diff) ** p
+    out[1:] = powered * np.where(over, 1.0, pair)
+    under = (powered == 0) & (diff != 0) & ~over
+    if under.any():
+        out[1:][under] = np.exp(p * np.log(np.abs(diff[under])) + np.log(pair[under]))
     if over.any():
         lo = int(np.argmax(over))
         with np.errstate(divide="ignore", over="ignore"):

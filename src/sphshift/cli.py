@@ -28,7 +28,7 @@ from .scalarseq import (
     FAMILY_NAMES,
 )
 from .shift import SphericalShift
-from .truncation import StructuralAssumptionError, oracle_suite
+from .truncation import StructuralAssumptionError, build_basis, oracle_suite
 
 SCHEMA_VERSION = 1
 CLI_MAX_ARITY = 8
@@ -309,9 +309,10 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     results = []
     ok = True
+    basis = build_basis(args.m, args.N)
     for label, seq in default_suite(args.m):
         shift = SphericalShift(args.m, seq)
-        for row in oracle_suite(shift, args.N, tol=args.tol):
+        for row in oracle_suite(shift, args.N, tol=args.tol, basis=basis):
             entry = {"family": label, "m": args.m, "N": args.N, **row}
             ok = ok and row["pass"]
             results.append(entry)

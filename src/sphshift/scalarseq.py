@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,13 @@ class ScalarSequence:
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         return None
+
+    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
+        """(delta2(k), delta2_exact(k)) from one evaluation of the exact
+        value, whose rounding is the float. A family whose ``delta2`` is
+        its own float formula overrides this."""
+        exact = self.delta2_exact(k)
+        return (self.delta2(k) if exact is None else float(exact)), exact
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.array([self.delta2(k) for k in range(kmax + 1)], dtype=np.float64)
@@ -264,6 +271,9 @@ class HpSpace(ScalarSequence):
             return None
         return Fraction(k + self.m) / (k + p)
 
+    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
+        return self.delta2(k), self.delta2_exact(k)
+
     def _delta2_values(self, kmax: int) -> np.ndarray:
         k = np.arange(kmax + 1, dtype=np.float64)
         return (k + self.m) / (k + float(self.p))
@@ -300,6 +310,9 @@ class ConstantDelta(ScalarSequence):
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
         return None if c is None else c * c
+
+    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
+        return self._c2, self.delta2_exact(k)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.full(kmax + 1, self._c2)
@@ -579,6 +592,9 @@ class ScaledSequence(ScalarSequence):
         if c is None or b is None:
             return None
         return c * c * b
+
+    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
+        return self.delta2(k), self.delta2_exact(k)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return self._c2 * self.base.delta2_array(kmax)

@@ -196,6 +196,13 @@ class TestAnalyze:
         assert all(r["pass"] for r in doc["oracle"])
         assert doc["request"]["family"] == {"family": "hp", "m": 2, "p": "3"}
 
+    def test_tiny_p_entries_pass_on_rounding(self, capsys):
+        # delta2(0) = 2e300: the oracle's entries near 1e300 differ by rounding only
+        code, doc = run_json(capsys, ["analyze", "--family", "hp", "--m", "2", "--p", "1e-300"])
+        assert code == 0
+        assert all(r["pass"] for r in doc["oracle"])
+        assert max(r["max_deviation"] for r in doc["oracle"]) > 1e280
+
     def test_deterministic_modulo_timings(self, capsys):
         argv = ["analyze", "--family", "bergman", "--m", "2", "--K", "5000", "--N", "5"]
         _, doc1 = run_json(capsys, argv)
@@ -264,7 +271,7 @@ class TestErrors:
         assert captured.err.count("\n") == 1
 
     def test_structural_assumption_is_a_verification_failure(self, capsys, monkeypatch):
-        def not_shift_structured(shift, N, tol):
+        def not_shift_structured(shift, N, tol, basis=None):
             raise StructuralAssumptionError("C*C has off-diagonal magnitude 1.000e+00")
 
         monkeypatch.setattr(cli, "oracle_suite", not_shift_structured)

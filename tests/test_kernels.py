@@ -161,6 +161,40 @@ def test_cross_level_sums_where_pair_sums_overflow_and_powers_underflow():
         assert got[level] == pytest.approx(want, rel=1e-12, abs=0.0), level
 
 
+def test_cross_level_sums_where_only_the_powers_underflow():
+    # bergman at m = 2, p = 200: |D_k|^200 underflows to 0 from level 4 on,
+    # while levels 4..16 are floats (2.9e-247 down to subnormal 1.8e-321)
+    kmax = 2000
+    k = np.arange(kmax + 1, dtype=np.float64)
+    d2 = (k + 2) / (k + 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cross_level_powersums(d2, 2, 200.0)
+    pair = exact_pair_sums(kmax, 2)
+    for level in range(4, 17):
+        want = float(Fraction(pair(level), ((level + 2) * (level + 3)) ** 200))
+        assert want > 0
+        # the last levels are subnormal and carry only the bits they have
+        assert got[level] == pytest.approx(want, rel=1e-12 if want > 1e-300 else 1e-6,
+                                           abs=0.0), level
+    assert got[17:68].max() == 0.0  # the exact levels round to 0 there
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cross_level_sums_unchanged_where_the_powers_do_not_underflow(m):
+    # the log route only replaces levels the product would round to 0
+    for p in (2.5, 40.0, 200.0):
+        for d2 in (unit_difference_d2(3000, m),
+                   (np.arange(3001.0) + m) / (np.arange(3001.0) + m + 1)):
+            got = _kernels.cross_level_powersums(d2, m, p)
+            k = np.arange(1, 3001, dtype=np.float64)
+            diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = np.abs(diff) ** p * _kernels._cross_pair_sums(3000, m, p)
+            same = (np.abs(diff) ** p != 0) & np.isfinite(product)
+            assert np.array_equal(got[1:][same], product[same])
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cross_level_sums_carry_the_size_of_overflowing_pair_sums(m):
     # D_k = 2^-10 exactly: |D_k|^200 = 2^-2000 underflows to 0, yet from

@@ -6,7 +6,11 @@ An AST scan of every ``src/sphshift/*.py`` file. It fails on a
 ``from .x import _name``. The ``_kernels`` module may be imported as a
 module; its functions are public.
 
-A second scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
+The oracle module ``truncation.py`` may not import ``fractions`` or build
+a ``Fraction``: exact closed-form arithmetic lives in ``shift.py``, and
+the oracle only reads its level-wise forms.
+
+A further scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
 least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 ``vectorize`` (a Python loop per element), by attribute or by import.
 """
@@ -56,6 +60,39 @@ def test_scan_catches_each_kind_of_violation():
     assert found == [
         "m.py:2: imports private name _helper",
         "m.py:5: reads ._d2 of another object",
+    ]
+
+
+def exact_arithmetic(source: str, filename: str) -> list:
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            out += [f"{filename}:{node.lineno}: imports {a.name}"
+                    for a in node.names if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            out.append(f"{filename}:{node.lineno}: imports from fractions")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and \
+                getattr(node, "id", getattr(node, "attr", None)) == "Fraction":
+            out.append(f"{filename}:{node.lineno}: uses Fraction")
+    return out
+
+
+def test_oracle_does_no_exact_arithmetic():
+    assert exact_arithmetic((SRC / "truncation.py").read_text(), "truncation.py") == []
+
+
+def test_exact_arithmetic_scan_catches_each_form():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction as F\n"
+        "x = fractions.Fraction(1, 3)\n"
+        "y = Fraction(2)\n"
+    )
+    assert exact_arithmetic(source, "m.py") == [
+        "m.py:1: imports fractions",
+        "m.py:2: imports from fractions",
+        "m.py:3: uses Fraction",
+        "m.py:4: uses Fraction",
     ]
 
 

@@ -1,12 +1,15 @@
 import math
+import os
+import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sphshift import truncation
+from sphshift import cli, truncation
 from sphshift.multiindex import enumerate_level, multinomial
-from sphshift.scalarseq import AlternatingTwelve, HpSpace, default_suite
+from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated, default_suite
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
     StructuralAssumptionError,
@@ -203,9 +206,9 @@ class TestCompareClosedForm:
 
     def test_wrong_target_is_caught(self):
         class Misplaced(SphericalShift):
-            def cross_comm_coeff(self, j, l, n):
-                coeff, target = super().cross_comm_coeff(j, l, n)
-                return coeff, (None if target is None else n)
+            def cross_comm_coeffs(self, j, l, exps):
+                coeffs, targets = super().cross_comm_coeffs(j, l, exps)
+                return coeffs, np.where(targets >= 0, exps, -1)
 
         rows = oracle_suite(Misplaced(2, HpSpace(2, 3)), N=6, tol=1e-10)
         assert {r["kind"] for r in rows if not r["pass"]} == {"cross_comm/1/2", "cross_comm/2/1"}
@@ -283,3 +286,259 @@ class TestSchattenOracle:
         sv_12 = gram_diagonal_singular_values(commutator(ts[0].adjoint(), ts[1]))
         sv_21 = gram_diagonal_singular_values(commutator(ts[1].adjoint(), ts[0]))
         np.testing.assert_allclose(sv_12, sv_21, atol=1e-12)
+
+
+# -- reference: the per-key evaluation that the level-wise forms replaced ------
+# Each closed form evaluated through exact Fractions one multi-index at a
+# time, once per distinct input it reads, then broadcast over the columns.
+
+
+def _ref_pair(shift, k):
+    seq, m = shift.seq, shift.m
+    a = seq.delta2_exact(k)
+    b = seq.delta2_exact(k - 1) if k >= 1 else Fraction(0)
+    if a is not None and b is not None:
+        return a / (k + m), (b / (k + m - 1) if k >= 1 else Fraction(0))
+    return seq.delta2(k) / (k + m), (seq.delta2(k - 1) / (k + m - 1) if k >= 1 else 0.0)
+
+
+def ref_weight(shift, i, n):
+    k = sum(n)
+    return math.sqrt(shift.seq.delta2(k) * (n[i - 1] + 1) / (k + shift.m))
+
+
+def ref_self_comm(shift, j, n):
+    cur, prev = _ref_pair(shift, sum(n))
+    t = n[j - 1]
+    return float(cur) if t == 0 else float((t + 1) * cur - t * prev)
+
+
+def ref_cross_comm(shift, j, l, n):
+    if n[j - 1] == 0:
+        return 0.0, None
+    cur, prev = _ref_pair(shift, sum(n))
+    return math.sqrt(n[j - 1] * (n[l - 1] + 1)) * float(cur - prev), n.add_unit(l).sub_unit(j)
+
+
+def ref_q_exact(shift, k, s):
+    top = shift.seq.gamma_exact(k + s)
+    return None if top is None else top / shift.seq.gamma_exact(k)
+
+
+def ref_q(shift, k, s):
+    if s == 0:
+        return 1.0
+    exact = ref_q_exact(shift, k, s)
+    try:
+        if exact is not None:
+            return float(exact)
+        return math.exp(2.0 * (shift.seq.log_bbeta(k + s) - shift.seq.log_bbeta(k)))
+    except OverflowError:
+        return math.inf
+
+
+def ref_bq_exact(shift, k, q):
+    terms = [ref_q_exact(shift, k, s) for s in range(q + 1)]
+    if any(t is None for t in terms):
+        return None
+    return sum((-1) ** s * math.comb(q, s) * t for s, t in enumerate(terms))
+
+
+def ref_bq(shift, k, q):
+    exact = ref_bq_exact(shift, k, q)
+    if exact is not None:
+        return float(exact)
+    return float(sum((-1) ** s * math.comb(q, s) * ref_q(shift, k, s) for s in range(q + 1)))
+
+
+def _per_key(basis, cols, keys, value):
+    flat = np.ravel_multi_index(keys, (basis.N + 1,) * len(keys))
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    reps = cols[first]
+    return [value(basis.indices[c]) for c in reps], inverse, reps
+
+
+def reference_expected_interior(shift, kind, basis, interior):
+    expected = np.zeros((interior, interior))
+    cols = np.arange(interior)
+    levels = basis.levels[:interior]
+    exps = basis.exponents[:interior]
+    op = kind[0]
+    if op in ("q_power", "bq"):
+        diag = ref_q if op == "q_power" else ref_bq
+        per_level = np.array([diag(shift, k, kind[1]) for k in range(levels[-1] + 1)])
+        expected[cols, cols] = per_level[levels]
+    elif op == "self_comm":
+        j = kind[1]
+        coeffs, inverse, _ = _per_key(basis, cols, (levels, exps[:, j - 1]),
+                                      lambda n: ref_self_comm(shift, j, n))
+        expected[cols, cols] = np.array(coeffs)[inverse]
+    elif op == "cross_comm":
+        j, l = kind[1], kind[2]
+        found, inverse, reps = _per_key(basis, cols, (levels, exps[:, j - 1], exps[:, l - 1]),
+                                        lambda n: ref_cross_comm(shift, j, l, n))
+        below = np.full(basis.dimension, -1)
+        lifted = np.flatnonzero(basis.up[j - 1] >= 0)
+        below[basis.up[j - 1, lifted]] = lifted
+        src = below[:interior]
+        rows = np.where(src >= 0, basis.up[l - 1, src], -1)
+        for rep, (_, target) in zip(reps, found):
+            if target is not None:
+                rows[rep] = basis.index_of(target)
+        hit = np.array([target is not None for _, target in found])[inverse] & (rows >= 0)
+        coeffs = np.array([coeff for coeff, _ in found])[inverse]
+        expected[rows[hit], cols[hit]] = coeffs[hit]
+    return expected
+
+
+def suite_kinds(m):
+    kinds = [("self_comm", j) for j in range(1, m + 1)]
+    kinds += [("cross_comm", j, l) for j in range(1, m + 1) for l in range(1, m + 1) if j != l]
+    return kinds + [("q_power", s) for s in range(4)] + [("bq", q) for q in range(1, 4)]
+
+
+class TestLevelWiseForms:
+    @pytest.mark.parametrize("m,N", [(2, 8), (3, 7), (4, 5)])
+    def test_expected_interior_matches_per_key_reference(self, m, N):
+        basis = build_basis(m, N)
+        for label, seq in default_suite(m):
+            shift = SphericalShift(m, seq)
+            for kind in suite_kinds(m):
+                interior = basis.level_slice(N - truncation.required_margin(kind)).stop
+                got = truncation._expected_interior(shift, kind, basis, interior)
+                want = reference_expected_interior(shift, kind, basis, interior)
+                assert np.array_equal(got, want), (label, kind)
+            for j in range(1, m + 1):
+                cols = np.flatnonzero(basis.up[j - 1] >= 0)
+                want = [ref_weight(shift, j, basis.indices[c]) for c in cols]
+                assert np.array_equal(shift.weights(j, basis.exponents[cols]), want), (label, j)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_per_index_views_match_reference(self, m):
+        for label, seq in default_suite(m) + [("float-constant", ConstantDelta(0.5)),
+                                              ("float-hp", HpSpace(m, 2.5))]:
+            shift = SphericalShift(m, seq)
+            for k in range(7):
+                for n in enumerate_level(m, k):
+                    assert shift.weight(1, n) == ref_weight(shift, 1, n), (label, n)
+                    assert shift.self_comm_coeff(m, n) == ref_self_comm(shift, m, n), (label, n)
+                    assert shift.cross_comm_coeff(1, 2, n) == ref_cross_comm(shift, 1, 2, n)
+                for s in range(5):
+                    assert shift.q_diag(k, s) == ref_q(shift, k, s), (label, k, s)
+                    assert shift.q_diag_exact(k, s) == ref_q_exact(shift, k, s), (label, k, s)
+                for q in range(1, 5):
+                    assert shift.bq_diag(k, q) == ref_bq(shift, k, q), (label, k, q)
+                    assert shift.bq_diag_exact(k, q) == ref_bq_exact(shift, k, q), (label, k, q)
+
+    def test_mixed_table_keeps_the_exact_prefix_rule(self):
+        # delta2(2) is a float: windows reaching it, and every later one, are not exact
+        seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75, Fraction(4, 5)], tail="hold")
+        shift = SphericalShift(2, seq)
+        assert shift.q_diag_exact(0, 2) == Fraction(1, 3)
+        assert shift.q_diag_exact(0, 3) is None and shift.q_diag_exact(3, 1) is None
+        for k in range(4):
+            for s in range(3):
+                assert shift.q_diag(k, s) == ref_q(shift, k, s)
+            assert shift.bq_diag(k, 2) == ref_bq(shift, k, 2)
+            for n in enumerate_level(2, k):
+                assert shift.self_comm_coeff(1, n) == ref_self_comm(shift, 1, n)
+
+    def test_oracle_reads_each_level_once_and_no_per_index_form(self, monkeypatch):
+        calls = Counter()
+        for name in ("weight", "q_diag", "q_diag_exact", "bq_diag", "bq_diag_exact",
+                     "self_comm_coeff", "cross_comm_coeff"):
+            def counted(*args, _name=name, **kwargs):
+                calls[_name] += 1
+            monkeypatch.setattr(SphericalShift, name, counted)
+        for label, seq in default_suite(3):
+            levels = Counter()
+            exact = seq.delta2_exact
+
+            def counting(k, _exact=exact, _levels=levels):
+                _levels[k] += 1
+                return _exact(k)
+
+            seq.delta2_exact = counting
+            rows = oracle_suite(SphericalShift(3, seq), N=7)
+            assert all(r["pass"] for r in rows), label
+            assert levels and max(levels.values()) == 1, (label, levels)
+        assert calls == Counter()
+
+    def test_cross_targets_come_from_the_closed_form(self):
+        shift = szego(3)
+        exps = np.array([[1, 1, 0], [0, 2, 1], [2, 0, 3]])
+        coeffs, targets = shift.cross_comm_coeffs(1, 3, exps)
+        assert targets.tolist() == [[0, 1, 1], [-1, -1, -1], [1, 0, 4]]
+        assert coeffs[1] == 0.0
+
+    def test_families_share_one_read_only_basis(self, monkeypatch):
+        built = []
+
+        def counting(m, N):
+            built.append((m, N))
+            return build_basis(m, N)
+
+        monkeypatch.setattr(truncation, "build_basis", counting)
+        monkeypatch.setattr(cli, "build_basis", counting)
+        code = cli.main(["verify", "--m", "2", "--N", "5", "--out", os.devnull])
+        assert code == 0 and built == [(2, 5)]
+        with pytest.raises(ValueError):
+            build_basis(3, 5).levels[0] = 1
+        with pytest.raises(ValueError):
+            oracle_suite(szego(2), N=5, basis=build_basis(2, 4))
+
+    def test_rows_of_inverts_the_enumeration(self):
+        basis = build_basis(3, 6)
+        assert basis.rows_of(basis.exponents).tolist() == list(range(basis.dimension))
+
+
+class TestRoundingBound:
+    # every (m, N) the benchmark's verify requests use, and analyze's default N = 10
+    SIZES = [(2, 8), (2, 10), (2, 12), (2, 14), (3, 6), (3, 7), (4, 4), (4, 5), (3, 10)]
+
+    @pytest.mark.parametrize("m,N", SIZES)
+    def test_bound_stays_below_default_tol_on_the_suite(self, m, N):
+        basis = build_basis(m, N)
+        for label, seq in default_suite(m):
+            ts = build_tuple_matrices(SphericalShift(m, seq), basis)
+            powers = truncation.q_powers(ts, 3)
+            for kind in suite_kinds(m):
+                interior = basis.level_slice(N - truncation.required_margin(kind)).stop
+                bound = truncation.rounding_bound(kind, ts, powers, interior)
+                assert bound.shape == (interior,) and np.all(bound < 1e-10), (label, kind)
+
+    def test_tiny_p_passes_on_rounding_alone(self):
+        rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
+        assert max(r["max_deviation"] for r in rows) > 1e280
+        assert all(r["pass"] for r in rows), rows
+
+    def test_zero_tol_turns_the_allowance_off(self):
+        rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=0.0)
+        assert not rows[0]["pass"]
+
+    @pytest.mark.parametrize("planted,n0", [(("self_comm", 1), (0, 0)),
+                                            (("self_comm", 1), (2, 0)),
+                                            (("cross_comm", 1, 2), (1, 0)),
+                                            (("cross_comm", 2, 1), (2, 1)),
+                                            (("q_power", 2), (0, 0)),
+                                            (("bq", 1), (2, 3))])
+    def test_relative_defect_on_tiny_p_is_caught(self, planted, n0, monkeypatch):
+        original = truncation._expected_interior
+
+        def perturbed(shift, kind, basis, interior):
+            expected = original(shift, kind, basis, interior)
+            if kind == planted:
+                col = basis.index_of(n0)
+                row = int(np.flatnonzero(expected[:, col])[0])
+                expected[row, col] *= 1 + 1e-6
+            return expected
+
+        monkeypatch.setattr(truncation, "_expected_interior", perturbed)
+        rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
+        assert [r["kind"] for r in rows if not r["pass"]] == ["/".join(map(str, planted))]
+
+    def test_readme_states_the_rule(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = " ".join(readme.split())
+        assert "within the forward rounding bound of the dense side" in text
+        assert "`--tol 0` asks for exact agreement" in text
