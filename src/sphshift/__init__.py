@@ -9,63 +9,9 @@ finite-truncation matrix oracle.
 
 __version__ = "0.1.0"
 
-from .multiindex import MultiIndex, Level, enumerate_level, level_count, multinomial
-from .scalarseq import (
-    AlternatingTwelve,
-    ConstantDelta,
-    HpSpace,
-    PolynomialGamma,
-    RhoEta,
-    ScalarSequence,
-    Tabulated,
-    TableRangeError,
-    UnknownFamilyError,
-    default_suite,
-    make_family,
-)
-from .shift import SphericalShift, sphere_monomial_norm2
-from .truncation import (
-    Basis,
-    DenseOperator,
-    StructuralAssumptionError,
-    build_basis,
-    build_shift_matrix,
-    build_tuple_matrices,
-    commutator,
-    compare_with_closed_form,
-    gram_diagonal_singular_values,
-    oracle_suite,
-    q_power_bruteforce,
-)
-from .spectra import (
-    NotEssentiallyNormalError,
-    SpectralReport,
-    convergence_radius,
-    essential_shell,
-    inner_radius,
-    outer_radius,
-    point_spectrum_boundary,
-    spectral_report,
-)
-from .schatten import (
-    SchattenVerdict,
-    asymptotic_lemma_check,
-    closed_form_level_sums,
-    closed_form_norm,
-    criterion_terms,
-    cutoff_check,
-    decide,
-)
-from .classify import (
-    Classification,
-    Verdict,
-    classification,
-    complete_hyperexpansion_up_to,
-    is_compact,
-    is_essentially_normal,
-    is_hyponormal,
-    is_q_expansion,
-    is_szego,
-    q_isometry_order,
-    subnormal_consistency,
-)
+from .scalarseq import HpSpace, RhoEta
+from .shift import SphericalShift
+from .truncation import oracle_suite
+from .spectra import spectral_report
+from .schatten import decide
+from .classify import classification

@@ -20,31 +20,18 @@ from fractions import Fraction
 
 from . import __version__, classify, schatten, spectra
 from .scalarseq import (
+    FAMILIES,
     ScalarSequence,
     TableRangeError,
     UnknownFamilyError,
     default_suite,
     make_family,
-    FAMILY_NAMES,
 )
 from .shift import SphericalShift
 from .truncation import StructuralAssumptionError, build_basis, oracle_suite
 
 SCHEMA_VERSION = 1
 CLI_MAX_ARITY = 8
-
-FAMILY_DESCRIPTIONS = {
-    "hp": "kernel-scale family, delta2(k) = (k+m)/(k+p); needs --p",
-    "szego": "hp with p = m (constant weights)",
-    "hardy": "alias of szego",
-    "bergman": "hp with p = m+1",
-    "drury-arveson": "hp with p = 1",
-    "constant": "delta_k = c for all k; --c (default 1)",
-    "poly-gamma": "gamma(k) a positive polynomial; --gamma-coeffs a0,a1,...",
-    "rho-eta": "increasing delta2 with sparse jumps 2^-l at k = 2^(2^l)",
-    "alt-twelve": "delta2 alternating 1/3, 1/4; not essentially normal",
-    "tabulated": "delta2 from a one-column CSV; --table FILE [--tail ...]",
-}
 
 
 def _parse_tail(text: str):
@@ -203,8 +190,8 @@ def cmd_families(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "families": [
-            {"name": name, "description": FAMILY_DESCRIPTIONS[name]}
-            for name in FAMILY_NAMES
+            {"name": name, "description": description}
+            for name, description in FAMILIES.items()
         ],
     }
     _emit(payload, args)

@@ -61,7 +61,7 @@ def _float_square(c) -> float:
 
 
 class ScalarSequence:
-    """Base class: the delta2 snapshot, log-space accumulation, finite differences.
+    """Base class: the delta2 snapshot and its log-space accumulation.
 
     Subclasses implement ``delta2(k)`` (and usually ``delta2_exact``) plus
     declared metadata, and may override the generator hook
@@ -87,7 +87,6 @@ class ScalarSequence:
     def __init__(self):
         self._d2 = np.zeros(0)
         self._logbb = np.zeros(0)  # built from _d2 on first use
-        self._gamma_exact_cache: Optional[list] = None
 
     # -- core evaluators ------------------------------------------------
 
@@ -153,48 +152,13 @@ class ScalarSequence:
 
     def gamma(self, k: int) -> float:
         """Float gamma; saturates to inf/0.0 outside float range (use
-        log_bbeta or gamma_exact when the magnitude matters)."""
+        log_bbeta when the magnitude matters)."""
         try:
             return math.exp(2.0 * self.log_bbeta(k))
         except OverflowError:
             return math.inf
 
-    def gamma_exact(self, k: int) -> Optional[Fraction]:
-        """gamma(k) as an exact rational, when the family supports it."""
-        if self.delta2_exact(0) is None:
-            return None
-        cache = self._gamma_exact_cache
-        if cache is None:
-            cache = [Fraction(1)]
-            self._gamma_exact_cache = cache
-        while len(cache) <= k:
-            j = len(cache) - 1
-            d2 = self.delta2_exact(j)
-            if d2 is None:
-                return None
-            cache.append(cache[-1] * d2)
-        return cache[k]
-
     # -- derived quantities ----------------------------------------------
-
-    def nabla_gamma(self, k: int, q: int):
-        """q-th forward difference of gamma at k, exact when possible.
-
-        Uses the binomial expansion sum_{s} (-1)^(q-s) C(q,s) gamma(k+s);
-        on the floating path this is cancellation-prone for large q, which
-        is why definitive sign verdicts elsewhere insist on the exact path.
-        """
-        if q < 1:
-            raise ValueError("difference order q must be >= 1")
-        exact_tail = self.gamma_exact(k + q)
-        if exact_tail is not None:
-            return sum(
-                (-1) ** (q - s) * math.comb(q, s) * self.gamma_exact(k + s)
-                for s in range(q + 1)
-            )
-        return float(
-            sum((-1) ** (q - s) * math.comb(q, s) * self.gamma(k + s) for s in range(q + 1))
-        )
 
     def is_bounded(self, K: int = 10_000) -> BoundednessReport:
         if K < 1:
@@ -497,17 +461,13 @@ class Tabulated(ScalarSequence):
       * a callable k -> delta2(k), used verbatim beyond the table.
     """
 
-    def __init__(self, values: Sequence, tail="error", **declared):
+    def __init__(self, values: Sequence, tail="error"):
         super().__init__()
         if len(values) == 0:
             raise ValueError("table must be non-empty")
         self.values = tuple(Fraction(v) if not isinstance(v, float) else v for v in values)
         self.tail = tail if not isinstance(tail, list) else tuple(tail)
         self.name = "tabulated"
-        for key, val in declared.items():
-            if not hasattr(type(self), key) and not hasattr(self, key):
-                raise TypeError(f"unknown declared metadata field {key!r}")
-            setattr(self, key, val)
         if any(float(v) <= 0 for v in self.values):
             raise ValueError("all tabulated delta2 values must be positive")
         if isinstance(self.tail, tuple) and self.tail[0] == "const" and float(self.tail[1]) <= 0:
@@ -536,9 +496,7 @@ class Tabulated(ScalarSequence):
         return _as_fraction(v)
 
     def is_bounded(self, K: int = 10_000) -> BoundednessReport:
-        if self.sup_delta2_declared is None and (
-            self.tail == "hold" or (isinstance(self.tail, tuple) and self.tail[0] == "const")
-        ):
+        if self.tail == "hold" or (isinstance(self.tail, tuple) and self.tail[0] == "const"):
             sup = max(float(v) for v in self.values)
             if isinstance(self.tail, tuple):
                 sup = max(sup, float(self.tail[1]))
@@ -672,18 +630,19 @@ def make_family(
     raise UnknownFamilyError(f"unknown family {name!r}")
 
 
-FAMILY_NAMES = [
-    "hp",
-    "szego",
-    "hardy",
-    "bergman",
-    "drury-arveson",
-    "constant",
-    "poly-gamma",
-    "rho-eta",
-    "alt-twelve",
-    "tabulated",
-]
+# The names make_family accepts, each with the description `sphshift families` prints.
+FAMILIES = {
+    "hp": "kernel-scale family, delta2(k) = (k+m)/(k+p); needs --p",
+    "szego": "hp with p = m (constant weights)",
+    "hardy": "alias of szego",
+    "bergman": "hp with p = m+1",
+    "drury-arveson": "hp with p = 1",
+    "constant": "delta_k = c for all k; --c (default 1)",
+    "poly-gamma": "gamma(k) a positive polynomial; --gamma-coeffs a0,a1,...",
+    "rho-eta": "increasing delta2 with sparse jumps 2^-l at k = 2^(2^l)",
+    "alt-twelve": "delta2 alternating 1/3, 1/4; not essentially normal",
+    "tabulated": "delta2 from a one-column CSV; --table FILE [--tail ...]",
+}
 
 
 def default_suite(m: int) -> list:

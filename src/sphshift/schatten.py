@@ -69,20 +69,6 @@ def _require_m(m: int) -> None:
         raise ValueError("cross-commutator analysis needs arity m >= 2")
 
 
-def criterion_terms(seq: ScalarSequence, m: int, p: float, k: int) -> Tuple[float, float]:
-    """(t1, t2) at a single k >= 1."""
-    _require_m(m)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if p < 1:
-        raise ValueError("Schatten exponent p must be >= 1")
-    d_cur = seq.delta2(k)
-    d_prev = seq.delta2(k - 1)
-    t1 = d_cur ** p * float(k) ** (m - p - 1)
-    t2 = abs(d_cur - d_prev) ** p * float(k) ** (m - 1)
-    return t1, t2
-
-
 def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int):
     """(t1, t2) vectorized over k = 1..K.
 
@@ -301,7 +287,6 @@ def asymptotic_lemma_check(
     m: int,
     p: float,
     k_range: Tuple[int, int],
-    s_modes: Sequence[str] = ("zero", "one", "inv_k"),
     points: int = 24,
     window_bound: float = 5.0,
 ) -> dict:
@@ -337,7 +322,7 @@ def asymptotic_lemma_check(
         "pair_sum": {"ratios": pair_ratios, **window(pair_ratios)},
         "abs_sum": {},
     }
-    for mode in s_modes:
+    for mode in ("zero", "one", "inv_k"):
         ratios = []
         for k in ks:
             s = {"zero": 0.0, "one": 1.0, "inv_k": 1.0 / k}[mode]

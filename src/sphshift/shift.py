@@ -9,41 +9,30 @@ Each closed form is written once, as a level-wise form: ``weights``,
 ``self_comm_coeffs`` and ``cross_comm_coeffs`` take an integer array of
 multi-indices (one per row), ``q_diags`` and ``bq_diags`` an array of
 degrees, and each evaluates its formula once per distinct degree level and
-broadcasts it with numpy. The per-index methods (``weight``, ``q_diag``,
-``self_comm_coeff``, ...) are one-row views of these forms.
+broadcasts it with numpy. The per-index methods ``weight``, ``q_diag``,
+``bq_diag``, ``self_comm_coeff`` and ``cross_comm_coeff`` are one-row views
+of these forms. They stay because the benchmark's tracer
+(``perfbench/tracer.py``) wraps each of them to count its calls.
 
-delta2 is read once per level. When the family is exact, each level keeps
-its commutator pair as integers over one common denominator, and the
-diagonals of Q^s(I) and of the defect operators come from integer
-products of exact delta2 over windows of levels; the small differences
-these contain are then rounded once, by a correctly rounded int/int
-division, which gives the same float as rounding the exact rational.
+delta2 is read once per level, and each closed form is computed in
+integers wherever the levels it reads are exact: a level keeps its
+commutator pair over one common denominator, and the diagonals of Q^s(I)
+and of the defect operators come from integer products of exact delta2
+over a window of levels, exact when every level in the window is. The
+small differences these contain are then rounded once, by a correctly
+rounded int/int division, which gives the same float as rounding the
+exact rational.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .multiindex import MultiIndex
 from .scalarseq import ScalarSequence
-
-
-def sphere_monomial_norm2(n, m: Optional[int] = None) -> Fraction:
-    """Squared L2 norm of the monomial z^n on the unit sphere, exactly:
-    (m-1)! n! / (m-1+|n|)! under the normalized surface measure."""
-    n = tuple(n)
-    if m is None:
-        m = len(n)
-    if m != len(n):
-        raise ValueError(f"arity mismatch: m={m}, len(n)={len(n)}")
-    num = math.factorial(m - 1)
-    for c in n:
-        num *= math.factorial(c)
-    return Fraction(num, math.factorial(m - 1 + sum(n)))
 
 
 def _by_level(levels, value, coord=None) -> np.ndarray:
@@ -74,7 +63,6 @@ class SphericalShift:
         self.seq = seq
         self._d2 = []        # delta2(k) as the family's float, k = 0, 1, ...
         self._d2_exact = []  # (numerator, denominator) of delta2(k), or None
-        self._leading_exact = 0  # delta2(0..this-1) are all exact
         self._pairs = {}     # level k -> commutator pair
         self._self_rows = {}  # level k -> self-commutator coefficients, n_j = 0..k
         self._windows = {}   # level k -> [delta2(k)...delta2(k+s-1) as (num, den), s = 0, 1, ...]
@@ -88,31 +76,22 @@ class SphericalShift:
             value, exact = self.seq.delta2_both(k)
             self._d2.append(value)
             self._d2_exact.append(None if exact is None else (exact.numerator, exact.denominator))
-            if exact is not None and self._leading_exact == k:
-                self._leading_exact = k + 1
 
     def _level_d2(self, k: int) -> float:
         self._read(k)
         return self._d2[k]
 
-    def _exact_through(self, n: int) -> bool:
-        """Whether delta2(0..n-1) are all exact (delta2(0) at least); reads
-        no level past the first one that is not."""
-        n = max(n, 1)
-        while self._leading_exact < n and self._leading_exact == len(self._d2):
-            self._read(len(self._d2))
-        return self._leading_exact >= n
-
     def _window(self, k: int, s: int):
-        """delta2(k)...delta2(k+s-1) as (num, den), or None unless
-        delta2(0..k+s-1) are all exact."""
-        if not self._exact_through(k + s):
-            return None
+        """delta2(k)...delta2(k+s-1) as (num, den), or None unless each of
+        these levels is exact; reads no level past the first one that is not."""
         row = self._windows.setdefault(k, [(1, 1)])
         while len(row) <= s:
+            self._read(k + len(row) - 1)
+            exact = self._d2_exact[k + len(row) - 1]
+            if exact is None:
+                return None
             num, den = row[-1]
-            a, b = self._d2_exact[k + len(row) - 1]
-            row.append((num * a, den * b))
+            row.append((num * exact[0], den * exact[1]))
         return row[s]
 
     def _pair(self, k: int):
@@ -163,7 +142,8 @@ class SphericalShift:
 
     def _bq_exact(self, k: int, q: int):
         """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1) as (num, den) over
-        the denominator of the order-q window, or None."""
+        the denominator of the order-q window, or None unless that window is
+        exact."""
         if self._window(k, q) is None:
             return None
         row = self._windows[k]
@@ -230,54 +210,24 @@ class SphericalShift:
         targets[absent] = -1
         return coeffs, targets
 
-    # -- weights and norms --------------------------------------------------
+    # -- one-row views --------------------------------------------------
 
     def weight(self, i: int, n) -> float:
         """w_i(n) > 0 for 1 <= i <= m."""
         return float(self.weights(i, [MultiIndex(n)])[0])
 
-    def log_beta_norm(self, n) -> float:
-        n = tuple(n)
-        k = sum(n)
-        logfac = math.lgamma(self.m) - math.lgamma(self.m + k)
-        for c in n:
-            logfac += math.lgamma(c + 1)
-        return self.seq.log_bbeta(k) + 0.5 * logfac
-
-    def beta_norm(self, n) -> float:
-        """The monomial norm beta_n = bbeta_{|n|} sqrt((m-1)! n!/(m-1+|n|)!)."""
-        return math.exp(self.log_beta_norm(n))
-
-    # -- diagonal data of Q_T powers ----------------------------------------
-
     def q_diag(self, k: int, s: int) -> float:
         """Eigenvalue of the s-th iterate of X -> sum_i T_i* X T_i applied to
         the identity, on any e_n with |n| = k: delta2(k)...delta2(k+s-1).
 
-        Exact when the family is; otherwise (bbeta(k+s)/bbeta(k))^2 in log
-        space. math.inf when the value overflows a float.
+        Exact when delta2(k..k+s-1) are; otherwise (bbeta(k+s)/bbeta(k))^2
+        in log space. math.inf when the value overflows a float.
         """
         return float(self.q_diags(s, [k])[0])
-
-    def q_diag_exact(self, k: int, s: int) -> Optional[Fraction]:
-        """delta2(k)...delta2(k+s-1) exactly; None unless delta2(0..k+s-1)
-        are all exact."""
-        if s < 0:
-            raise ValueError("power s must be >= 0")
-        exact = self._window(k, s)
-        return None if exact is None else Fraction(*exact)
 
     def bq_diag(self, k: int, q: int) -> float:
         """Diagonal entry of the order-q defect sum_{s} (-1)^s C(q,s) Q^s."""
         return float(self.bq_diags(q, [k])[0])
-
-    def bq_diag_exact(self, k: int, q: int) -> Optional[Fraction]:
-        if q < 1:
-            raise ValueError("order q must be >= 1")
-        exact = self._bq_exact(k, q)
-        return None if exact is None else Fraction(*exact)
-
-    # -- commutator coefficients ---------------------------------------------
 
     def self_comm_coeff(self, j: int, n) -> float:
         """Diagonal entry of [T_j*, T_j] at e_n."""

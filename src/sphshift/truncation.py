@@ -69,9 +69,6 @@ class Basis:
     def dimension(self) -> int:
         return len(self.indices)
 
-    def index_of(self, n) -> int:
-        return self.rows[tuple(n)]
-
     def rows_of(self, exps) -> np.ndarray:
         """Rows of the multi-indices in ``exps``, one per row of the array."""
         return np.array([self.rows[n] for n in map(tuple, np.asarray(exps).tolist())],

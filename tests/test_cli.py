@@ -13,6 +13,7 @@ import sphshift
 
 from sphshift import cli, spectra
 from sphshift.cli import main
+from sphshift.scalarseq import FAMILIES
 from sphshift.truncation import StructuralAssumptionError
 
 
@@ -29,6 +30,7 @@ class TestFamilies:
         names = {f["name"] for f in doc["families"]}
         assert {"hp", "szego", "bergman", "drury-arveson", "rho-eta",
                 "alt-twelve", "constant", "poly-gamma", "tabulated"} <= names
+        assert [(f["name"], f["description"]) for f in doc["families"]] == list(FAMILIES.items())
 
 
 class TestDumpSequence:

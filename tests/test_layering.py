@@ -13,14 +13,21 @@ the oracle only reads its level-wise forms.
 A further scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
 least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 ``vectorize`` (a Python loop per element), by attribute or by import.
+
+The last scan keeps the public surface to what is used: every public
+top-level function or class and every public method must be referenced
+somewhere in ``src/sphshift`` outside its own body, or be on
+``UNCALLED_PUBLIC``, which names the outside reader that keeps it.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sphshift"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "sphshift"
 ALLOWED_PRIVATE_MODULES = {"_kernels"}
 FORBIDDEN_CALLS = {"polyfit", "vectorize"}
 
@@ -126,4 +133,104 @@ def test_forbidden_call_scan_catches_each_form():
         "m.py:3: uses polyfit",
         "m.py:4: uses vectorize",
         "m.py:5: uses polyfit",
+    ]
+
+
+# Public names nothing in src calls, by bare name (as the scan matches
+# them), grouped by the file outside src that uses them. The names the
+# README example and perfbench/reference.py import all have callers in src.
+UNCALLED_PUBLIC = {
+    # bound by the benchmark's tracer, which times or counts each call
+    "perfbench/tracer.py": {"level_count", "q_power_bruteforce", "bq_bruteforce",
+                            "weight", "q_diag", "self_comm_coeff", "cross_comm_coeff"},
+    # called by the benchmark's result checks
+    "perfbench/checks.py": {"schatten_power_sum", "closed_form_norm"},
+    # the test instrument that rescales a sequence's weights
+    "tests/test_scalarseq.py": {"scale"},
+}
+
+
+def public_definitions(trees: dict) -> list:
+    """(file, qualified name, node, is_method) of each public top-level def
+    or class and each public method of a top-level class."""
+    out = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.append((filename, node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                out += [(filename, f"{node.name}.{sub.name}", sub, True) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return out
+
+
+def uncalled_public(sources: dict) -> list:
+    """(file, qualified name) of each public definition that no code in
+    ``sources`` refers to outside its own body. A method counts as
+    referenced by an attribute read of its name, a function or class also
+    by a plain name; an import alone does not count."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    attrs, names = [], []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.append(node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.append(node)
+    out = []
+    for filename, qualname, node, is_method in public_definitions(trees):
+        inside = {id(sub) for sub in ast.walk(node)}
+        refs = [a for a in attrs if a.attr == node.name]
+        if not is_method:
+            refs += [n for n in names if n.id == node.name]
+        if all(id(ref) in inside for ref in refs):
+            out.append((filename, qualname))
+    return out
+
+
+def _src_sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_name_has_a_caller_or_a_listed_reader():
+    allowed = set().union(*UNCALLED_PUBLIC.values())
+    unlisted = [f"{filename}: {qualname}" for filename, qualname in uncalled_public(_src_sources())
+                if qualname.split(".")[-1] not in allowed]
+    assert unlisted == []
+
+
+def test_each_listed_name_is_uncalled_and_its_reader_uses_it():
+    uncalled = {qualname.split(".")[-1] for _, qualname in uncalled_public(_src_sources())}
+    for reader, listed in UNCALLED_PUBLIC.items():
+        text = (REPO / reader).read_text()
+        for name in listed:
+            assert name in uncalled, f"{name} has a caller in src; drop it from the list"
+            assert re.search(rf"\b{name}\b", text), (reader, name)
+
+
+def test_uncalled_scan_catches_each_kind():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def lonely():\n"
+        "    return lonely()\n"
+        "def imported_only():\n"
+        "    pass\n"
+        "from .m import imported_only\n"
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return used()\n"
+        "    def name(self):\n"
+        "        return 'shape'\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "def caller(shape):\n"
+        "    name = shape.area()\n"
+        "    return Shape, name\n"
+    )
+    assert uncalled_public({"m.py": source}) == [
+        ("m.py", "lonely"),
+        ("m.py", "imported_only"),
+        ("m.py", "Shape.name"),
+        ("m.py", "caller"),
     ]

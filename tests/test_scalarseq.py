@@ -1,16 +1,21 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from exact_reference import gamma_exact, nabla_gamma
 from sphshift.classify import classification
 from sphshift.scalarseq import (
+    FAMILIES,
     AlternatingTwelve,
     ConstantDelta,
     HpSpace,
     PolynomialGamma,
     RhoEta,
+    ScalarSequence,
     Tabulated,
     TableRangeError,
     UnknownFamilyError,
@@ -37,11 +42,11 @@ class TestHpSpace:
     def test_gamma_drury_arveson_linear(self):
         seq = HpSpace(2, 1)
         # telescoping product of (k+2)/(k+1)
-        assert all(seq.gamma_exact(k) == k + 1 for k in range(60))
+        assert all(gamma_exact(seq, k) == k + 1 for k in range(60))
 
     def test_gamma_bergman_m2(self):
         seq = HpSpace(2, 3)
-        assert all(seq.gamma_exact(k) == Fraction(2, k + 2) for k in range(60))
+        assert all(gamma_exact(seq, k) == Fraction(2, k + 2) for k in range(60))
 
     def test_declared_sup(self):
         assert HpSpace(2, 1).is_bounded().sup_delta2 == 2.0
@@ -92,18 +97,18 @@ class TestAlternatingTwelve:
         seq = AlternatingTwelve()
         for k in range(8):
             expect = Fraction(1, 12 ** k)
-            assert seq.gamma_exact(2 * k) == expect
-            assert seq.gamma_exact(2 * k + 1) == expect / 3
+            assert gamma_exact(seq, 2 * k) == expect
+            assert gamma_exact(seq, 2 * k + 1) == expect / 3
 
     def test_nabla_gamma_first(self):
-        assert AlternatingTwelve().nabla_gamma(0, 1) == Fraction(1, 3) - 1
+        assert nabla_gamma(AlternatingTwelve(), 0, 1) == Fraction(1, 3) - 1
 
     def test_third_differences_negative(self):
         # the concavity-type sign that makes this example bite
         seq = AlternatingTwelve()
         for k in range(0, 12, 2):
-            assert seq.nabla_gamma(k, 3) == Fraction(-2, 9) * Fraction(1, 12) ** (k // 2)
-            assert seq.nabla_gamma(k + 1, 3) == Fraction(-23, 144) * Fraction(1, 12) ** (k // 2)
+            assert nabla_gamma(seq, k, 3) == Fraction(-2, 9) * Fraction(1, 12) ** (k // 2)
+            assert nabla_gamma(seq, k + 1, 3) == Fraction(-23, 144) * Fraction(1, 12) ** (k // 2)
 
 
 class TestPolynomialGamma:
@@ -111,13 +116,13 @@ class TestPolynomialGamma:
         # gamma(k) = (k+1)^2: third differences vanish identically, second do not
         seq = PolynomialGamma([1, 2, 1])
         assert seq.degree == 2
-        assert all(seq.nabla_gamma(k, 3) == 0 for k in range(100))
-        assert any(seq.nabla_gamma(k, 2) != 0 for k in range(100))
+        assert all(nabla_gamma(seq, k, 3) == 0 for k in range(100))
+        assert any(nabla_gamma(seq, k, 2) != 0 for k in range(100))
 
     def test_gamma_normalized_at_zero(self):
         seq = PolynomialGamma([2, 0, 2])  # S(k) = 2 + 2k^2, gamma(0) = 1
-        assert seq.gamma_exact(0) == 1
-        assert seq.gamma_exact(3) == Fraction(2 + 18, 2)
+        assert gamma_exact(seq, 0) == 1
+        assert gamma_exact(seq, 3) == Fraction(2 + 18, 2)
 
     def test_positivity_rejected(self):
         with pytest.raises(ValueError):
@@ -218,29 +223,29 @@ class TestSequenceMachinery:
     def test_gamma_ratio_identity_exact(self):
         seq = HpSpace(2, Fraction(7, 3))
         for k in range(200):
-            assert seq.gamma_exact(k + 1) == seq.gamma_exact(k) * seq.delta2_exact(k)
+            assert gamma_exact(seq, k + 1) == gamma_exact(seq, k) * seq.delta2_exact(k)
 
     def test_nabla_binomial_equals_iterated(self):
         seq = HpSpace(2, 3)
         for q in range(1, 9):
-            iterated = [seq.gamma_exact(k) for k in range(200 + q + 1)]
+            iterated = [gamma_exact(seq, k) for k in range(200 + q + 1)]
             for _ in range(q):
                 iterated = [b - a for a, b in zip(iterated, iterated[1:])]
             for k in range(201):
-                assert seq.nabla_gamma(k, q) == iterated[k], (k, q)
+                assert nabla_gamma(seq, k, q) == iterated[k], (k, q)
 
     def test_nabla_szego_zero(self):
         seq = HpSpace(3, 3)
-        assert all(seq.nabla_gamma(k, q) == 0 for q in range(1, 5) for k in range(20))
+        assert all(nabla_gamma(seq, k, q) == 0 for q in range(1, 5) for k in range(20))
 
     def test_nabla_drury_arveson(self):
         seq = HpSpace(2, 1)
-        assert all(seq.nabla_gamma(k, 1) == 1 for k in range(50))
-        assert all(seq.nabla_gamma(k, 2) == 0 for k in range(50))
+        assert all(nabla_gamma(seq, k, 1) == 1 for k in range(50))
+        assert all(nabla_gamma(seq, k, 2) == 0 for k in range(50))
 
     def test_nabla_rejects_q0(self):
         with pytest.raises(ValueError):
-            HpSpace(2, 2).nabla_gamma(0, 0)
+            nabla_gamma(HpSpace(2, 2), 0, 0)
 
     def test_log_bbeta_recurrence(self, suite_m2):
         for label, seq in suite_m2:
@@ -287,6 +292,17 @@ def test_make_family_registry():
         make_family("nope", 2)
     with pytest.raises(ValueError):
         make_family("hp", 2)
+
+
+def test_make_family_accepts_exactly_the_registry():
+    # the names make_family compares its key against, read from its source
+    tree = ast.parse(inspect.getsource(make_family))
+    dispatched = {c.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert dispatched == set(FAMILIES)
+    params = {"hp": {"p": 3}, "poly-gamma": {"gamma_coeffs": [1, 1]}, "tabulated": {"table": [1]}}
+    for name in FAMILIES:
+        assert isinstance(make_family(name, 2, **params.get(name, {})), ScalarSequence), name
 
 
 def test_default_suite_names(suite_m3):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_reference import nabla_gamma
 from sphshift.multiindex import enumerate_level
 from sphshift.scalarseq import (
     AlternatingTwelve,
@@ -21,7 +22,7 @@ from sphshift.schatten import (
     asymptotic_lemma_check,
     closed_form_level_sums,
     closed_form_norm,
-    criterion_terms,
+    criterion_term_arrays,
     cutoff_check,
     decide,
 )
@@ -32,36 +33,31 @@ def compact_tabulated():
 
 
 class TestCriterionTerms:
+    # criterion_term_arrays(seq, m, p, K)[i][k - 1] is term i + 1 at k
+
     def test_szego(self):
-        seq = HpSpace(2, 2)
+        t1, t2 = criterion_term_arrays(HpSpace(2, 2), 2, 2.0, 40)
         for k in (1, 5, 40):
-            t1, t2 = criterion_terms(seq, 2, 2.0, k)
-            assert t1 == pytest.approx(float(k) ** (2 - 2 - 1), rel=1e-14)
-            assert t2 == 0.0
+            assert t1[k - 1] == pytest.approx(float(k) ** (2 - 2 - 1), rel=1e-14)
+            assert t2[k - 1] == 0.0
 
     def test_alternating_twelve(self):
-        seq = AlternatingTwelve()
+        _, t2 = criterion_term_arrays(AlternatingTwelve(), 2, 2.0, 9)
         for k in (1, 2, 9):
-            _, t2 = criterion_terms(seq, 2, 2.0, k)
-            assert t2 == pytest.approx((1 / 12) ** 2 * k, rel=1e-12)
+            assert t2[k - 1] == pytest.approx((1 / 12) ** 2 * k, rel=1e-12)
 
     def test_rho_eta_difference_terms(self):
         # |delta2(k) - delta2(k-1)| = eta(k-1): jumps land at k = 2^(2^l) + 1
-        seq = RhoEta()
-        _, t2 = criterion_terms(seq, 2, 1.0, 3)
-        assert t2 == pytest.approx(1.0 * 3)  # eta(2) = 1
-        _, t2 = criterion_terms(seq, 2, 1.0, 5)
-        assert t2 == pytest.approx(0.5 * 5)  # eta(4) = 1/2
-        _, t2 = criterion_terms(seq, 2, 1.0, 4)
-        assert t2 == 0.0
+        _, t2 = criterion_term_arrays(RhoEta(), 2, 1.0, 5)
+        assert t2[3 - 1] == pytest.approx(1.0 * 3)  # eta(2) = 1
+        assert t2[5 - 1] == pytest.approx(0.5 * 5)  # eta(4) = 1/2
+        assert t2[4 - 1] == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            criterion_terms(HpSpace(2, 2), 1, 1.0, 1)
+            criterion_term_arrays(HpSpace(2, 2), 1, 1.0, 10)
         with pytest.raises(ValueError):
-            criterion_terms(HpSpace(2, 2), 2, 0.5, 1)
-        with pytest.raises(ValueError):
-            criterion_terms(HpSpace(2, 2), 2, 1.0, 0)
+            decide(HpSpace(2, 2), 2, 0.5)
 
 
 class TestDecide:
@@ -267,7 +263,7 @@ class TestConcaveGammaDifferenceDecay:
         # gamma(k) = 1 + k/2 is concave with delta not tending to 0, so the
         # delta2 differences must decay like C/k and the transition sits at m
         seq = PolynomialGamma([1, Fraction(1, 2)])
-        assert all(seq.nabla_gamma(k, 2) == 0 for k in range(50))
+        assert all(nabla_gamma(seq, k, 2) == 0 for k in range(50))
         d2 = seq.delta2_array(10_000)
         k = np.arange(1, 10_000)
         scaled = k * np.abs(np.diff(d2))[1:]

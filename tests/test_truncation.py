@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_reference import add_unit, multinomial
 from sphshift import cli, truncation
-from sphshift.multiindex import enumerate_level, multinomial
+from sphshift.multiindex import enumerate_level
 from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated, default_suite
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
@@ -38,7 +39,7 @@ class TestBasis:
 
     def test_index_map_bijective(self):
         basis = build_basis(3, 6)
-        seen = {basis.index_of(n) for n in basis.indices}
+        seen = {basis.rows[n] for n in basis.indices}
         assert seen == set(range(basis.dimension))
 
     def test_level_slices_partition(self):
@@ -47,7 +48,7 @@ class TestBasis:
         for k in range(6):
             sl = basis.level_slice(k)
             covered.extend(range(sl.start, sl.stop))
-            assert all(basis.indices[i].degree() == k for i in range(sl.start, sl.stop))
+            assert all(sum(basis.indices[i]) == k for i in range(sl.start, sl.stop))
         assert covered == list(range(basis.dimension))
 
 
@@ -56,7 +57,7 @@ class TestShiftMatrix:
         basis = build_basis(2, 1)
         t1 = build_shift_matrix(szego(), 1, basis).matrix
         expected = np.zeros((3, 3))
-        expected[basis.index_of((1, 0)), basis.index_of((0, 0))] = math.sqrt(0.5)
+        expected[basis.rows[(1, 0)], basis.rows[(0, 0)]] = math.sqrt(0.5)
         np.testing.assert_allclose(t1, expected)
 
     def test_n0_everything_truncated(self):
@@ -72,9 +73,9 @@ class TestShiftMatrix:
             ts = build_tuple_matrices(s, basis)
             total = sum(t.matrix ** 2 for t in ts)
             for col, n in enumerate(basis.indices):
-                if n.degree() < N:
+                if sum(n) < N:
                     assert total[:, col].sum() == pytest.approx(
-                        seq.delta2(n.degree()), rel=1e-13
+                        seq.delta2(sum(n)), rel=1e-13
                     ), label
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -87,8 +88,8 @@ class TestShiftMatrix:
                 mat = build_shift_matrix(s, j, basis).matrix
                 expected = np.zeros_like(mat)
                 for col, n in enumerate(basis.indices):
-                    if n.degree() < N:
-                        expected[basis.index_of(n.add_unit(j)), col] = s.weight(j, n)
+                    if sum(n) < N:
+                        expected[basis.rows[add_unit(n, j)], col] = s.weight(j, n)
                 assert np.array_equal(mat, expected), (label, j)
 
 
@@ -131,8 +132,8 @@ class TestQPower:
             ts = build_tuple_matrices(SphericalShift(2, seq), basis)
             q1 = q_power_bruteforce(ts, 1).matrix
             for col, n in enumerate(basis.indices):
-                if n.degree() <= N - 1:
-                    assert q1[col, col] == pytest.approx(seq.delta2(n.degree()), rel=1e-13), label
+                if sum(n) <= N - 1:
+                    assert q1[col, col] == pytest.approx(seq.delta2(sum(n)), rel=1e-13), label
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_recursion_matches_multinomial_expansion(self, m):
@@ -195,8 +196,8 @@ class TestCompareClosedForm:
         def perturbed(shift, kind, basis, interior):
             expected = original(shift, kind, basis, interior)
             if kind == planted:
-                col = basis.index_of(n0)
-                row = basis.index_of((0, 2, 1)) if kind[0] == "cross_comm" else col
+                col = basis.rows[n0]
+                row = basis.rows[(0, 2, 1)] if kind[0] == "cross_comm" else col
                 expected[row, col] += 1e-6
             return expected
 
@@ -317,12 +318,15 @@ def ref_cross_comm(shift, j, l, n):
     if n[j - 1] == 0:
         return 0.0, None
     cur, prev = _ref_pair(shift, sum(n))
-    return math.sqrt(n[j - 1] * (n[l - 1] + 1)) * float(cur - prev), n.add_unit(l).sub_unit(j)
+    target = list(add_unit(n, l))
+    target[j - 1] -= 1
+    return math.sqrt(n[j - 1] * (n[l - 1] + 1)) * float(cur - prev), tuple(target)
 
 
 def ref_q_exact(shift, k, s):
-    top = shift.seq.gamma_exact(k + s)
-    return None if top is None else top / shift.seq.gamma_exact(k)
+    # exact exactly when each delta2 in the window is, whatever the levels before it
+    window = [shift.seq.delta2_exact(i) for i in range(k, k + s)]
+    return None if None in window else math.prod(window, start=Fraction(1))
 
 
 def ref_q(shift, k, s):
@@ -384,7 +388,7 @@ def reference_expected_interior(shift, kind, basis, interior):
         rows = np.where(src >= 0, basis.up[l - 1, src], -1)
         for rep, (_, target) in zip(reps, found):
             if target is not None:
-                rows[rep] = basis.index_of(target)
+                rows[rep] = basis.rows[target]
         hit = np.array([target is not None for _, target in found])[inverse] & (rows >= 0)
         coeffs = np.array([coeff for coeff, _ in found])[inverse]
         expected[rows[hit], cols[hit]] = coeffs[hit]
@@ -425,17 +429,17 @@ class TestLevelWiseForms:
                     assert shift.cross_comm_coeff(1, 2, n) == ref_cross_comm(shift, 1, 2, n)
                 for s in range(5):
                     assert shift.q_diag(k, s) == ref_q(shift, k, s), (label, k, s)
-                    assert shift.q_diag_exact(k, s) == ref_q_exact(shift, k, s), (label, k, s)
                 for q in range(1, 5):
                     assert shift.bq_diag(k, q) == ref_bq(shift, k, q), (label, k, q)
-                    assert shift.bq_diag_exact(k, q) == ref_bq_exact(shift, k, q), (label, k, q)
 
-    def test_mixed_table_keeps_the_exact_prefix_rule(self):
-        # delta2(2) is a float: windows reaching it, and every later one, are not exact
+    def test_mixed_table_is_exact_per_window(self):
+        # delta2(2) is a float: only the windows that read it leave the exact path
         seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75, Fraction(4, 5)], tail="hold")
         shift = SphericalShift(2, seq)
-        assert shift.q_diag_exact(0, 2) == Fraction(1, 3)
-        assert shift.q_diag_exact(0, 3) is None and shift.q_diag_exact(3, 1) is None
+        assert shift.q_diags(2, [0])[0] == float(Fraction(1, 3))
+        assert shift.q_diags(1, [3])[0] == float(Fraction(4, 5))
+        assert shift.bq_diags(2, [3])[0] == float(1 - 2 * Fraction(4, 5) + Fraction(4, 5) ** 2)
+        assert ref_q_exact(shift, 0, 3) is None and ref_q_exact(shift, 3, 2) is not None
         for k in range(4):
             for s in range(3):
                 assert shift.q_diag(k, s) == ref_q(shift, k, s)
@@ -445,8 +449,7 @@ class TestLevelWiseForms:
 
     def test_oracle_reads_each_level_once_and_no_per_index_form(self, monkeypatch):
         calls = Counter()
-        for name in ("weight", "q_diag", "q_diag_exact", "bq_diag", "bq_diag_exact",
-                     "self_comm_coeff", "cross_comm_coeff"):
+        for name in ("weight", "q_diag", "bq_diag", "self_comm_coeff", "cross_comm_coeff"):
             def counted(*args, _name=name, **kwargs):
                 calls[_name] += 1
             monkeypatch.setattr(SphericalShift, name, counted)
@@ -528,7 +531,7 @@ class TestRoundingBound:
         def perturbed(shift, kind, basis, interior):
             expected = original(shift, kind, basis, interior)
             if kind == planted:
-                col = basis.index_of(n0)
+                col = basis.rows[n0]
                 row = int(np.flatnonzero(expected[:, col])[0])
                 expected[row, col] *= 1 + 1e-6
             return expected
