@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional, Tuple
 
 import numpy as np
@@ -64,7 +65,7 @@ def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
     tol, the formula's forward error bound 4(q+1) u sum_s C(q,s) P_s(k),
     counts as zero; a window whose bound overflows decides nothing.
     """
-    vals = [seq.delta2_exact(k) for k in range(K + Q)]
+    vals = seq.delta2_exact_array(K + Q - 1)
     exact = None not in vals and (scale is None or isinstance(scale, Fraction))
     if exact:
         S = Fraction(1) if scale is None else scale
@@ -128,7 +129,7 @@ def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Ve
     if seq.essentially_normal_declared is not None:
         witness = None
         if not seq.essentially_normal_declared:
-            a, b = seq.delta2_exact(1), seq.delta2_exact(0)
+            b, a = seq.delta2_exact_array(1)
             if a is not None and b is not None:
                 witness = (0, abs(a - b))
         return Verdict(
@@ -147,24 +148,48 @@ def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
         raise ValueError("K must be >= 1")
     if seq.monotone_nondecreasing is True:
         return Verdict(True, "analytic", note="declared monotone nondecreasing")
-    exact0 = seq.delta2_exact(0)
-    if exact0 is not None:
-        prev = exact0
-        for k in range(1, K + 1):
-            cur = seq.delta2_exact(k)
-            if cur is None:
-                break
-            if cur < prev:
-                return Verdict(False, "exact", horizon=K, witness=(k - 1,),
-                               note=f"delta2 drops from {prev} to {cur} at k = {k - 1} -> {k}")
-            prev = cur
-        else:
-            return Verdict(True, "exact", horizon=K, note="no drop up to the horizon")
+    exact = seq.delta2_exact_array(K)
+    run = exact.index(None) if None in exact else K + 1  # the exact prefix
+    k = next((k for k in range(1, run) if exact[k] < exact[k - 1]), None)
+    if k is not None:
+        return Verdict(False, "exact", horizon=K, witness=(k - 1,),
+                       note=f"delta2 drops from {exact[k - 1]} to {exact[k]} at k = {k - 1} -> {k}")
+    if run == K + 1:
+        return Verdict(True, "exact", horizon=K, note="no drop up to the horizon")
     d2 = seq.delta2_array(K)
     k = _first(np.diff(d2) < -4 * _U * (d2[:-1] + d2[1:]))  # a few ulps of the pair
     if k is not None:
         return Verdict(False, "sampled", horizon=K, witness=(k,))
     return Verdict(True, "sampled", horizon=K, note="no drop up to the horizon")
+
+
+def _isometry_order(defects) -> Tuple[Optional[int], str]:
+    """(smallest q whose defect vanishes on the whole window, mode)."""
+    if not defects:
+        raise ValueError("qmax must be >= 1")
+    q = next((q for q, lead, tol, _ in defects if np.all(np.abs(lead) <= tol)), None)
+    return q, "consistent-sampled" if defects[0][3] is None else "exact"
+
+
+def _expansion(q, lead, tol, den, K: int) -> Verdict:
+    """The order-q expansion verdict: (-1)^q L_q(k) <= 0 for all k <= K."""
+    mode = "sampled" if den is None else "exact"
+    k = _first((-1) ** q * lead > tol)
+    if k is not None:
+        return Verdict(False, mode, horizon=K, witness=(k, _local_value(lead, den, k)))
+    return Verdict(True, mode, horizon=K)
+
+
+def _szego(q, lead, tol, den, K: int) -> Verdict:
+    """The order-1 (q = 1) verdict: L_1(k) = delta2(k) - 1 vanishes for all k <= K."""
+    k = _first(np.abs(lead) > tol)
+    mode = "sampled" if den is None else "exact"
+    return Verdict(k is None, mode, horizon=K, witness=None if k is None else (k,))
+
+
+def _expansion_depth(verdicts) -> int:
+    """Number of leading True verdicts in the order-1, 2, ... sequence."""
+    return sum(1 for _ in takewhile(lambda v: v.value, verdicts))
 
 
 def q_isometry_order(
@@ -175,43 +200,22 @@ def q_isometry_order(
     Returns (order, mode). A definitive order needs the exact path; on
     floats the answer is only "consistent" with being a q-isometry.
     """
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
-    for q, lead, tol, den in _local_defects(seq, qmax, K):
-        if np.all(np.abs(lead) <= tol):
-            break
-    else:
-        q = None
-    return q, "consistent-sampled" if den is None else "exact"
+    return _isometry_order(list(_local_defects(seq, qmax, K)))
 
 
 def is_q_expansion(seq: ScalarSequence, q: int, K: int = DEFAULT_K_EXACT) -> Verdict:
     """(-1)^q * (q-th difference of gamma at k) <= 0 for all k <= K."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    *_, (_, lead, tol, den) = _local_defects(seq, q, K)  # the last window is order q
-    mode = "sampled" if den is None else "exact"
-    k = _first((-1) ** q * lead > tol)
-    if k is not None:
-        return Verdict(False, mode, horizon=K, witness=(k, _local_value(lead, den, k)))
-    return Verdict(True, mode, horizon=K)
+    *_, last = _local_defects(seq, q, K)  # the last window is order q
+    return _expansion(*last, K)
 
 
 def complete_hyperexpansion_up_to(
     seq: ScalarSequence, Q: int = DEFAULT_Q, K: int = DEFAULT_K_EXACT
 ) -> int:
     """Largest Q' <= Q with the expansion property at every order 1..Q'."""
-    return _expansion_depth(is_q_expansion(seq, q, K) for q in range(1, Q + 1))
-
-
-def _expansion_depth(verdicts) -> int:
-    """Number of leading True verdicts in the order-1, 2, ... sequence."""
-    depth = 0
-    for v in verdicts:
-        if not v.value:
-            break
-        depth += 1
-    return depth
+    return _expansion_depth(_expansion(*d, K) for d in _local_defects(seq, Q, K))
 
 
 def subnormal_consistency(
@@ -239,7 +243,7 @@ def subnormal_consistency(
             )
         # the exact value at the sampled maximum keeps exact data exact
         at = int(np.argmax(probe))
-        exact_at = seq.delta2_exact(at)
+        exact_at = seq.delta2_exact_array(at)[at]
         sup_val = float(probe[at]) if exact_at is None else exact_at
         rescale_mode = "sampled"
     elif sup_exact is not None:
@@ -263,10 +267,7 @@ def is_szego(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
     """delta2(k) = 1 for all k <= K: the tuple is the constant-one shift
     (equivalently, the iterated positive map fixes the identity), i.e. the
     first-order defect L_1(k) = delta2(k) - 1 vanishes on the window."""
-    _, lead, tol, den = next(_local_defects(seq, 1, K))
-    k = _first(np.abs(lead) > tol)
-    mode = "sampled" if den is None else "exact"
-    return Verdict(k is None, mode, horizon=K, witness=None if k is None else (k,))
+    return _szego(*next(_local_defects(seq, 1, K)), K)
 
 
 @dataclass
@@ -313,15 +314,18 @@ def classification(
     horizon: int = DEFAULT_K_SAMPLED,
     qmax: Optional[int] = None,
 ) -> Classification:
-    """Run the whole battery on one sequence."""
+    """Run the whole battery on one sequence. One pass of local defects
+    decides the isometry order, the expansions and Szego; subnormality
+    makes its own pass, over delta2 / sup delta2."""
     qmax = Q if qmax is None else qmax
-    order, order_mode = q_isometry_order(seq, qmax, K)
-    q_expansion = {q: is_q_expansion(seq, q, K) for q in range(1, Q + 1)}
+    defects = list(_local_defects(seq, max(Q, qmax), K))
+    order, order_mode = _isometry_order([d for d in defects if d[0] <= qmax])
+    q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects if q <= Q}
     return Classification(
         bounded=seq.is_bounded(horizon),
         compact=is_compact(seq, horizon),
         essentially_normal=is_essentially_normal(seq, horizon),
-        szego=is_szego(seq, K),
+        szego=_szego(*defects[0], K),
         hyponormal=is_hyponormal(seq, K),
         q_isometry_order=order,
         q_isometry_mode=order_mode,

@@ -199,6 +199,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_dump_sequence(args) -> int:
+    if args.K < 0:
+        raise ValueError("--K must be >= 0")
     seq = _family_from_args(args)
     shift = SphericalShift(args.m, seq)
     buf = io.StringIO()
@@ -207,9 +209,11 @@ def cmd_dump_sequence(args) -> int:
         ["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]
     )
     seq.log_bbeta_array(args.K + args.Q)  # grow the snapshot once, not once per row
-    for k in range(args.K + 1):
+    ks = range(args.K + 1)
+    bq = [shift.bq_diags(q, ks).tolist() for q in range(1, args.Q + 1)]
+    for k in ks:
         row = [k, repr(seq.delta2(k)), repr(seq.gamma(k)), repr(seq.log_bbeta(k))]
-        row += [repr(shift.bq_diag(k, q)) for q in range(1, args.Q + 1)]
+        row += [repr(col[k]) for col in bq]
         writer.writerow(row)
     _write_text(buf.getvalue(), args.out)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -61,16 +61,18 @@ def _float_square(c) -> float:
 
 
 class ScalarSequence:
-    """Base class: the delta2 snapshot and its log-space accumulation.
+    """Base class: the delta2 snapshots and the log-space accumulation.
 
     Subclasses implement ``delta2(k)`` (and usually ``delta2_exact``) plus
     declared metadata, and may override the generator hook
     ``_delta2_values(kmax)``, which returns delta2(0..kmax) as float64 and
-    which only ``_ensure`` calls. ``_ensure`` keeps the one snapshot of
-    delta2 every array reader shares: ``delta2_array`` and
+    which only ``_ensure`` calls. ``_ensure`` keeps the one float snapshot
+    of delta2 every array reader shares: ``delta2_array`` and
     ``log_bbeta_array`` serve read-only views of it, and it grows to
-    exactly the horizon asked for. Instances are immutable after
-    construction; caches only grow and never change values.
+    exactly the horizon asked for. ``delta2_exact_array`` keeps the one
+    exact snapshot, the only reader of ``delta2_exact`` outside this
+    module. Instances are immutable after construction; caches only grow
+    and never change values.
     """
 
     name = "scalar-sequence"
@@ -87,6 +89,7 @@ class ScalarSequence:
     def __init__(self):
         self._d2 = np.zeros(0)
         self._logbb = np.zeros(0)  # built from _d2 on first use
+        self._d2x = ()             # delta2_exact(0), delta2_exact(1), ...
 
     # -- core evaluators ------------------------------------------------
 
@@ -99,17 +102,10 @@ class ScalarSequence:
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         return None
 
-    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
-        """(delta2(k), delta2_exact(k)) from one evaluation of the exact
-        value, whose rounding is the float. A family whose ``delta2`` is
-        its own float formula overrides this."""
-        exact = self.delta2_exact(k)
-        return (self.delta2(k) if exact is None else float(exact)), exact
-
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.array([self.delta2(k) for k in range(kmax + 1)], dtype=np.float64)
 
-    # -- the cached snapshot ---------------------------------------------
+    # -- the cached snapshots --------------------------------------------
 
     def _ensure(self, kmax: int) -> None:
         if len(self._d2) > kmax:
@@ -125,6 +121,17 @@ class ScalarSequence:
         """delta2(0..kmax) inclusive as float64, a read-only view."""
         self._ensure(kmax)
         return self._d2[: kmax + 1]
+
+    def delta2_exact_array(self, kmax: int) -> Tuple[Optional[Fraction], ...]:
+        """delta2_exact(0..kmax) inclusive, each a Fraction or None.
+
+        Exact values are per-k objects, so the snapshot grows by appending
+        and evaluates each k once; read it once, at the largest k needed.
+        """
+        have = len(self._d2x)
+        if have <= kmax:
+            self._d2x += tuple(self.delta2_exact(k) for k in range(have, kmax + 1))
+        return self._d2x[: kmax + 1]
 
     def log_bbeta(self, k: int) -> float:
         return float(self.log_bbeta_array(k)[k])
@@ -235,9 +242,6 @@ class HpSpace(ScalarSequence):
             return None
         return Fraction(k + self.m) / (k + p)
 
-    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
-        return self.delta2(k), self.delta2_exact(k)
-
     def _delta2_values(self, kmax: int) -> np.ndarray:
         k = np.arange(kmax + 1, dtype=np.float64)
         return (k + self.m) / (k + float(self.p))
@@ -274,9 +278,6 @@ class ConstantDelta(ScalarSequence):
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
         return None if c is None else c * c
-
-    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
-        return self._c2, self.delta2_exact(k)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.full(kmax + 1, self._c2)
@@ -325,9 +326,6 @@ class PolynomialGamma(ScalarSequence):
             acc = acc * k + c
         return acc
 
-    def delta2(self, k: int) -> float:
-        return float(self.delta2_exact(k))
-
     def delta2_exact(self, k: int) -> Fraction:
         return self._eval(self.coefficients, k + 1) / self._eval(self.coefficients, k)
 
@@ -359,28 +357,12 @@ class RhoEta(ScalarSequence):
         self.monotone_nondecreasing = True
         self.essentially_normal_declared = True
         self.diff_decay_ck = False
-        self._rho: list = [Fraction(1)]
-
-    @staticmethod
-    def eta_exact(k: int) -> Fraction:
-        """2^(-l) if k = 2^(2^l) for an integer l >= 0, else 0."""
-        if k < 2 or k & (k - 1):
-            return Fraction(0)
-        e = k.bit_length() - 1          # k = 2^e
-        if e & (e - 1):
-            return Fraction(0)
-        l = e.bit_length() - 1          # e = 2^l
-        return Fraction(1, 2 ** l)
-
-    def delta2(self, k: int) -> float:
-        return float(self.delta2_exact(k))
 
     def delta2_exact(self, k: int) -> Fraction:
-        rho = self._rho
-        while len(rho) <= k:
-            j = len(rho) - 1
-            rho.append(rho[-1] + self.eta_exact(j))
-        return rho[k]
+        # 1 + sum of 2^(-l) over the jumps 2^(2^l) <= k - 1, which is
+        # 3 - 2^(1-J) for J jumps; J counts the l with 2^l <= log2(k - 1)
+        jumps = (max(k - 1, 1).bit_length() - 1).bit_length()
+        return 3 - Fraction(2, 2 ** jumps)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         eta = np.zeros(kmax + 1)
@@ -425,9 +407,6 @@ class AlternatingTwelve(ScalarSequence):
         self.monotone_nondecreasing = False
         self.essentially_normal_declared = False
         self.diff_decay_ck = False
-
-    def delta2(self, k: int) -> float:
-        return float(self.delta2_exact(k))
 
     def delta2_exact(self, k: int) -> Fraction:
         return Fraction(1, 3) if k % 2 == 0 else Fraction(1, 4)
@@ -544,18 +523,26 @@ class ScaledSequence(ScalarSequence):
     def delta2(self, k: int) -> float:
         return self._c2 * self.base.delta2(k)
 
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
+    def _scaled_exact(self, b: Optional[Fraction]) -> Optional[Fraction]:
         c = _as_fraction(self.c)
-        b = self.base.delta2_exact(k)
-        if c is None or b is None:
-            return None
-        return c * c * b
+        return None if c is None or b is None else c * c * b
 
-    def delta2_both(self, k: int) -> Tuple[float, Optional[Fraction]]:
-        return self.delta2(k), self.delta2_exact(k)
+    def delta2_exact(self, k: int) -> Optional[Fraction]:
+        return self._scaled_exact(self.base.delta2_exact(k))
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return self._c2 * self.base.delta2_array(kmax)
+
+    def is_bounded(self, K: int = 10_000) -> BoundednessReport:
+        report = self.base.is_bounded(K)
+        return replace(report, sup_delta2=report.sup_delta2 * self._c2)
+
+    def sup_delta2_exact(self) -> Optional[Fraction]:
+        return self._scaled_exact(self.base.sup_delta2_exact())
+
+    def schatten_override(self, m: int, p: float):
+        # the families' reasons (unbounded or constant |delta2(k) - delta2(k-1)|) survive scaling
+        return self.base.schatten_override(m, p)
 
     def params(self):
         return {"base": self.base.describe(), "c": str(self.c)}

@@ -301,6 +301,8 @@ def asymptotic_lemma_check(
     lo, hi = k_range
     if lo < 1 or hi <= lo:
         raise ValueError("need 1 <= lo < hi in k_range")
+    if points < 1:
+        raise ValueError("need at least one point")
     ks = sorted(set(np.geomspace(lo, hi, points).astype(int).tolist()))
 
     def window(ratios):

@@ -14,8 +14,9 @@ broadcasts it with numpy. The per-index methods ``weight``, ``q_diag``,
 of these forms. They stay because the benchmark's tracer
 (``perfbench/tracer.py``) wraps each of them to count its calls.
 
-delta2 is read once per level, and each closed form is computed in
-integers wherever the levels it reads are exact: a level keeps its
+Each level-wise form reads the sequence's float and exact delta2
+snapshots once, through the highest level it needs. Each closed form is
+computed in integers wherever the levels it reads are exact: a level keeps its
 commutator pair over one common denominator, and the diagonals of Q^s(I)
 and of the defect operators come from integer products of exact delta2
 over a window of levels, exact when every level in the window is. The
@@ -27,6 +28,7 @@ exact rational.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,15 +37,15 @@ from .multiindex import MultiIndex
 from .scalarseq import ScalarSequence
 
 
-def _by_level(levels, value, coord=None) -> np.ndarray:
-    """value(k) once for each distinct level k in ``levels``, one float per
-    entry. With ``coord``, value(k) is a sequence over the coordinate
-    0..k and each entry takes value(k)[coord]."""
+def _by_level(levels, value, *data, coord=None) -> np.ndarray:
+    """value(k, *data) once for each distinct level k in ``levels``, one
+    float per entry. With ``coord``, value(k, *data) is a sequence over the
+    coordinate 0..k and each entry takes value(k, *data)[coord]."""
     levels = np.asarray(levels, dtype=np.intp)
     if levels.size == 0:
         return np.zeros(0)
     distinct = sorted(set(levels.tolist()))
-    per_level = [value(k) for k in distinct]
+    per_level = [value(k, *data) for k in distinct]
     if coord is None:
         table = np.zeros(distinct[-1] + 1)
         table[distinct] = per_level
@@ -51,6 +53,11 @@ def _by_level(levels, value, coord=None) -> np.ndarray:
     starts = np.zeros(distinct[-1] + 1, dtype=np.intp)
     starts[distinct] = np.cumsum([0] + [len(v) for v in per_level[:-1]])
     return np.array([x for v in per_level for x in v], dtype=np.float64)[starts[levels] + coord]
+
+
+def _top(levels: np.ndarray, reach: int) -> int:
+    """max(levels) + reach, or -1 (read nothing) when there are no levels."""
+    return int(levels.max()) + reach if levels.size else -1
 
 
 class SphericalShift:
@@ -61,101 +68,86 @@ class SphericalShift:
             raise ValueError("arity m must be >= 1")
         self.m = int(m)
         self.seq = seq
-        self._d2 = []        # delta2(k) as the family's float, k = 0, 1, ...
-        self._d2_exact = []  # (numerator, denominator) of delta2(k), or None
         self._pairs = {}     # level k -> commutator pair
         self._self_rows = {}  # level k -> self-commutator coefficients, n_j = 0..k
         self._windows = {}   # level k -> [delta2(k)...delta2(k+s-1) as (num, den), s = 0, 1, ...]
 
     # -- per-level data -----------------------------------------------------
 
-    def _read(self, kmax: int) -> None:
-        """delta2(0..kmax), each level read from the sequence once."""
-        while len(self._d2) <= kmax:
-            k = len(self._d2)
-            value, exact = self.seq.delta2_both(k)
-            self._d2.append(value)
-            self._d2_exact.append(None if exact is None else (exact.numerator, exact.denominator))
-
-    def _level_d2(self, k: int) -> float:
-        self._read(k)
-        return self._d2[k]
-
-    def _window(self, k: int, s: int):
+    def _window(self, k: int, s: int, exact):
         """delta2(k)...delta2(k+s-1) as (num, den), or None unless each of
-        these levels is exact; reads no level past the first one that is not."""
+        these levels is exact."""
         row = self._windows.setdefault(k, [(1, 1)])
         while len(row) <= s:
-            self._read(k + len(row) - 1)
-            exact = self._d2_exact[k + len(row) - 1]
-            if exact is None:
+            x = exact[k + len(row) - 1]
+            if x is None:
                 return None
             num, den = row[-1]
-            row.append((num * exact[0], den * exact[1]))
+            row.append((num * x.numerator, den * x.denominator))
         return row[s]
 
-    def _pair(self, k: int):
+    def _pair(self, k: int, d2, exact):
         """delta2(k)/(k+m) and delta2(k-1)/(k+m-1) (0 at k = 0): exactly as
         integers (A, B, D) meaning A/D and B/D when both levels are exact,
-        else as floats (cur, prev, None)."""
+        else as floats (cur, prev, 1)."""
         if k not in self._pairs:
-            self._read(k)
-            a = self._d2_exact[k]
-            b = self._d2_exact[k - 1] if k >= 1 else (0, 1)
+            a = exact[k]
+            b = exact[k - 1] if k >= 1 else Fraction(0)
             if a is not None and b is not None:
                 # over D = den(a) (k+m) den(b) (k+m-1); at k = 0, b is 0 and k+m-1 may be
                 hi, lo = k + self.m, max(k + self.m - 1, 1)
-                pair = (a[0] * b[1] * lo, b[0] * a[1] * hi, a[1] * hi * b[1] * lo)
+                pair = (a.numerator * b.denominator * lo, b.numerator * a.denominator * hi,
+                        a.denominator * hi * b.denominator * lo)
             else:
-                cur = self._d2[k] / (k + self.m)
-                prev = self._d2[k - 1] / (k + self.m - 1) if k >= 1 else 0.0
-                pair = cur, prev, None
+                cur = float(d2[k]) / (k + self.m)
+                prev = float(d2[k - 1]) / (k + self.m - 1) if k >= 1 else 0.0
+                pair = cur, prev, 1
             self._pairs[k] = pair
         return self._pairs[k]
 
-    def _self_row(self, k: int) -> list:
+    def _self_row(self, k: int, d2, exact) -> list:
         """Diagonal of [T_j*, T_j] on level k, for n_j = 0..k."""
         if k not in self._self_rows:
-            cur, prev, den = self._pair(k)
-            if den is not None:
-                row = [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
-            else:
-                row = [cur] + [(t + 1) * cur - t * prev for t in range(1, k + 1)]
+            cur, prev, den = self._pair(k, d2, exact)
+            row = [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
             self._self_rows[k] = row
         return self._self_rows[k]
 
-    def _cross_level(self, k: int) -> float:
+    def _cross_level(self, k: int, d2, exact) -> float:
         """delta2(k)/(k+m) - delta2(k-1)/(k+m-1), rounded once."""
-        cur, prev, den = self._pair(k)
-        return (cur - prev) / den if den is not None else cur - prev
+        cur, prev, den = self._pair(k, d2, exact)
+        return (cur - prev) / den
 
-    def _q_value(self, k: int, s: int) -> float:
-        if s == 0:
-            return 1.0
-        exact = self._window(k, s)
+    def _q_value(self, k: int, s: int, exact, logbb) -> float:
+        window = self._window(k, s, exact)
         try:
-            if exact is not None:
-                return exact[0] / exact[1]
-            return math.exp(2.0 * (self.seq.log_bbeta(k + s) - self.seq.log_bbeta(k)))
+            if window is not None:
+                return window[0] / window[1]
+            return math.exp(2.0 * (logbb[k + s] - logbb[k]))
         except OverflowError:
             return math.inf
 
-    def _bq_exact(self, k: int, q: int):
-        """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1) as (num, den) over
-        the denominator of the order-q window, or None unless that window is
-        exact."""
-        if self._window(k, q) is None:
-            return None
+    def _bq_value(self, k: int, q: int, exact, logbb) -> float:
+        """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1); an exact order-q
+        window sums over its denominator and rounds once."""
+        if self._window(k, q, exact) is None:
+            return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s, exact, logbb)
+                             for s in range(q + 1)))
         row = self._windows[k]
         den = row[q][1]
-        num = sum((-1) ** s * math.comb(q, s) * row[s][0] * (den // row[s][1]) for s in range(q + 1))
-        return num, den
+        return sum((-1) ** s * math.comb(q, s) * row[s][0] * (den // row[s][1])
+                   for s in range(q + 1)) / den
 
-    def _bq_value(self, k: int, q: int) -> float:
-        exact = self._bq_exact(k, q)
-        if exact is not None:
-            return exact[0] / exact[1]
-        return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s) for s in range(q + 1)))
+    def _levels_data(self, levels):
+        """The float and the exact delta2 snapshot through max(levels)."""
+        top = _top(levels, 0)
+        return self.seq.delta2_array(top), self.seq.delta2_exact_array(top)
+
+    def _windows_data(self, levels, s: int):
+        """What the windows delta2(k..k+s-1) read: the exact delta2 snapshot
+        through max(levels) + s - 1 and log bbeta through max(levels) + s."""
+        top = _top(levels, s)
+        return self.seq.delta2_exact_array(top - 1), self.seq.log_bbeta_array(top)
 
     def _check_axis(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -168,26 +160,29 @@ class SphericalShift:
         self._check_axis(i)
         exps = np.asarray(exps, dtype=np.intp)
         levels = exps.sum(axis=1)
-        d2 = _by_level(levels, self._level_d2)
+        d2 = self.seq.delta2_array(_top(levels, 0))[levels]
         return np.sqrt(d2 * (exps[:, i - 1] + 1) / (levels + self.m))
 
     def q_diags(self, s: int, levels) -> np.ndarray:
         """q_diag(k, s) for each degree k in ``levels``."""
         if s < 0:
             raise ValueError("power s must be >= 0")
-        return _by_level(levels, lambda k: self._q_value(k, s))
+        levels = np.asarray(levels, dtype=np.intp)
+        return _by_level(levels, self._q_value, s, *self._windows_data(levels, s))
 
     def bq_diags(self, q: int, levels) -> np.ndarray:
         """bq_diag(k, q) for each degree k in ``levels``."""
         if q < 1:
             raise ValueError("order q must be >= 1")
-        return _by_level(levels, lambda k: self._bq_value(k, q))
+        levels = np.asarray(levels, dtype=np.intp)
+        return _by_level(levels, self._bq_value, q, *self._windows_data(levels, q))
 
     def self_comm_coeffs(self, j: int, exps) -> np.ndarray:
         """Diagonal entry of [T_j*, T_j] at e_n for each row n of ``exps``."""
         self._check_axis(j)
         exps = np.asarray(exps, dtype=np.intp)
-        return _by_level(exps.sum(axis=1), self._self_row, exps[:, j - 1])
+        levels = exps.sum(axis=1)
+        return _by_level(levels, self._self_row, *self._levels_data(levels), coord=exps[:, j - 1])
 
     def cross_comm_coeffs(self, j: int, l: int, exps) -> Tuple[np.ndarray, np.ndarray]:
         """[T_j*, T_l] e_n = coeff * e_target for each row n of ``exps``.
@@ -202,7 +197,9 @@ class SphericalShift:
         exps = np.asarray(exps, dtype=np.intp)
         nj, nl = exps[:, j - 1], exps[:, l - 1]
         absent = nj == 0
-        coeffs = np.sqrt(nj * (nl + 1)) * _by_level(exps.sum(axis=1), self._cross_level)
+        levels = exps.sum(axis=1)
+        level = _by_level(levels, self._cross_level, *self._levels_data(levels))
+        coeffs = np.sqrt(nj * (nl + 1)) * level
         coeffs[absent] = 0.0
         targets = exps.copy()
         targets[:, j - 1] -= 1

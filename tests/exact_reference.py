@@ -2,8 +2,8 @@
 
 Each is a direct transcription of a definition, in exact Fractions where
 the family allows, and shares no code with the closed forms under test:
-gamma and its forward differences over the whole gamma list, multinomial
-coefficients, and monomial norms.
+gamma and its forward differences over the whole gamma list, the jumps of
+the rho-eta recursion, multinomial coefficients, and monomial norms.
 """
 
 import math
@@ -36,6 +36,15 @@ def nabla_gamma(seq, k: int, q: int):
         return sum((-1) ** (q - s) * math.comb(q, s) * gamma_exact(seq, k + s)
                    for s in range(q + 1))
     return float(sum((-1) ** (q - s) * math.comb(q, s) * seq.gamma(k + s) for s in range(q + 1)))
+
+
+def eta(k: int) -> Fraction:
+    """The rho-eta jump: 2^(-l) if k = 2^(2^l) for an integer l >= 0, else 0
+    (rho_0 = 1 and rho_{k+1} = rho_k + eta_k)."""
+    l = 0
+    while 2 ** (2 ** l) < k:
+        l += 1
+    return Fraction(1, 2 ** l) if 2 ** (2 ** l) == k else Fraction(0)
 
 
 def multinomial(alpha) -> int:

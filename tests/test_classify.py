@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -229,19 +230,42 @@ class TestIsometryForcesUnitRadii:
             assert inner_radius(seq, 40, 20_000).value == 1.0
 
 
+def _suite_and_a_held_table() -> list:
+    """Fresh default_suite(2) sequences and a decreasing exact table, one
+    test parameter each, labelled."""
+    table = Tabulated([Fraction(k + 3, 2 * k + 5) for k in range(40)], tail="hold")
+    return [pytest.param(seq, id=label)
+            for label, seq in default_suite(2) + [("held-table", table)]]
+
+
 class TestFullClassification:
-    def test_each_expansion_order_decided_once(self, monkeypatch):
-        calls = []
-        real = classify.is_q_expansion
+    @pytest.mark.parametrize("seq", _suite_and_a_held_table())
+    def test_one_defect_pass_decides_every_order(self, seq, monkeypatch):
+        passes = []
+        real = classify._local_defects
 
-        def counting(seq, q, K):
-            calls.append(q)
-            return real(seq, q, K)
+        def counting_pass(seq, Q, K, scale=None):
+            passes.append("plain" if scale is None else "subnormal")
+            return real(seq, Q, K, scale)
 
-        monkeypatch.setattr(classify, "is_q_expansion", counting)
-        c = classification(HpSpace(2, 3), P=4, Q=4, K=50)
-        assert sorted(calls) == [1, 2, 3, 4]
-        assert c.complete_hyperexpansion_up_to == 0
+        levels = Counter()
+        exact = seq.delta2_exact
+
+        def counting_exact(k):
+            levels[k] += 1
+            return exact(k)
+
+        monkeypatch.setattr(classify, "_local_defects", counting_pass)
+        monkeypatch.setattr(seq, "delta2_exact", counting_exact)
+        c = classification(seq, P=8, Q=6, K=200)
+        assert sorted(passes) == ["plain", "subnormal"]
+        assert max(levels.values()) == 1
+        assert max(levels) == 200 + 8 - 1 < classify.DEFAULT_K_SAMPLED
+        # the public one-question functions apply the same per-order rules
+        assert c.q_expansion == {q: is_q_expansion(seq, q, 200) for q in range(1, 7)}
+        assert (c.q_isometry_order, c.q_isometry_mode) == q_isometry_order(seq, 6, 200)
+        assert c.szego == is_szego(seq, 200)
+        assert c.complete_hyperexpansion_up_to == complete_hyperexpansion_up_to(seq, 6, 200)
 
     def test_hp_classification_bundle(self):
         c = classification(HpSpace(2, 1), P=8, Q=4, K=150)
@@ -314,6 +338,20 @@ def test_default_suite_classification_pinned(m, label):
     assert (c.q_isometry_order, c.q_isometry_mode) == (order, _E)
     assert c.complete_hyperexpansion_up_to == depth
     assert (c.subnormal["pass"], c.subnormal["witness"]) == subnormal
+
+
+def _scale_invariant_verdicts(seq, m):
+    """Every verdict that rescaling all weights by a constant cannot change."""
+    c = classification(seq, P=4, Q=2, K=100, horizon=10_000)
+    subnormal = [c.subnormal[key] for key in ("pass", "witness", "mode", "rescale_mode")]
+    schatten = [decide(seq, m, p, K=10_000) for p in (1.5, m + 0.5)]
+    return (c.bounded.verdict, _verdict_pin(c.compact), _verdict_pin(c.essentially_normal),
+            _verdict_pin(c.hyponormal), subnormal, [(v.verdict, v.analytic) for v in schatten])
+
+
+@pytest.mark.parametrize("seq", _suite_and_a_held_table())
+def test_scaling_keeps_every_scale_free_verdict(seq):
+    assert _scale_invariant_verdicts(seq.scale(2), 2) == _scale_invariant_verdicts(seq, 2)
 
 
 def _sign(x) -> int:

@@ -224,6 +224,15 @@ class TestErrors:
     def test_arity_out_of_range(self, capsys):
         assert main(["classify", "--family", "szego", "--m", "9"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["lemmas", "--points", "0"], "need at least one point"),
+        (["dump-sequence", "--family", "szego", "--K", "-1"], "--K must be >= 0"),
+    ], ids=["no-points", "negative-K"])
+    def test_out_of_range_count_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"sphshift: {message}\n"
+
     def test_weight_square_outside_float_range(self):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
         proc = subprocess.run(

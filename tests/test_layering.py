@@ -10,6 +10,9 @@ The oracle module ``truncation.py`` may not import ``fractions`` or build
 a ``Fraction``: exact closed-form arithmetic lives in ``shift.py``, and
 the oracle only reads its level-wise forms.
 
+Exact delta2 has one reader: outside ``scalarseq.py`` no module calls
+``delta2_exact``; each reads the exact snapshot ``delta2_exact_array``.
+
 A further scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
 least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 ``vectorize`` (a Python loop per element), by attribute or by import.
@@ -103,6 +106,30 @@ def test_exact_arithmetic_scan_catches_each_form():
     ]
 
 
+def exact_reads(source: str, filename: str) -> list:
+    return [f"{filename}:{node.lineno}: reads .delta2_exact"
+            for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Attribute) and node.attr == "delta2_exact"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "scalarseq.py"),
+                         ids=lambda p: p.name)
+def test_exact_delta2_is_read_through_the_snapshot(path):
+    assert exact_reads(path.read_text(), path.name) == []
+
+
+def test_exact_read_scan_catches_each_form():
+    source = (
+        "a = seq.delta2_exact(3)\n"
+        "f = self.seq.delta2_exact\n"
+        "b = seq.delta2_exact_array(3)[3]\n"
+    )
+    assert sorted(exact_reads(source, "m.py")) == [
+        "m.py:1: reads .delta2_exact",
+        "m.py:2: reads .delta2_exact",
+    ]
+
+
 def forbidden_calls(source: str, filename: str) -> list:
     out = []
     for node in ast.walk(ast.parse(source, filename)):
@@ -142,7 +169,9 @@ def test_forbidden_call_scan_catches_each_form():
 UNCALLED_PUBLIC = {
     # bound by the benchmark's tracer, which times or counts each call
     "perfbench/tracer.py": {"level_count", "q_power_bruteforce", "bq_bruteforce",
-                            "weight", "q_diag", "self_comm_coeff", "cross_comm_coeff"},
+                            "weight", "q_diag", "bq_diag", "self_comm_coeff",
+                            "cross_comm_coeff", "q_isometry_order", "is_q_expansion",
+                            "is_szego", "complete_hyperexpansion_up_to"},
     # called by the benchmark's result checks
     "perfbench/checks.py": {"schatten_power_sum", "closed_form_norm"},
     # the test instrument that rescales a sequence's weights
@@ -167,8 +196,9 @@ def public_definitions(trees: dict) -> list:
 def uncalled_public(sources: dict) -> list:
     """(file, qualified name) of each public definition that no code in
     ``sources`` refers to outside its own body. A method counts as
-    referenced by an attribute read of its name, a function or class also
-    by a plain name; an import alone does not count."""
+    referenced by an attribute read of its name; a function or class by a
+    plain name or an attribute read on anything but ``self`` (which names
+    an instance's field); an import alone does not count."""
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
     attrs, names = [], []
     for tree in trees.values():
@@ -180,7 +210,8 @@ def uncalled_public(sources: dict) -> list:
     out = []
     for filename, qualname, node, is_method in public_definitions(trees):
         inside = {id(sub) for sub in ast.walk(node)}
-        refs = [a for a in attrs if a.attr == node.name]
+        refs = [a for a in attrs if a.attr == node.name
+                and (is_method or not (isinstance(a.value, ast.Name) and a.value.id == "self"))]
         if not is_method:
             refs += [n for n in names if n.id == node.name]
         if all(id(ref) in inside for ref in refs):
@@ -227,10 +258,20 @@ def test_uncalled_scan_catches_each_kind():
         "def caller(shape):\n"
         "    name = shape.area()\n"
         "    return Shape, name\n"
+        "def field_named_like_me():\n"
+        "    pass\n"
+        "class Report:\n"
+        "    def show(self):\n"
+        "        return self.field_named_like_me\n"
+        "def reader(r):\n"
+        "    return r.show()\n"
     )
     assert uncalled_public({"m.py": source}) == [
         ("m.py", "lonely"),
         ("m.py", "imported_only"),
         ("m.py", "Shape.name"),
         ("m.py", "caller"),
+        ("m.py", "field_named_like_me"),
+        ("m.py", "Report"),
+        ("m.py", "reader"),
     ]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import gamma_exact, nabla_gamma
+from exact_reference import eta, gamma_exact, nabla_gamma
 from sphshift.classify import classification
 from sphshift.scalarseq import (
     FAMILIES,
@@ -67,12 +67,19 @@ class TestRhoEta:
         assert [seq.delta2_exact(k) for k in range(6)] == expect
 
     def test_eta_support(self):
-        assert RhoEta.eta_exact(2) == 1
-        assert RhoEta.eta_exact(4) == Fraction(1, 2)
-        assert RhoEta.eta_exact(16) == Fraction(1, 4)
-        assert RhoEta.eta_exact(256) == Fraction(1, 8)
+        assert eta(2) == 1
+        assert eta(4) == Fraction(1, 2)
+        assert eta(16) == Fraction(1, 4)
+        assert eta(256) == Fraction(1, 8)
         for k in (0, 1, 3, 5, 8, 32, 64, 100, 255):
-            assert RhoEta.eta_exact(k) == 0
+            assert eta(k) == 0
+
+    def test_closed_form_is_the_recursion(self):
+        seq, rho = RhoEta(), Fraction(1)
+        exact = seq.delta2_exact_array(70_000)
+        for k in range(70_001):
+            assert exact[k] == rho, k
+            rho += eta(k)
 
     def test_declared_limit_three(self):
         seq = RhoEta()
@@ -175,6 +182,19 @@ class TestTabulated:
 
 
 class TestSnapshot:
+    def test_exact_snapshot_grows_by_appending(self, monkeypatch):
+        seq = Tabulated([Fraction(1, 2), 0.75, Fraction(4, 5)], tail="hold")
+        calls = []
+        real = seq.delta2_exact
+        monkeypatch.setattr(seq, "delta2_exact", lambda k: calls.append(k) or real(k))
+        assert seq.delta2_exact_array(1) == (Fraction(1, 2), None)
+        snapshot = seq.delta2_exact_array(4)
+        assert snapshot == (Fraction(1, 2), None) + (Fraction(4, 5),) * 3
+        assert seq.delta2_exact_array(2) == snapshot[:3]
+        assert calls == [0, 1, 2, 3, 4]
+        with pytest.raises(TypeError):
+            snapshot[0] = Fraction(1)
+
     def test_views_are_read_only(self):
         seq = HpSpace(2, 3)
         for arr in (seq.delta2_array(100), seq.log_bbeta_array(100)):

@@ -218,3 +218,25 @@ def test_degenerate_arity_one_is_classical_shift():
 def test_library_imposes_no_arity_cap():
     s = SphericalShift(9, HpSpace(9, 9))
     assert s.weight(5, (0,) * 9) == pytest.approx(1 / 3, rel=1e-15)
+
+
+def test_each_form_reads_each_snapshot_once_at_its_top_level(monkeypatch):
+    seq = AlternatingTwelve()
+    reads = []
+    for name in ("delta2_array", "delta2_exact_array", "log_bbeta_array"):
+        def counting(kmax, _name=name, _real=getattr(seq, name)):
+            reads.append((_name, kmax))
+            return _real(kmax)
+        monkeypatch.setattr(seq, name, counting)
+    s = SphericalShift(2, seq)
+    exps = np.array([[1, 2], [0, 0], [4, 1], [2, 0]])
+    s.weights(1, exps)
+    assert reads == [("delta2_array", 5)]
+    for form in (lambda: s.self_comm_coeffs(1, exps), lambda: s.cross_comm_coeffs(1, 2, exps)):
+        reads.clear()
+        form()
+        assert reads == [("delta2_array", 5), ("delta2_exact_array", 5)]
+    for form in (s.q_diags, s.bq_diags):
+        reads.clear()
+        form(3, [0, 7, 2, 7])
+        assert reads == [("delta2_exact_array", 9), ("log_bbeta_array", 10)]
