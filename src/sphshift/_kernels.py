@@ -5,7 +5,7 @@ counts C(x+m-2, m-2) and iterated prefix sums instead of enumerating the
 level: O(k) work per level for the self-commutator sums, and for the
 cross-commutator sums one convolution over all levels up to K, done by FFT
 in O(K log K). fit_slope is the one least-squares line fit of the tail
-exponents.
+exponents, and series_verdict the one band that reads a fitted exponent.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 # Elements per row block of self_level_powersums, one scratch block per
 # worker (larger blocks cost memory and gain no speed).
 _BLOCK = 1 << 16
+
+# Half-width of the band around slope -1 in which a log-log tail fit
+# decides nothing.
+FIT_MARGIN = 0.1
 
 # Levels whose cross pair sums are summed directly. Below this the sums are
 # still far from a power of the level, which the tilt of the FFT bands
@@ -286,6 +290,17 @@ def fit_slope(x, y):
         num = prod.sum()
     np.multiply(xc, xc, out=prod)
     return float(num / prod.sum())
+
+
+def series_verdict(slope):
+    """The verdict on a series whose terms decay like k^slope: "converges",
+    "diverges", or "inconclusive" for a slope within FIT_MARGIN of -1 (or a
+    NaN). The one convergence band of the log-log tail fits."""
+    if slope < -1.0 - FIT_MARGIN:
+        return "converges"
+    if slope > -1.0 + FIT_MARGIN:
+        return "diverges"
+    return "inconclusive"
 
 
 def kahan_cumsum(x):

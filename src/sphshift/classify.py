@@ -233,8 +233,8 @@ def subnormal_consistency(
     """
     if P < 1 or K < 1:
         raise ValueError("P and K must be >= 1")
-    sup_exact = seq.sup_delta2_exact()
-    if sup_exact is None and seq.sup_delta2_declared is None:
+    sup = seq.sup_delta2()
+    if sup is None:
         probe = seq.delta2_array(max(K, 1000))
         if suspect_unbounded(probe):
             raise ValueError(
@@ -246,10 +246,8 @@ def subnormal_consistency(
         exact_at = seq.delta2_exact_array(at)[at]
         sup_val = float(probe[at]) if exact_at is None else exact_at
         rescale_mode = "sampled"
-    elif sup_exact is not None:
-        sup_val, rescale_mode = sup_exact, "exact"
     else:
-        sup_val, rescale_mode = float(seq.sup_delta2_declared), "analytic"
+        sup_val, rescale_mode = sup, "exact" if isinstance(sup, Fraction) else "analytic"
 
     report = {"pass": True, "witness": None, "order": P, "horizon": K}
     for p, lead, tol, den in _local_defects(seq, P, K, scale=sup_val):

@@ -198,6 +198,13 @@ def cmd_families(args) -> int:
     return 0
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_dump_sequence(args) -> int:
     if args.K < 0:
         raise ValueError("--K must be >= 0")
@@ -208,11 +215,12 @@ def cmd_dump_sequence(args) -> int:
     writer.writerow(
         ["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]
     )
-    seq.log_bbeta_array(args.K + args.Q)  # grow the snapshot once, not once per row
+    logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # bq_diags reads through K + Q
+    d2 = seq.delta2_array(args.K).tolist()
     ks = range(args.K + 1)
     bq = [shift.bq_diags(q, ks).tolist() for q in range(1, args.Q + 1)]
     for k in ks:
-        row = [k, repr(seq.delta2(k)), repr(seq.gamma(k)), repr(seq.log_bbeta(k))]
+        row = [k, repr(d2[k]), repr(_exp_or_inf(2.0 * logbb[k])), repr(logbb[k])]
         row += [repr(col[k]) for col in bq]
         writer.writerow(row)
     _write_text(buf.getvalue(), args.out)

@@ -1,10 +1,12 @@
 """Scalar weight sequences: the one-variable data behind a spherical shift.
 
-A sequence is defined by its squared weight ratios ``delta2(k)`` with the
+A sequence is defined by its squared weight ratios delta2(k) with the
 normalization log_bbeta(0) = 0 (everything downstream is scale-covariant,
-so the anchor is a pure convention). ``gamma(k)`` is the squared cumulative
-weight. Closed-form families carry exact rational evaluators and declared
-asymptotic metadata; everything else falls back to sampled, horizon-tagged
+so the anchor is a pure convention); gamma(k) = exp(2 log_bbeta(k)) is the
+squared cumulative weight. Each family states delta2 once per kind: one
+float generator over a whole horizon, one exact rational evaluator per k
+(or None), and one sup. Declared asymptotic metadata lets analytic paths
+skip sampling; everything else falls back to sampled, horizon-tagged
 answers.
 """
 
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +30,7 @@ class TableRangeError(Exception):
 class BoundednessReport:
     """Outcome of a boundedness probe: sup_k delta_k < infinity?"""
 
-    verdict: str            # "family-declared" | "yes" | "no-evidence"
+    verdict: str            # "family-declared" | "no-evidence"
     sup_delta2: float       # declared or sampled sup of delta2
     horizon: Optional[int]  # sampling horizon when verdict == "no-evidence"
     qualifier: str = ""
@@ -63,16 +65,22 @@ def _float_square(c) -> float:
 class ScalarSequence:
     """Base class: the delta2 snapshots and the log-space accumulation.
 
-    Subclasses implement ``delta2(k)`` (and usually ``delta2_exact``) plus
-    declared metadata, and may override the generator hook
-    ``_delta2_values(kmax)``, which returns delta2(0..kmax) as float64 and
-    which only ``_ensure`` calls. ``_ensure`` keeps the one float snapshot
-    of delta2 every array reader shares: ``delta2_array`` and
-    ``log_bbeta_array`` serve read-only views of it, and it grows to
-    exactly the horizon asked for. ``delta2_exact_array`` keeps the one
-    exact snapshot, the only reader of ``delta2_exact`` outside this
-    module. Instances are immutable after construction; caches only grow
-    and never change values.
+    A family states delta2 through three methods:
+
+    * ``_delta2_values(kmax)``, the one float generator: delta2(0..kmax)
+      as float64, called only by ``_ensure``;
+    * ``delta2_exact(k)``, the one exact evaluator: a Fraction, or None
+      when the family has no exact value at k;
+    * ``sup_delta2()``: a Fraction when the sup is certified exactly, a
+      float when only a float is known, None otherwise.
+
+    ``_ensure`` keeps the one float snapshot every array reader shares,
+    grown to exactly the horizon asked for, and is the one place that
+    rejects a delta2 that is not finite and positive: ``delta2_array`` and
+    ``log_bbeta_array`` serve read-only views of it. ``delta2_exact_array``
+    keeps the one exact snapshot, the only reader of ``delta2_exact``
+    outside this module. Instances are immutable after construction;
+    caches only grow and never change values.
     """
 
     name = "scalar-sequence"
@@ -80,8 +88,6 @@ class ScalarSequence:
     # Declared metadata; None means "unknown, use sampled paths".
     delta2_limit: Optional[float] = None       # lim delta2(k) when it exists
     delta2_liminf: Optional[float] = None
-    delta2_limsup: Optional[float] = None
-    sup_delta2_declared: Optional[float] = None
     monotone_nondecreasing: Optional[bool] = None   # delta_k nondecreasing
     essentially_normal_declared: Optional[bool] = None
     diff_decay_ck: Optional[bool] = None       # |delta2(k) - delta2(k-1)| <= C/k
@@ -91,36 +97,38 @@ class ScalarSequence:
         self._logbb = np.zeros(0)  # built from _d2 on first use
         self._d2x = ()             # delta2_exact(0), delta2_exact(1), ...
 
-    # -- core evaluators ------------------------------------------------
+    # -- what a family states ---------------------------------------------
 
-    def delta2(self, k: int) -> float:
-        exact = self.delta2_exact(k)
-        if exact is None:
-            raise NotImplementedError
-        return float(exact)
+    def _delta2_values(self, kmax: int) -> np.ndarray:
+        raise NotImplementedError
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         return None
 
-    def _delta2_values(self, kmax: int) -> np.ndarray:
-        return np.array([self.delta2(k) for k in range(kmax + 1)], dtype=np.float64)
+    def sup_delta2(self) -> Union[Fraction, float, None]:
+        return None
 
     # -- the cached snapshots --------------------------------------------
 
     def _ensure(self, kmax: int) -> None:
         if len(self._d2) > kmax:
             return
-        d2 = self._delta2_values(kmax)
-        if np.any(d2 <= 0):
-            bad = int(np.argmax(d2 <= 0))
-            raise ValueError(f"{self.name}: delta2({bad}) = {d2[bad]} is not positive")
+        try:
+            with np.errstate(all="ignore"):
+                d2 = self._delta2_values(kmax)
+        except OverflowError as exc:  # float() of a Fraction beyond the float range
+            raise ValueError(f"{self.name}: delta2 over k <= {kmax} leaves the float range") from exc
+        bad = ~((d2 > 0) & (d2 < math.inf))  # NaN fails both comparisons
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(f"{self.name}: delta2({k}) = {d2[k]} is not finite and positive")
         d2.flags.writeable = False
         self._d2 = d2
 
     def delta2_array(self, kmax: int) -> np.ndarray:
         """delta2(0..kmax) inclusive as float64, a read-only view."""
         self._ensure(kmax)
-        return self._d2[: kmax + 1]
+        return self._d2[: max(kmax + 1, 0)]
 
     def delta2_exact_array(self, kmax: int) -> Tuple[Optional[Fraction], ...]:
         """delta2_exact(0..kmax) inclusive, each a Fraction or None.
@@ -131,10 +139,7 @@ class ScalarSequence:
         have = len(self._d2x)
         if have <= kmax:
             self._d2x += tuple(self.delta2_exact(k) for k in range(have, kmax + 1))
-        return self._d2x[: kmax + 1]
-
-    def log_bbeta(self, k: int) -> float:
-        return float(self.log_bbeta_array(k)[k])
+        return self._d2x[: max(kmax + 1, 0)]
 
     def log_bbeta_array(self, kmax: int) -> np.ndarray:
         """log bbeta(0..kmax) inclusive, a read-only view.
@@ -155,27 +160,18 @@ class ScalarSequence:
             np.cumsum(0.5 * np.log(self._d2), out=logbb[1:])
             logbb.flags.writeable = False
             self._logbb = logbb
-        return self._logbb[: kmax + 1]
-
-    def gamma(self, k: int) -> float:
-        """Float gamma; saturates to inf/0.0 outside float range (use
-        log_bbeta when the magnitude matters)."""
-        try:
-            return math.exp(2.0 * self.log_bbeta(k))
-        except OverflowError:
-            return math.inf
+        return self._logbb[: max(kmax + 1, 0)]
 
     # -- derived quantities ----------------------------------------------
 
     def is_bounded(self, K: int = 10_000) -> BoundednessReport:
         if K < 1:
             raise ValueError("sample horizon K must be >= 1")
-        if self.sup_delta2_declared is not None:
-            return BoundednessReport(
-                verdict="family-declared",
-                sup_delta2=float(self.sup_delta2_declared),
-                horizon=None,
-            )
+        sup = self.sup_delta2()
+        if sup is not None:
+            if not sup <= np.finfo(np.float64).max:  # so float(sup) is finite; NaN fails too
+                raise ValueError(f"{self.name}: sup delta2 leaves the float range")
+            return BoundednessReport(verdict="family-declared", sup_delta2=float(sup), horizon=None)
         sampled = float(np.max(self.delta2_array(K)))
         return BoundednessReport(
             verdict="no-evidence",
@@ -183,10 +179,6 @@ class ScalarSequence:
             horizon=K,
             qualifier=f"sup over k <= {K} only; no declared bound",
         )
-
-    def sup_delta2_exact(self) -> Optional[Fraction]:
-        """Exact sup of delta2 when the family can certify one."""
-        return None
 
     def scale(self, c) -> "ScaledSequence":
         """The sequence with every weight multiplied by c > 0."""
@@ -224,17 +216,13 @@ class HpSpace(ScalarSequence):
             raise ValueError("arity m must be >= 1")
         self.m = int(m)
         self.p = _to_number(p)
-        if self.p <= 0:
+        if not self.p > 0:
             raise ValueError("parameter p must be positive")
         self.name = "hp"
         self.delta2_limit = 1.0
-        self.sup_delta2_declared = max(1.0, self.m / float(self.p))
         self.monotone_nondecreasing = bool(self.p >= self.m)
         self.essentially_normal_declared = True
         self.diff_decay_ck = True
-
-    def delta2(self, k: int) -> float:
-        return (k + self.m) / (k + float(self.p))
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         p = _as_fraction(self.p)
@@ -246,11 +234,10 @@ class HpSpace(ScalarSequence):
         k = np.arange(kmax + 1, dtype=np.float64)
         return (k + self.m) / (k + float(self.p))
 
-    def sup_delta2_exact(self) -> Optional[Fraction]:
-        p = _as_fraction(self.p)
-        if p is None:
-            return None
-        return max(Fraction(1), Fraction(self.m) / p)
+    def sup_delta2(self) -> Union[Fraction, float]:
+        # delta2 falls from m/p to 1 when p < m, and rises to 1 otherwise
+        one = 1.0 if isinstance(self.p, float) else Fraction(1)
+        return max(one, self.m / self.p)
 
     def params(self):
         return {"m": self.m, "p": str(self.p)}
@@ -262,18 +249,14 @@ class ConstantDelta(ScalarSequence):
     def __init__(self, c):
         super().__init__()
         self.c = _to_number(c)
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("constant weight c must be positive")
         self.name = "constant"
         c2 = self._c2 = _float_square(self.c)
         self.delta2_limit = c2
-        self.sup_delta2_declared = c2
         self.monotone_nondecreasing = True
         self.essentially_normal_declared = True
         self.diff_decay_ck = True
-
-    def delta2(self, k: int) -> float:
-        return self._c2
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
@@ -282,9 +265,9 @@ class ConstantDelta(ScalarSequence):
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return np.full(kmax + 1, self._c2)
 
-    def sup_delta2_exact(self) -> Optional[Fraction]:
+    def sup_delta2(self) -> Union[Fraction, float]:
         c = _as_fraction(self.c)
-        return None if c is None else c * c
+        return self._c2 if c is None else c * c
 
     def params(self):
         return {"c": str(self.c)}
@@ -353,7 +336,6 @@ class RhoEta(ScalarSequence):
         super().__init__()
         self.name = "rho-eta"
         self.delta2_limit = 3.0
-        self.sup_delta2_declared = 3.0
         self.monotone_nondecreasing = True
         self.essentially_normal_declared = True
         self.diff_decay_ck = False
@@ -377,6 +359,9 @@ class RhoEta(ScalarSequence):
         rho[1:] += np.cumsum(eta[:-1])
         return rho
 
+    def sup_delta2(self) -> Fraction:
+        return Fraction(3)
+
     def schatten_override(self, m: int, p: float):
         if math.isinf(p):
             return None
@@ -385,9 +370,6 @@ class RhoEta(ScalarSequence):
             "difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
             "unbounded along k = 2^(2^l) + 1",
         )
-
-    def sup_delta2_exact(self) -> Fraction:
-        return Fraction(3)
 
 
 class AlternatingTwelve(ScalarSequence):
@@ -402,8 +384,6 @@ class AlternatingTwelve(ScalarSequence):
         super().__init__()
         self.name = "alt-twelve"
         self.delta2_liminf = 0.25
-        self.delta2_limsup = 1.0 / 3.0
-        self.sup_delta2_declared = 1.0 / 3.0
         self.monotone_nondecreasing = False
         self.essentially_normal_declared = False
         self.diff_decay_ck = False
@@ -416,6 +396,9 @@ class AlternatingTwelve(ScalarSequence):
         out[::2] = 1.0 / 3.0
         return out
 
+    def sup_delta2(self) -> Fraction:
+        return Fraction(1, 3)
+
     def schatten_override(self, m: int, p: float):
         if math.isinf(p):
             return None
@@ -424,9 +407,6 @@ class AlternatingTwelve(ScalarSequence):
             "|delta2(k) - delta2(k-1)| = 1/12 for every k, so the "
             "difference series grows like K^m",
         )
-
-    def sup_delta2_exact(self) -> Fraction:
-        return Fraction(1, 3)
 
 
 class Tabulated(ScalarSequence):
@@ -444,19 +424,24 @@ class Tabulated(ScalarSequence):
         super().__init__()
         if len(values) == 0:
             raise ValueError("table must be non-empty")
-        self.values = tuple(Fraction(v) if not isinstance(v, float) else v for v in values)
-        self.tail = tail if not isinstance(tail, list) else tuple(tail)
+        self.values = tuple(_to_number(v) for v in values)
+        if isinstance(tail, (tuple, list)):
+            if len(tail) != 2 or tail[0] != "const":
+                raise ValueError(f"tail rule {tail!r} is not ('const', value)")
+            tail = ("const", _to_number(tail[1]))
+            if not tail[1] > 0:
+                raise ValueError(f"const tail value {tail[1]} must be positive")
+        self.tail = tail
         self.name = "tabulated"
-        if any(float(v) <= 0 for v in self.values):
-            raise ValueError("all tabulated delta2 values must be positive")
-        if isinstance(self.tail, tuple) and self.tail[0] == "const" and float(self.tail[1]) <= 0:
-            raise ValueError(f"const tail value {self.tail[1]} must be positive")
+        bad = next((k for k, v in enumerate(self.values) if not v > 0), None)
+        if bad is not None:
+            raise ValueError(f"tabulated delta2({bad}) = {self.values[bad]} is not positive")
 
     def _tail_value(self, k: int):
         tail = self.tail
         if tail == "hold":
             return self.values[-1]
-        if isinstance(tail, tuple) and len(tail) == 2 and tail[0] == "const":
+        if isinstance(tail, tuple):
             return tail[1]
         if callable(tail):
             return tail(k)
@@ -465,33 +450,27 @@ class Tabulated(ScalarSequence):
             f"rule; cannot evaluate delta2({k})"
         )
 
-    def delta2(self, k: int) -> float:
-        if k < len(self.values):
-            return float(self.values[k])
-        return float(self._tail_value(k))
-
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         v = self.values[k] if k < len(self.values) else self._tail_value(k)
         return _as_fraction(v)
 
-    def is_bounded(self, K: int = 10_000) -> BoundednessReport:
-        if self.tail == "hold" or (isinstance(self.tail, tuple) and self.tail[0] == "const"):
-            sup = max(float(v) for v in self.values)
-            if isinstance(self.tail, tuple):
-                sup = max(sup, float(self.tail[1]))
-            return BoundednessReport(verdict="yes", sup_delta2=sup, horizon=None)
-        return super().is_bounded(K)
+    def _delta2_values(self, kmax: int) -> np.ndarray:
+        n = len(self.values)
+        out = np.empty(kmax + 1)
+        out[:n] = [float(v) for v in self.values[: kmax + 1]]
+        if kmax >= n:
+            if callable(self.tail):
+                out[n:] = [float(self.tail(k)) for k in range(n, kmax + 1)]
+            else:
+                out[n:] = float(self._tail_value(n))
+        return out
 
-    def sup_delta2_exact(self) -> Optional[Fraction]:
-        vals = [_as_fraction(v) for v in self.values]
-        if any(v is None for v in vals):
+    def sup_delta2(self) -> Union[Fraction, float, None]:
+        if self.tail != "hold" and not isinstance(self.tail, tuple):
             return None
-        if self.tail == "hold":
-            return max(vals)
-        if isinstance(self.tail, tuple) and self.tail[0] == "const":
-            tail_v = _as_fraction(self.tail[1])
-            return None if tail_v is None else max(max(vals), tail_v)
-        return None
+        vals = self.values + (self._tail_value(len(self.values)),)
+        top = max(vals)
+        return top if all(isinstance(v, Fraction) for v in vals) else float(top)
 
     def params(self):
         tail = self.tail
@@ -509,40 +488,39 @@ class ScaledSequence(ScalarSequence):
         super().__init__()
         self.base = base
         self.c = _to_number(c)
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("scale factor must be positive")
         c2 = self._c2 = _float_square(self.c)
         self.name = f"scaled({base.name})"
-        for attr in ("delta2_limit", "delta2_liminf", "delta2_limsup", "sup_delta2_declared"):
+        for attr in ("delta2_limit", "delta2_liminf"):
             v = getattr(base, attr)
             setattr(self, attr, None if v is None else v * c2)
         self.monotone_nondecreasing = base.monotone_nondecreasing
         self.essentially_normal_declared = base.essentially_normal_declared
         self.diff_decay_ck = base.diff_decay_ck
 
-    def delta2(self, k: int) -> float:
-        return self._c2 * self.base.delta2(k)
-
-    def _scaled_exact(self, b: Optional[Fraction]) -> Optional[Fraction]:
-        c = _as_fraction(self.c)
-        return None if c is None or b is None else c * c * b
-
     def delta2_exact(self, k: int) -> Optional[Fraction]:
-        return self._scaled_exact(self.base.delta2_exact(k))
+        c = _as_fraction(self.c)
+        b = self.base.delta2_exact(k)
+        return None if c is None or b is None else c * c * b
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return self._c2 * self.base.delta2_array(kmax)
 
-    def is_bounded(self, K: int = 10_000) -> BoundednessReport:
-        report = self.base.is_bounded(K)
-        return replace(report, sup_delta2=report.sup_delta2 * self._c2)
-
-    def sup_delta2_exact(self) -> Optional[Fraction]:
-        return self._scaled_exact(self.base.sup_delta2_exact())
+    def sup_delta2(self) -> Union[Fraction, float, None]:
+        sup = self.base.sup_delta2()
+        c = _as_fraction(self.c)
+        if isinstance(sup, Fraction) and c is not None:
+            return c * c * sup
+        return None if sup is None else float(sup) * self._c2
 
     def schatten_override(self, m: int, p: float):
-        # the families' reasons (unbounded or constant |delta2(k) - delta2(k-1)|) survive scaling
-        return self.base.schatten_override(m, p)
+        override = self.base.schatten_override(m, p)
+        if override is None:
+            return None
+        verdict, reason = override
+        return verdict, (f"the base sequence's reason, before the weights were "
+                         f"scaled by c = {self.c}: {reason}")
 
     def params(self):
         return {"base": self.base.describe(), "c": str(self.c)}

@@ -30,7 +30,6 @@ from .shift import SphericalShift
 from .spectra import essential_normality_gate
 
 DEFAULT_K = 100_000
-FIT_MARGIN = 0.1
 MIN_FIT_POINTS = 20
 
 
@@ -114,11 +113,7 @@ def _fit_tail_exponent(terms: np.ndarray, logk: np.ndarray) -> Tuple[str, Option
     if count < len(tail):
         logk, tail = logk[pos], tail[pos]
     slope = _kernels.fit_slope(logk, np.log(tail))
-    if slope < -1.0 - FIT_MARGIN:
-        return "converges", slope
-    if slope > -1.0 + FIT_MARGIN:
-        return "diverges", slope
-    return "inconclusive", slope
+    return _kernels.series_verdict(slope), slope
 
 
 def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> SchattenVerdict:

@@ -285,8 +285,6 @@ def essential_shell(
     if seq.delta2_limit is not None:
         lam = math.sqrt(seq.delta2_limit)
         return (lam, lam)
-    if seq.delta2_liminf is not None and seq.delta2_limsup is not None:
-        return (math.sqrt(seq.delta2_liminf), math.sqrt(seq.delta2_limsup))
     d2 = seq.delta2_array(K)
     lo = max(0, K - window)
     tail = d2[lo:]
@@ -299,8 +297,8 @@ def point_spectrum_boundary(
     """Whether the adjoint's point spectrum is the open or the closed ball.
 
     Decided by a log-log tail-exponent fit of the boundary test series
-    terms C(m-1+k, k) r^(2k) / gamma(k); slopes within 0.1 of -1 are
-    reported as inconclusive rather than guessed.
+    terms C(m-1+k, k) r^(2k) / gamma(k); slopes within _kernels.FIT_MARGIN
+    of -1 are reported as inconclusive rather than guessed.
     """
     if r is None:
         r = convergence_radius(seq, K).value
@@ -317,11 +315,8 @@ def point_spectrum_boundary(
         logterms += buf
     np.log(ks, out=buf)
     slope = _kernels.fit_slope(buf, logterms)
-    if slope < -1.1:
-        return "closed-ball", slope
-    if slope > -0.9:
-        return "open-ball", slope
-    return "inconclusive", slope
+    ball = {"converges": "closed-ball", "diverges": "open-ball"}
+    return ball.get(_kernels.series_verdict(slope), "inconclusive"), slope
 
 
 def spectral_report(

@@ -2,8 +2,9 @@
 
 Each is a direct transcription of a definition, in exact Fractions where
 the family allows, and shares no code with the closed forms under test:
-gamma and its forward differences over the whole gamma list, the jumps of
-the rho-eta recursion, multinomial coefficients, and monomial norms.
+gamma and its forward differences over the whole gamma list, delta2 as the
+rounded exact value, the jumps of the rho-eta recursion, multinomial
+coefficients, and monomial norms.
 """
 
 import math
@@ -35,7 +36,17 @@ def nabla_gamma(seq, k: int, q: int):
     if gamma_exact(seq, k + q) is not None:
         return sum((-1) ** (q - s) * math.comb(q, s) * gamma_exact(seq, k + s)
                    for s in range(q + 1))
-    return float(sum((-1) ** (q - s) * math.comb(q, s) * seq.gamma(k + s) for s in range(q + 1)))
+    logbb = seq.log_bbeta_array(k + q)
+    return float(sum((-1) ** (q - s) * math.comb(q, s) * math.exp(2.0 * logbb[k + s])
+                     for s in range(q + 1)))
+
+
+def delta2_float(seq, k: int) -> float:
+    """delta2(k) as a float: the rounded exact value where the family has
+    one, so that it shares nothing with the float generator; otherwise the
+    value of the float snapshot."""
+    exact = seq.delta2_exact(k)
+    return float(seq.delta2_array(k)[k]) if exact is None else float(exact)
 
 
 def eta(k: int) -> Fraction:
@@ -59,7 +70,7 @@ def beta_norm(shift, n) -> float:
     """The monomial norm bbeta_{|n|} sqrt((m-1)! n! / (m-1+|n|)!), in log space."""
     k, m = sum(n), shift.m
     logfac = math.lgamma(m) - math.lgamma(m + k) + sum(math.lgamma(c + 1) for c in n)
-    return math.exp(shift.seq.log_bbeta(k) + 0.5 * logfac)
+    return math.exp(shift.seq.log_bbeta_array(k)[k] + 0.5 * logfac)
 
 
 def add_unit(n, j: int) -> tuple:

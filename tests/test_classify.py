@@ -352,6 +352,9 @@ def _scale_invariant_verdicts(seq, m):
 @pytest.mark.parametrize("seq", _suite_and_a_held_table())
 def test_scaling_keeps_every_scale_free_verdict(seq):
     assert _scale_invariant_verdicts(seq.scale(2), 2) == _scale_invariant_verdicts(seq, 2)
+    if seq.schatten_override(2, 1.5) is not None:  # its reason names unscaled values
+        assert decide(seq.scale(2), 2, 1.5, K=10_000).reason.startswith(
+            "the base sequence's reason, before the weights were scaled by c = 2: ")
 
 
 def _sign(x) -> int:
@@ -373,7 +376,7 @@ class TestLocalWindows:
     @pytest.mark.parametrize("m", [2, 3])
     def test_rescaled_window_signs_match_rescaled_differences(self, m):
         for label, seq in default_suite(m):
-            S = seq.sup_delta2_exact() or seq.delta2_exact(0)
+            S = seq.sup_delta2() or seq.delta2_exact(0)
             diffs = [gamma_exact(seq, k) / S ** k for k in range(207)]
             for q, lead, tol, den in classify._local_defects(seq, 6, 200, scale=S):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]

@@ -312,6 +312,34 @@ class TestErrors:
         assert code == 2
         assert "const tail" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows,flags,classify_code", [
+        ("1\nnan\n", ["--tail", "hold"], 2),
+        ("1\ninf\n", ["--tail", "hold"], 2),
+        ("1\n1e400\n", ["--tail", "hold"], 2),
+        ("1\n1/2\n", ["--tail", "const:1e400"], 2),
+        # classify decides hp exactly or by declaration and reads no float delta2
+        (None, ["--family", "hp", "--p", "1e400"], 0),
+        (None, ["--family", "hp", "--p", "1e-400"], 2),
+        (None, ["--family", "poly-gamma", "--gamma-coeffs", "1,1e400"], 2),
+    ], ids=["nan-row", "inf-row", "huge-row", "huge-const-tail", "huge-p", "tiny-p",
+            "huge-coefficient"])
+    def test_non_finite_family_data_is_a_usage_error(self, tmp_path, capsys, rows, flags,
+                                                     classify_code):
+        if rows is not None:
+            table = tmp_path / "d2.csv"
+            table.write_text(rows)
+            flags = ["--family", "tabulated", "--table", str(table)] + flags
+        for command in ("dump-sequence", "spectrum", "cutoff", "classify", "analyze"):
+            expect = classify_code if command == "classify" else 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--m", "2"] + flags) == expect, command
+            captured = capsys.readouterr()
+            if expect == 2:
+                assert captured.out == "", command
+                assert captured.err.startswith("sphshift: "), command
+                assert captured.err.count("\n") == 1, command
+
     def test_table_with_hold_tail(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"
         table.write_text("# delta2 values\n1\n1/2\n")
@@ -320,7 +348,7 @@ class TestErrors:
             "--tail", "hold", "--m", "2",
         ])
         assert code == 0
-        assert doc["classification"]["bounded"]["verdict"] == "yes"
+        assert doc["classification"]["bounded"]["verdict"] == "family-declared"
 
     def test_family_file(self, tmp_path, capsys):
         spec = tmp_path / "fam.cfg"

@@ -13,6 +13,11 @@ the oracle only reads its level-wise forms.
 Exact delta2 has one reader: outside ``scalarseq.py`` no module calls
 ``delta2_exact``; each reads the exact snapshot ``delta2_exact_array``.
 
+Each family states its float delta2 once, as an array generator: no
+module defines or calls a per-k float evaluator ``delta2``, ``gamma`` or
+``log_bbeta``; readers take the snapshots ``delta2_array`` and
+``log_bbeta_array``.
+
 A further scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
 least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 ``vectorize`` (a Python loop per element), by attribute or by import.
@@ -127,6 +132,47 @@ def test_exact_read_scan_catches_each_form():
     assert sorted(exact_reads(source, "m.py")) == [
         "m.py:1: reads .delta2_exact",
         "m.py:2: reads .delta2_exact",
+    ]
+
+
+PER_K_FLOAT = {"delta2", "gamma", "log_bbeta"}
+
+
+def per_k_float_evaluators(source: str, filename: str) -> list:
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in PER_K_FLOAT:
+            out.append(f"{filename}:{node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in PER_K_FLOAT:
+                out.append(f"{filename}:{node.lineno}: calls {name}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_per_k_float_evaluator(path):
+    assert per_k_float_evaluators(path.read_text(), path.name) == []
+
+
+def test_per_k_float_scan_catches_each_form():
+    source = (
+        "class Seq:\n"
+        "    def delta2(self, k):\n"
+        "        return 1.0\n"
+        "    def gamma(self, k):\n"
+        "        return self.log_bbeta(k)\n"
+        "a = seq.delta2(3)\n"
+        "b = log_bbeta(4)\n"
+        "c = seq.delta2_array(3)[3] + seq.log_bbeta_array(4)[4]\n"
+        "d = math.lgamma(2.0)\n"
+    )
+    assert sorted(per_k_float_evaluators(source, "m.py")) == [
+        "m.py:2: defines delta2",
+        "m.py:4: defines gamma",
+        "m.py:5: calls log_bbeta",
+        "m.py:6: calls delta2",
+        "m.py:7: calls log_bbeta",
     ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import eta, gamma_exact, nabla_gamma
+from exact_reference import delta2_float, eta, gamma_exact, nabla_gamma
 from sphshift.classify import classification
 from sphshift.scalarseq import (
     FAMILIES,
@@ -52,7 +52,10 @@ class TestHpSpace:
         assert HpSpace(2, 1).is_bounded().sup_delta2 == 2.0
         assert HpSpace(2, 1).is_bounded().verdict == "family-declared"
         assert HpSpace(2, 5).is_bounded().sup_delta2 == 1.0
-        assert HpSpace(2, 1).sup_delta2_exact() == 2
+        assert HpSpace(2, 1).sup_delta2() == 2
+        assert isinstance(HpSpace(2, 1).sup_delta2(), Fraction)
+        assert HpSpace(2, 0.5).sup_delta2() == 4.0
+        assert isinstance(HpSpace(2, 0.5).sup_delta2(), float)
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
@@ -85,7 +88,7 @@ class TestRhoEta:
         seq = RhoEta()
         assert seq.delta2_limit == 3.0
         # increments sum to 2, so rho climbs from 1 towards 3
-        assert seq.delta2(70000) > 2.9
+        assert float(seq.delta2_exact(70000)) > 2.9
 
     def test_array_matches_exact(self):
         seq = RhoEta()
@@ -143,28 +146,30 @@ class TestPolynomialGamma:
 class TestTabulated:
     def test_error_tail_is_default(self):
         seq = Tabulated([1, Fraction(1, 2)])
-        assert seq.delta2(1) == 0.5
+        assert seq.delta2_array(1)[1] == 0.5
         with pytest.raises(TableRangeError):
-            seq.delta2(2)
+            seq.delta2_array(2)
+        with pytest.raises(TableRangeError):
+            seq.delta2_exact(2)
 
     def test_error_tail_in_range_log_path(self):
         # cache growth must not overshoot a finite table for in-range queries
         seq = Tabulated([1, Fraction(1, 2), Fraction(1, 3)])
-        assert seq.log_bbeta(2) == pytest.approx(0.5 * math.log(0.5))
-        assert seq.gamma(3) == pytest.approx(1 / 6)
-        assert seq.log_bbeta(3) == pytest.approx(0.5 * math.log(1 / 6))
+        assert seq.log_bbeta_array(2)[2] == pytest.approx(0.5 * math.log(0.5))
+        assert math.exp(2.0 * seq.log_bbeta_array(3)[3]) == pytest.approx(1 / 6)
+        assert seq.log_bbeta_array(3)[3] == pytest.approx(0.5 * math.log(1 / 6))
         with pytest.raises(TableRangeError):
-            seq.log_bbeta(4)
+            seq.log_bbeta_array(4)
 
     def test_hold_tail(self):
         seq = Tabulated([1, 4], tail="hold")
-        assert seq.delta2(100) == 4.0
-        assert seq.sup_delta2_exact() == 4
+        assert seq.delta2_array(100)[100] == 4.0
+        assert seq.sup_delta2() == 4
 
     def test_const_tail(self):
         seq = Tabulated([1, 4], tail=("const", Fraction(1, 2)))
         assert seq.delta2_exact(17) == Fraction(1, 2)
-        assert seq.is_bounded().verdict == "yes"
+        assert seq.is_bounded().verdict == "family-declared"
         assert seq.is_bounded().sup_delta2 == 4.0
 
     def test_formula_tail(self):
@@ -194,6 +199,25 @@ class TestSnapshot:
         assert calls == [0, 1, 2, 3, 4]
         with pytest.raises(TypeError):
             snapshot[0] = Fraction(1)
+
+    def test_negative_kmax_gives_empty_snapshots(self):
+        seq = HpSpace(2, 3)
+        seq.delta2_array(5), seq.delta2_exact_array(5), seq.log_bbeta_array(5)
+        for kmax in (-1, -2, -3, -7):
+            assert len(seq.delta2_array(kmax)) == 0
+            assert seq.delta2_exact_array(kmax) == ()
+            assert len(seq.log_bbeta_array(kmax)) == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: Tabulated([1, math.inf], tail="hold"),
+        lambda: Tabulated([1], tail=lambda k: math.nan),
+        lambda: Tabulated([1], tail=lambda k: Fraction(10) ** 400),
+        lambda: HpSpace(2, Fraction(1, 10 ** 400)),
+        lambda: PolynomialGamma([1, Fraction(10) ** 400]),
+    ], ids=["inf-row", "nan-tail", "huge-tail", "tiny-p", "huge-coefficient"])
+    def test_snapshot_rejects_non_finite_values(self, make):
+        with pytest.raises(ValueError, match="finite and positive|float range"):
+            make().delta2_array(3)
 
     def test_views_are_read_only(self):
         seq = HpSpace(2, 3)
@@ -231,12 +255,13 @@ class TestSequenceMachinery:
         # (log is the storage format, so this is the honest large-k check)
         for label, seq in suite_m2:
             d2 = seq.delta2_array(10_000)
+            logbb = seq.log_bbeta_array(10_000)
             for k in (0, 1, 2, 17, 100):
-                lhs = seq.gamma(k + 1)
-                rhs = seq.gamma(k) * d2[k]
+                lhs = math.exp(2.0 * logbb[k + 1])
+                rhs = math.exp(2.0 * logbb[k]) * d2[k]
                 assert abs(lhs - rhs) <= 1e-14 * max(abs(lhs), abs(rhs)), label
             for k in (999, 9_999):
-                lhs = 2.0 * (seq.log_bbeta(k + 1) - seq.log_bbeta(k))
+                lhs = 2.0 * (logbb[k + 1] - logbb[k])
                 rhs = math.log(d2[k])
                 assert abs(lhs - rhs) <= 1e-12, label
 
@@ -270,8 +295,9 @@ class TestSequenceMachinery:
     def test_log_bbeta_recurrence(self, suite_m2):
         for label, seq in suite_m2:
             for k in (0, 5, 113):
-                lhs = seq.log_bbeta(k + 1) - seq.log_bbeta(k)
-                rhs = 0.5 * math.log(seq.delta2(k))
+                logbb = seq.log_bbeta_array(k + 1)
+                lhs = logbb[k + 1] - logbb[k]
+                rhs = 0.5 * math.log(delta2_float(seq, k))
                 assert abs(lhs - rhs) < 1e-12, label
 
     def test_weight_square_must_be_a_positive_float(self):
@@ -287,6 +313,16 @@ class TestSequenceMachinery:
         for k in range(20):
             assert scaled.delta2_exact(k) == Fraction(9, 4) * base.delta2_exact(k)
         assert scaled.delta2_limit == pytest.approx(9 / 4)
+
+    def test_sup_type_says_how_it_is_known(self):
+        assert ConstantDelta(Fraction(7, 10)).sup_delta2() == Fraction(49, 100)
+        assert ConstantDelta(0.5).sup_delta2() == 0.25
+        assert Tabulated([1, 0.5], tail="hold").sup_delta2() == 1.0
+        assert isinstance(Tabulated([1, 0.5], tail="hold").sup_delta2(), float)
+        assert Tabulated([1, 2], tail="error").sup_delta2() is None
+        assert PolynomialGamma([1, 1]).sup_delta2() is None
+        assert RhoEta().scale(Fraction(1, 2)).sup_delta2() == Fraction(3, 4)
+        assert RhoEta().scale(0.5).sup_delta2() == 0.75
 
     def test_constant_bounded(self):
         rep = ConstantDelta(Fraction(1, 2)).is_bounded()
