@@ -34,18 +34,6 @@ class Verdict:
     witness: Optional[tuple] = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = [str(w) if isinstance(w, Fraction) else w for w in self.witness]
-        return {
-            "value": self.value,
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "witness": witness,
-            "note": self.note,
-        }
-
 
 _U = 2.0 ** -53  # unit roundoff of float64
 
@@ -166,7 +154,7 @@ def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
 def _isometry_order(defects) -> Tuple[Optional[int], str]:
     """(smallest q whose defect vanishes on the whole window, mode)."""
     if not defects:
-        raise ValueError("qmax must be >= 1")
+        raise ValueError("the largest order Q must be >= 1")
     q = next((q for q, lead, tol, _ in defects if np.all(np.abs(lead) <= tol)), None)
     return q, "consistent-sampled" if defects[0][3] is None else "exact"
 
@@ -193,14 +181,14 @@ def _expansion_depth(verdicts) -> int:
 
 
 def q_isometry_order(
-    seq: ScalarSequence, qmax: int = DEFAULT_Q, K: int = DEFAULT_K_EXACT
+    seq: ScalarSequence, Q: int = DEFAULT_Q, K: int = DEFAULT_K_EXACT
 ) -> Tuple[Optional[int], str]:
-    """Smallest q <= qmax with the q-th gamma differences all zero, k <= K.
+    """Smallest q <= Q with the q-th gamma differences all zero, k <= K.
 
     Returns (order, mode). A definitive order needs the exact path; on
     floats the answer is only "consistent" with being a q-isometry.
     """
-    return _isometry_order(list(_local_defects(seq, qmax, K)))
+    return _isometry_order(list(_local_defects(seq, Q, K)))
 
 
 def is_q_expansion(seq: ScalarSequence, q: int, K: int = DEFAULT_K_EXACT) -> Verdict:
@@ -253,9 +241,8 @@ def subnormal_consistency(
     for p, lead, tol, den in _local_defects(seq, P, K, scale=sup_val):
         k = _first((-1) ** p * lead < -tol)
         if k is not None:
-            value = _local_value(lead, den, k)
             report.update({"pass": False, "witness": (p, k),
-                           "witness_value": value if den is None else str(value)})
+                           "witness_value": _local_value(lead, den, k)})
             break
     report.update({"mode": "sampled" if den is None else "exact", "rescale_mode": rescale_mode})
     return report
@@ -281,28 +268,6 @@ class Classification:
     complete_hyperexpansion_up_to: int = 0
     subnormal: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "bounded": {
-                "verdict": self.bounded.verdict,
-                "sup_delta2": self.bounded.sup_delta2,
-                "horizon": self.bounded.horizon,
-                "qualifier": self.bounded.qualifier,
-            },
-            "compact": self.compact.to_dict(),
-            "essentially_normal": self.essentially_normal.to_dict(),
-            "szego": self.szego.to_dict(),
-            "hyponormal": self.hyponormal.to_dict(),
-            "q_isometry_order": self.q_isometry_order,
-            "q_isometry_mode": self.q_isometry_mode,
-            "q_expansion": {str(q): v.to_dict() for q, v in self.q_expansion.items()},
-            "complete_hyperexpansion_up_to": self.complete_hyperexpansion_up_to,
-            "subnormal": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in self.subnormal.items()
-            },
-        }
-
 
 def classification(
     seq: ScalarSequence,
@@ -310,15 +275,13 @@ def classification(
     Q: int = DEFAULT_Q,
     K: int = DEFAULT_K_EXACT,
     horizon: int = DEFAULT_K_SAMPLED,
-    qmax: Optional[int] = None,
 ) -> Classification:
     """Run the whole battery on one sequence. One pass of local defects
     decides the isometry order, the expansions and Szego; subnormality
     makes its own pass, over delta2 / sup delta2."""
-    qmax = Q if qmax is None else qmax
-    defects = list(_local_defects(seq, max(Q, qmax), K))
-    order, order_mode = _isometry_order([d for d in defects if d[0] <= qmax])
-    q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects if q <= Q}
+    defects = list(_local_defects(seq, Q, K))
+    order, order_mode = _isometry_order(defects)
+    q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects}
     return Classification(
         bounded=seq.is_bounded(horizon),
         compact=is_compact(seq, horizon),

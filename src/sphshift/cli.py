@@ -131,7 +131,12 @@ def _family_from_args(args) -> ScalarSequence:
 
 
 def _sanitize(obj):
-    """Make a report strictly JSON-serializable and reproducible."""
+    """The one renderer: make a report strictly JSON-serializable and
+    reproducible. A result object (a dataclass) renders as the dict of its
+    fields, so its field names are the report's keys."""
+    fields = getattr(obj, "__dataclass_fields__", None)
+    if fields is not None:
+        obj = {name: getattr(obj, name) for name in fields}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -149,8 +154,10 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True)
+def _emit(payload: dict, args) -> None:
+    """Write a report: the schema and tool versions, then the payload."""
+    report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **payload}
+    text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
     _write_text(text + "\n", getattr(args, "out", None))
 
 
@@ -167,15 +174,7 @@ def _write_text(text: str, out) -> None:
 
 
 def _base_report(args, seq: ScalarSequence) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "request": {
-            "command": args.command,
-            "family": seq.describe(),
-            "m": args.m,
-        },
-    }
+    return {"request": {"command": args.command, "family": seq.describe(), "m": args.m}}
 
 
 def _default_p_grid(m: int):
@@ -187,8 +186,6 @@ def _default_p_grid(m: int):
 
 def cmd_families(args) -> int:
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
         "families": [
             {"name": name, "description": description}
             for name, description in FAMILIES.items()
@@ -232,14 +229,15 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     report = spectra.spectral_report(seq, args.m, K=args.K, J=args.J, window=args.window)
     payload = _base_report(args, seq)
-    payload["spectrum"] = report.to_dict()
+    payload["spectrum"] = report
     payload["timings"] = {"spectrum_s": time.perf_counter() - t0}
     if args.plot_data:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["j", "outer", "inner", "m_infty"])
         for j, ro, ri, mi in zip(
-            report.outer.j_grid, report.outer.sequence, report.inner.sequence, report.m_infty
+            report.outer_radius.j_grid, report.outer_radius.sequence,
+            report.inner_radius.sequence, report.m_infty,
         ):
             writer.writerow([j, repr(ro), repr(ri), repr(mi)])
         _write_text(buf.getvalue(), args.plot_data)
@@ -252,7 +250,7 @@ def cmd_schatten(args) -> int:
     t0 = time.perf_counter()
     verdict = schatten.decide(seq, args.m, args.p, K=args.K)
     payload = _base_report(args, seq)
-    payload["schatten"] = verdict.to_dict()
+    payload["schatten"] = verdict
     payload["timings"] = {"schatten_s": time.perf_counter() - t0}
     _emit(payload, args)
     return 0
@@ -273,13 +271,11 @@ def cmd_cutoff(args) -> int:
 def cmd_classify(args) -> int:
     seq = _family_from_args(args)
     t0 = time.perf_counter()
-    result = classify.classification(
-        seq, P=args.P, Q=args.Q, K=args.K, horizon=args.horizon, qmax=args.qmax
-    )
+    result = classify.classification(seq, P=args.P, Q=args.Q, K=args.K, horizon=args.horizon)
     payload = _base_report(args, seq)
-    body = result.to_dict()
+    body = _sanitize(result)
     if not args.witness:
-        for entry in body.values():
+        for entry in [*body.values(), *body["q_expansion"].values()]:
             if isinstance(entry, dict):
                 entry.pop("witness", None)
     payload["classification"] = body
@@ -294,8 +290,6 @@ def cmd_lemmas(args) -> int:
         args.m, args.p, args.k_range, points=args.points
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
         "request": {"command": "lemmas", "m": args.m, "p": args.p, "k_range": list(args.k_range)},
         "lemmas": report,
         "timings": {"lemmas_s": time.perf_counter() - t0},
@@ -316,8 +310,6 @@ def cmd_verify(args) -> int:
             ok = ok and row["pass"]
             results.append(entry)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
         "request": {"command": "verify", "m": args.m, "N": args.N, "tol": args.tol},
         "results": results,
         "pass": ok,
@@ -333,7 +325,7 @@ def cmd_analyze(args) -> int:
     payload = _base_report(args, seq)
 
     t0 = time.perf_counter()
-    payload["spectrum"] = spectra.spectral_report(seq, args.m, K=args.K, J=args.J).to_dict()
+    payload["spectrum"] = spectra.spectral_report(seq, args.m, K=args.K, J=args.J)
     timings["spectrum_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -344,7 +336,7 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     payload["classification"] = classify.classification(
         seq, P=args.P, Q=args.Q, K=args.K_exact, horizon=args.K
-    ).to_dict()
+    )
     timings["classify_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -434,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--Q", type=int, default=classify.DEFAULT_Q)
     sub.add_argument("--K", type=int, default=classify.DEFAULT_K_EXACT)
     sub.add_argument("--horizon", type=int, default=classify.DEFAULT_K_SAMPLED)
-    sub.add_argument("--qmax", type=int, default=None)
     sub.add_argument("--witness", action="store_true", help="include failure indices")
     _add_out(sub)
     sub.set_defaults(func=cmd_classify)

@@ -52,9 +52,10 @@ def _to_number(x):
 
 
 def _float_square(c) -> float:
-    """float(c) ** 2; ValueError unless it is a finite positive float."""
+    """c * c rounded once to float (an exact c is squared exactly first);
+    ValueError unless it is a finite positive float."""
     try:
-        c2 = float(c) ** 2
+        c2 = float(c * c)
     except OverflowError:
         c2 = math.inf
     if not 0.0 < c2 < math.inf:

@@ -47,21 +47,6 @@ class SchattenVerdict:
     partial_sums_2: list = field(default_factory=list)
     cutoff_consistent: Optional[bool] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p if math.isfinite(self.p) else "inf",
-            "m": self.m,
-            "K": self.K,
-            "verdict": self.verdict,
-            "analytic": self.analytic,
-            "reason": self.reason,
-            "tail_exponents": list(self.tail_exponents),
-            "checkpoints": self.checkpoints,
-            "partial_sums_1": self.partial_sums_1,
-            "partial_sums_2": self.partial_sums_2,
-            "cutoff_consistent": self.cutoff_consistent,
-        }
-
 
 def _require_m(m: int) -> None:
     if m < 2:

@@ -55,18 +55,11 @@ class RadiusEstimate:
     sequence: list = field(default_factory=list)
     richardson: Optional[float] = None
     note: str = ""
-    extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "mode": self.mode,
-            "j_grid": list(self.j_grid),
-            "sequence": [float(x) for x in self.sequence],
-            "richardson": self.richardson,
-            "note": self.note,
-            **{k: v for k, v in self.extra.items()},
-        }
+
+@dataclass
+class InnerRadiusEstimate(RadiusEstimate):
+    m_infty: list = field(default_factory=list)  # the cross-checked window-product route
 
 
 @dataclass
@@ -74,9 +67,9 @@ class SpectralReport:
     m: int
     K: int
     J: int
-    outer: RadiusEstimate
-    convergence: RadiusEstimate
-    inner: RadiusEstimate
+    outer_radius: RadiusEstimate
+    convergence_radius: RadiusEstimate
+    inner_radius: InnerRadiusEstimate
     m_infty: list
     essentially_normal: dict
     essential_inner: Optional[float]
@@ -84,23 +77,6 @@ class SpectralReport:
     essential_refusal: Optional[str]
     point_spectrum_boundary: str
     point_spectrum_exponent: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "K": self.K,
-            "J": self.J,
-            "outer_radius": self.outer.to_dict(),
-            "convergence_radius": self.convergence.to_dict(),
-            "inner_radius": self.inner.to_dict(),
-            "m_infty": [float(x) for x in self.m_infty],
-            "essentially_normal": self.essentially_normal,
-            "essential_inner": self.essential_inner,
-            "essential_outer": self.essential_outer,
-            "essential_refusal": self.essential_refusal,
-            "point_spectrum_boundary": self.point_spectrum_boundary,
-            "point_spectrum_exponent": self.point_spectrum_exponent,
-        }
 
 
 def _lag_extremes(cum: np.ndarray, J: int, reduce) -> np.ndarray:
@@ -204,7 +180,9 @@ def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimat
     return est
 
 
-def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) -> RadiusEstimate:
+def inner_radius(
+    seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K
+) -> InnerRadiusEstimate:
     """i: inner radius of the approximate point spectrum.
 
     The per-lag infima are cross-checked against the independent route
@@ -232,8 +210,8 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
                 f"m-infinity cross-check failed at lag {j}: {a!r} vs {b!r}"
             )
 
-    est = RadiusEstimate(value=math.nan, mode="", j_grid=js, sequence=vals)
-    est.extra["m_infty"] = [float(x) for x in m_infty]
+    est = InnerRadiusEstimate(value=math.nan, mode="", j_grid=js, sequence=vals,
+                              m_infty=m_infty)
     est.richardson = _richardson(js, logvals)
     if seq.delta2_limit is not None:
         est.value = math.sqrt(seq.delta2_limit)
@@ -341,10 +319,10 @@ def spectral_report(
         m=m,
         K=K,
         J=J,
-        outer=outer,
-        convergence=conv,
-        inner=inner,
-        m_infty=inner.extra.get("m_infty", []),
+        outer_radius=outer,
+        convergence_radius=conv,
+        inner_radius=inner,
+        m_infty=inner.m_infty,
         essentially_normal=gate,
         essential_inner=ess_in,
         essential_outer=ess_out,

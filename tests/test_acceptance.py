@@ -186,8 +186,7 @@ def test_criterion_07_spectral_radii():
         reports.append((label, i, r, R))
     for label, i, r, R in reports:
         assert i.value <= r.value + 1e-9 <= R.value + 2e-9, label
-        m_inf = i.extra.get("m_infty", [])
-        for a, b in zip(i.sequence, m_inf):
+        for a, b in zip(i.sequence, i.m_infty):
             assert a == pytest.approx(b, rel=1e-9), label
     _done(7, f"radii ordered and unit for all kernel-scale families; "
              f"independent window-product route agrees at every lag "

@@ -276,9 +276,8 @@ class TestFullClassification:
         assert c.complete_hyperexpansion_up_to == 4
         assert not c.subnormal["pass"]
         assert c.szego.value is False
-        d = c.to_dict()
-        assert d["q_isometry_order"] == 2
-        assert d["hyponormal"]["value"] is False
+        assert c.q_isometry_mode == "exact"
+        assert c.hyponormal.witness == (0,)
 
     def test_isometry_order_implies_expansion_and_contraction(self):
         # at the isometry order the defect vanishes, so both sign conditions hold

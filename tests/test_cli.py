@@ -156,7 +156,21 @@ class TestClassify:
     def test_witness_suppressed_by_default(self, capsys):
         code, doc = run_json(capsys, ["classify", "--family", "alt-twelve", "--m", "2"])
         assert code == 0
-        assert "witness" not in doc["classification"]["hyponormal"]
+        body = doc["classification"]
+        assert "witness" not in body["hyponormal"]
+        assert all("witness" not in v for v in body["q_expansion"].values())
+        code, doc = run_json(capsys, ["classify", "--family", "alt-twelve", "--m", "2",
+                                      "--witness"])
+        assert code == 0
+        assert doc["classification"]["q_expansion"]["1"]["witness"] == [0, "-2/3"]
+
+    def test_qmax_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--family", "szego", "--qmax", "3"])
+        assert exc.value.code == 2
+        assert "--qmax" in capsys.readouterr().err
+        assert main(["classify", "--family", "szego", "--Q", "0"]) == 2
+        assert capsys.readouterr().err == "sphshift: the largest order Q must be >= 1\n"
 
 
 class TestLemmas:
@@ -211,6 +225,104 @@ class TestAnalyze:
         _, doc2 = run_json(capsys, argv)
         doc1.pop("timings"), doc2.pop("timings")
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+def key_tree(doc):
+    """The nested keys of a report: a dict maps each key to its subtree, a
+    list of dicts to the one tree its items share, and any other value to None."""
+    if isinstance(doc, dict):
+        return {k: key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        trees = [key_tree(v) for v in doc]
+        assert all(t == trees[0] for t in trees)
+        return trees[:1]
+    return None
+
+
+def leaves(*keys):
+    return dict.fromkeys(keys)
+
+
+# the schema-1 key trees, spelled out independently of the result classes
+HEADER = leaves("schema_version", "tool_version")
+REQUEST = {"request": {**leaves("command", "m"), "family": leaves("family")}}
+VERDICT = leaves("value", "mode", "horizon", "witness", "note")
+BARE_VERDICT = leaves("value", "mode", "horizon", "note")
+RADIUS = leaves("value", "mode", "j_grid", "sequence", "richardson", "note")
+SPECTRUM = {
+    **leaves("m", "K", "J", "m_infty", "essential_inner", "essential_outer",
+             "essential_refusal", "point_spectrum_boundary", "point_spectrum_exponent"),
+    "outer_radius": RADIUS,
+    "convergence_radius": RADIUS,
+    "inner_radius": {**RADIUS, "m_infty": None},
+    "essentially_normal": leaves("value", "mode", "detail"),
+}
+SCHATTEN = leaves("p", "m", "K", "verdict", "analytic", "reason", "tail_exponents",
+                  "checkpoints", "partial_sums_1", "partial_sums_2", "cutoff_consistent")
+CUTOFF = {**leaves("skipped", "noncompact", "grid", "transition", "last_diverging", "violations"),
+          "verdicts": leaves("1.0", "1.5", "2.0", "2.25", "3.0")}
+SUBNORMAL = leaves("pass", "order", "horizon", "mode", "rescale_mode", "witness_value")
+
+
+def classification_tree(verdict, subnormal):
+    return {
+        **leaves("q_isometry_order", "q_isometry_mode", "complete_hyperexpansion_up_to"),
+        "bounded": leaves("verdict", "sup_delta2", "horizon", "qualifier"),
+        **{name: verdict for name in ("compact", "essentially_normal", "szego", "hyponormal")},
+        "q_expansion": {str(q): verdict for q in range(1, 7)},
+        "subnormal": subnormal,
+    }
+
+
+WINDOW = leaves("ratios", "min", "max", "spread", "pass")
+ALT_TWELVE = ["--family", "alt-twelve", "--m", "2"]
+SCHEMA_CASES = {
+    "families": (["families"], {**HEADER, "families": [leaves("name", "description")]}),
+    "analyze": (
+        ["analyze", *ALT_TWELVE, "--K", "2000", "--J", "10", "--K-exact", "20", "--N", "4"],
+        {**HEADER, **REQUEST, "spectrum": SPECTRUM, "schatten_cutoff": CUTOFF,
+         "classification": classification_tree(VERDICT, {**SUBNORMAL, "witness": None}),
+         "oracle": [leaves("kind", "max_deviation", "margin", "pass")],
+         "timings": leaves("spectrum_s", "schatten_s", "classify_s", "oracle_s")}),
+    "spectrum": (["spectrum", *ALT_TWELVE, "--K", "2000", "--J", "10"],
+                 {**HEADER, **REQUEST, "spectrum": SPECTRUM, "timings": leaves("spectrum_s")}),
+    "schatten": (["schatten", *ALT_TWELVE, "--p", "3", "--K", "2000"],
+                 {**HEADER, **REQUEST, "schatten": SCHATTEN, "timings": leaves("schatten_s")}),
+    "schatten-inf": (["schatten", *ALT_TWELVE, "--p", "inf", "--K", "2000"],
+                     {**HEADER, **REQUEST, "schatten": SCHATTEN,
+                      "timings": leaves("schatten_s")}),
+    "cutoff": (["cutoff", *ALT_TWELVE, "--K", "2000"],
+               {**HEADER, **REQUEST, "cutoff": CUTOFF, "timings": leaves("cutoff_s")}),
+    "classify": (["classify", *ALT_TWELVE, "--K", "20", "--horizon", "2000"],
+                 {**HEADER, **REQUEST,
+                  "classification": {**classification_tree(BARE_VERDICT, SUBNORMAL),
+                                     "q_expansion": {str(q): BARE_VERDICT for q in range(1, 7)}},
+                  "timings": leaves("classify_s")}),
+    "classify-witness": (
+        ["classify", *ALT_TWELVE, "--K", "20", "--horizon", "2000", "--witness"],
+        {**HEADER, **REQUEST,
+         "classification": classification_tree(VERDICT, {**SUBNORMAL, "witness": None}),
+         "timings": leaves("classify_s")}),
+    "lemmas": (["lemmas", "--m", "2", "--k-range", "10:100", "--points", "4"],
+               {**HEADER, "request": leaves("command", "m", "p", "k_range"),
+                "lemmas": {**leaves("m", "p", "k_grid", "pass"), "pair_sum": WINDOW,
+                           "abs_sum": {mode: WINDOW for mode in ("zero", "one", "inv_k")}},
+                "timings": leaves("lemmas_s")}),
+    "verify": (["verify", "--m", "2", "--N", "3"],
+               {**HEADER, "request": leaves("command", "m", "N", "tol"), "pass": None,
+                "results": [leaves("family", "m", "N", "kind", "max_deviation", "margin",
+                                   "pass")],
+                "timings": leaves("verify_s")}),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("case", SCHEMA_CASES, ids=str)
+    def test_report_keys(self, capsys, case):
+        argv, tree = SCHEMA_CASES[case]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert key_tree(doc) == tree
 
 
 class TestErrors:

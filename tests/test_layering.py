@@ -22,6 +22,9 @@ A further scan forbids the slow numpy calls ``polyfit`` (a Vandermonde
 least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 ``vectorize`` (a Python loop per element), by attribute or by import.
 
+Reports have one renderer, ``cli._sanitize``, which renders a result
+dataclass as the dict of its fields: no class defines its own ``to_dict``.
+
 The last scan keeps the public surface to what is used: every public
 top-level function or class and every public method must be referenced
 somewhere in ``src/sphshift`` outside its own body, or be on
@@ -206,6 +209,35 @@ def test_forbidden_call_scan_catches_each_form():
         "m.py:3: uses polyfit",
         "m.py:4: uses vectorize",
         "m.py:5: uses polyfit",
+    ]
+
+
+def to_dict_methods(source: str, filename: str) -> list:
+    return [f"{filename}:{sub.lineno}: {node.name} defines to_dict"
+            for node in ast.walk(ast.parse(source, filename)) if isinstance(node, ast.ClassDef)
+            for sub in node.body
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.name == "to_dict"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_class_renders_itself(path):
+    assert to_dict_methods(path.read_text(), path.name) == []
+
+
+def test_to_dict_scan_catches_each_form():
+    source = (
+        "class Verdict:\n"
+        "    def to_dict(self):\n"
+        "        return {}\n"
+        "def to_dict(x):\n"
+        "    class Inner:\n"
+        "        async def to_dict(self):\n"
+        "            pass\n"
+        "    return x.to_dict()\n"
+    )
+    assert to_dict_methods(source, "m.py") == [
+        "m.py:2: Verdict defines to_dict",
+        "m.py:6: Inner defines to_dict",
     ]
 
 

@@ -219,6 +219,14 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="finite and positive|float range"):
             make().delta2_array(3)
 
+    def test_exact_constant_weight_is_rounded_once(self):
+        # float(7/10) ** 2 rounds twice, to 0.48999999999999994
+        seq = ConstantDelta(Fraction(7, 10))
+        assert seq.sup_delta2() == Fraction(49, 100)
+        assert seq.delta2_array(3).tolist() == [float(seq.sup_delta2())] * 4 == [0.49] * 4
+        assert seq.delta2_limit == 0.49
+        assert seq.scale(Fraction(7, 10)).delta2_array(0)[0] == 0.49 * 0.49
+
     def test_views_are_read_only(self):
         seq = HpSpace(2, 3)
         for arr in (seq.delta2_array(100), seq.log_bbeta_array(100)):

@@ -114,7 +114,7 @@ class TestRadii:
     def test_m_infty_agrees_with_inner_sequence(self, suite_m2):
         for label, seq in suite_m2:
             est = inner_radius(seq, J, K)  # raises internally on mismatch
-            m_inf = est.extra["m_infty"]
+            m_inf = est.m_infty
             assert len(m_inf) == len(est.sequence)
             for a, b in zip(est.sequence, m_inf):
                 assert a == pytest.approx(b, rel=1e-9), label
@@ -268,11 +268,10 @@ class TestCombinatorialCorrectionFactor:
 class TestFullReport:
     def test_report_fields(self):
         rep = spectral_report(HpSpace(2, 3), 2, K=K, J=J)
-        d = rep.to_dict()
-        assert d["outer_radius"]["value"] == 1.0
-        assert d["essential_inner"] == 1.0
-        assert d["essential_refusal"] is None
-        assert d["point_spectrum_boundary"] in ("open-ball", "closed-ball", "inconclusive")
+        assert rep.outer_radius.value == 1.0
+        assert rep.essential_inner == 1.0
+        assert rep.essential_refusal is None
+        assert rep.point_spectrum_boundary in ("open-ball", "closed-ball", "inconclusive")
         assert rep.essentially_normal["value"] is True
 
     def test_report_refusal_branch(self):

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Compare the CLI output of two source trees, run by run.
+
+    python tools/report_diff.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository. The script runs one fixed list
+of ``python -m sphshift.cli`` invocations against each tree's ``src``, each
+from a fresh temporary working directory, and compares what a run leaves:
+its exit code, standard output, standard error and every file it writes in
+that directory. The ``timings`` block of a JSON report is dropped first,
+since it is the one part of a report that differs between identical
+requests. Each differing run is printed with the head of its diff, then one
+summary line; the exit code is 1 if any run differs, 0 otherwise. Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+WORKERS = 2          # concurrent CLI processes per tree
+DIFF_LINES = 12      # diff lines printed per differing run
+TABLE_SEED = 20_141_014
+TABLE_ROWS = 400
+
+# the seven families of sphshift.scalarseq.default_suite, as CLI flags
+SUITE = [
+    ["--family", "szego"],
+    ["--family", "bergman"],
+    ["--family", "drury-arveson"],
+    ["--family", "rho-eta"],
+    ["--family", "alt-twelve"],
+    ["--family", "constant", "--c", "1/2"],
+    ["--family", "poly-gamma", "--gamma-coeffs", "1,2,1"],
+]
+
+
+def family_runs(family: list, m: int) -> list:
+    """Every subcommand that takes a family, on one family at arity m."""
+    fam = family + ["--m", str(m)]
+    return [
+        ["dump-sequence"] + fam,
+        ["spectrum"] + fam + ["--plot-data", "plot.csv"],
+        ["schatten"] + fam + ["--p", str(Fraction(2 * m + 1, 2))],
+        ["schatten"] + fam + ["--p", "inf"],
+        ["cutoff"] + fam,
+        ["classify"] + fam,
+        ["classify"] + fam + ["--witness"],
+        ["analyze"] + fam,
+    ]
+
+
+def write_tables(directory: str) -> list:
+    """Two seeded delta2 tables: one of fractions, one of decimals.
+
+    Row k is (k+2)/(k+3) scaled by 1 + u/(4(k+1)) with u uniform in
+    [-1, 1], so every row lies in (0, 1).
+    """
+    rng = random.Random(TABLE_SEED)
+    paths = []
+    for kind in ("fraction", "decimal"):
+        rows = []
+        for k in range(TABLE_ROWS):
+            u = Fraction(rng.randint(-1000, 1000), 1000)
+            val = Fraction(k + 2, k + 3) * (1 + u / (4 * (k + 1)))
+            rows.append(str(val) if kind == "fraction" else f"{float(val):.9f}")
+        path = os.path.join(directory, f"{kind}.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        paths.append(path)
+    return paths
+
+
+def run_list(tables: list) -> list:
+    runs = [["families"], ["lemmas", "--m", "2"], ["lemmas", "--m", "3"]]
+    for m in (2, 3):
+        for family in SUITE:
+            runs += family_runs(family, m)
+    runs += family_runs(["--family", "constant", "--c", "7/10"], 2)
+    for path in tables:
+        fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
+        runs += [["analyze"] + fam, ["classify"] + fam + ["--K", "2000"]]
+    runs += [["verify", "--m", str(m), "--N", str(n)] for m, n in ((2, 8), (3, 6), (4, 4))]
+    return runs
+
+
+def _canonical(text: str) -> str:
+    """A JSON report without its timings block; any other text as it is."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(doc, dict):
+        doc.pop("timings", None)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def run_one(tree: str, argv: list) -> str:
+    """Everything one run leaves, as one comparable text."""
+    env = {k: v for k, v in os.environ.items() if k != "SPHSHIFT_OUT_DIR"}
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "sphshift.cli"] + argv, cwd=cwd,
+                              env=env, capture_output=True, text=True)
+        parts = [f"exit {proc.returncode}\n", "--- stdout\n", _canonical(proc.stdout),
+                 "--- stderr\n", proc.stderr]
+        for name in sorted(os.listdir(cwd)):
+            with open(os.path.join(cwd, name)) as fh:
+                parts += [f"--- file {name}\n", _canonical(fh.read())]
+    return "".join(parts)
+
+
+def run_tree(tree: str, runs: list) -> list:
+    with ThreadPoolExecutor(WORKERS) as pool:
+        return list(pool.map(lambda argv: run_one(tree, argv), runs))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: report_diff.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    for tree in args:
+        if not os.path.isdir(os.path.join(tree, "src", "sphshift")):
+            print(f"report_diff: {tree!r} has no src/sphshift", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tables_dir:
+        runs = run_list(write_tables(tables_dir))
+        before, after = (run_tree(tree, runs) for tree in args)
+        differ = 0
+        for argv, a, b in zip(runs, before, after):
+            if a == b:
+                continue
+            differ += 1
+            print("differs: sphshift " + " ".join(argv).replace(tables_dir + os.sep, ""))
+            diff = difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change",
+                                        n=1, lineterm="")
+            for line in list(diff)[:DIFF_LINES]:
+                print("    " + line)
+    print(f"report_diff: {len(runs)} runs, {len(runs) - differ} identical apart from "
+          f"timings, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
