@@ -51,12 +51,22 @@ def _parse_number(text: str):
         return float(text)
 
 
+def _parse_exponent(text: str) -> float:
+    """A Schatten exponent: 'inf' or a decimal or fraction within float range."""
+    if text == "inf":
+        return math.inf
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"exponent {text!r} overflows a float") from None
+
+
 def _parse_grid(text: str):
     vals = []
     for tok in text.split(","):
         tok = tok.strip()
         if tok:
-            vals.append(math.inf if tok == "inf" else float(Fraction(tok)))
+            vals.append(_parse_exponent(tok))
     if not vals:
         raise argparse.ArgumentTypeError("empty p grid")
     return vals
@@ -406,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("schatten", help="membership verdict at one exponent")
     _add_family_flags(sub, family_p_flag="--p-space")
     sub.add_argument("--p", dest="p", required=True,
-                     type=lambda s: math.inf if s == "inf" else float(Fraction(s)),
+                     type=_parse_exponent,
                      help="Schatten exponent (family parameter is --p-space here)")
     sub.add_argument("--K", type=int, default=schatten.DEFAULT_K)
     _add_out(sub)

@@ -493,6 +493,7 @@ class ScaledSequence(ScalarSequence):
             raise ValueError("scale factor must be positive")
         c2 = self._c2 = _float_square(self.c)
         self.name = f"scaled({base.name})"
+        self.m = getattr(base, "m", None)  # scaling keeps the base's arity
         for attr in ("delta2_limit", "delta2_liminf"):
             v = getattr(base, attr)
             setattr(self, attr, None if v is None else v * c2)

@@ -278,6 +278,8 @@ def asymptotic_lemma_check(
     Each window must stay positive with max/min <= window_bound.
     """
     _require_m(m)
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError(f"need a finite p >= 0, got {p}")
     lo, hi = k_range
     if lo < 1 or hi <= lo:
         raise ValueError("need 1 <= lo < hi in k_range")

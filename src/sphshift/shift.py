@@ -66,6 +66,9 @@ class SphericalShift:
     def __init__(self, m: int, seq: ScalarSequence):
         if m < 1:
             raise ValueError("arity m must be >= 1")
+        declared = getattr(seq, "m", None)  # a family whose delta2 depends on m
+        if declared is not None and declared != m:
+            raise ValueError(f"arity m = {m} does not match the family's own m = {declared}")
         self.m = int(m)
         self.seq = seq
         self._pairs = {}     # level k -> commutator pair

@@ -281,11 +281,11 @@ class TestFullClassification:
 
     def test_isometry_order_implies_expansion_and_contraction(self):
         # at the isometry order the defect vanishes, so both sign conditions hold
-        for seq in (HpSpace(2, 1), HpSpace(3, 2), PolynomialGamma([1, 2, 1])):
+        for m, seq in ((2, HpSpace(2, 1)), (3, HpSpace(3, 2)), (2, PolynomialGamma([1, 2, 1]))):
             order, _ = q_isometry_order(seq, 6, 100)
             assert order is not None
             assert is_q_expansion(seq, order, 100).value is True
-            s = SphericalShift(2, seq)
+            s = SphericalShift(m, seq)
             assert all(s.bq_diag(k, order) == 0.0 for k in range(50))
 
     def test_rho_eta_bundle(self):

@@ -345,6 +345,34 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"sphshift: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["schatten", "--family", "bergman", "--p", "1e400"],
+        ["schatten", "--family", "bergman", "--p=-1e400"],
+        ["cutoff", "--family", "bergman", "--grid", "1,1e400"],
+        ["analyze", "--family", "bergman", "--grid", "1e400"],
+    ], ids=["p", "negative-p", "cutoff-grid", "analyze-grid"])
+    def test_exponent_beyond_float_range_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows a float" in captured.err
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-1"])
+    def test_lemma_exponent_must_be_finite_and_nonnegative(self, capsys, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lemmas", f"--p={p}", "--k-range", "100:2000", "--points", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("sphshift: need a finite p >= 0")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["0", "0.5"])
+    def test_lemma_exponent_zero_and_below_one_still_run(self, capsys, p):
+        code, doc = run_json(capsys, ["lemmas", "--p", p, "--k-range", "100:2000",
+                                      "--points", "4"])
+        assert code == 0 and doc["lemmas"]["p"] == float(p)
+
     def test_weight_square_outside_float_range(self):
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
         proc = subprocess.run(

@@ -6,13 +6,22 @@ import pytest
 
 from exact_reference import add_unit, beta_norm, delta2_float, gamma_exact, nabla_gamma
 from sphshift.multiindex import MultiIndex, enumerate_level
-from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace
+from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated
 from sphshift.shift import SphericalShift
 from sphshift.truncation import build_basis, build_shift_matrix
 
 
 def szego(m=2):
     return SphericalShift(m, HpSpace(m, m))
+
+
+def one_variable_shift(seq, kmax):
+    """The 1-variable shift with the weights delta_0..delta_kmax of seq. It
+    reads them from a table, which declares no arity of its own (hp's delta2
+    depends on its m, so SphericalShift(1, HpSpace(2, p)) is refused)."""
+    exact = [seq.delta2_exact(k) for k in range(kmax + 1)]
+    return SphericalShift(1, Tabulated([delta2_float(seq, k) if v is None else v
+                                        for k, v in enumerate(exact)]))
 
 
 class TestWeights:
@@ -129,9 +138,9 @@ class TestQDiagonal:
     def test_one_variable_shift_power_norms(self, suite_m2):
         # independent route: build the associated 1-variable shift as a
         # truncation matrix and push basis vectors through s-fold products
+        N = 12
         for label, seq in suite_m2:
-            shift1 = SphericalShift(1, seq)
-            N = 12
+            shift1 = one_variable_shift(seq, N)
             basis = build_basis(1, N)
             t = build_shift_matrix(shift1, 1, basis).matrix
             for k in range(4):
@@ -213,6 +222,15 @@ def test_degenerate_arity_one_is_classical_shift():
     s = SphericalShift(1, seq)
     for k in range(10):
         assert s.weight(1, (k,)) == pytest.approx(math.sqrt(float(seq.delta2_exact(k))), rel=1e-15)
+
+
+def test_arity_must_match_the_family_arity():
+    # the hp delta2 (k+m)/(k+p) depends on m, so another arity is refused
+    for seq in (HpSpace(2, 3), HpSpace(2, 3).scale(2)):
+        with pytest.raises(ValueError, match="does not match"):
+            SphericalShift(3, seq)
+        assert SphericalShift(2, seq).m == 2
+    assert SphericalShift(3, AlternatingTwelve()).m == 3  # declares no arity
 
 
 def test_library_imposes_no_arity_cap():

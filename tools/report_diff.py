@@ -9,9 +9,10 @@ from a fresh temporary working directory, and compares what a run leaves:
 its exit code, standard output, standard error and every file it writes in
 that directory. The ``timings`` block of a JSON report is dropped first,
 since it is the one part of a report that differs between identical
-requests. Each differing run is printed with the head of its diff, then one
-summary line; the exit code is 1 if any run differs, 0 otherwise. Only the
-standard library is used.
+requests. The script prints one line per tree with the summed wall time and
+user+sys CPU of its runs (read with ``os.wait4``), then each differing run
+with the head of its diff, then one summary line; the exit code is 1 if any
+run differs, 0 otherwise. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -103,24 +105,40 @@ def _canonical(text: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def run_one(tree: str, argv: list) -> str:
-    """Everything one run leaves, as one comparable text."""
+def run_one(tree: str, argv: list):
+    """Everything one run leaves, as one comparable text; and the run's wall
+    time and user+sys CPU in seconds."""
     env = {k: v for k, v in os.environ.items() if k != "SPHSHIFT_OUT_DIR"}
     env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "sphshift.cli"] + argv, cwd=cwd,
-                              env=env, capture_output=True, text=True)
-        parts = [f"exit {proc.returncode}\n", "--- stdout\n", _canonical(proc.stdout),
-                 "--- stderr\n", proc.stderr]
+    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "sphshift.cli"] + argv, cwd=cwd,
+                                env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        # reaped here: Popen must not wait on the pid again, which the
+        # other worker's next child may already have
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        parts = [f"exit {proc.returncode}\n", "--- stdout\n",
+                 _canonical(out.read()), "--- stderr\n", err.read()]
         for name in sorted(os.listdir(cwd)):
             with open(os.path.join(cwd, name)) as fh:
                 parts += [f"--- file {name}\n", _canonical(fh.read())]
-    return "".join(parts)
+    return "".join(parts), wall, usage.ru_utime + usage.ru_stime
 
 
 def run_tree(tree: str, runs: list) -> list:
+    """The texts of a tree's runs, after one line with their summed times."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        return list(pool.map(lambda argv: run_one(tree, argv), runs))
+        results = list(pool.map(lambda argv: run_one(tree, argv), runs))
+    wall = sum(r[1] for r in results)
+    cpu = sum(r[2] for r in results)
+    print(f"{tree}: {len(runs)} runs, wall {wall:.1f} s, user+sys CPU {cpu:.1f} s "
+          f"({cpu / wall:.2f}x wall)")
+    return [r[0] for r in results]
 
 
 def main(argv=None) -> int:
