@@ -205,6 +205,14 @@ class ScalarSequence:
         return f"{type(self).__name__}({inner})"
 
 
+def check_arity(seq: ScalarSequence, m: int) -> None:
+    """Refuse an arity m other than the family's own, where the family has
+    one (``seq.m``: its delta2 depends on m, as hp's (k+m)/(k+p) does)."""
+    declared = getattr(seq, "m", None)
+    if declared is not None and declared != m:
+        raise ValueError(f"arity m = {m} does not match the family's own m = {declared}")
+
+
 class HpSpace(ScalarSequence):
     """The kernel-scale family: delta2(k) = (k+m)/(k+p).
 

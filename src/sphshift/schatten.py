@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import is_compact
-from .scalarseq import ScalarSequence
+from .scalarseq import ScalarSequence, check_arity
 from .shift import SphericalShift
 from .spectra import essential_normality_gate
 
@@ -108,6 +108,7 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
     commutators compact), which is the natural endpoint of the scale.
     """
     _require_m(m)
+    check_arity(seq, m)
     if p != math.inf and p < 1:
         raise ValueError("Schatten exponent p must satisfy 1 <= p <= inf")
     if K < 1000:

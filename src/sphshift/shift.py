@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .multiindex import MultiIndex
-from .scalarseq import ScalarSequence
+from .scalarseq import ScalarSequence, check_arity
 
 
 def _by_level(levels, value, *data, coord=None) -> np.ndarray:
@@ -66,9 +66,7 @@ class SphericalShift:
     def __init__(self, m: int, seq: ScalarSequence):
         if m < 1:
             raise ValueError("arity m must be >= 1")
-        declared = getattr(seq, "m", None)  # a family whose delta2 depends on m
-        if declared is not None and declared != m:
-            raise ValueError(f"arity m = {m} does not match the family's own m = {declared}")
+        check_arity(seq, m)
         self.m = int(m)
         self.seq = seq
         self._pairs = {}     # level k -> commutator pair

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .scalarseq import ScalarSequence
+from .scalarseq import ScalarSequence, check_arity
 
 DEFAULT_K = 100_000
 DEFAULT_J = 60
@@ -304,6 +304,7 @@ def spectral_report(
     J: int = DEFAULT_J,
     window: Optional[int] = None,
 ) -> SpectralReport:
+    check_arity(seq, m)
     window = K // 10 if window is None else window
     outer = outer_radius(seq, J, K)
     conv = convergence_radius(seq, K)

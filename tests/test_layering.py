@@ -249,7 +249,9 @@ UNCALLED_PUBLIC = {
     "perfbench/tracer.py": {"level_count", "q_power_bruteforce", "bq_bruteforce",
                             "weight", "q_diag", "bq_diag", "self_comm_coeff",
                             "cross_comm_coeff", "q_isometry_order", "is_q_expansion",
-                            "is_szego", "complete_hyperexpansion_up_to"},
+                            "is_szego", "complete_hyperexpansion_up_to",
+                            # reads .matrix.shape of each commutator's first operand
+                            "matrix"},
     # called by the benchmark's result checks
     "perfbench/checks.py": {"schatten_power_sum", "closed_form_norm"},
     # the test instrument that rescales a sequence's weights

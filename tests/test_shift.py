@@ -7,7 +7,9 @@ import pytest
 from exact_reference import add_unit, beta_norm, delta2_float, gamma_exact, nabla_gamma
 from sphshift.multiindex import MultiIndex, enumerate_level
 from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated
+from sphshift.schatten import decide
 from sphshift.shift import SphericalShift
+from sphshift.spectra import spectral_report
 from sphshift.truncation import build_basis, build_shift_matrix
 
 
@@ -231,6 +233,16 @@ def test_arity_must_match_the_family_arity():
             SphericalShift(3, seq)
         assert SphericalShift(2, seq).m == 2
     assert SphericalShift(3, AlternatingTwelve()).m == 3  # declares no arity
+
+
+def test_every_layer_taking_an_arity_refuses_a_foreign_one():
+    # the same check as the shift's: hp at m = 2 is not a family at m = 3
+    with pytest.raises(ValueError, match="does not match"):
+        decide(HpSpace(2, 3), 3, 2.5)
+    with pytest.raises(ValueError, match="does not match"):
+        spectral_report(HpSpace(2, 3), 3)
+    assert decide(HpSpace(3, 4), 3, 2.5).verdict == "diverges"
+    assert spectral_report(AlternatingTwelve(), 3).m == 3  # declares no arity
 
 
 def test_library_imposes_no_arity_cap():

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import pathlib
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from sphshift.multiindex import enumerate_level
 from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated, default_suite
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
+    LevelOperator,
     StructuralAssumptionError,
     build_basis,
     build_shift_matrix,
@@ -23,9 +26,12 @@ from sphshift.truncation import (
     oracle_suite,
     q_power_bruteforce,
     schatten_power_sum,
-    DenseOperator,
 )
 from sphshift.schatten import closed_form_level_sums
+
+
+# the (m, N) of every verify request of the benchmark's oracle-verify workload
+VERIFY_SIZES = [(2, 8), (2, 10), (2, 12), (2, 14), (3, 6), (3, 7), (4, 4), (4, 5)]
 
 
 def szego(m=2):
@@ -113,8 +119,8 @@ class TestCommutator:
         assert c[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_dimension_mismatch(self):
-        a = DenseOperator(np.zeros((2, 2)), build_basis(1, 1), "a")
-        b = DenseOperator(np.zeros((3, 3)), build_basis(1, 2), "b")
+        a = LevelOperator((np.zeros((1, 1)),) * 2, 0, build_basis(1, 1), "a")
+        b = LevelOperator((np.zeros((1, 1)),) * 3, 0, build_basis(1, 2), "b")
         with pytest.raises(ValueError):
             commutator(a, b)
 
@@ -193,13 +199,14 @@ class TestCompareClosedForm:
         n0 = (1, 1, 1)
         original = truncation._expected_interior
 
-        def perturbed(shift, kind, basis, interior):
-            expected = original(shift, kind, basis, interior)
+        def perturbed(shift, kind, basis, kmax):
+            rows, values = original(shift, kind, basis, kmax)
             if kind == planted:
                 col = basis.rows[n0]
-                row = basis.rows[(0, 2, 1)] if kind[0] == "cross_comm" else col
-                expected[row, col] += 1e-6
-            return expected
+                want = basis.rows[(0, 2, 1)] if kind[0] == "cross_comm" else col
+                assert (col if rows is None else rows[col]) == want
+                values[col] += 1e-6
+            return rows, values
 
         monkeypatch.setattr(truncation, "_expected_interior", perturbed)
         rows = oracle_suite(SphericalShift(3, HpSpace(3, 4)), N=6, tol=1e-10)
@@ -214,18 +221,30 @@ class TestCompareClosedForm:
         rows = oracle_suite(Misplaced(2, HpSpace(2, 3)), N=6, tol=1e-10)
         assert {r["kind"] for r in rows if not r["pass"]} == {"cross_comm/1/2", "cross_comm/2/1"}
 
+    def test_target_off_its_level_is_refused(self):
+        # every compared operator preserves the level, so a closed form that
+        # names a target on another level is a structural failure
+        class Lifted(SphericalShift):
+            def cross_comm_coeffs(self, j, l, exps):
+                coeffs, targets = super().cross_comm_coeffs(j, l, exps)
+                return coeffs, np.where(targets >= 0, targets + [1, 0], -1)  # one level up
+
+        with pytest.raises(StructuralAssumptionError):
+            oracle_suite(Lifted(2, HpSpace(2, 3)), N=6, tol=1e-10)
+
 
 class TestGramSingularValues:
     def test_diagonal_matrix(self):
         basis = build_basis(2, 2)
-        d = np.diag([3.0, -1.0, 0.5, 0.0, 2.0, 1.0])
-        sv = gram_diagonal_singular_values(DenseOperator(d, basis, "diag"))
+        blocks = (np.diag([3.0]), np.diag([-1.0, 0.5]), np.diag([0.0, 2.0, 1.0]))
+        sv = gram_diagonal_singular_values(LevelOperator(blocks, 0, basis, "diag"))
         np.testing.assert_allclose(sv, sorted([3.0, 1.0, 0.5, 0.0, 2.0, 1.0]))
 
     def test_zero_matrix(self):
         basis = build_basis(2, 1)
-        sv = gram_diagonal_singular_values(DenseOperator(np.zeros((3, 3)), basis, "zero"))
-        assert np.all(sv == 0.0)
+        zero = LevelOperator((np.zeros((1, 1)), np.zeros((2, 2))), 0, basis, "zero")
+        sv = gram_diagonal_singular_values(zero)
+        assert sv.shape == (3,) and np.all(sv == 0.0)
 
     def test_cross_commutator_contains_expected_value(self):
         basis = build_basis(2, 2)
@@ -235,18 +254,19 @@ class TestGramSingularValues:
 
     def test_structural_violation_detected(self):
         basis = build_basis(2, 1)
-        mat = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        blocks = (np.array([[1.0]]), np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(StructuralAssumptionError):
-            gram_diagonal_singular_values(DenseOperator(mat, basis, "dense"))
+            gram_diagonal_singular_values(LevelOperator(blocks, 0, basis, "mixing"))
 
     def test_gram_off_diagonal_vanishes_for_suite(self, suite_m2):
         basis = build_basis(2, 8)
         for label, seq in suite_m2:
             ts = build_tuple_matrices(SphericalShift(2, seq), basis)
             c = commutator(ts[0].adjoint(), ts[1])
-            gram = c.matrix.T @ c.matrix
-            off = gram - np.diag(np.diag(gram))
-            assert np.max(np.abs(off)) <= 1e-10, label
+            for block in c.blocks:
+                gram = block.T @ block
+                off = gram - np.diag(np.diag(gram))
+                assert np.max(np.abs(off)) <= 1e-10, label
 
 
 class TestSchattenOracle:
@@ -273,7 +293,7 @@ class TestSchattenOracle:
         basis = build_basis(2, 8)
         ts = build_tuple_matrices(SphericalShift(2, HpSpace(2, 3)), basis)
         c = commutator(ts[0].adjoint(), ts[1])
-        sv = gram_diagonal_singular_values(DenseOperator(c.restrict_to_levels(7).copy(), basis, "i"))
+        sv = gram_diagonal_singular_values(c.restrict_to_levels(7))
         norms = {p: float(np.sum(sv ** p)) ** (1 / p) for p in (1, 2, 4)}
         assert norms[1] >= norms[2] >= norms[4]
 
@@ -410,8 +430,13 @@ class TestLevelWiseForms:
         for label, seq in default_suite(m):
             shift = SphericalShift(m, seq)
             for kind in suite_kinds(m):
-                interior = basis.level_slice(N - truncation.required_margin(kind)).stop
-                got = truncation._expected_interior(shift, kind, basis, interior)
+                kmax = N - truncation.required_margin(kind)
+                interior = basis.level_slice(kmax).stop
+                rows, values = truncation._expected_interior(shift, kind, basis, kmax)
+                cols = np.arange(interior)
+                rows = cols if rows is None else rows
+                got = np.zeros((interior, interior))
+                got[rows[rows >= 0], cols[rows >= 0]] = values[rows >= 0]
                 want = reference_expected_interior(shift, kind, basis, interior)
                 assert np.array_equal(got, want), (label, kind)
             for j in range(1, m + 1):
@@ -499,7 +524,7 @@ class TestLevelWiseForms:
 
 class TestRoundingBound:
     # every (m, N) the benchmark's verify requests use, and analyze's default N = 10
-    SIZES = [(2, 8), (2, 10), (2, 12), (2, 14), (3, 6), (3, 7), (4, 4), (4, 5), (3, 10)]
+    SIZES = VERIFY_SIZES + [(3, 10)]
 
     @pytest.mark.parametrize("m,N", SIZES)
     def test_bound_stays_below_default_tol_on_the_suite(self, m, N):
@@ -508,9 +533,9 @@ class TestRoundingBound:
             ts = build_tuple_matrices(SphericalShift(m, seq), basis)
             powers = truncation.q_powers(ts, 3)
             for kind in suite_kinds(m):
-                interior = basis.level_slice(N - truncation.required_margin(kind)).stop
-                bound = truncation.rounding_bound(kind, ts, powers, interior)
-                assert bound.shape == (interior,) and np.all(bound < 1e-10), (label, kind)
+                kmax = N - truncation.required_margin(kind)
+                bound = truncation.rounding_bound(kind, ts, powers, kmax)
+                assert bound.shape == (kmax + 1,) and np.all(bound < 1e-10), (label, kind)
 
     def test_tiny_p_passes_on_rounding_alone(self):
         rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
@@ -530,13 +555,13 @@ class TestRoundingBound:
     def test_relative_defect_on_tiny_p_is_caught(self, planted, n0, monkeypatch):
         original = truncation._expected_interior
 
-        def perturbed(shift, kind, basis, interior):
-            expected = original(shift, kind, basis, interior)
+        def perturbed(shift, kind, basis, kmax):
+            rows, values = original(shift, kind, basis, kmax)
             if kind == planted:
                 col = basis.rows[n0]
-                row = int(np.flatnonzero(expected[:, col])[0])
-                expected[row, col] *= 1 + 1e-6
-            return expected
+                assert values[col] != 0.0 and (rows is None or rows[col] >= 0)
+                values[col] *= 1 + 1e-6
+            return rows, values
 
         monkeypatch.setattr(truncation, "_expected_interior", perturbed)
         rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
@@ -545,5 +570,71 @@ class TestRoundingBound:
     def test_readme_states_the_rule(self):
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = " ".join(readme.split())
-        assert "within the forward rounding bound of the dense side" in text
+        assert "within the forward rounding bound of the matrix products" in text
         assert "`--tol 0` asks for exact agreement" in text
+
+
+def dense_tuple(shift, basis):
+    """T_1..T_m as dense dim x dim matrices: zeros with the weights scattered
+    by ``basis.up``, built independently of the level blocks."""
+    mats = []
+    for j in range(1, shift.m + 1):
+        mat = np.zeros((basis.dimension, basis.dimension))
+        cols = np.flatnonzero(basis.up[j - 1] >= 0)
+        mat[basis.up[j - 1, cols], cols] = shift.weights(j, basis.exponents[cols])
+        mats.append(mat)
+    return mats
+
+
+class TestLevelBlocks:
+    @pytest.mark.parametrize("m,N", VERIFY_SIZES)
+    def test_blocks_equal_dense_products_bit_for_bit(self, m, N):
+        # each entry of these products has at most one nonzero term, so the
+        # level blocks must give exactly the floats of the dense products
+        basis = build_basis(m, N)
+        for label, seq in default_suite(m):
+            shift = SphericalShift(m, seq)
+            ts, dense = build_tuple_matrices(shift, basis), dense_tuple(shift, basis)
+            stop = basis.level_slice(N - 1).stop
+            for j in range(m):
+                for l in range(m):
+                    c = commutator(ts[j].adjoint(), ts[l])
+                    want = dense[j].T @ dense[l] - dense[l] @ dense[j].T
+                    assert len(c.blocks) == N, (label, j, l)
+                    assert np.array_equal(c.matrix[:stop, :stop], want[:stop, :stop]), (label, j, l)
+            x = np.eye(basis.dimension)
+            for s, power in enumerate(truncation.q_powers(ts, 3)):
+                if s:
+                    x = sum(t.T @ x @ t for t in dense)
+                stop = basis.level_slice(N - s).stop
+                assert len(power.blocks) == N - s + 1, (label, s)
+                assert np.array_equal(power.matrix[:stop, :stop], x[:stop, :stop]), (label, s)
+
+    def test_oracle_holds_no_dense_matrix(self):
+        # one dense float64 matrix at dim C(14, 4) = 1001 is 8.0 MB
+        dim = math.comb(10 + 4, 4)
+        shift = SphericalShift(4, HpSpace(4, 5))
+        tracemalloc.start()
+        try:
+            rows = oracle_suite(shift, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["pass"] for r in rows)
+        assert peak < dim * dim * 8, f"peak {peak / 1e6:.2f} MB"
+
+    def test_builder_refuses_a_target_outside_the_next_level(self):
+        basis = build_basis(2, 4)
+        shift = SphericalShift(2, HpSpace(2, 3))
+        col = basis.rows[(1, 1)]  # level 2, so T_1 must send it into level 3
+        for row in (basis.rows[(1, 0)], basis.rows[(4, 0)], -1):
+            up = basis.up.copy()
+            up[0, col] = row
+            tampered = dataclasses.replace(basis, up=up)
+            with pytest.raises(StructuralAssumptionError):
+                build_shift_matrix(shift, 1, tampered)
+            with pytest.raises(StructuralAssumptionError):
+                oracle_suite(shift, 4, basis=tampered)
+        untouched = dataclasses.replace(basis, up=basis.up.copy())
+        assert np.array_equal(build_shift_matrix(shift, 1, untouched).matrix,
+                              dense_tuple(shift, basis)[0])
