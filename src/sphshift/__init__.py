@@ -10,6 +10,7 @@ finite-truncation matrix oracle.
 __version__ = "0.1.0"
 
 import os
+from importlib import import_module
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it. At 4, its
 # minimum, an idle worker thread sleeps at once instead of spinning for about
@@ -24,9 +25,26 @@ if "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
     finally:
         del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
-from .scalarseq import HpSpace, RhoEta
-from .shift import SphericalShift
-from .truncation import oracle_suite
-from .spectra import spectral_report
-from .schatten import decide
-from .classify import classification
+# The seven exports load their layer on first use (PEP 562), so that
+# `import sphshift` and each CLI request load only the layers they need.
+_EXPORTS = {
+    "HpSpace": "scalarseq",
+    "RhoEta": "scalarseq",
+    "SphericalShift": "shift",
+    "oracle_suite": "truncation",
+    "spectral_report": "spectra",
+    "decide": "schatten",
+    "classification": "classify",
+}
+
+
+def __getattr__(name):
+    # an unknown name must raise AttributeError: `from sphshift import cli`
+    # then imports the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

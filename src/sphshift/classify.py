@@ -17,13 +17,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .scalarseq import BoundednessReport, ScalarSequence
+from .scalarseq import (
+    DEFAULT_K_EXACT,
+    DEFAULT_K_SAMPLED,
+    DEFAULT_P,
+    DEFAULT_Q,
+    BoundednessReport,
+    ScalarSequence,
+)
 from .spectra import essential_normality_gate, suspect_unbounded
-
-DEFAULT_K_EXACT = 200
-DEFAULT_K_SAMPLED = 10_000
-DEFAULT_P = 8
-DEFAULT_Q = 6
 
 
 @dataclass(frozen=True)

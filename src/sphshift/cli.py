@@ -4,12 +4,16 @@ Reports are schema-stable JSON with fixed key order; identical requests
 produce identical reports apart from the wall-clock timing block. Exit
 codes: 0 success, 1 verification failure, 2 usage error, 141 when the
 reader closes standard output early (128 + SIGPIPE, as a shell reports).
+
+Each subcommand imports the layers it uses in its own body, so that a
+request, a fresh process, compiles and loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -18,17 +22,22 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, classify, schatten, spectra
+from . import __version__
 from .scalarseq import (
+    DEFAULT_J,
+    DEFAULT_K,
+    DEFAULT_K_EXACT,
+    DEFAULT_K_SAMPLED,
+    DEFAULT_P,
+    DEFAULT_Q,
     FAMILIES,
     ScalarSequence,
     TableRangeError,
     UnknownFamilyError,
+    VerificationError,
     default_suite,
     make_family,
 )
-from .shift import SphericalShift
-from .truncation import StructuralAssumptionError, build_basis, oracle_suite
 
 SCHEMA_VERSION = 1
 CLI_MAX_ARITY = 8
@@ -59,6 +68,17 @@ def _parse_exponent(text: str) -> float:
         return float(Fraction(text))
     except OverflowError:
         raise argparse.ArgumentTypeError(f"exponent {text!r} overflows a float") from None
+
+
+def _parse_tol(text: str) -> float:
+    """A comparison tolerance: a finite float >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _parse_grid(text: str):
@@ -213,8 +233,12 @@ def _exp_or_inf(x: float) -> float:
 
 
 def cmd_dump_sequence(args) -> int:
+    from .shift import SphericalShift
+
     if args.K < 0:
         raise ValueError("--K must be >= 0")
+    if args.Q < 0:
+        raise ValueError("--Q must be >= 0")
     seq = _family_from_args(args)
     shift = SphericalShift(args.m, seq)
     buf = io.StringIO()
@@ -235,9 +259,11 @@ def cmd_dump_sequence(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectra import spectral_report
+
     seq = _family_from_args(args)
     t0 = time.perf_counter()
-    report = spectra.spectral_report(seq, args.m, K=args.K, J=args.J, window=args.window)
+    report = spectral_report(seq, args.m, K=args.K, J=args.J, window=args.window)
     payload = _base_report(args, seq)
     payload["spectrum"] = report
     payload["timings"] = {"spectrum_s": time.perf_counter() - t0}
@@ -256,9 +282,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_schatten(args) -> int:
+    from .schatten import decide
+
     seq = _family_from_args(args)
     t0 = time.perf_counter()
-    verdict = schatten.decide(seq, args.m, args.p, K=args.K)
+    verdict = decide(seq, args.m, args.p, K=args.K)
     payload = _base_report(args, seq)
     payload["schatten"] = verdict
     payload["timings"] = {"schatten_s": time.perf_counter() - t0}
@@ -267,10 +295,12 @@ def cmd_schatten(args) -> int:
 
 
 def cmd_cutoff(args) -> int:
+    from .schatten import cutoff_check
+
     seq = _family_from_args(args)
     grid = args.grid if args.grid else _default_p_grid(args.m)
     t0 = time.perf_counter()
-    report = schatten.cutoff_check(seq, args.m, grid, K=args.K)
+    report = cutoff_check(seq, args.m, grid, K=args.K)
     payload = _base_report(args, seq)
     payload["cutoff"] = report
     payload["timings"] = {"cutoff_s": time.perf_counter() - t0}
@@ -279,9 +309,11 @@ def cmd_cutoff(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classification
+
     seq = _family_from_args(args)
     t0 = time.perf_counter()
-    result = classify.classification(seq, P=args.P, Q=args.Q, K=args.K, horizon=args.horizon)
+    result = classification(seq, P=args.P, Q=args.Q, K=args.K, horizon=args.horizon)
     payload = _base_report(args, seq)
     body = _sanitize(result)
     if not args.witness:
@@ -295,8 +327,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .schatten import asymptotic_lemma_check
+
     t0 = time.perf_counter()
-    report = schatten.asymptotic_lemma_check(
+    report = asymptotic_lemma_check(
         args.m, args.p, args.k_range, points=args.points
     )
     payload = {
@@ -309,6 +343,9 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .shift import SphericalShift
+    from .truncation import build_basis, oracle_suite
+
     t0 = time.perf_counter()
     results = []
     ok = True
@@ -330,21 +367,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .classify import classification
+    from .schatten import cutoff_check
+    from .shift import SphericalShift
+    from .spectra import spectral_report
+    from .truncation import oracle_suite
+
     seq = _family_from_args(args)
     timings = {}
     payload = _base_report(args, seq)
 
     t0 = time.perf_counter()
-    payload["spectrum"] = spectra.spectral_report(seq, args.m, K=args.K, J=args.J)
+    payload["spectrum"] = spectral_report(seq, args.m, K=args.K, J=args.J)
     timings["spectrum_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     grid = args.grid if args.grid else _default_p_grid(args.m)
-    payload["schatten_cutoff"] = schatten.cutoff_check(seq, args.m, grid, K=args.K)
+    payload["schatten_cutoff"] = cutoff_check(seq, args.m, grid, K=args.K)
     timings["schatten_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    payload["classification"] = classify.classification(
+    payload["classification"] = classification(
         seq, P=args.P, Q=args.Q, K=args.K_exact, horizon=args.K
     )
     timings["classify_s"] = time.perf_counter() - t0
@@ -406,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("spectrum", help="spectral-part radii and shells")
     _add_family_flags(sub)
-    sub.add_argument("--K", type=int, default=spectra.DEFAULT_K)
-    sub.add_argument("--J", type=int, default=spectra.DEFAULT_J)
+    sub.add_argument("--K", type=int, default=DEFAULT_K)
+    sub.add_argument("--J", type=int, default=DEFAULT_J)
     sub.add_argument("--window", type=int, default=None)
     sub.add_argument("--plot-data", help="CSV dump of the per-lag sequences")
     _add_out(sub)
@@ -418,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", dest="p", required=True,
                      type=_parse_exponent,
                      help="Schatten exponent (family parameter is --p-space here)")
-    sub.add_argument("--K", type=int, default=schatten.DEFAULT_K)
+    sub.add_argument("--K", type=int, default=DEFAULT_K)
     _add_out(sub)
     sub.set_defaults(func=cmd_schatten)
 
@@ -426,16 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sub)
     sub.add_argument("--grid", type=_parse_grid, default=None,
                      help="comma-separated exponents (default straddles m)")
-    sub.add_argument("--K", type=int, default=schatten.DEFAULT_K)
+    sub.add_argument("--K", type=int, default=DEFAULT_K)
     _add_out(sub)
     sub.set_defaults(func=cmd_cutoff)
 
     sub = subs.add_parser("classify", help="structural classification")
     _add_family_flags(sub)
-    sub.add_argument("--P", type=int, default=classify.DEFAULT_P)
-    sub.add_argument("--Q", type=int, default=classify.DEFAULT_Q)
-    sub.add_argument("--K", type=int, default=classify.DEFAULT_K_EXACT)
-    sub.add_argument("--horizon", type=int, default=classify.DEFAULT_K_SAMPLED)
+    sub.add_argument("--P", type=int, default=DEFAULT_P)
+    sub.add_argument("--Q", type=int, default=DEFAULT_Q)
+    sub.add_argument("--K", type=int, default=DEFAULT_K_EXACT)
+    sub.add_argument("--horizon", type=int, default=DEFAULT_K_SAMPLED)
     sub.add_argument("--witness", action="store_true", help="include failure indices")
     _add_out(sub)
     sub.set_defaults(func=cmd_classify)
@@ -451,20 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="run the brute-force oracle suite")
     sub.add_argument("--m", type=int, default=2)
     sub.add_argument("--N", type=int, default=10)
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=_parse_tol, default=1e-10)
     _add_out(sub)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("analyze", help="full report: spectrum + cutoff + classification + oracle")
     _add_family_flags(sub)
-    sub.add_argument("--K", type=int, default=spectra.DEFAULT_K)
-    sub.add_argument("--J", type=int, default=spectra.DEFAULT_J)
-    sub.add_argument("--K-exact", dest="K_exact", type=int, default=classify.DEFAULT_K_EXACT)
+    sub.add_argument("--K", type=int, default=DEFAULT_K)
+    sub.add_argument("--J", type=int, default=DEFAULT_J)
+    sub.add_argument("--K-exact", dest="K_exact", type=int, default=DEFAULT_K_EXACT)
     sub.add_argument("--N", type=int, default=10)
-    sub.add_argument("--P", type=int, default=classify.DEFAULT_P)
-    sub.add_argument("--Q", type=int, default=classify.DEFAULT_Q)
+    sub.add_argument("--P", type=int, default=DEFAULT_P)
+    sub.add_argument("--Q", type=int, default=DEFAULT_Q)
     sub.add_argument("--grid", type=_parse_grid, default=None)
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=_parse_tol, default=1e-10)
     _add_out(sub)
     sub.set_defaults(func=cmd_analyze)
 
@@ -482,7 +525,7 @@ def main(argv=None) -> int:
     except (UnknownFamilyError, TableRangeError, ValueError, FileNotFoundError) as exc:
         print(f"sphshift: {exc}", file=sys.stderr)
         return 2
-    except (spectra.CrossCheckError, StructuralAssumptionError) as exc:
+    except VerificationError as exc:
         print(f"sphshift: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
@@ -492,5 +535,20 @@ def main(argv=None) -> int:
         return 141
 
 
+def run() -> int:
+    """The process entry point, of ``python -m sphshift.cli`` and of the
+    ``sphshift`` script: ``main()``, then ``gc.freeze()``.
+
+    Interpreter exit ends with full garbage collections that walk every
+    object numpy and the layers made, some 20 ms of a short request. Frozen
+    objects are not walked; atexit handlers, stream flushing and reference
+    count teardown run as before. In-process callers of ``main`` keep their
+    collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

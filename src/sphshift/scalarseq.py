@@ -20,6 +20,20 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+# Default horizons and orders of the layers above, stated once here, where
+# the CLI reads them without loading those layers.
+DEFAULT_K = 100_000         # spectra and schatten: float horizon
+DEFAULT_J = 60              # spectra: lags of the radius scans
+DEFAULT_K_EXACT = 200       # classify: exact horizon
+DEFAULT_K_SAMPLED = 10_000  # classify: sampled horizon
+DEFAULT_P = 8               # classify: subnormality order
+DEFAULT_Q = 6               # classify: expansion orders
+
+
+class VerificationError(Exception):
+    """Two routes to one result disagree, or the operator under test breaks
+    an assumption of the check: a verification failure, not a usage error."""
+
 
 class TableRangeError(Exception):
     """Raised when a tabulated family is evaluated beyond its table and no

@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .classify import is_compact
-from .scalarseq import ScalarSequence, check_arity
-from .shift import SphericalShift
+from .scalarseq import DEFAULT_K, ScalarSequence, check_arity
 from .spectra import essential_normality_gate
 
-DEFAULT_K = 100_000
+if TYPE_CHECKING:
+    # only closed_form_norm takes a shift, built by its caller: a Schatten
+    # request loads neither shift nor multiindex
+    from .shift import SphericalShift
+
 MIN_FIT_POINTS = 20
 
 

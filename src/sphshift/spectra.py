@@ -25,10 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .scalarseq import ScalarSequence, check_arity
+from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, VerificationError, check_arity
 
-DEFAULT_K = 100_000
-DEFAULT_J = 60
 STABLE_WINDOW = 5
 STABLE_TOL = 1e-4
 MINFTY_RTOL = 1e-9
@@ -43,7 +41,7 @@ class NotEssentiallyNormalError(Exception):
     """The essential-spectrum shell formula requires essential normality."""
 
 
-class CrossCheckError(RuntimeError):
+class CrossCheckError(VerificationError):
     """Two independent routes to one quantity disagree."""
 
 

@@ -33,10 +33,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .multiindex import enumerate_level
+from .scalarseq import VerificationError
 from .shift import SphericalShift
 
 
-class StructuralAssumptionError(Exception):
+class StructuralAssumptionError(VerificationError):
     """The operator under test does not have the promised shift structure."""
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import sphshift
 
-from sphshift import cli, spectra
+from sphshift import cli, spectra, truncation
 from sphshift.cli import main
 from sphshift.scalarseq import FAMILIES
 from sphshift.truncation import StructuralAssumptionError
@@ -339,11 +340,23 @@ class TestErrors:
     @pytest.mark.parametrize("argv,message", [
         (["lemmas", "--points", "0"], "need at least one point"),
         (["dump-sequence", "--family", "szego", "--K", "-1"], "--K must be >= 0"),
-    ], ids=["no-points", "negative-K"])
+        (["dump-sequence", "--family", "szego", "--Q", "-1"], "--Q must be >= 0"),
+    ], ids=["no-points", "negative-K", "negative-Q"])
     def test_out_of_range_count_is_a_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"sphshift: {message}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-10x"])
+    @pytest.mark.parametrize("command", [["verify"], ["analyze", "--family", "bergman"]],
+                             ids=lambda c: c[0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tolerance must be finite and >= 0, got {tol!r}" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["schatten", "--family", "bergman", "--p", "1e400"],
@@ -425,7 +438,7 @@ class TestErrors:
         def not_shift_structured(shift, N, tol, basis=None):
             raise StructuralAssumptionError("C*C has off-diagonal magnitude 1.000e+00")
 
-        monkeypatch.setattr(cli, "oracle_suite", not_shift_structured)
+        monkeypatch.setattr(truncation, "oracle_suite", not_shift_structured)
         assert main(["verify", "--m", "2", "--N", "4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -497,3 +510,50 @@ class TestErrors:
         assert code == 0
         assert doc["classification"]["q_isometry_order"] == 3
         assert doc["request"]["m"] == 3
+
+
+def without_timings(text: str) -> str:
+    doc = json.loads(text)
+    doc.pop("timings", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestProcessEntry:
+    """``python -m sphshift.cli`` runs ``cli.run``: ``main`` and then a frozen
+    collector, which must change no output and no exit code."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "--m", "2", "--N", "4"], 0),
+        (["verify", "--m", "2", "--N", "4", "--tol", "0"], 1),
+        (["spectrum", "--family", "rho-eta", "--K", "2000"], 0),
+        (["dump-sequence", "--family", "szego", "--Q", "-1"], 2),
+    ], ids=["pass", "fail", "spectrum", "usage"])
+    def test_process_matches_in_process_main(self, capsys, argv, code):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "sphshift.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert proc.stderr == captured.err
+        if code == 2:
+            assert proc.stdout == captured.out == ""
+        else:
+            assert without_timings(proc.stdout) == without_timings(captured.out)
+
+    def test_only_the_process_entry_freezes_the_collector(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["families"]) == 0
+        assert gc.get_freeze_count() == before
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+        code = ("import gc, sys\nfrom sphshift.cli import run\ncode = run()\n"
+                "print(gc.get_freeze_count(), file=sys.stderr)\nsys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, "families"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and int(proc.stderr) > 0
+        assert without_timings(proc.stdout) == without_timings(capsys.readouterr().out)
+
+    def test_console_script_is_the_process_entry(self):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(repo, "pyproject.toml")) as fh:
+            assert '\nsphshift = "sphshift.cli:run"\n' in fh.read()

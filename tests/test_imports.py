@@ -1,5 +1,7 @@
-"""What ``import sphshift.cli`` loads, and leaves behind: every CLI run pays for it at start-up."""
+"""What ``import sphshift.cli`` and each CLI request load, and leave behind:
+every CLI run pays for it at start-up."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import time
 import pytest
 
 import sphshift
+from sphshift import classify, cli, scalarseq, schatten, shift, spectra, truncation
 
 SRC = os.path.dirname(os.path.dirname(sphshift.__file__))
 
@@ -65,3 +68,91 @@ def test_thread_timeout_leaves_the_environment_as_it_was(preset):
                           env=child_env(**extra), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(preset)
+
+
+def layers_loaded(prelude: str) -> set:
+    """The sphshift modules a fresh interpreter holds after running ``prelude``."""
+    code = (prelude + "\nimport sys; "
+            "print(' '.join(m for m in sys.modules if m.startswith('sphshift')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def request_loads(argv: list) -> set:
+    prelude = ("import contextlib, io\nfrom sphshift import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert cli.main({argv!r}) == 0")
+    return layers_loaded(prelude)
+
+
+def test_import_sphshift_loads_no_layer():
+    assert layers_loaded("import sphshift") == {"sphshift"}
+
+
+def test_verify_loads_only_the_oracle_layers():
+    loaded = request_loads(["verify", "--m", "2", "--N", "4"])
+    assert loaded == {"sphshift", "sphshift.cli", "sphshift.scalarseq", "sphshift.shift",
+                      "sphshift.multiindex", "sphshift.truncation"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "bergman", "--K", "20", "--horizon", "200"],
+    ["spectrum", "--family", "bergman", "--K", "2000"],
+    ["cutoff", "--family", "bergman", "--K", "2000"],
+    ["schatten", "--family", "bergman", "--p", "3", "--K", "2000"],
+    ["lemmas", "--k-range", "100:1000", "--points", "4"],
+], ids=lambda argv: argv[0])
+def test_scalar_requests_load_no_oracle(argv):
+    loaded = request_loads(argv)
+    assert "sphshift.cli" in loaded
+    assert not loaded & {"sphshift.truncation", "sphshift.multiindex"}
+
+
+EXPORTS = {"HpSpace": scalarseq, "RhoEta": scalarseq, "SphericalShift": shift,
+           "oracle_suite": truncation, "spectral_report": spectra, "decide": schatten,
+           "classification": classify}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_is_the_defining_modules_object(name):
+    assert getattr(sphshift, name) is getattr(EXPORTS[name], name)
+    assert name in dir(sphshift)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        sphshift.cli_main  # noqa: B018
+    assert not hasattr(sphshift, "DEFAULT_K")
+
+
+def test_cli_defaults_are_the_layer_defaults():
+    parser = cli.build_parser()
+
+    def defaults(fn):
+        return {name: par.default for name, par in inspect.signature(fn).parameters.items()
+                if par.default is not par.empty}
+
+    def cli_defaults(*argv):
+        return vars(parser.parse_args(list(argv)))
+
+    fam = ["--family", "bergman"]
+    report, verdict, cut = (defaults(f) for f in (spectra.spectral_report, schatten.decide,
+                                                  schatten.cutoff_check))
+    battery, oracle = defaults(classify.classification), defaults(truncation.oracle_suite)
+    lemma = defaults(schatten.asymptotic_lemma_check)
+
+    args = cli_defaults("spectrum", *fam)
+    assert (args["K"], args["J"], args["window"]) == (report["K"], report["J"], report["window"])
+    assert cli_defaults("schatten", *fam, "--p", "2")["K"] == verdict["K"]
+    assert cli_defaults("cutoff", *fam)["K"] == cut["K"]
+    args = cli_defaults("classify", *fam)
+    assert [args[k] for k in ("P", "Q", "K", "horizon")] == \
+        [battery[k] for k in ("P", "Q", "K", "horizon")]
+    assert cli_defaults("lemmas")["points"] == lemma["points"]
+    assert cli_defaults("verify")["tol"] == oracle["tol"]
+    args = cli_defaults("analyze", *fam)
+    assert (args["K"], args["J"]) == (report["K"], report["J"])
+    assert (args["K_exact"], args["P"], args["Q"]) == (battery["K"], battery["P"], battery["Q"])
+    assert args["tol"] == oracle["tol"]

@@ -91,6 +91,8 @@ def run_list(tables: list) -> list:
         fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
         runs += [["analyze"] + fam, ["classify"] + fam + ["--K", "2000"]]
     runs += [["verify", "--m", str(m), "--N", str(n)] for m, n in ((2, 8), (3, 6), (4, 4))]
+    # usage errors, exit 2: a negative --Q, and a tolerance that is not finite
+    runs += [["dump-sequence", "--family", "bergman", "--Q", "-1"], ["verify", "--tol", "nan"]]
     return runs
 
 
