@@ -37,6 +37,7 @@ from .scalarseq import (
     VerificationError,
     default_suite,
     make_family,
+    parse_rational,
 )
 
 SCHEMA_VERSION = 1
@@ -47,17 +48,10 @@ def _parse_tail(text: str):
     if text in ("error", "hold"):
         return text
     if text.startswith("const:"):
-        return ("const", Fraction(text.split(":", 1)[1]))
+        return ("const", parse_rational(text.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
         f"tail must be 'error', 'hold' or 'const:<value>', got {text!r}"
     )
-
-
-def _parse_number(text: str):
-    try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
 
 
 def _parse_exponent(text: str) -> float:
@@ -65,7 +59,7 @@ def _parse_exponent(text: str) -> float:
     if text == "inf":
         return math.inf
     try:
-        return float(Fraction(text))
+        return float(parse_rational(text))
     except OverflowError:
         raise argparse.ArgumentTypeError(f"exponent {text!r} overflows a float") from None
 
@@ -81,6 +75,17 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _parse_window(text: str) -> int:
+    """A sample window: an integer >= 1."""
+    try:
+        window = int(text)
+    except ValueError:
+        window = 0
+    if window < 1:
+        raise argparse.ArgumentTypeError(f"window must be an integer >= 1, got {text!r}")
+    return window
+
+
 def _parse_grid(text: str):
     vals = []
     for tok in text.split(","):
@@ -93,7 +98,7 @@ def _parse_grid(text: str):
 
 
 def _parse_coeffs(text: str):
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return [parse_rational(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_krange(text: str):
@@ -104,60 +109,34 @@ def _parse_krange(text: str):
         raise argparse.ArgumentTypeError("k-range must look like 100:10000") from exc
 
 
-def _read_family_file(path: str) -> dict:
-    """Flat key=value document describing a family."""
-    out = {}
+# the keys of a family file, each with the flag it stands for
+FAMILY_FILE_KEYS = {"family": "--family", "m": "--m", "p": "--p-space", "c": "--c",
+                    "gamma-coeffs": "--gamma-coeffs", "table": "--table", "tail": "--tail"}
+
+
+def _family_file_flags(path: str) -> list:
+    """The flags that a flat ``key = value`` family file stands for."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, val = line.partition("=")
+            key = key.strip().replace("_", "-")
+            if not eq:
                 raise ValueError(f"malformed line in {path!r}: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("_", "-")] = val
-    return out
+            if key not in FAMILY_FILE_KEYS:
+                raise ValueError(f"unknown key {key!r} in {path!r}; the keys are "
+                                 + ", ".join(FAMILY_FILE_KEYS))
+            # --flag=value: a value that starts with '-' stays a value
+            flags.append(f"{FAMILY_FILE_KEYS[key]}={val.strip()}")
+    return flags
 
 
 def _family_from_args(args) -> ScalarSequence:
-    spec = {
-        "family": args.family,
-        "p": getattr(args, "p_family", None),
-        "c": getattr(args, "c", None),
-        "gamma-coeffs": getattr(args, "gamma_coeffs", None),
-        "table": getattr(args, "table", None),
-        "tail": getattr(args, "tail", "error"),
-    }
-    if getattr(args, "family_file", None):
-        file_spec = _read_family_file(args.family_file)
-        if "family" not in file_spec:
-            raise ValueError(f"{args.family_file!r} does not name a family")
-        spec["family"] = file_spec["family"]
-        if "m" in file_spec:
-            args.m = int(file_spec["m"])
-        if "p" in file_spec:
-            spec["p"] = _parse_number(file_spec["p"])
-        if "c" in file_spec:
-            spec["c"] = _parse_number(file_spec["c"])
-        if "gamma-coeffs" in file_spec:
-            spec["gamma-coeffs"] = _parse_coeffs(file_spec["gamma-coeffs"])
-        if "table" in file_spec:
-            spec["table"] = file_spec["table"]
-        if "tail" in file_spec:
-            spec["tail"] = _parse_tail(file_spec["tail"])
-    if spec["family"] is None:
-        raise ValueError("no family given; use --family or --family-file")
-    if not 1 <= args.m <= CLI_MAX_ARITY:
-        raise ValueError(f"arity m must be in 1..{CLI_MAX_ARITY}")
-    return make_family(
-        spec["family"],
-        m=args.m,
-        p=spec["p"],
-        c=spec["c"],
-        gamma_coeffs=spec["gamma-coeffs"],
-        table=spec["table"],
-        tail=spec["tail"],
-    )
+    return make_family(args.family, m=args.m, p=args.p_family, c=args.c,
+                       gamma_coeffs=args.gamma_coeffs, table=args.table, tail=args.tail)
 
 
 def _sanitize(obj):
@@ -408,12 +387,13 @@ def cmd_analyze(args) -> int:
 
 def _add_family_flags(sub, family_p_flag: str = "--p") -> None:
     sub.add_argument("--family", help="registered family name")
-    sub.add_argument("--family-file", help="flat key=value family definition file")
+    sub.add_argument("--family-file", help="flat key = value family file; its values "
+                                           "win over the flags they stand for")
     sub.add_argument("--m", type=int, default=2, help="tuple arity (default 2)")
     flags = [family_p_flag] + (["--p-space"] if family_p_flag == "--p" else [])
-    sub.add_argument(*flags, dest="p_family", type=_parse_number, default=None,
+    sub.add_argument(*flags, dest="p_family", type=parse_rational, default=None,
                      help="kernel-scale parameter for --family hp")
-    sub.add_argument("--c", type=_parse_number, default=None,
+    sub.add_argument("--c", type=parse_rational, default=None,
                      help="weight for --family constant")
     sub.add_argument("--gamma-coeffs", type=_parse_coeffs, default=None,
                      help="comma-separated polynomial coefficients a0,a1,...")
@@ -451,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sub)
     sub.add_argument("--K", type=int, default=DEFAULT_K)
     sub.add_argument("--J", type=int, default=DEFAULT_J)
-    sub.add_argument("--window", type=int, default=None)
+    sub.add_argument("--window", type=_parse_window, default=None)
     sub.add_argument("--plot-data", help="CSV dump of the per-lag sequences")
     _add_out(sub)
     sub.set_defaults(func=cmd_spectrum)
@@ -516,23 +496,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if hasattr(args, "m") and not 1 <= args.m <= CLI_MAX_ARITY:
-        print(f"sphshift: arity m must be in 1..{CLI_MAX_ARITY}", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "family_file", None):
+            # the file's flags come last, so they win, and each value goes
+            # through its flag's own type
+            args = parser.parse_args(argv + _family_file_flags(args.family_file))
+        if getattr(args, "family", "") is None:
+            raise ValueError("no family given; use --family or --family-file")
+        if hasattr(args, "m") and not 1 <= args.m <= CLI_MAX_ARITY:
+            raise ValueError(f"arity m must be in 1..{CLI_MAX_ARITY}")
         return args.func(args)
-    except (UnknownFamilyError, TableRangeError, ValueError, FileNotFoundError) as exc:
-        print(f"sphshift: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"sphshift: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to /dev/null, so
         # that the flush at interpreter exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (UnknownFamilyError, TableRangeError, ValueError, OSError) as exc:
+        # OSError: a path named by --table, --family-file, --out or
+        # --plot-data that cannot be read or written
+        print(f"sphshift: {exc}", file=sys.stderr)
+        return 2
+    except VerificationError as exc:
+        print(f"sphshift: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> int:

@@ -553,20 +553,23 @@ class ScaledSequence(ScalarSequence):
 # -- registry and parsing -------------------------------------------------
 
 
+def parse_rational(text: str) -> Fraction:
+    """A number as a user types it, kept exact: a decimal ('0.1', '1e400')
+    or a ratio ('5/2'). Any other text ('nan', '1/0') is a ValueError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a decimal or a ratio p/q with q != 0") from None
+
+
 def read_delta2_table(path) -> list:
     """One-column CSV of delta2 values; '#' lines and blanks are skipped."""
     out = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            tok = row[0].strip()
-            if not tok:
-                continue
-            try:
-                out.append(Fraction(tok))
-            except ValueError:
-                out.append(float(tok))
+            tok = row[0].strip() if row else ""
+            if tok and not tok.startswith("#"):
+                out.append(parse_rational(tok))
     if not out:
         raise ValueError(f"no delta2 values found in {path}")
     return out

@@ -72,7 +72,7 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int):
 
 
 def _checkpoint_grid(K: int) -> list:
-    pts = set(np.unique(np.geomspace(1, K, 40).astype(int)).tolist())
+    pts = set(np.geomspace(1, K, 40).astype(int).tolist())
     l = 0
     while True:
         jump = 2 ** (2 ** l) + 1

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sphshift
 
@@ -516,6 +519,165 @@ def without_timings(text: str) -> str:
     doc = json.loads(text)
     doc.pop("timings", None)
     return json.dumps(doc, sort_keys=True)
+
+
+def exit_code(argv) -> int:
+    """What ``main`` exits with, argparse's ``SystemExit`` included; any
+    other exception, a traceback in a process, escapes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# inputs that once ended in a traceback with exit 1; {dir} is a directory
+# holding zero.csv (a row 1/0), d2.csv, p.fam (p = 1/0) and tail.fam (tail = bogus)
+BAD_INPUTS = {
+    "p": ["classify", "--family", "hp", "--p", "1/0"],
+    "p-space": ["classify", "--family", "hp", "--p-space", "3/0"],
+    "c": ["classify", "--family", "constant", "--c", "1/0"],
+    "gamma-coeffs": ["classify", "--family", "poly-gamma", "--gamma-coeffs", "1,1/0"],
+    "const-tail": ["classify", "--family", "tabulated", "--table", "{dir}/d2.csv",
+                   "--tail", "const:1/0"],
+    "schatten-p": ["schatten", "--family", "bergman", "--p", "1/0"],
+    "cutoff-grid": ["cutoff", "--family", "bergman", "--grid", "2,1/0"],
+    "table-row": ["classify", "--family", "tabulated", "--table", "{dir}/zero.csv",
+                  "--tail", "hold"],
+    "table-dir": ["classify", "--family", "tabulated", "--table", "{dir}"],
+    "family-file-dir": ["classify", "--family-file", "{dir}"],
+    "out-dir": ["classify", "--family", "bergman", "--K", "20", "--horizon", "200",
+                "--out", "{dir}"],
+    "plot-data-dir": ["spectrum", "--family", "bergman", "--K", "2000", "--J", "4",
+                      "--plot-data", "{dir}"],
+    "file-p": ["classify", "--family-file", "{dir}/p.fam"],
+    "file-tail": ["classify", "--family-file", "{dir}/tail.fam"],
+}
+
+# a family given by a file and by the flags it stands for: the file's text,
+# flags that the file overrides, and the flags alone; {dir} holds d2.csv
+HP = "family = hp\nm = 3\np = 5/2\n"
+FILE_TWINS = {
+    "classify": (["classify", "--K", "40", "--horizon", "400"], HP,
+                 ["--family", "bergman", "--m", "2", "--p", "9"],
+                 ["--family", "hp", "--m", "3", "--p", "5/2"]),
+    "schatten": (["schatten", "--p", "3.5", "--K", "2000"], HP, ["--p-space", "9"],
+                 ["--family", "hp", "--m", "3", "--p-space", "5/2"]),
+    "spectrum": (["spectrum", "--K", "2000", "--J", "6"],
+                 "# positive on N\n\nfamily = poly-gamma\ngamma_coeffs = 1, 2, 1\n",
+                 ["--gamma-coeffs", "3,1"], ["--family", "poly-gamma", "--gamma-coeffs", "1,2,1"]),
+    "cutoff": (["cutoff", "--K", "2000", "--grid", "1,3"],
+               "family = tabulated\ntable = {dir}/d2.csv\ntail = const:1/2\n",
+               ["--tail", "hold"],
+               ["--family", "tabulated", "--table", "{dir}/d2.csv", "--tail", "const:1/2"]),
+    "dump-sequence": (["dump-sequence", "--K", "5", "--Q", "2"], "family = constant\nc = 7/10\n",
+                      ["--c", "3"], ["--family", "constant", "--c", "7/10"]),
+}
+
+
+@pytest.fixture
+def input_dir(tmp_path):
+    (tmp_path / "zero.csv").write_text("1\n1/0\n")
+    (tmp_path / "d2.csv").write_text("1\n1/2\n2/3\n")
+    (tmp_path / "p.fam").write_text("family = hp\np = 1/0\n")
+    (tmp_path / "tail.fam").write_text(f"family = tabulated\ntable = {tmp_path}/d2.csv\n"
+                                       "tail = bogus\n")
+    return tmp_path
+
+
+def at(argv, directory) -> list:
+    return [arg.replace("{dir}", str(directory)) for arg in argv]
+
+
+class TestUserInput:
+    """Flags, family files and tables: a bad value exits 2, never a traceback."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_is_a_usage_error(self, input_dir, capsys, case):
+        assert exit_code(at(BAD_INPUTS[case], input_dir)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("sphshift")
+
+    def test_unknown_family_file_key(self, tmp_path, capsys):
+        spec = tmp_path / "fam.cfg"
+        spec.write_text("family = bergman\nK = 5\n")
+        assert main(["classify", "--family-file", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sphshift: unknown key 'K' in ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", FILE_TWINS)
+    def test_family_file_is_its_flags(self, input_dir, capsys, case):
+        command, text, overridden, flags = FILE_TWINS[case]
+        spec = input_dir / "fam.cfg"
+        spec.write_text(text.replace("{dir}", str(input_dir)))
+        outputs = []
+        for argv in (command + overridden + ["--family-file", str(spec)],
+                     command + ["--family-file", str(spec)] + overridden,
+                     command + flags):
+            assert main(at(argv, input_dir)) == 0
+            outputs.append(capsys.readouterr().out)
+        if case != "dump-sequence":
+            outputs = [without_timings(out) for out in outputs]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("window", ["-5", "0"])
+    @pytest.mark.parametrize("family", [["--family", "alt-twelve"],
+                                        ["--family", "tabulated", "--table", "{dir}/d2.csv",
+                                         "--tail", "const:1"]],
+                             ids=["declared", "sampled"])
+    def test_window_must_be_positive(self, input_dir, capsys, family, window):
+        argv = ["spectrum", *at(family, input_dir), "--K", "2000", f"--window={window}"]
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"window must be an integer >= 1, got {window!r}" in captured.err
+
+
+FUZZ_KEYS = ["family", "m", "p", "c", "gamma-coeffs", "gamma_coeffs", "table", "tail",
+             "K", "window", ""]
+FUZZ_FAMILIES = ["hp", "bergman", "constant", "poly-gamma", "rho-eta", "alt-twelve",
+                 "tabulated", "bogus", ""]
+FUZZ_TOKENS = ["1/0", "bogus", "nan", "-1", "1e400", "", "0", "1", "2", "9", "5/2", "0.1",
+               "1,2,1", "1,-3,1", "hold", "error", "const:1/2", "const:0", "{table}", ".",
+               *FUZZ_FAMILIES]
+FUZZ_COMMANDS = [
+    ["classify", "--K", "20", "--horizon", "200"],
+    ["spectrum", "--K", "200", "--J", "4"],
+    ["schatten", "--p", "3", "--K", "1000"],
+    ["cutoff", "--K", "1000", "--grid", "1,3"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("family-files")
+    (directory / "d2.csv").write_text("1\n1/2\n2/3\n")
+    return directory
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(command=st.sampled_from(FUZZ_COMMANDS),
+       family=st.sampled_from(FUZZ_FAMILIES),
+       lines=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_TOKENS)),
+                      max_size=4))
+def test_random_family_file_exits_0_or_2(fuzz_dir, command, family, lines):
+    # the first line names a family (or a bad one), so that some files run
+    spec = fuzz_dir / "fam.cfg"
+    spec.write_text("".join(f"{key} = {val}\n" for key, val in [("family", family), *lines])
+                    .replace("{table}", str(fuzz_dir / "d2.csv")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(command + ["--family-file", str(spec)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        json.loads(out.getvalue(), parse_constant=no_constant)
+    else:
+        assert out.getvalue() == ""
 
 
 class TestProcessEntry:

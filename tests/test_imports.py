@@ -70,21 +70,21 @@ def test_thread_timeout_leaves_the_environment_as_it_was(preset):
     assert proc.stdout.strip() == str(preset)
 
 
-def layers_loaded(prelude: str) -> set:
-    """The sphshift modules a fresh interpreter holds after running ``prelude``."""
+def layers_loaded(prelude: str, package: str = "sphshift") -> set:
+    """The modules of ``package`` a fresh interpreter holds after running ``prelude``."""
     code = (prelude + "\nimport sys; "
-            "print(' '.join(m for m in sys.modules if m.startswith('sphshift')))")
+            f"print(' '.join(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
-def request_loads(argv: list) -> set:
+def request_loads(argv: list, package: str = "sphshift") -> set:
     prelude = ("import contextlib, io\nfrom sphshift import cli\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                f"    assert cli.main({argv!r}) == 0")
-    return layers_loaded(prelude)
+    return layers_loaded(prelude, package)
 
 
 def test_import_sphshift_loads_no_layer():
@@ -108,6 +108,16 @@ def test_scalar_requests_load_no_oracle(argv):
     loaded = request_loads(argv)
     assert "sphshift.cli" in loaded
     assert not loaded & {"sphshift.truncation", "sphshift.multiindex"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["schatten", "--family", "bergman", "--p", "2.5", "--K", "2000"],
+    ["cutoff", "--family", "bergman", "--K", "2000"],
+    ["analyze", "--family", "bergman", "--K", "2000", "--K-exact", "20", "--N", "4"],
+], ids=lambda argv: argv[0])
+def test_schatten_requests_load_no_masked_arrays(argv):
+    # importing numpy.ma costs 8-15 ms of a fresh process; np.unique loads it
+    assert "numpy.ma" not in request_loads(argv, "numpy")
 
 
 EXPORTS = {"HpSpace": scalarseq, "RhoEta": scalarseq, "SphericalShift": shift,

@@ -61,10 +61,11 @@ def family_runs(family: list, m: int) -> list:
 
 
 def write_tables(directory: str) -> list:
-    """Two seeded delta2 tables: one of fractions, one of decimals.
+    """Two seeded delta2 tables, one of fractions and one of decimals, and
+    a bad one whose second row is 1/0.
 
-    Row k is (k+2)/(k+3) scaled by 1 + u/(4(k+1)) with u uniform in
-    [-1, 1], so every row lies in (0, 1).
+    Row k of a seeded table is (k+2)/(k+3) scaled by 1 + u/(4(k+1)) with u
+    uniform in [-1, 1], so every row lies in (0, 1).
     """
     rng = random.Random(TABLE_SEED)
     paths = []
@@ -78,21 +79,69 @@ def write_tables(directory: str) -> list:
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         paths.append(path)
+    paths.append(os.path.join(directory, "zero.csv"))
+    with open(paths[-1], "w") as fh:
+        fh.write("1\n1/0\n")
     return paths
 
 
-def run_list(tables: list) -> list:
+def write_family_files(directory: str):
+    """Two lists of family files: the seven suite families at m = 2 and hp
+    with p = 5/2 at m = 3; and files that exit 2, with a value 1/0, a bad
+    tail or a key that names no parameter (K)."""
+    good = [[("m", "2")] + [(flag[2:], val) for flag, val in zip(flags[::2], flags[1::2])]
+            for flags in SUITE]
+    good.append([("family", "hp"), ("m", "3"), ("p", "5/2")])
+    bad = [[("family", "hp"), ("p", "1/0")],
+           [("family", "tabulated"), ("table", os.path.join(directory, "fraction.csv")),
+            ("tail", "bogus")],
+           [("family", "bergman"), ("K", "5")]]
+    paths = {}
+    for kind, texts in (("good", good), ("bad", bad)):
+        paths[kind] = []
+        for i, pairs in enumerate(texts):
+            path = os.path.join(directory, f"{kind}-{i}.txt")
+            with open(path, "w") as fh:
+                fh.writelines(f"{key} = {val}\n" for key, val in pairs)
+            paths[kind].append(path)
+    return paths["good"], paths["bad"]
+
+
+def run_list(tables: list, good_files: list, bad_files: list) -> list:
     runs = [["families"], ["lemmas", "--m", "2"], ["lemmas", "--m", "3"]]
     for m in (2, 3):
         for family in SUITE:
             runs += family_runs(family, m)
     runs += family_runs(["--family", "constant", "--c", "7/10"], 2)
-    for path in tables:
+    for path in tables[:2]:
         fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
         runs += [["analyze"] + fam, ["classify"] + fam + ["--K", "2000"]]
     runs += [["verify", "--m", str(m), "--N", str(n)] for m, n in ((2, 8), (3, 6), (4, 4))]
     # usage errors, exit 2: a negative --Q, and a tolerance that is not finite
     runs += [["dump-sequence", "--family", "bergman", "--Q", "-1"], ["verify", "--tol", "nan"]]
+    for path in good_files:
+        runs += [["analyze", "--family-file", path],
+                 ["schatten", "--family-file", path, "--p", "7/2"]]
+    # usage errors, exit 2: a zero denominator, a directory where a file
+    # belongs, a bad file value or key, a window < 1
+    table, _, zero = tables
+    runs += [
+        ["classify", "--family", "hp", "--p", "1/0"],
+        ["classify", "--family", "hp", "--p-space", "3/0"],
+        ["classify", "--family", "constant", "--c", "1/0"],
+        ["classify", "--family", "poly-gamma", "--gamma-coeffs", "1,1/0"],
+        ["classify", "--family", "tabulated", "--table", table, "--tail", "const:1/0"],
+        ["schatten", "--family", "bergman", "--p", "1/0"],
+        ["cutoff", "--family", "bergman", "--grid", "2,1/0"],
+        ["classify", "--family", "tabulated", "--table", zero, "--tail", "hold"],
+        ["classify", "--family", "tabulated", "--table", "."],
+        ["classify", "--family-file", "."],
+        ["classify", "--family", "bergman", "--out", "."],
+        ["spectrum", "--family", "bergman", "--plot-data", "."],
+        ["spectrum", "--family", "alt-twelve", "--window", "0"],
+        ["spectrum", "--family", "bergman", "--window=-5"],
+    ]
+    runs += [["classify", "--family-file", path] for path in bad_files]
     return runs
 
 
@@ -153,7 +202,7 @@ def main(argv=None) -> int:
             print(f"report_diff: {tree!r} has no src/sphshift", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory() as tables_dir:
-        runs = run_list(write_tables(tables_dir))
+        runs = run_list(write_tables(tables_dir), *write_family_files(tables_dir))
         before, after = (run_tree(tree, runs) for tree in args)
         differ = 0
         for argv, a, b in zip(runs, before, after):
