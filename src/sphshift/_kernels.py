@@ -20,6 +20,11 @@ import numpy as np
 # worker (larger blocks cost memory and gain no speed).
 _BLOCK = 1 << 16
 
+# Values of k per block of every scan over a horizon (the spectra lag scans,
+# the Schatten series, the fits' centred data): a block and its temporaries
+# stay in cache, and larger blocks gain no speed.
+CHUNK = 1 << 16
+
 # Half-width of the band around slope -1 in which a log-log tail fit
 # decides nothing.
 FIT_MARGIN = 0.1
@@ -279,17 +284,23 @@ def abs_sum(k, m, p, s):
 def fit_slope(x, y):
     """Least-squares slope of y against x, in closed form from the centred data.
 
-    The two sums of products are pairwise sums (np.sum), which stay within
-    a few ulps of an extended-precision fit where np.dot does not. An inf
-    or NaN in y gives NaN, as np.polyfit does, and no warning.
+    y is scratch and is overwritten; x is left as it is. The centred x is
+    formed in blocks of CHUNK, so the fit allocates nothing of the length
+    of its data. The two sums of products are pairwise sums (np.sum) over
+    the whole of y, which stay within a few ulps of an extended-precision
+    fit where np.dot does not. An inf or NaN in y gives NaN, as np.polyfit
+    does, and no warning.
     """
-    xc = x - x.mean()
+    xm = x.mean()
     with np.errstate(invalid="ignore"):
-        prod = y - y.mean()
-        prod *= xc
-        num = prod.sum()
-    np.multiply(xc, xc, out=prod)
-    return float(num / prod.sum())
+        y -= y.mean()
+        for a in range(0, len(x), CHUNK):
+            y[a : a + CHUNK] *= x[a : a + CHUNK] - xm
+        num = y.sum()
+    for a in range(0, len(x), CHUNK):
+        xc = np.subtract(x[a : a + CHUNK], xm, out=y[a : a + CHUNK])
+        xc *= xc
+    return float(num / y.sum())
 
 
 def series_verdict(slope):

@@ -44,24 +44,36 @@ SCHEMA_VERSION = 1
 CLI_MAX_ARITY = 8
 
 
+def _parse_rational(text: str) -> Fraction:
+    """scalarseq.parse_rational for argparse, which prints the reason of an
+    ArgumentTypeError but drops that of a ValueError."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_tail(text: str):
     if text in ("error", "hold"):
         return text
     if text.startswith("const:"):
-        return ("const", parse_rational(text.split(":", 1)[1]))
+        return ("const", _parse_rational(text.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
         f"tail must be 'error', 'hold' or 'const:<value>', got {text!r}"
     )
 
 
-def _parse_exponent(text: str) -> float:
-    """A Schatten exponent: 'inf' or a decimal or fraction within float range."""
-    if text == "inf":
-        return math.inf
+def _parse_finite_exponent(text: str) -> float:
+    """An exponent: a decimal or fraction within float range."""
     try:
-        return float(parse_rational(text))
+        return float(_parse_rational(text))
     except OverflowError:
         raise argparse.ArgumentTypeError(f"exponent {text!r} overflows a float") from None
+
+
+def _parse_exponent(text: str) -> float:
+    """A Schatten exponent: 'inf' or a finite exponent."""
+    return math.inf if text == "inf" else _parse_finite_exponent(text)
 
 
 def _parse_tol(text: str) -> float:
@@ -98,7 +110,7 @@ def _parse_grid(text: str):
 
 
 def _parse_coeffs(text: str):
-    return [parse_rational(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return [_parse_rational(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_krange(text: str):
@@ -391,9 +403,9 @@ def _add_family_flags(sub, family_p_flag: str = "--p") -> None:
                                            "win over the flags they stand for")
     sub.add_argument("--m", type=int, default=2, help="tuple arity (default 2)")
     flags = [family_p_flag] + (["--p-space"] if family_p_flag == "--p" else [])
-    sub.add_argument(*flags, dest="p_family", type=parse_rational, default=None,
+    sub.add_argument(*flags, dest="p_family", type=_parse_rational, default=None,
                      help="kernel-scale parameter for --family hp")
-    sub.add_argument("--c", type=parse_rational, default=None,
+    sub.add_argument("--c", type=_parse_rational, default=None,
                      help="weight for --family constant")
     sub.add_argument("--gamma-coeffs", type=_parse_coeffs, default=None,
                      help="comma-separated polynomial coefficients a0,a1,...")
@@ -465,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("lemmas", help="per-level growth-window measurements")
     sub.add_argument("--m", type=int, default=2)
-    sub.add_argument("--p", type=float, default=1.0)
+    sub.add_argument("--p", type=_parse_finite_exponent, default=1.0)
     sub.add_argument("--k-range", type=_parse_krange, default=(100, 10_000))
     sub.add_argument("--points", type=int, default=24)
     _add_out(sub)

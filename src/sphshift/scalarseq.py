@@ -172,7 +172,10 @@ class ScalarSequence:
                     self._ensure(kmax - 1)
             logbb = np.empty(len(self._d2) + 1)
             logbb[0] = 0.0
-            np.cumsum(0.5 * np.log(self._d2), out=logbb[1:])
+            half = logbb[1:]
+            np.log(self._d2, out=half)
+            half *= 0.5
+            np.cumsum(half, out=half)
             logbb.flags.writeable = False
             self._logbb = logbb
         return self._logbb[: max(kmax + 1, 0)]
@@ -255,7 +258,10 @@ class HpSpace(ScalarSequence):
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         k = np.arange(kmax + 1, dtype=np.float64)
-        return (k + self.m) / (k + float(self.p))
+        d2 = k + self.m
+        k += float(self.p)
+        d2 /= k
+        return d2
 
     def sup_delta2(self) -> Union[Fraction, float]:
         # delta2 falls from m/p to 1 when p < m, and rises to 1 otherwise
@@ -339,8 +345,10 @@ class PolynomialGamma(ScalarSequence):
         k = np.arange(kmax + 2, dtype=np.float64)
         vals = np.zeros_like(k)
         for c in reversed(self.coefficients):
-            vals = vals * k + float(c)
-        return vals[1:] / vals[:-1]
+            vals *= k
+            vals += float(c)
+        # S(k+1)/S(k), written over k, which is not needed any more
+        return np.divide(vals[1:], vals[:-1], out=k[:-1])
 
     def params(self):
         return {"coefficients": [str(c) for c in self.coefficients]}
@@ -370,16 +378,17 @@ class RhoEta(ScalarSequence):
         return 3 - Fraction(2, 2 ** jumps)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
-        eta = np.zeros(kmax + 1)
+        # rho[k] - 1 sums eta over 0..k-1: eta(k) lands in entry k + 1
+        rho = np.zeros(kmax + 1)
         l = 0
         while True:
             k = 2 ** (2 ** l)
-            if k > kmax:
+            if k >= kmax:
                 break
-            eta[k] = 0.5 ** l
+            rho[k + 1] = 0.5 ** l
             l += 1
-        rho = np.ones(kmax + 1)
-        rho[1:] += np.cumsum(eta[:-1])
+        np.cumsum(rho, out=rho)
+        rho += 1.0
         return rho
 
     def sup_delta2(self) -> Fraction:

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     from .shift import SphericalShift
 
 MIN_FIT_POINTS = 20
+MIN_K = 1000  # the least horizon with a meaningful tail
 
 
 @dataclass
@@ -56,19 +57,31 @@ def _require_m(m: int) -> None:
         raise ValueError("cross-commutator analysis needs arity m >= 2")
 
 
-def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int):
-    """(t1, t2) vectorized over k = 1..K.
+def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1,
+                          series: Sequence[int] = (1, 2)):
+    """The terms of the given series (1, 2 or both) over k = lo..K, one
+    array per entry of series.
 
     A delta2 or a difference whose p-th power leaves the float range gives
     an inf term, which the partial sums report as "inf".
     """
     _require_m(m)
     d2 = seq.delta2_array(K)
-    k = np.arange(1, K + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        t1 = d2[1:] ** p * k ** (m - p - 1)
-        t2 = np.abs(np.diff(d2)) ** p * k ** (m - 1)
-    return t1, t2
+    out = []
+    for s in series:
+        k = np.arange(lo, K + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if s == 1:
+                t = d2[lo:] ** p
+                k **= m - p - 1
+            else:
+                t = np.diff(d2[lo - 1 :])
+                np.abs(t, out=t)
+                t **= p
+                k **= m - 1
+            t *= k
+        out.append(t)
+    return tuple(out)
 
 
 def _checkpoint_grid(K: int) -> list:
@@ -84,11 +97,17 @@ def _checkpoint_grid(K: int) -> list:
     return sorted(pts)
 
 
+def _fit_window(K: int) -> np.ndarray:
+    """log k over the fit window k in [K // 2, K]."""
+    logk = np.arange(K // 2, K + 1, dtype=np.float64)
+    return np.log(logk, out=logk)
+
+
 def _fit_tail_exponent(terms: np.ndarray, logk: np.ndarray) -> Tuple[str, Optional[float]]:
     """Classify one series from the decay exponent of its tail terms.
 
-    terms[i] is the term at k = i+1, and logk holds log k over the fit
-    window k in [K // 2, K]. Returns (status, slope) with status in
+    terms ends with the terms of the fit window, which logk covers; they
+    are overwritten. Returns (status, slope) with status in
     {"converges", "diverges", "inconclusive", "zero-tail"}.
     """
     tail = terms[len(terms) - len(logk) :]
@@ -100,22 +119,50 @@ def _fit_tail_exponent(terms: np.ndarray, logk: np.ndarray) -> Tuple[str, Option
         return "inconclusive", None
     if count < len(tail):
         logk, tail = logk[pos], tail[pos]
-    slope = _kernels.fit_slope(logk, np.log(tail))
+    slope = _kernels.fit_slope(logk, np.log(tail, out=tail))
     return _kernels.series_verdict(slope), slope
 
 
-def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> SchattenVerdict:
+def _scan_series(seq, m, p, K, series, checkpoints, logk):
+    """(partial sums at the checkpoints, (status, slope) of the tail fit) of
+    one series, in blocks of _kernels.CHUNK values of k.
+
+    Each block's first term gets the running sum before the block's cumsum,
+    so every partial sum is the one a cumsum over k = 1..K gives, bit for
+    bit. Of the terms only the fit window is kept.
+    """
+    lo = K + 1 - len(logk)
+    window = np.empty(len(logk))
+    sums, running = [], 0.0
+    for k0 in range(1, K + 1, _kernels.CHUNK):
+        k1 = min(k0 + _kernels.CHUNK - 1, K)
+        (t,) = criterion_term_arrays(seq, m, p, k1, lo=k0, series=(series,))
+        if k1 >= lo:
+            window[max(k0, lo) - lo : k1 + 1 - lo] = t[max(k0, lo) - k0 :]
+        if k0 > 1:
+            t[0] += running
+        t = _kernels.kahan_cumsum(t)
+        running = t[-1]
+        sums += t[[c - k0 for c in checkpoints if k0 <= c <= k1]].tolist()
+        del t  # before the next block is formed
+    return sums, _fit_tail_exponent(window, logk)
+
+
+def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K,
+           logk: Optional[np.ndarray] = None) -> SchattenVerdict:
     """Full membership verdict for the commutators at exponent p.
 
     p = inf is routed to the essential-normality question (are the
     commutators compact), which is the natural endpoint of the scale.
+    logk is log k over the fit window k in [K // 2, K], for a caller that
+    decides several exponents at one K and builds it once; it is only read.
     """
     _require_m(m)
     check_arity(seq, m)
     if p != math.inf and p < 1:
         raise ValueError("Schatten exponent p must satisfy 1 <= p <= inf")
-    if K < 1000:
-        raise ValueError("K must be >= 1000 for a meaningful tail")
+    if K < MIN_K:
+        raise ValueError(f"K must be >= {MIN_K} for a meaningful tail")
 
     if p == math.inf:
         gate = essential_normality_gate(seq, K, K // 10)
@@ -131,16 +178,12 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
             tail_exponents=(None, None),
         )
 
-    t1, t2 = criterion_term_arrays(seq, m, p, K)
+    seq.delta2_array(K)  # grown once: each block then reads a view of it
     checkpoints = _checkpoint_grid(K)
-    # only the checkpoint sums are kept: each full cumsum is dropped at once
-    at = np.array(checkpoints) - 1
-    ps1 = _kernels.kahan_cumsum(t1)[at].tolist()
-    ps2 = _kernels.kahan_cumsum(t2)[at].tolist()
-
-    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
-    status1, slope1 = _fit_tail_exponent(t1, logk)
-    status2, slope2 = _fit_tail_exponent(t2, logk)
+    if logk is None:
+        logk = _fit_window(K)
+    ps1, (status1, slope1) = _scan_series(seq, m, p, K, 1, checkpoints, logk)
+    ps2, (status2, slope2) = _scan_series(seq, m, p, K, 2, checkpoints, logk)
 
     override = seq.schatten_override(m, p)
     if override is not None:
@@ -247,8 +290,9 @@ def cutoff_check(
     violations = []
     transition = None
     last_diverging = None
+    logk = _fit_window(K) if K >= MIN_K else None  # shared by every exponent
     for p in grid:
-        v = decide(seq, m, p, K)
+        v = decide(seq, m, p, K, logk=logk)
         verdicts[p] = v.verdict
         if v.verdict == "converges" and transition is None:
             transition = p

@@ -376,12 +376,17 @@ class TestErrors:
 
     @pytest.mark.parametrize("p", ["nan", "inf", "-1"])
     def test_lemma_exponent_must_be_finite_and_nonnegative(self, capsys, p):
+        # nan and inf are refused as the flag is parsed, -1 by the library
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["lemmas", f"--p={p}", "--k-range", "100:2000", "--points", "4"]) == 2
+            assert exit_code(["lemmas", f"--p={p}", "--k-range", "100:2000", "--points", "4"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("sphshift: need a finite p >= 0")
-        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        if p == "-1":
+            assert captured.err.startswith("sphshift: need a finite p >= 0")
+            assert captured.err.count("\n") == 1
+        else:
+            assert f"--p: {p!r} is not a decimal or a ratio" in captured.err.splitlines()[-1]
 
     @pytest.mark.parametrize("p", ["0", "0.5"])
     def test_lemma_exponent_zero_and_below_one_still_run(self, capsys, p):
@@ -551,6 +556,10 @@ BAD_INPUTS = {
                       "--plot-data", "{dir}"],
     "file-p": ["classify", "--family-file", "{dir}/p.fam"],
     "file-tail": ["classify", "--family-file", "{dir}/tail.fam"],
+    "lemmas-nan": ["lemmas", "--p", "nan"],
+    "lemmas-inf": ["lemmas", "--p", "inf"],
+    "lemmas-overflow": ["lemmas", "--p", "1e400"],
+    "lemmas-zero-denominator": ["lemmas", "--p", "1/0"],
 }
 
 # a family given by a file and by the flags it stands for: the file's text,
@@ -597,6 +606,22 @@ class TestUserInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.splitlines()[-1].startswith("sphshift")
+
+    @pytest.mark.parametrize("case", [case for case, argv in BAD_INPUTS.items()
+                                      if any("1/0" in arg or "3/0" in arg for arg in argv)])
+    def test_usage_error_names_the_zero_denominator(self, input_dir, capsys, case):
+        assert exit_code(at(BAD_INPUTS[case], input_dir)) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "is not a decimal or a ratio p/q with q != 0" in last
+        assert "_parse" not in last and "parse_rational" not in last and "invalid" not in last
+
+    def test_lemma_exponent_is_a_rational(self, capsys):
+        argv = ["lemmas", "--k-range", "100:2000", "--points", "4", "--p"]
+        code, doc = run_json(capsys, argv + ["5/2"])
+        assert code == 0 and doc["lemmas"]["p"] == 2.5
+        # a decimal is the float it was read as before
+        code, doc = run_json(capsys, argv + ["0.1"])
+        assert code == 0 and doc["lemmas"]["p"] == float("0.1")
 
     def test_unknown_family_file_key(self, tmp_path, capsys):
         spec = tmp_path / "fam.cfg"

@@ -273,3 +273,36 @@ def test_self_level_sums_m1():
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(abs(2 * 2.0 / 2 - 1 * 1.0 / 1))
     assert out[2] == pytest.approx(abs(3 * 0.5 / 3 - 2 * 2.0 / 2))
+
+
+def fit_slope_whole(x, y):
+    """The closed-form fit with whole-array temporaries, as fit_slope was
+    before it centred x in blocks and y in place."""
+    xc = x - x.mean()
+    with np.errstate(invalid="ignore"):
+        prod = y - y.mean()
+        prod *= xc
+        num = prod.sum()
+    np.multiply(xc, xc, out=prod)
+    return float(num / prod.sum())
+
+
+@pytest.mark.parametrize("n", [2, 21, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1,
+                               3 * _kernels.CHUNK + 7])
+def test_fit_slope_is_the_whole_array_fit_bit_for_bit(n, rng):
+    x = np.log(np.arange(n, 2 * n, dtype=np.float64))
+    x_before = x.copy()
+    for y in (-1.3 * x + rng.normal(scale=0.1, size=n), rng.uniform(-5, 5, size=n)):
+        want = fit_slope_whole(x, y)
+        assert repr(_kernels.fit_slope(x, y.copy())) == repr(want)
+    assert np.array_equal(x, x_before)  # x may be shared by several fits
+
+
+def test_fit_slope_of_inf_or_nan_is_nan_without_warning():
+    x = np.log(np.arange(100, 300, dtype=np.float64))
+    for bad in (np.inf, np.nan):
+        y = -2.0 * x
+        y[150] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_kernels.fit_slope(x, y))

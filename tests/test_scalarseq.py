@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from sphshift.scalarseq import (
     make_family,
     default_suite,
 )
-from sphshift.schatten import cutoff_check
+from sphshift.schatten import cutoff_check, decide
 from sphshift.spectra import spectral_report
 
 
@@ -255,6 +256,74 @@ class TestSnapshot:
         cutoff_check(seq, 2, [1.0, 3.0], K=K)
         classification(seq, P=2, Q=2, K=20, horizon=K)
         assert sizes == [K + 1]
+
+    def test_blocked_scan_grows_the_snapshot_once(self, monkeypatch):
+        # each block of the Schatten scan reads a view of one snapshot,
+        # grown to the horizon before the first block
+        hook = HpSpace._delta2_values
+        sizes = []
+        monkeypatch.setattr(HpSpace, "_delta2_values",
+                            lambda self, kmax: sizes.append(kmax + 1) or hook(self, kmax))
+        K = 3 * (1 << 16) + 7
+        decide(HpSpace(2, 3), 2, 2.5, K)
+        assert sizes == [K + 1]
+
+
+# delta2 as each generator formed it with whole-array temporaries, before
+# it filled its result in place
+WHOLE_ARRAY_DELTA2 = {
+    "hp": lambda seq, k: (k + seq.m) / (k + float(seq.p)),
+    "poly-gamma": lambda seq, k: _whole_array_poly_gamma(seq.coefficients, len(k) - 1),
+    "rho-eta": lambda seq, k: _whole_array_rho_eta(len(k) - 1),
+}
+
+
+def _whole_array_poly_gamma(coefficients, kmax):
+    k = np.arange(kmax + 2, dtype=np.float64)
+    vals = np.zeros_like(k)
+    for c in reversed(coefficients):
+        vals = vals * k + float(c)
+    return vals[1:] / vals[:-1]
+
+
+def _whole_array_rho_eta(kmax):
+    eta = np.zeros(kmax + 1)
+    l = 0
+    while 2 ** (2 ** l) <= kmax:
+        eta[2 ** (2 ** l)] = 0.5 ** l
+        l += 1
+    rho = np.ones(kmax + 1)
+    rho[1:] += np.cumsum(eta[:-1])
+    return rho
+
+
+class TestInPlaceGenerators:
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4, 5, 16, 17, 1000, 70_000])
+    @pytest.mark.parametrize("make", [
+        lambda: HpSpace(2, 3), lambda: HpSpace(3, Fraction(5, 2)), lambda: HpSpace(4, 1),
+        lambda: PolynomialGamma([1, 2, 1]), lambda: PolynomialGamma([3, -1, Fraction(1, 7), 2]),
+        lambda: RhoEta(),
+    ], ids=["bergman", "hp-5/2", "drury-arveson", "poly-sq", "poly-cubic", "rho-eta"])
+    def test_snapshot_is_the_whole_array_formula(self, make, kmax):
+        seq = make()
+        k = np.arange(kmax + 1, dtype=np.float64)
+        want = WHOLE_ARRAY_DELTA2[seq.name](seq, k)
+        assert seq.delta2_array(kmax).tobytes() == want.tobytes()
+        logbb = np.zeros(kmax + 2)
+        logbb[1:] = np.cumsum(0.5 * np.log(want))
+        assert seq.log_bbeta_array(kmax + 1).tobytes() == logbb.tobytes()
+
+    def test_log_bbeta_is_built_inside_its_own_array(self):
+        K = 200_000
+        seq = HpSpace(2, 3)
+        seq.delta2_array(K)
+        tracemalloc.start()
+        try:
+            seq.log_bbeta_array(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (K + 2) + 4096
 
 
 class TestSequenceMachinery:

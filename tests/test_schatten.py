@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -147,6 +148,62 @@ class TestTailFit:
         assert status == "inconclusive" and math.isnan(slope)
 
 
+B = _kernels.CHUNK
+
+
+def whole_array_scan(seq, m, p, K):
+    """Checkpoint partial sums and tail slopes from the whole-horizon term
+    arrays, as decide formed them before it scanned in blocks."""
+    at = np.array(schatten._checkpoint_grid(K)) - 1
+    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
+    sums, slopes = [], []
+    for terms in criterion_term_arrays(seq, m, p, K):
+        sums.append(np.cumsum(terms)[at].tolist())
+        slopes.append(schatten._fit_tail_exponent(terms, logk)[1])
+    return sums, slopes
+
+
+def huge_every_997th():
+    # delta2 = 1e200 at every 997th k: its p-th power and its differences'
+    # are inf, in every block and in every fit window
+    return Tabulated([1], tail=lambda k: Fraction(10) ** 200 if k % 997 == 0 else Fraction(1))
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("K", [1000, B - 1, B, B + 1, 3 * B + 7])
+    def test_sums_and_slopes_are_the_whole_array_ones(self, K):
+        cases = [(seq, 3, p) for _, seq in default_suite(3) for p in (2.5, 3.5)]
+        cases.append((huge_every_997th(), 2, 2.5))
+        for seq, m, p in cases:
+            v = decide(seq, m, p, K)
+            sums, slopes = whole_array_scan(seq, m, p, K)
+            label = (seq.name, p)
+            assert [v.partial_sums_1, v.partial_sums_2] == sums, label
+            # repr: bit for bit, a NaN slope (an inf term in the window) included
+            assert repr(v.tail_exponents) == repr(tuple(slopes)), label
+        assert math.isinf(v.partial_sums_1[-1]) and math.isnan(v.tail_exponents[0])
+
+    def test_block_terms_are_slices_of_the_whole_horizon(self):
+        seq = HpSpace(3, 4)
+        whole = criterion_term_arrays(seq, 3, 3.5, B + 9)
+        for lo in (1, 2, B, B + 1):
+            for s in (1, 2):
+                (block,) = criterion_term_arrays(seq, 3, 3.5, B + 9, lo=lo, series=(s,))
+                assert block.tobytes() == whole[s - 1][lo - 1 :].tobytes()
+
+    def test_decide_allocates_at_most_two_horizon_arrays(self):
+        K = 3 * B + 7
+        for label, seq in default_suite(3) + [("table", compact_tabulated())]:
+            seq.delta2_array(K)  # the shared snapshot is not the scan's to count
+            tracemalloc.start()
+            try:
+                decide(seq, 3, 3.5, K)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * (K + 1), label
+
+
 class TestRhoEtaWitness:
     def test_partial_sums_grow_with_term_bounds(self):
         seq = RhoEta()
@@ -209,9 +266,9 @@ class TestCutoff:
         calls = []
         real_decide = schatten.decide
 
-        def counting_decide(seq, m, p, K):
+        def counting_decide(seq, m, p, K, **kwargs):
             calls.append(p)
-            return real_decide(seq, m, p, K)
+            return real_decide(seq, m, p, K, **kwargs)
 
         monkeypatch.setattr(schatten, "decide", counting_decide)
         rep = cutoff_check(HpSpace(2, 4), 2, [3, 1.5, 1.5, 1, 3.0], K=10_000)

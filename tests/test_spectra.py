@@ -14,7 +14,7 @@ from sphshift.scalarseq import (
     Tabulated,
     default_suite,
 )
-from sphshift import spectra
+from sphshift import _kernels, spectra
 from sphshift.spectra import (
     NotEssentiallyNormalError,
     convergence_radius,
@@ -147,7 +147,7 @@ class TestRadii:
 
 
 class TestChunkedLagScan:
-    CHUNK = spectra._CHUNK
+    CHUNK = _kernels.CHUNK
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     def test_bit_identical_to_loop_across_chunk_edges(self, n, rng):
@@ -157,7 +157,7 @@ class TestChunkedLagScan:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, CHUNK])
     def test_bit_identical_when_lags_reach_the_horizon(self, chunk, rng, monkeypatch):
-        monkeypatch.setattr(spectra, "_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "CHUNK", chunk)
         for n in (2, 3, 5, 8, 20):
             cum = np.cumsum(rng.normal(size=n + 1))
             for lags in (n - 1, n, n + 5):
@@ -167,7 +167,7 @@ class TestChunkedLagScan:
 
     @pytest.mark.parametrize("chunk", [4, CHUNK])
     def test_infinities_and_nan_match_loop(self, chunk, rng, monkeypatch):
-        monkeypatch.setattr(spectra, "_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "CHUNK", chunk)
         cum = np.cumsum(rng.normal(size=41))
         cum[[5, 30]] = np.inf
         cum[17] = -np.inf
@@ -194,6 +194,48 @@ class TestChunkedLagScan:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 8 * (n + 1)
+
+
+def whole_array_radius_and_boundary(seq, m, K):
+    """convergence_radius's value and tail end, and point_spectrum_boundary's
+    slope, from whole-window arrays, as both formed them before they
+    worked in blocks."""
+    logbb = seq.log_bbeta_array(K)
+    tail = logbb[K // 2 :] / np.arange(K // 2, K + 1)
+    low, last = math.exp(float(np.min(tail))), math.exp(float(tail[-1]))
+    r = math.sqrt(seq.delta2_limit) if seq.delta2_limit is not None else low
+    ks = np.arange(K // 2, K + 1, dtype=np.float64)
+    logterms = 2.0 * math.log(r) * ks - 2.0 * logbb[K // 2 :]
+    for i in range(1, m):
+        logterms += np.log((ks + i) / i)
+    xc = np.log(ks) - np.log(ks).mean()
+    slope = float(((logterms - logterms.mean()) * xc).sum() / (xc * xc).sum())
+    return low, last, slope
+
+
+class TestBlockedWindows:
+    B = _kernels.CHUNK
+
+    @pytest.mark.parametrize("K", [1000, B - 1, B, B + 1, 3 * B + 7])
+    def test_radius_and_boundary_are_the_whole_array_ones(self, K):
+        for label, seq in default_suite(3):
+            rep = spectral_report(seq, 3, K=K, J=8)
+            low, last, slope = whole_array_radius_and_boundary(seq, 3, K)
+            assert rep.convergence_radius.sequence == [low, last], label
+            assert repr(rep.point_spectrum_exponent) == repr(slope), label
+
+    def test_report_allocates_at_most_two_horizon_arrays(self):
+        K = 3 * self.B + 7
+        for label, seq in default_suite(3):
+            seq.log_bbeta_array(K)
+            seq.delta2_array(K)  # the shared snapshots are not the report's to count
+            tracemalloc.start()
+            try:
+                spectral_report(seq, 3, K)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * (K + 1), label
 
 
 class TestEssentialShell:

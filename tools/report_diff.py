@@ -108,10 +108,17 @@ def write_family_files(directory: str):
 
 
 def run_list(tables: list, good_files: list, bad_files: list) -> list:
-    runs = [["families"], ["lemmas", "--m", "2"], ["lemmas", "--m", "3"]]
+    runs = [["families"], ["lemmas", "--m", "2"], ["lemmas", "--m", "3"],
+            ["lemmas", "--m", "3", "--p", "5/2"]]
     for m in (2, 3):
         for family in SUITE:
             runs += family_runs(family, m)
+    # the horizon-length layers over many blocks of k: at 10x the default
+    # horizon, and at a prime horizon, which ends inside a block
+    for name in ("bergman", "rho-eta", "alt-twelve"):
+        for K in ("1000000", "1000003"):
+            fam = ["--family", name, "--K", K]
+            runs += [["spectrum"] + fam, ["cutoff"] + fam, ["schatten"] + fam + ["--p", "5/2"]]
     runs += family_runs(["--family", "constant", "--c", "7/10"], 2)
     for path in tables[:2]:
         fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
@@ -123,7 +130,8 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
         runs += [["analyze", "--family-file", path],
                  ["schatten", "--family-file", path, "--p", "7/2"]]
     # usage errors, exit 2: a zero denominator, a directory where a file
-    # belongs, a bad file value or key, a window < 1
+    # belongs, a bad file value or key, a window < 1, an exponent that is
+    # not a finite float
     table, _, zero = tables
     runs += [
         ["classify", "--family", "hp", "--p", "1/0"],
@@ -140,6 +148,9 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
         ["spectrum", "--family", "bergman", "--plot-data", "."],
         ["spectrum", "--family", "alt-twelve", "--window", "0"],
         ["spectrum", "--family", "bergman", "--window=-5"],
+        ["lemmas", "--p", "nan"],
+        ["lemmas", "--p", "1e400"],
+        ["lemmas", "--p", "1/0"],
     ]
     runs += [["classify", "--family-file", path] for path in bad_files]
     return runs
