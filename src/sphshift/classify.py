@@ -103,9 +103,7 @@ def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
     tail = d2[-max(1, K // 10):]
     top, low, peak = float(np.max(tail)), float(np.min(tail)), float(np.max(d2))
     sups = [float(np.max(q)) for q in np.array_split(d2, 4)]
-    if top < 1e-12:
-        value, note = True, f"tail max delta2 = {top:.3e} < 1e-12"
-    elif all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
+    if all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
         value, note = True, f"quarter sups of delta2 fall, last/first = {sups[-1] / sups[0]:.3e}"
     elif low > 1e-3 * peak:
         value, note = False, f"tail min delta2 = {low:.3e} > 1e-3 * max = {peak:.3e}"

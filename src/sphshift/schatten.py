@@ -9,7 +9,10 @@ with k >= 1; the commutators lie in the p-th Schatten class exactly when
 both converge. A finite procedure cannot decide convergence outright, so
 verdicts are layered: families with declared asymptotics get an analytic
 answer, everything else gets a log-log tail-exponent fit with an explicit
-indeterminacy band. Partial sums are always attached.
+indeterminacy band. Two log-space fits per horizon serve every exponent:
+with a and b the tail slopes of log delta2 and log|delta2(k) - delta2(k-1)|
+against log k, the terms decay like k^(p a + m - p - 1) and k^(p b + m - 1).
+decide also attaches both series' partial sums at fixed checkpoints.
 
 With a non-vanishing delta limit the answer reproduces the cut-off: the
 cross-commutators escape every Schatten class with exponent p <= m.
@@ -97,65 +100,40 @@ def _checkpoint_grid(K: int) -> list:
     return sorted(pts)
 
 
-def _fit_window(K: int) -> np.ndarray:
-    """log k over the fit window k in [K // 2, K]."""
+def _tail_slopes(seq: ScalarSequence, K: int) -> Tuple[float, object]:
+    """(a, b): the log-log slopes of delta2 and of |delta2(k) - delta2(k-1)|
+    over the fit window k in [K // 2, K].
+
+    The log of a series-1 term is p log delta2 + (m-p-1) log k, and of a
+    series-2 term p log|delta2 difference| + (m-1) log k, so the two fits
+    give every exponent's tail slopes. The snapshot is finite and positive,
+    so a is a finite float; b is "zero-tail" when every difference in the
+    window is 0, and "inconclusive" when fewer than MIN_FIT_POINTS are not.
+    """
+    d2 = seq.delta2_array(K)
     logk = np.arange(K // 2, K + 1, dtype=np.float64)
-    return np.log(logk, out=logk)
-
-
-def _fit_tail_exponent(terms: np.ndarray, logk: np.ndarray) -> Tuple[str, Optional[float]]:
-    """Classify one series from the decay exponent of its tail terms.
-
-    terms ends with the terms of the fit window, which logk covers; they
-    are overwritten. Returns (status, slope) with status in
-    {"converges", "diverges", "inconclusive", "zero-tail"}.
-    """
-    tail = terms[len(terms) - len(logk) :]
-    pos = tail > 0
-    count = np.count_nonzero(pos)
+    np.log(logk, out=logk)
+    a = _kernels.fit_slope(logk, np.log(d2[K // 2 :]))
+    diff = np.diff(d2[K // 2 - 1 :])
+    np.abs(diff, out=diff)
+    nonzero = diff > 0
+    count = np.count_nonzero(nonzero)
     if count == 0:
-        return "zero-tail", None
+        return a, "zero-tail"
     if count < MIN_FIT_POINTS:
-        return "inconclusive", None
-    if count < len(tail):
-        logk, tail = logk[pos], tail[pos]
-    slope = _kernels.fit_slope(logk, np.log(tail, out=tail))
-    return _kernels.series_verdict(slope), slope
+        return a, "inconclusive"
+    if count < len(diff):
+        logk, diff = logk[nonzero], diff[nonzero]
+    return a, _kernels.fit_slope(logk, np.log(diff, out=diff))
 
 
-def _scan_series(seq, m, p, K, series, checkpoints, logk):
-    """(partial sums at the checkpoints, (status, slope) of the tail fit) of
-    one series, in blocks of _kernels.CHUNK values of k.
-
-    Each block's first term gets the running sum before the block's cumsum,
-    so every partial sum is the one a cumsum over k = 1..K gives, bit for
-    bit. Of the terms only the fit window is kept.
-    """
-    lo = K + 1 - len(logk)
-    window = np.empty(len(logk))
-    sums, running = [], 0.0
-    for k0 in range(1, K + 1, _kernels.CHUNK):
-        k1 = min(k0 + _kernels.CHUNK - 1, K)
-        (t,) = criterion_term_arrays(seq, m, p, k1, lo=k0, series=(series,))
-        if k1 >= lo:
-            window[max(k0, lo) - lo : k1 + 1 - lo] = t[max(k0, lo) - k0 :]
-        if k0 > 1:
-            t[0] += running
-        t = _kernels.kahan_cumsum(t)
-        running = t[-1]
-        sums += t[[c - k0 for c in checkpoints if k0 <= c <= k1]].tolist()
-        del t  # before the next block is formed
-    return sums, _fit_tail_exponent(window, logk)
-
-
-def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K,
-           logk: Optional[np.ndarray] = None) -> SchattenVerdict:
-    """Full membership verdict for the commutators at exponent p.
+def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> SchattenVerdict:
+    """The membership verdict at exponent p, without partial sums.
 
     p = inf is routed to the essential-normality question (are the
     commutators compact), which is the natural endpoint of the scale.
-    logk is log k over the fit window k in [K // 2, K], for a caller that
-    decides several exponents at one K and builds it once; it is only read.
+    slopes is _tail_slopes(seq, K), for a caller that decides several
+    exponents at one K; it is computed here when not given.
     """
     _require_m(m)
     check_arity(seq, m)
@@ -166,24 +144,17 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K,
 
     if p == math.inf:
         gate = essential_normality_gate(seq, K, K // 10)
-        verdict = "converges" if gate["value"] else "diverges"
         return SchattenVerdict(
-            p=math.inf,
-            m=m,
-            K=K,
-            verdict=verdict,
-            analytic=gate["mode"] == "analytic",
+            p=math.inf, m=m, K=K, verdict="converges" if gate["value"] else "diverges",
+            analytic=gate["mode"] == "analytic", tail_exponents=(None, None),
             reason="p = inf routed to compactness of the commutators "
-            f"(essential normality): {gate['detail']}",
-            tail_exponents=(None, None),
-        )
+            f"(essential normality): {gate['detail']}")
 
-    seq.delta2_array(K)  # grown once: each block then reads a view of it
-    checkpoints = _checkpoint_grid(K)
-    if logk is None:
-        logk = _fit_window(K)
-    ps1, (status1, slope1) = _scan_series(seq, m, p, K, 1, checkpoints, logk)
-    ps2, (status2, slope2) = _scan_series(seq, m, p, K, 2, checkpoints, logk)
+    a, b = _tail_slopes(seq, K) if slopes is None else slopes
+    slope1 = p * a + (m - p - 1)
+    slope2 = None if isinstance(b, str) else p * b + (m - 1)
+    status1 = _kernels.series_verdict(slope1)
+    status2 = b if slope2 is None else _kernels.series_verdict(slope2)
 
     override = seq.schatten_override(m, p)
     if override is not None:
@@ -211,23 +182,39 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K,
         )
 
     compact = is_compact(seq, K).value
-    cutoff_ok = None
-    if compact is not None:
-        cutoff_ok = compact or not (verdict == "converges" and p <= m)
+    cutoff_ok = None if compact is None else compact or not (verdict == "converges" and p <= m)
+    return SchattenVerdict(p=float(p), m=m, K=K, verdict=verdict, analytic=analytic,
+                           reason=reason, tail_exponents=(slope1, slope2),
+                           cutoff_consistent=cutoff_ok)
 
-    return SchattenVerdict(
-        p=float(p),
-        m=m,
-        K=K,
-        verdict=verdict,
-        analytic=analytic,
-        reason=reason,
-        tail_exponents=(slope1, slope2),
-        checkpoints=checkpoints,
-        partial_sums_1=ps1,
-        partial_sums_2=ps2,
-        cutoff_consistent=cutoff_ok,
-    )
+
+def _partial_sums(seq, m, p, K, series, checkpoints) -> list:
+    """One series' partial sums at the checkpoints, in blocks of
+    _kernels.CHUNK values of k. Each block's first term gets the running
+    sum before the block's cumsum, so every partial sum is the one a cumsum
+    over k = 1..K gives, bit for bit."""
+    sums, running = [], 0.0
+    for k0 in range(1, K + 1, _kernels.CHUNK):
+        k1 = min(k0 + _kernels.CHUNK - 1, K)
+        (t,) = criterion_term_arrays(seq, m, p, k1, lo=k0, series=(series,))
+        if k0 > 1:
+            t[0] += running
+        t = _kernels.kahan_cumsum(t)
+        running = t[-1]
+        sums += t[[c - k0 for c in checkpoints if k0 <= c <= k1]].tolist()
+        del t  # before the next block is formed
+    return sums
+
+
+def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> SchattenVerdict:
+    """Full membership verdict for the commutators at exponent p, with the
+    partial sums of both series at the checkpoints for a finite p."""
+    v = _verdict(seq, m, p, K)
+    if p != math.inf:
+        v.checkpoints = _checkpoint_grid(K)
+        v.partial_sums_1 = _partial_sums(seq, m, p, K, 1, v.checkpoints)
+        v.partial_sums_2 = _partial_sums(seq, m, p, K, 2, v.checkpoints)
+    return v
 
 
 # -- closed-form truncated norms --------------------------------------------
@@ -272,8 +259,10 @@ def cutoff_check(
     For a non-compact family no grid point p <= m may converge; the
     report carries the verdicts, the first converging exponent, and any
     violations of that rule. Compact families are tagged and skipped.
-    Each distinct exponent is decided once, and the report's grid lists
-    the distinct exponents in increasing order.
+    Each distinct exponent is decided once, from one pair of tail fits
+    (_tail_slopes) shared by the whole grid, with no term array and no
+    partial sum; the report's grid lists the distinct exponents in
+    increasing order.
     """
     _require_m(m)
     if not p_grid:
@@ -281,33 +270,21 @@ def cutoff_check(
     grid = sorted({float(p) for p in p_grid})
     compact = is_compact(seq, K).value
     if compact:
-        return {
-            "skipped": True,
-            "reason": "compact",
-            "grid": grid,
-        }
-    verdicts = {}
-    violations = []
-    transition = None
-    last_diverging = None
-    logk = _fit_window(K) if K >= MIN_K else None  # shared by every exponent
-    for p in grid:
-        v = decide(seq, m, p, K, logk=logk)
-        verdicts[p] = v.verdict
-        if v.verdict == "converges" and transition is None:
-            transition = p
-        if v.verdict == "diverges" and transition is None:
-            last_diverging = p
-        if p <= m and v.verdict == "converges":
-            violations.append(p)
+        return {"skipped": True, "reason": "compact", "grid": grid}
+    slopes = _tail_slopes(seq, K) if K >= MIN_K else None  # shared by every exponent
+    verdicts = {p: _verdict(seq, m, p, K, slopes).verdict for p in grid}
+    converging = [p for p in grid if verdicts[p] == "converges"]
+    transition = converging[0] if converging else None
+    diverging = [p for p in grid if verdicts[p] == "diverges"
+                 and (transition is None or p < transition)]
     return {
         "skipped": False,
         "noncompact": None if compact is None else not compact,
         "grid": grid,
-        "verdicts": {str(k): v for k, v in verdicts.items()},
+        "verdicts": {str(p): v for p, v in verdicts.items()},
         "transition": transition,
-        "last_diverging": last_diverging,
-        "violations": violations,
+        "last_diverging": diverging[-1] if diverging else None,
+        "violations": [p for p in converging if p <= m],
     }
 
 

@@ -350,7 +350,11 @@ def _scale_invariant_verdicts(seq, m):
 
 @pytest.mark.parametrize("seq", _suite_and_a_held_table())
 def test_scaling_keeps_every_scale_free_verdict(seq):
-    assert _scale_invariant_verdicts(seq.scale(2), 2) == _scale_invariant_verdicts(seq, 2)
+    # delta2 scales by c^2: 1e-200 and 1e200 test that no rule reads an
+    # absolute level, and that no float power of a term leaves the range
+    unscaled = _scale_invariant_verdicts(seq, 2)
+    for c in (2, Fraction(1, 10 ** 100), 10 ** 100):
+        assert _scale_invariant_verdicts(seq.scale(c), 2) == unscaled, c
     if seq.schatten_override(2, 1.5) is not None:  # its reason names unscaled values
         assert decide(seq.scale(2), 2, 1.5, K=10_000).reason.startswith(
             "the base sequence's reason, before the weights were scaled by c = 2: ")

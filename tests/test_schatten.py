@@ -122,45 +122,68 @@ class TestDecide:
         assert abs(v.tail_exponents[0] + 1.0) < 0.05
 
 
+def polyfit_slopes(seq, m, p, K):
+    """np.polyfit slopes of the log terms of both series over k in [K // 2, K],
+    fitted where the base (delta2, or its difference) is nonzero; None for a
+    series with fewer than MIN_FIT_POINTS such terms, or with one of them
+    not finite and positive."""
+    d2 = seq.delta2_array(K)
+    bases = (d2[K // 2 :], np.abs(np.diff(d2[K // 2 - 1 :])))
+    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
+    slopes = []
+    for base, terms in zip(bases, criterion_term_arrays(seq, m, p, K)):
+        tail, nonzero = terms[K // 2 - 1 :], base > 0
+        with np.errstate(divide="ignore"):
+            usable = np.isfinite(np.log(tail[nonzero])).all()
+        if np.count_nonzero(nonzero) < schatten.MIN_FIT_POINTS or not usable:
+            slopes.append(None)
+        else:
+            slopes.append(np.polyfit(logk[nonzero], np.log(tail[nonzero]), 1)[0])
+    return slopes
+
+
+def assert_slopes_match_polyfit(got, seq, m, p, K, label) -> int:
+    """Check each derived tail slope against its polyfit reference; the
+    number of slopes compared."""
+    compared = 0
+    for g, want in zip(got, polyfit_slopes(seq, m, p, K)):
+        if want is not None:
+            assert g == pytest.approx(want, rel=1e-10), label
+            compared += 1
+    return compared
+
+
 class TestTailFit:
     @pytest.mark.parametrize("m", [2, 3])
     def test_slope_matches_polyfit_on_suite_tails(self, m):
+        # the slopes derived from the two log-space fits are the fits of
+        # the log terms, wherever those terms are finite and positive
         K = schatten.DEFAULT_K
-        ks = np.arange(K // 2, K + 1, dtype=np.float64)
+        compared = 0
         for label, seq in default_suite(m):
             for p in (m - 0.5, m + 0.5, m + 1.5):
-                for terms in schatten.criterion_term_arrays(seq, m, p, K):
-                    tail = terms[K // 2 - 1 :]
-                    pos = tail > 0
-                    if np.count_nonzero(pos) < schatten.MIN_FIT_POINTS:
-                        continue
-                    x, y = np.log(ks[pos]), np.log(tail[pos])
-                    want = np.polyfit(x, y, 1)[0]
-                    got = _kernels.fit_slope(x, y)
-                    assert got == pytest.approx(want, rel=1e-10), (label, p)
+                got = schatten._verdict(seq, m, p, K).tail_exponents
+                compared += assert_slopes_match_polyfit(got, seq, m, p, K, (label, p))
+        assert compared >= 30  # 7 series 1 and 3 series 2 at each of three p, at least
 
-    def test_infinite_tail_term_is_inconclusive_without_warning(self):
-        terms = np.arange(1, 2001, dtype=np.float64) ** -2.0
-        terms[1500] = np.inf
+    def test_infinite_tail_term_gives_a_finite_slope_without_warning(self):
+        seq = huge_every_997th()
+        (t1,) = criterion_term_arrays(seq, 2, 2.5, 2000, series=(1,))
+        assert np.isinf(t1[999:]).any()  # delta2^2.5 = inf at k = 1994
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            status, slope = schatten._fit_tail_exponent(terms, np.log(np.arange(1000, 2001.0)))
-        assert status == "inconclusive" and math.isnan(slope)
+            v = schatten._verdict(seq, 2, 2.5, 2000)
+        assert math.isfinite(v.tail_exponents[0])
 
 
 B = _kernels.CHUNK
 
 
-def whole_array_scan(seq, m, p, K):
-    """Checkpoint partial sums and tail slopes from the whole-horizon term
-    arrays, as decide formed them before it scanned in blocks."""
+def whole_array_sums(seq, m, p, K):
+    """Checkpoint partial sums from the whole-horizon term arrays, as decide
+    formed them before it scanned in blocks."""
     at = np.array(schatten._checkpoint_grid(K)) - 1
-    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
-    sums, slopes = [], []
-    for terms in criterion_term_arrays(seq, m, p, K):
-        sums.append(np.cumsum(terms)[at].tolist())
-        slopes.append(schatten._fit_tail_exponent(terms, logk)[1])
-    return sums, slopes
+    return [np.cumsum(terms)[at].tolist() for terms in criterion_term_arrays(seq, m, p, K)]
 
 
 def huge_every_997th():
@@ -176,12 +199,11 @@ class TestBlockedScan:
         cases.append((huge_every_997th(), 2, 2.5))
         for seq, m, p in cases:
             v = decide(seq, m, p, K)
-            sums, slopes = whole_array_scan(seq, m, p, K)
             label = (seq.name, p)
-            assert [v.partial_sums_1, v.partial_sums_2] == sums, label
-            # repr: bit for bit, a NaN slope (an inf term in the window) included
-            assert repr(v.tail_exponents) == repr(tuple(slopes)), label
-        assert math.isinf(v.partial_sums_1[-1]) and math.isnan(v.tail_exponents[0])
+            assert [v.partial_sums_1, v.partial_sums_2] == whole_array_sums(seq, m, p, K), label
+            assert_slopes_match_polyfit(v.tail_exponents, seq, m, p, K, label)
+        # inf terms reach the partial sums, but not the log-space fits
+        assert math.isinf(v.partial_sums_1[-1]) and math.isfinite(v.tail_exponents[0])
 
     def test_block_terms_are_slices_of_the_whole_horizon(self):
         seq = HpSpace(3, 4)
@@ -249,6 +271,10 @@ class TestClosedFormNorm:
             closed_form_norm(SphericalShift(1, HpSpace(1, 1)), 1, 1, 1.0, 5)
 
 
+# the CLI's default exponent grid at m = 3
+CLI_GRID_M3 = [1.0, 2.0, 2.5, 3.0, 3.25, 4.0]
+
+
 class TestCutoff:
     def test_hp_m2_grid(self):
         rep = cutoff_check(HpSpace(2, 4), 2, [1, 1.5, 2, 2.25, 3], K=50_000)
@@ -263,18 +289,51 @@ class TestCutoff:
         assert rep["violations"] == []
 
     def test_repeated_exponents_decided_once(self, monkeypatch):
-        calls = []
-        real_decide = schatten.decide
+        fits, verdicts = [], []
+        real_slopes, real_verdict = schatten._tail_slopes, schatten._verdict
 
-        def counting_decide(seq, m, p, K, **kwargs):
-            calls.append(p)
-            return real_decide(seq, m, p, K, **kwargs)
+        def counting_slopes(seq, K):
+            fits.append(K)
+            return real_slopes(seq, K)
 
-        monkeypatch.setattr(schatten, "decide", counting_decide)
+        def counting_verdict(seq, m, p, K, slopes=None):
+            verdicts.append(p)
+            return real_verdict(seq, m, p, K, slopes)
+
+        monkeypatch.setattr(schatten, "_tail_slopes", counting_slopes)
+        monkeypatch.setattr(schatten, "_verdict", counting_verdict)
         rep = cutoff_check(HpSpace(2, 4), 2, [3, 1.5, 1.5, 1, 3.0], K=10_000)
         assert rep["grid"] == [1.0, 1.5, 3.0]
-        assert sorted(calls) == [1.0, 1.5, 3.0]
+        assert fits == [10_000]  # one pair of fits for the whole grid
+        assert sorted(verdicts) == [1.0, 1.5, 3.0]
         assert list(rep["verdicts"]) == ["1.0", "1.5", "3.0"]
+
+    def test_forms_no_terms_and_no_partial_sums(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cutoff_check formed terms or partial sums")
+
+        for name in ("decide", "criterion_term_arrays"):
+            monkeypatch.setattr(schatten, name, refuse)
+        monkeypatch.setattr(_kernels, "kahan_cumsum", refuse)
+        kernel_scale = ["diverges"] * 4 + ["converges"] * 2
+        pinned = {label: kernel_scale for label in
+                  ("szego", "bergman", "drury-arveson", "constant-half", "poly-gamma-sq")}
+        pinned.update({"rho-eta": ["diverges"] * 6, "alt-twelve": ["diverges"] * 6})
+        for label, seq in default_suite(3):
+            rep = cutoff_check(seq, 3, CLI_GRID_M3, K=10_000)
+            assert list(rep["verdicts"].values()) == pinned[label], label
+
+    def test_allocates_at_most_one_and_a_half_horizon_arrays(self):
+        K = 3 * B + 7
+        for label, seq in default_suite(3):
+            seq.delta2_array(K)  # the shared snapshot is not the fits' to count
+            tracemalloc.start()
+            try:
+                cutoff_check(seq, 3, CLI_GRID_M3, K)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 8 * (K + 1), label
 
     def test_hardy_m3_grid(self):
         rep = cutoff_check(HpSpace(3, 3), 3, [2, 3, 3.5], K=50_000)

@@ -61,8 +61,9 @@ def family_runs(family: list, m: int) -> list:
 
 
 def write_tables(directory: str) -> list:
-    """Two seeded delta2 tables, one of fractions and one of decimals, and
-    a bad one whose second row is 1/0.
+    """Two seeded delta2 tables, one of fractions and one of decimals; a bad
+    one whose second row is 1/0; and two whose p-th powers leave the float
+    range: rows alternating 1 and 1e200, and one row 1e-120.
 
     Row k of a seeded table is (k+2)/(k+3) scaled by 1 + u/(4(k+1)) with u
     uniform in [-1, 1], so every row lies in (0, 1).
@@ -79,9 +80,12 @@ def write_tables(directory: str) -> list:
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         paths.append(path)
-    paths.append(os.path.join(directory, "zero.csv"))
-    with open(paths[-1], "w") as fh:
-        fh.write("1\n1/0\n")
+    for name, text in (("zero", "1\n1/0\n"),
+                       ("alternating", "\n".join(["1", "1e200"] * 1500) + "\n"),
+                       ("tiny", "1e-120\n")):
+        paths.append(os.path.join(directory, f"{name}.csv"))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
     return paths
 
 
@@ -120,9 +124,16 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
             fam = ["--family", name, "--K", K]
             runs += [["spectrum"] + fam, ["cutoff"] + fam, ["schatten"] + fam + ["--p", "5/2"]]
     runs += family_runs(["--family", "constant", "--c", "7/10"], 2)
-    for path in tables[:2]:
+    table, decimal, zero, alternating, tiny = tables
+    for path in (table, decimal):
         fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
         runs += [["analyze"] + fam, ["classify"] + fam + ["--K", "2000"]]
+    # the Schatten fit route: families without declared asymptotics
+    for path, tail in ((table, "const:1"), (decimal, "const:1"),
+                       (alternating, "hold"), (tiny, "const:1e-120")):
+        fam = ["--family", "tabulated", "--table", path, "--tail", tail, "--m", "2"]
+        runs += [["schatten"] + fam + ["--p", "5/2"], ["schatten"] + fam + ["--p", "3"],
+                 ["cutoff"] + fam]
     runs += [["verify", "--m", str(m), "--N", str(n)] for m, n in ((2, 8), (3, 6), (4, 4))]
     # usage errors, exit 2: a negative --Q, and a tolerance that is not finite
     runs += [["dump-sequence", "--family", "bergman", "--Q", "-1"], ["verify", "--tol", "nan"]]
@@ -132,7 +143,6 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
     # usage errors, exit 2: a zero denominator, a directory where a file
     # belongs, a bad file value or key, a window < 1, an exponent that is
     # not a finite float
-    table, _, zero = tables
     runs += [
         ["classify", "--family", "hp", "--p", "1/0"],
         ["classify", "--family", "hp", "--p-space", "3/0"],
