@@ -279,6 +279,9 @@ def classification(
     """Run the whole battery on one sequence. One pass of local defects
     decides the isometry order, the expansions and Szego; subnormality
     makes its own pass, over delta2 / sup delta2."""
+    for name, value in (("the largest order Q", Q), ("P", P), ("K", K), ("horizon", horizon)):
+        if value < 1:  # before any array is built
+            raise ValueError(f"{name} must be >= 1")
     defects = list(_local_defects(seq, Q, K))
     order, order_mode = _isometry_order(defects)
     q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects}

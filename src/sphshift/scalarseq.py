@@ -5,9 +5,9 @@ normalization log_bbeta(0) = 0 (everything downstream is scale-covariant,
 so the anchor is a pure convention); gamma(k) = exp(2 log_bbeta(k)) is the
 squared cumulative weight. Each family states delta2 once per kind: one
 float generator over a whole horizon, one exact rational evaluator per k
-(or None), and one sup. Declared asymptotic metadata lets analytic paths
-skip sampling; everything else falls back to sampled, horizon-tagged
-answers.
+(or None), and one sup. Asymptotic facts, derived from the coefficients of
+a rational delta2 (RationalDelta2) and declared by the other families, let
+analytic paths skip sampling; the rest falls back to sampled answers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,18 +53,12 @@ class BoundednessReport:
 
 
 def _as_fraction(x) -> Optional[Fraction]:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
+    return Fraction(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _to_number(x):
     """Exact Fraction for int/str/Fraction input; floats stay float."""
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, float) else Fraction(x)
 
 
 def _float_square(c) -> float:
@@ -100,7 +96,7 @@ class ScalarSequence:
 
     name = "scalar-sequence"
 
-    # Declared metadata; None means "unknown, use sampled paths".
+    # Declared (derived, for RationalDelta2) facts; None means "unknown, use sampled paths".
     delta2_limit: Optional[float] = None       # lim delta2(k) when it exists
     delta2_liminf: Optional[float] = None
     monotone_nondecreasing: Optional[bool] = None   # delta_k nondecreasing
@@ -191,12 +187,8 @@ class ScalarSequence:
                 raise ValueError(f"{self.name}: sup delta2 leaves the float range")
             return BoundednessReport(verdict="family-declared", sup_delta2=float(sup), horizon=None)
         sampled = float(np.max(self.delta2_array(K)))
-        return BoundednessReport(
-            verdict="no-evidence",
-            sup_delta2=sampled,
-            horizon=K,
-            qualifier=f"sup over k <= {K} only; no declared bound",
-        )
+        return BoundednessReport(verdict="no-evidence", sup_delta2=sampled, horizon=K,
+                                 qualifier=f"sup over k <= {K} only; no declared bound")
 
     def scale(self, c) -> "ScaledSequence":
         """The sequence with every weight multiplied by c > 0."""
@@ -230,128 +222,192 @@ def check_arity(seq: ScalarSequence, m: int) -> None:
         raise ValueError(f"arity m = {m} does not match the family's own m = {declared}")
 
 
-class HpSpace(ScalarSequence):
+def descartes_sign(coeffs) -> Optional[int]:
+    """Descartes' rule of signs for f(k) = sum_i coeffs[i] k^i: the sign of
+    f at every k > 0 when the nonzero coefficients share it (f(0) has it or
+    is 0), 0 for f = 0, None when they change sign."""
+    signs = {(c > 0) - (c < 0) for c in coeffs} - {0}
+    return None if len(signs) > 1 else signs.pop() if signs else 0
+
+
+def _horner(coeffs, k, out=None):
+    """sum_i coeffs[i] k^i: exact at an integer k; at an array k, in float64 inside out."""
+    if out is None:
+        return reduce(lambda acc, c: acc * k + c, reversed(coeffs), 0)
+    out.fill(float(coeffs[-1]))
+    for c in reversed(coeffs[:-1]):
+        out *= k
+        out += float(c)
+    return out
+
+
+def _shifted(f) -> tuple:
+    """The coefficients of f(k + 1)."""
+    return tuple(sum(math.comb(i, j) * f[i] for i in range(j, len(f))) for j in range(len(f)))
+
+
+def _times(a, b) -> list:
+    return [sum(a[i] * b[n - i] for i in range(max(0, n + 1 - len(b)), min(n + 1, len(a))))
+            for n in range(len(a) + len(b) - 1)]
+
+
+def _integer_form(P, Q) -> tuple:
+    """P and Q times one positive integer, as ints (a float at its exact value)."""
+    P, Q = [Fraction(c) for c in P], [Fraction(c) for c in Q]
+    scale = math.lcm(*(c.denominator for c in P + Q))
+    return tuple(int(c * scale) for c in P), tuple(int(c * scale) for c in Q)
+
+
+class RationalDelta2(ScalarSequence):
+    """delta2(k) = P_i(k)/Q_i(k) with i = k mod T, T = len(branches).
+
+    A branch (P, Q) lists coefficients from the constant term, the leading
+    one not 0: Fractions and ints, or floats from the Python API (then there
+    are no exact values). The facts are derived once, from exact values. A
+    finite limit L (a ratio of leading coefficients) shared by the branches
+    is delta2_limit, each branch being L + O(1/k): essentially normal with
+    O(1/k) steps. Else neither holds, nor monotonicity, and the least limit
+    is delta2_liminf. The step into branch i+1 at k+1 has the sign of
+    D_i Q_i(k) Q_{i+1}(k+1), D_i = P_{i+1}(k+1) Q_i(k) - P_i(k) Q_{i+1}(k+1),
+    where Descartes' rule signs all three. The sup is the largest constant
+    branch, or one one-signed branch's limit (rising) or delta2(0).
+    """
+
+    def __init__(self, branches):
+        super().__init__()
+        self.branches = tuple((tuple(P), tuple(Q)) for P, Q in branches)
+        self._exact = not any(isinstance(c, float) for P, Q in self.branches for c in P + Q)
+        forms = self._forms = tuple(_integer_form(P, Q) for P, Q in self.branches)
+        limits = [math.inf if len(P) > len(Q) else Fraction(P[-1], Q[-1]) if len(P) == len(Q)
+                  else Fraction(0) for P, Q in forms]
+        one_limit = len(set(limits)) == 1
+        self.essentially_normal_declared = self.diff_decay_ck = one_limit and limits[0] < math.inf
+        if self.essentially_normal_declared:
+            self.delta2_limit = float(limits[0])
+        else:
+            self.delta2_liminf = float(min(limits))
+        steps = []
+        for (P, Q), (Pn, Qn) in zip(forms, forms[1:] + forms[:1]):
+            D = [a - b for a, b in zip_longest(_times(_shifted(Pn), Q), _times(P, _shifted(Qn)),
+                                               fillvalue=0)]
+            signs = (descartes_sign(D), descartes_sign(Q) or None, descartes_sign(Qn) or None)
+            steps.append(None if None in signs else math.prod(signs))
+        if not one_limit or -1 in steps:
+            self.monotone_nondecreasing = False
+        elif None not in steps:
+            self.monotone_nondecreasing = True
+        sup = max(limits) if all(len(P) == len(Q) == 1 for P, Q in forms) else None
+        if len(forms) == 1 and steps[0] is not None:
+            sup = limits[0] if steps[0] >= 0 else Fraction(forms[0][0][0], forms[0][1][0])
+        self._sup = None if sup in (None, math.inf) else sup if self._exact else float(sup)
+
+    def delta2_exact(self, k: int) -> Optional[Fraction]:
+        P, Q = self._forms[k % len(self._forms)]
+        return Fraction(_horner(P, k), _horner(Q, k)) if self._exact else None
+
+    def _delta2_values(self, kmax: int) -> np.ndarray:
+        T, out, k = len(self.branches), np.empty(kmax + 1), None
+        for i, ((P, Q), (Pz, Qz)) in enumerate(zip(self.branches, self._forms)):
+            if len(P) == len(Q) == 1:  # a constant branch: its exact ratio, rounded once
+                out[i::T] = float(Fraction(Pz[0], Qz[0]))
+                continue
+            k = np.arange(kmax + 1, dtype=np.float64) if k is None else k
+            o, x = _horner(P, k[i::T], out[i::T]), k[i::T]
+            if len(Q) == 2:  # a degree-1 denominator is formed inside k
+                x *= float(Q[1])
+                o /= np.add(x, float(Q[0]), out=x)
+            else:
+                o /= _horner(Q, x, np.empty_like(o))
+        return out
+
+    def sup_delta2(self) -> Union[Fraction, float, None]:
+        return self._sup
+
+
+class HpSpace(RationalDelta2):
     """The kernel-scale family: delta2(k) = (k+m)/(k+p).
 
     p = m is the Hardy/Szego sequence, p = m+1 Bergman, p = 1 Drury-Arveson.
     """
 
+    name = "hp"
+
     def __init__(self, m: int, p):
-        super().__init__()
         if m < 1:
             raise ValueError("arity m must be >= 1")
         self.m = int(m)
         self.p = _to_number(p)
         if not self.p > 0:
             raise ValueError("parameter p must be positive")
-        self.name = "hp"
-        self.delta2_limit = 1.0
-        self.monotone_nondecreasing = bool(self.p >= self.m)
-        self.essentially_normal_declared = True
-        self.diff_decay_ck = True
-
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
-        p = _as_fraction(self.p)
-        if p is None:
-            return None
-        return Fraction(k + self.m) / (k + p)
-
-    def _delta2_values(self, kmax: int) -> np.ndarray:
-        k = np.arange(kmax + 1, dtype=np.float64)
-        d2 = k + self.m
-        k += float(self.p)
-        d2 /= k
-        return d2
-
-    def sup_delta2(self) -> Union[Fraction, float]:
-        # delta2 falls from m/p to 1 when p < m, and rises to 1 otherwise
-        one = 1.0 if isinstance(self.p, float) else Fraction(1)
-        return max(one, self.m / self.p)
+        super().__init__([((self.m, 1), (self.p, 1))])
 
     def params(self):
         return {"m": self.m, "p": str(self.p)}
 
 
-class ConstantDelta(ScalarSequence):
+class ConstantDelta(RationalDelta2):
     """delta_k = c for every k: the geometric scalar sequence."""
 
+    name = "constant"
+
     def __init__(self, c):
-        super().__init__()
         self.c = _to_number(c)
         if not self.c > 0:
             raise ValueError("constant weight c must be positive")
-        self.name = "constant"
-        c2 = self._c2 = _float_square(self.c)
-        self.delta2_limit = c2
-        self.monotone_nondecreasing = True
-        self.essentially_normal_declared = True
-        self.diff_decay_ck = True
-
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
-        c = _as_fraction(self.c)
-        return None if c is None else c * c
-
-    def _delta2_values(self, kmax: int) -> np.ndarray:
-        return np.full(kmax + 1, self._c2)
-
-    def sup_delta2(self) -> Union[Fraction, float]:
-        c = _as_fraction(self.c)
-        return self._c2 if c is None else c * c
+        _float_square(self.c)
+        super().__init__([((self.c * self.c,), (1,))])
 
     def params(self):
         return {"c": str(self.c)}
 
 
-class PolynomialGamma(ScalarSequence):
-    """gamma(k) = S(k)/S(0) for a polynomial S that is positive on N.
+# The most (integers scanned) x (degree + 1) of PolynomialGamma's exact scan: ~0.1 s.
+POSITIVITY_SCAN_BUDGET = 200_000
 
-    Positivity is certified exactly: the leading coefficient must be
-    positive and S(k) > 0 is checked for every integer k up to the Cauchy
-    root bound, beyond which the polynomial cannot change sign.
-    """
+
+class PolynomialGamma(RationalDelta2):
+    """gamma(k) = S(k)/S(0), so delta2(k) = S(k+1)/S(k), for a polynomial S
+    certified positive on N exactly: by Descartes' rule, or else by S(k) > 0
+    at each integer k up to the Cauchy root bound, if that scan fits
+    POSITIVITY_SCAN_BUDGET; the leading coefficient must be positive."""
+
+    name = "poly-gamma"
 
     def __init__(self, coefficients: Sequence):
-        super().__init__()
         coeffs = [Fraction(c) for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        if coeffs[-1] <= 0:
+        if not coeffs or coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
-        lead = coeffs[-1]
-        bound = 1 + max((abs(c) / lead for c in coeffs[:-1]), default=Fraction(0))
-        for k in range(math.ceil(bound) + 1):
-            if self._eval(coeffs, k) <= 0:
-                raise ValueError(f"polynomial is not positive at k = {k}")
-        self.coefficients = tuple(coeffs)
-        self.degree = len(coeffs) - 1
-        self.name = "poly-gamma"
-        self.delta2_limit = 1.0
-        self.essentially_normal_declared = True
-        self.diff_decay_ck = True
-
-    @staticmethod
-    def _eval(coeffs, k) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * k + c
-        return acc
-
-    def delta2_exact(self, k: int) -> Fraction:
-        return self._eval(self.coefficients, k + 1) / self._eval(self.coefficients, k)
-
-    def _delta2_values(self, kmax: int) -> np.ndarray:
-        k = np.arange(kmax + 2, dtype=np.float64)
-        vals = np.zeros_like(k)
-        for c in reversed(self.coefficients):
-            vals *= k
-            vals += float(c)
-        # S(k+1)/S(k), written over k, which is not needed any more
-        return np.divide(vals[1:], vals[:-1], out=k[:-1])
+        if not (coeffs[0] > 0 and descartes_sign(coeffs) == 1):
+            S = _integer_form(coeffs, ())[0]
+            bound = 1 + max(-(-abs(c) // S[-1]) for c in S[:-1])  # rounded up
+            if (bound + 1) * len(S) > POSITIVITY_SCAN_BUDGET:
+                raise ValueError("cannot certify S(k) > 0 for every k >= 0: the coefficients "
+                                 "change sign, and the Cauchy root bound, about "
+                                 f"10^{math.log10(bound):.0f}, is beyond the exact scan")
+            for k in range(bound + 1):
+                if _horner(S, k) <= 0:
+                    raise ValueError(f"polynomial is not positive at k = {k}")
+        self.coefficients, self.degree = tuple(coeffs), len(coeffs) - 1
+        super().__init__([(_shifted(coeffs), coeffs)])
 
     def params(self):
         return {"coefficients": [str(c) for c in self.coefficients]}
+
+
+class AlternatingTwelve(RationalDelta2):
+    """gamma(2k) = 12^(-k), gamma(2k+1) = 12^(-k)/3.
+
+    delta2 alternates between 1/3 and 1/4, so the sequence is bounded with
+    concave-type third differences but is not essentially normal: the
+    difference |delta2(k+1) - delta2(k)| equals 1/12 at every k.
+    """
+
+    name = "alt-twelve"
+
+    def __init__(self):
+        super().__init__([((Fraction(1, 3),), (1,)), ((Fraction(1, 4),), (1,))])
 
 
 class RhoEta(ScalarSequence):
@@ -363,13 +419,11 @@ class RhoEta(ScalarSequence):
     escape every Schatten class.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.name = "rho-eta"
-        self.delta2_limit = 3.0
-        self.monotone_nondecreasing = True
-        self.essentially_normal_declared = True
-        self.diff_decay_ck = False
+    name = "rho-eta"
+    delta2_limit = 3.0
+    monotone_nondecreasing = True
+    essentially_normal_declared = True
+    diff_decay_ck = False
 
     def delta2_exact(self, k: int) -> Fraction:
         # 1 + sum of 2^(-l) over the jumps 2^(2^l) <= k - 1, which is
@@ -381,11 +435,8 @@ class RhoEta(ScalarSequence):
         # rho[k] - 1 sums eta over 0..k-1: eta(k) lands in entry k + 1
         rho = np.zeros(kmax + 1)
         l = 0
-        while True:
-            k = 2 ** (2 ** l)
-            if k >= kmax:
-                break
-            rho[k + 1] = 0.5 ** l
+        while 2 ** (2 ** l) < kmax:
+            rho[2 ** (2 ** l) + 1] = 0.5 ** l
             l += 1
         np.cumsum(rho, out=rho)
         rho += 1.0
@@ -397,48 +448,8 @@ class RhoEta(ScalarSequence):
     def schatten_override(self, m: int, p: float):
         if math.isinf(p):
             return None
-        return (
-            "diverges",
-            "difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
-            "unbounded along k = 2^(2^l) + 1",
-        )
-
-
-class AlternatingTwelve(ScalarSequence):
-    """gamma(2k) = 12^(-k), gamma(2k+1) = 12^(-k)/3.
-
-    delta2 alternates between 1/3 and 1/4, so the sequence is bounded with
-    concave-type third differences but is not essentially normal: the
-    difference |delta2(k+1) - delta2(k)| equals 1/12 at every k.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.name = "alt-twelve"
-        self.delta2_liminf = 0.25
-        self.monotone_nondecreasing = False
-        self.essentially_normal_declared = False
-        self.diff_decay_ck = False
-
-    def delta2_exact(self, k: int) -> Fraction:
-        return Fraction(1, 3) if k % 2 == 0 else Fraction(1, 4)
-
-    def _delta2_values(self, kmax: int) -> np.ndarray:
-        out = np.full(kmax + 1, 0.25)
-        out[::2] = 1.0 / 3.0
-        return out
-
-    def sup_delta2(self) -> Fraction:
-        return Fraction(1, 3)
-
-    def schatten_override(self, m: int, p: float):
-        if math.isinf(p):
-            return None
-        return (
-            "diverges",
-            "|delta2(k) - delta2(k-1)| = 1/12 for every k, so the "
-            "difference series grows like K^m",
-        )
+        return "diverges", ("difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
+                            "unbounded along k = 2^(2^l) + 1")
 
 
 class Tabulated(ScalarSequence):
@@ -477,10 +488,8 @@ class Tabulated(ScalarSequence):
             return tail[1]
         if callable(tail):
             return tail(k)
-        raise TableRangeError(
-            f"tabulated family has {len(self.values)} entries and no tail "
-            f"rule; cannot evaluate delta2({k})"
-        )
+        raise TableRangeError(f"tabulated family has {len(self.values)} entries and no tail "
+                              f"rule; cannot evaluate delta2({k})")
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         v = self.values[k] if k < len(self.values) else self._tail_value(k)
@@ -528,9 +537,8 @@ class ScaledSequence(ScalarSequence):
         for attr in ("delta2_limit", "delta2_liminf"):
             v = getattr(base, attr)
             setattr(self, attr, None if v is None else v * c2)
-        self.monotone_nondecreasing = base.monotone_nondecreasing
-        self.essentially_normal_declared = base.essentially_normal_declared
-        self.diff_decay_ck = base.diff_decay_ck
+        for attr in ("monotone_nondecreasing", "essentially_normal_declared", "diff_decay_ck"):
+            setattr(self, attr, getattr(base, attr))
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
@@ -588,15 +596,8 @@ class UnknownFamilyError(Exception):
     pass
 
 
-def make_family(
-    name: str,
-    m: int,
-    p=None,
-    c=None,
-    gamma_coeffs=None,
-    table=None,
-    tail="error",
-) -> ScalarSequence:
+def make_family(name: str, m: int, p=None, c=None, gamma_coeffs=None, table=None,
+                tail="error") -> ScalarSequence:
     """Construct a registered family by name.
 
     ``m`` is the tuple arity; only the kernel-scale families consume it

@@ -90,11 +90,8 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int
 def _checkpoint_grid(K: int) -> list:
     pts = set(np.geomspace(1, K, 40).astype(int).tolist())
     l = 0
-    while True:
-        jump = 2 ** (2 ** l) + 1
-        if jump > K:
-            break
-        pts.add(jump)
+    while 2 ** (2 ** l) + 1 <= K:  # the jumps of rho-eta, where its differences peak
+        pts.add(2 ** (2 ** l) + 1)
         l += 1
     pts.add(K)
     return sorted(pts)
@@ -157,16 +154,17 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
     status2 = b if slope2 is None else _kernels.series_verdict(slope2)
 
     override = seq.schatten_override(m, p)
+    analytic = True
     if override is not None:
         verdict, reason = override
-        analytic = True
+    elif seq.essentially_normal_declared is False:
+        verdict = "diverges"
+        reason = ("not essentially normal, so the cross-commutators are not compact, "
+                  "so they lie in no S_p (every S_p operator is compact)")
     elif seq.delta2_limit is not None and seq.delta2_limit > 0 and seq.diff_decay_ck:
         verdict = "converges" if p > m else "diverges"
-        analytic = True
-        reason = (
-            "declared: delta2 -> L > 0 with |delta2(k)-delta2(k-1)| = O(1/k); "
-            "membership holds exactly when p > m"
-        )
+        reason = ("declared: delta2 -> L > 0 with |delta2(k)-delta2(k-1)| = O(1/k); "
+                  "membership holds exactly when p > m")
     else:
         analytic = False
         statuses = {status1, status2}
@@ -176,10 +174,8 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
             verdict = "converges"
         else:
             verdict = "inconclusive"
-        reason = (
-            f"tail-exponent fit over k in [{K // 2}, {K}]: "
-            f"series1 {status1} (slope {slope1}), series2 {status2} (slope {slope2})"
-        )
+        reason = (f"tail-exponent fit over k in [{K // 2}, {K}]: "
+                  f"series1 {status1} (slope {slope1}), series2 {status2} (slope {slope2})")
 
     compact = is_compact(seq, K).value
     cutoff_ok = None if compact is None else compact or not (verdict == "converges" and p <= m)

@@ -76,3 +76,44 @@ def beta_norm(shift, n) -> float:
 def add_unit(n, j: int) -> tuple:
     """n + e_j, with the axis j counted from 1."""
     return tuple(n[:j - 1]) + (n[j - 1] + 1,) + tuple(n[j:])
+
+
+# The facts each rational family stated by hand before they were derived
+# from its delta2, as its constructor set them: the five declared facts and
+# the sup, whose type (Fraction or float) says how it is known.
+FACTS = ("delta2_limit", "delta2_liminf", "monotone_nondecreasing",
+         "essentially_normal_declared", "diff_decay_ck", "sup")
+
+
+def declared_facts(seq) -> dict:
+    """FACTS as the family declared them; a scaled family's as
+    ScaledSequence forms them from its base's, with c^2 rounded once."""
+    if seq.name.startswith("scaled("):
+        base, c = declared_facts(seq.base), seq.c
+        c2 = float(c * c)
+        sup = base["sup"]
+        if isinstance(sup, Fraction) and not isinstance(c, float):
+            sup = c * c * sup
+        elif sup is not None:
+            sup = float(sup) * c2
+        return {**base, "sup": sup,
+                **{key: None if base[key] is None else base[key] * c2
+                   for key in ("delta2_limit", "delta2_liminf")}}
+    if seq.name == "hp":
+        one = 1.0 if isinstance(seq.p, float) else Fraction(1)
+        return dict(zip(FACTS, (1.0, None, bool(seq.p >= seq.m), True, True,
+                                max(one, seq.m / seq.p))))
+    if seq.name == "constant":
+        c2 = seq.c * seq.c
+        return dict(zip(FACTS, (float(c2), None, True, True, True,
+                                c2 if isinstance(c2, Fraction) else float(c2))))
+    if seq.name == "poly-gamma":
+        return dict(zip(FACTS, (1.0, None, None, True, True, None)))
+    if seq.name == "alt-twelve":
+        return dict(zip(FACTS, (None, 0.25, False, False, False, Fraction(1, 3))))
+    raise KeyError(seq.name)
+
+
+def derived_facts(seq) -> dict:
+    """FACTS as the sequence now holds them."""
+    return {key: seq.sup_delta2() if key == "sup" else getattr(seq, key) for key in FACTS}

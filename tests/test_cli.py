@@ -133,14 +133,14 @@ class TestClassify:
         assert body["subnormal"]["witness"] == [2, 0]
 
     def test_poly_gamma_deep_horizon(self, capsys):
-        # poly-gamma declares no sup: the sampled sup 4 is taken exactly,
+        # poly-gamma's sup 4 = delta2(0) is derived exactly (delta2 falls),
         # so the check stays exact and no float 4.0 ** k can overflow
         code, doc = run_json(capsys, [
             "classify", "--family", "poly-gamma", "--gamma-coeffs", "1,2,1", "--K", "600",
         ])
         assert code == 0
         sub = doc["classification"]["subnormal"]
-        assert sub["mode"] == "exact" and sub["rescale_mode"] == "sampled"
+        assert sub["mode"] == "exact" and sub["rescale_mode"] == "exact"
         assert sub["witness_value"] == "-7/16"
 
     def test_tiny_p_finishes(self, capsys):
@@ -346,7 +346,8 @@ class TestErrors:
         (["lemmas", "--points", "0"], "need at least one point"),
         (["dump-sequence", "--family", "szego", "--K", "-1"], "--K must be >= 0"),
         (["dump-sequence", "--family", "szego", "--Q", "-1"], "--Q must be >= 0"),
-    ], ids=["no-points", "negative-K", "negative-Q"])
+        (["classify", "--family", "szego", "--K", "-3"], "K must be >= 1"),
+    ], ids=["no-points", "negative-K", "negative-Q", "classify-negative-K"])
     def test_out_of_range_count_is_a_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -597,6 +598,28 @@ def input_dir(tmp_path):
 
 def at(argv, directory) -> list:
     return [arg.replace("{dir}", str(directory)) for arg in argv]
+
+
+# gamma coefficients that the positivity check once scanned integer by
+# integer up to the Cauchy root bound, some 10^300 of them: S(0) is huge
+# (Descartes' rule certifies S > 0), or the bound is (the check gives up)
+HUGE_GAMMA_COEFFS = ["1e300,1", "1e1000,1", "1e300,-1,1e-300", "1,-1e150,1e300,0,1"]
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum", "analyze"])
+@pytest.mark.parametrize("coeffs", HUGE_GAMMA_COEFFS)
+def test_huge_gamma_coefficients_end_within_a_second(command, coeffs):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sphshift.__file__))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sphshift.cli", command, "--family",
+                           "poly-gamma", f"--gamma-coeffs={coeffs}"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == (proc.returncode == 2)
+    if "-" in coeffs:
+        assert proc.stderr.startswith("sphshift: cannot certify S(k) > 0 for every k >= 0")
+        assert "10^" in proc.stderr
 
 
 class TestUserInput:

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exact_reference import delta2_float, eta, gamma_exact, nabla_gamma
+from exact_reference import (FACTS, declared_facts, delta2_float, derived_facts, eta,
+                             gamma_exact, nabla_gamma)
 from sphshift.classify import classification
 from sphshift.scalarseq import (
     FAMILIES,
@@ -20,6 +22,7 @@ from sphshift.scalarseq import (
     Tabulated,
     TableRangeError,
     UnknownFamilyError,
+    descartes_sign,
     make_family,
     default_suite,
 )
@@ -273,17 +276,19 @@ class TestSnapshot:
 # it filled its result in place
 WHOLE_ARRAY_DELTA2 = {
     "hp": lambda seq, k: (k + seq.m) / (k + float(seq.p)),
-    "poly-gamma": lambda seq, k: _whole_array_poly_gamma(seq.coefficients, len(k) - 1),
+    "poly-gamma": lambda seq, k: _whole_array_poly_gamma(seq.coefficients, k),
     "rho-eta": lambda seq, k: _whole_array_rho_eta(len(k) - 1),
 }
 
 
-def _whole_array_poly_gamma(coefficients, kmax):
-    k = np.arange(kmax + 2, dtype=np.float64)
-    vals = np.zeros_like(k)
-    for c in reversed(coefficients):
-        vals = vals * k + float(c)
-    return vals[1:] / vals[:-1]
+def _whole_array_poly_gamma(coefficients, k):
+    # S(k+1)/S(k), each polynomial in k by Horner; S(k+1) expanded exactly
+    shifted = [sum(math.comb(i, j) * c for i, c in enumerate(coefficients))
+               for j in range(len(coefficients))]
+    num, den = np.full(len(k), float(shifted[-1])), np.full(len(k), float(coefficients[-1]))
+    for a, b in zip(reversed(shifted[:-1]), reversed(coefficients[:-1])):
+        num, den = num * k + float(a), den * k + float(b)
+    return num / den
 
 
 def _whole_array_rho_eta(kmax):
@@ -312,6 +317,24 @@ class TestInPlaceGenerators:
         logbb = np.zeros(kmax + 2)
         logbb[1:] = np.cumsum(0.5 * np.log(want))
         assert seq.log_bbeta_array(kmax + 1).tobytes() == logbb.tobytes()
+
+    @pytest.mark.parametrize("make,arrays", [
+        (lambda: HpSpace(2, 3), 2), (lambda: ConstantDelta(Fraction(1, 2)), 1.375),
+        (lambda: AlternatingTwelve(), 1.375), (lambda: PolynomialGamma([1, 2, 1]), 3),
+    ], ids=["hp", "constant", "alt-twelve", "poly-gamma"])
+    def test_generator_peak_memory(self, make, arrays):
+        # hp forms its denominator inside the k array, a constant branch is
+        # a fill, poly-gamma holds k, S(k+1) and S(k); 0.375 is _ensure's
+        # byte masks over the snapshot
+        K = 200_000
+        seq = make()
+        tracemalloc.start()
+        try:
+            seq.delta2_array(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 8 * (K + 1) + 8192
 
     def test_log_bbeta_is_built_inside_its_own_array(self):
         K = 200_000
@@ -397,7 +420,8 @@ class TestSequenceMachinery:
         assert Tabulated([1, 0.5], tail="hold").sup_delta2() == 1.0
         assert isinstance(Tabulated([1, 0.5], tail="hold").sup_delta2(), float)
         assert Tabulated([1, 2], tail="error").sup_delta2() is None
-        assert PolynomialGamma([1, 1]).sup_delta2() is None
+        assert PolynomialGamma([1, 1]).sup_delta2() == Fraction(2)
+        assert isinstance(PolynomialGamma([1, 1]).sup_delta2(), Fraction)
         assert RhoEta().scale(Fraction(1, 2)).sup_delta2() == Fraction(3, 4)
         assert RhoEta().scale(0.5).sup_delta2() == 0.75
 
@@ -411,6 +435,50 @@ class TestSequenceMachinery:
         assert rep.verdict == "no-evidence"
         assert rep.horizon == 500
         assert rep.sup_delta2 == 2.0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.fractions(-50, 50, max_denominator=9),
+                min_size=1, max_size=7), st.data())
+def test_descartes_sign_holds_at_every_drawn_k(coeffs, data):
+    sign = descartes_sign(coeffs)
+    if sign is None:
+        return
+    nonzero = [c for c in coeffs if c]
+    # beyond the Cauchy bound of the nonzero part no root is left
+    top = 2 + int(max((abs(c / nonzero[-1]) for c in nonzero), default=0))
+    for k in data.draw(st.lists(st.integers(0, 2 * top), min_size=1, max_size=8)) + [0, 1]:
+        value = sum(c * k ** i for i, c in enumerate(coeffs))
+        if sign == 0:
+            assert value == 0, (coeffs, k)
+        elif k == 0:  # f(0) is the constant term, which may be 0
+            assert value * sign >= 0, (coeffs, k)
+        else:
+            assert value * sign > 0, (coeffs, k)
+
+
+# the families whose facts are now derived: each default_suite rational
+# family, criterion 4's hp grid, and float inputs to the Python API
+RATIONAL_FAMILIES = [seq for m in (2, 3, 4) for label, seq in default_suite(m)
+                     if label != "rho-eta"]
+RATIONAL_FAMILIES += [HpSpace(m, p) for m in (2, 3) for p in sorted(
+    {q for q in [Fraction(m) - Fraction(3, 2), Fraction(m) - 1, Fraction(m) - Fraction(1, 2),
+                 *map(Fraction, range(1, m + 1)), Fraction(m) + Fraction(1, 2), Fraction(m) + 1]
+     if q > 0})]
+RATIONAL_FAMILIES += [HpSpace(2, 0.5), ConstantDelta(0.5)]
+
+
+@pytest.mark.parametrize("seq", RATIONAL_FAMILIES + [seq.scale(c) for seq in RATIONAL_FAMILIES
+                                                     for c in (Fraction(3, 2), 0.5)], ids=repr)
+def test_derived_facts_are_the_declared_ones(seq):
+    want = declared_facts(seq)
+    base = getattr(seq, "base", seq)
+    if base.name == "poly-gamma":  # now also known: delta2 falls from its sup S(1)/S(0)
+        sup = Fraction(4) if seq is base else seq.c * seq.c * 4
+        want.update(monotone_nondecreasing=False, sup=sup)
+    got = derived_facts(seq)
+    assert [(type(got[key]), got[key]) for key in FACTS] == \
+        [(type(want[key]), want[key]) for key in FACTS]
 
 
 def test_make_family_registry():

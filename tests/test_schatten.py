@@ -89,6 +89,16 @@ class TestDecide:
         assert decide(RhoEta(), 2, math.inf).verdict == "converges"
         assert decide(AlternatingTwelve(), 2, math.inf).verdict == "diverges"
 
+    @pytest.mark.parametrize("seq", [AlternatingTwelve(), AlternatingTwelve().scale(7)],
+                             ids=["alt-twelve", "scaled"])
+    def test_not_essentially_normal_diverges_at_every_finite_p(self, seq):
+        # no family override: not compact, so in no S_p
+        for p in (1.0, 2.5, 40.0):
+            v = decide(seq, 2, p, K=10_000)
+            assert (v.verdict, v.analytic) == ("diverges", True)
+            assert v.reason.startswith("not essentially normal, so the cross-commutators "
+                                       "are not compact")
+
     def test_rejects_quasinorm_and_small_K(self):
         with pytest.raises(ValueError):
             decide(HpSpace(2, 2), 2, 0.99)

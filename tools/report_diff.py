@@ -13,14 +13,25 @@ requests. The script prints one line per tree with the summed wall time and
 user+sys CPU of its runs (read with ``os.wait4``), then each differing run
 with the head of its diff, then one summary line; the exit code is 1 if any
 run differs, 0 otherwise. Only the standard library is used.
+
+    python tools/report_diff.py --write-golden
+
+writes the committed report corpus instead: one file per run of the same
+list under ``tests/golden/``, each the run's command line and then the same
+text, from ``cli.main`` of this tree called in this process. The tables
+directory is left out of every path in it. ``tests/test_golden.py`` runs
+each request again and compares the bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import difflib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +43,11 @@ WORKERS = 2          # concurrent CLI processes per tree
 DIFF_LINES = 12      # diff lines printed per differing run
 TABLE_SEED = 20_141_014
 TABLE_ROWS = 400
+# the environment of every run: argparse wraps its usage text at the
+# terminal's width, so a run sees 80 columns, and no output directory
+RUN_ENV = {"COLUMNS": "80"}
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(REPO, "tests", "golden")  # the committed report corpus
 
 # the seven families of sphshift.scalarseq.default_suite, as CLI flags
 SUITE = [
@@ -124,6 +140,9 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
             fam = ["--family", name, "--K", K]
             runs += [["spectrum"] + fam, ["cutoff"] + fam, ["schatten"] + fam + ["--p", "5/2"]]
     runs += family_runs(["--family", "constant", "--c", "7/10"], 2)
+    # a falling delta2 whose step polynomial is one-signed: the derived
+    # monotonicity and sup
+    runs += family_runs(["--family", "poly-gamma", "--gamma-coeffs", "1,3,3,1"], 3)
     table, decimal, zero, alternating, tiny = tables
     for path in (table, decimal):
         fam = ["--family", "tabulated", "--table", path, "--tail", "const:1", "--m", "2"]
@@ -177,11 +196,20 @@ def _canonical(text: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _collect(code, stdout: str, stderr: str, cwd: str) -> str:
+    """One run's exit code, output streams and written files, as one text."""
+    parts = [f"exit {code}\n", "--- stdout\n", _canonical(stdout), "--- stderr\n", stderr]
+    for name in sorted(os.listdir(cwd)):
+        with open(os.path.join(cwd, name)) as fh:
+            parts += [f"--- file {name}\n", _canonical(fh.read())]
+    return "".join(parts)
+
+
 def run_one(tree: str, argv: list):
     """Everything one run leaves, as one comparable text; and the run's wall
     time and user+sys CPU in seconds."""
     env = {k: v for k, v in os.environ.items() if k != "SPHSHIFT_OUT_DIR"}
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
+    env.update(RUN_ENV, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryFile("w+") as out, \
             tempfile.TemporaryFile("w+") as err:
         t0 = time.perf_counter()
@@ -194,12 +222,66 @@ def run_one(tree: str, argv: list):
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        parts = [f"exit {proc.returncode}\n", "--- stdout\n",
-                 _canonical(out.read()), "--- stderr\n", err.read()]
-        for name in sorted(os.listdir(cwd)):
-            with open(os.path.join(cwd, name)) as fh:
-                parts += [f"--- file {name}\n", _canonical(fh.read())]
-    return "".join(parts), wall, usage.ru_utime + usage.ru_stime
+        text = _collect(proc.returncode, out.read(), err.read(), cwd)
+    return text, wall, usage.ru_utime + usage.ru_stime
+
+
+def run_in_process(argv: list, tables_dir: str) -> str:
+    """run_one's text for one ``cli.main`` call in this process, from a
+    fresh temporary directory, with the tables directory left out of paths
+    so that the text does not depend on where the tables were written."""
+    from sphshift import cli
+
+    out, err, home, environ = io.StringIO(), io.StringIO(), os.getcwd(), dict(os.environ)
+    os.environ.pop("SPHSHIFT_OUT_DIR", None)
+    os.environ.update(RUN_ENV)
+    with tempfile.TemporaryDirectory() as cwd:
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # a usage error found by argparse
+                    code = exc.code
+        finally:
+            os.chdir(home)
+            os.environ.clear()
+            os.environ.update(environ)
+        text = _collect(code, out.getvalue(), err.getvalue(), cwd)
+    return text.replace(tables_dir + os.sep, "")
+
+
+def _words(argv: list, tables_dir: str) -> str:
+    """A run's arguments as one line, without the tables directory."""
+    return " ".join(argv).replace(tables_dir + os.sep, "")
+
+
+def golden_runs(tables_dir: str) -> dict:
+    """The corpus file name of each run of run_list, mapped to its argv."""
+    runs = run_list(write_tables(tables_dir), *write_family_files(tables_dir))
+    return {f"{i:03d}-" + re.sub(r"[^\w.,=+-]+", "_", _words(argv, tables_dir))[:100] + ".txt": argv
+            for i, argv in enumerate(runs)}
+
+
+def golden_text(argv: list, tables_dir: str) -> str:
+    """A corpus file: the command line, then what the run leaves."""
+    return f"sphshift {_words(argv, tables_dir)}\n" + run_in_process(argv, tables_dir)
+
+
+def write_golden() -> int:
+    """Replace the corpus by one file per run of run_list."""
+    sys.path.insert(0, os.path.join(REPO, "src"))
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name in os.listdir(GOLDEN):
+        if name.endswith(".txt"):
+            os.remove(os.path.join(GOLDEN, name))
+    with tempfile.TemporaryDirectory() as tables_dir:
+        runs = golden_runs(tables_dir)
+        for name, argv in runs.items():
+            with open(os.path.join(GOLDEN, name), "wb") as fh:
+                fh.write(golden_text(argv, tables_dir).encode())
+    print(f"report_diff: wrote {len(runs)} corpus files to {GOLDEN}")
+    return 0
 
 
 def run_tree(tree: str, runs: list) -> list:
@@ -215,8 +297,10 @@ def run_tree(tree: str, runs: list) -> list:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args == ["--write-golden"]:
+        return write_golden()
     if len(args) != 2:
-        print("usage: report_diff.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        print("usage: report_diff.py PARENT_TREE CHANGE_TREE | --write-golden", file=sys.stderr)
         return 2
     for tree in args:
         if not os.path.isdir(os.path.join(tree, "src", "sphshift")):
@@ -230,7 +314,7 @@ def main(argv=None) -> int:
             if a == b:
                 continue
             differ += 1
-            print("differs: sphshift " + " ".join(argv).replace(tables_dir + os.sep, ""))
+            print("differs: sphshift " + _words(argv, tables_dir))
             diff = difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change",
                                         n=1, lineterm="")
             for line in list(diff)[:DIFF_LINES]:
