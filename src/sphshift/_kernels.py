@@ -150,7 +150,8 @@ def pairsum(k, m, p, offset):
         return 0.0
     w = _pair_weights(k, m, p, offset)
     t = np.arange(1, k + 1, dtype=np.float64)
-    return float(np.dot(t ** (p / 2.0), w[::-1]))
+    # numpy's pairwise sum, not np.dot, whose BLAS kernel depends on the CPU
+    return float(np.sum(t ** (p / 2.0) * w[::-1]))
 
 
 def _normalized(x):
@@ -278,7 +279,7 @@ def abs_sum(k, m, p, s):
     """sum over {|n| = k} of |s*n_j - 1|^p."""
     t = np.arange(k + 1, dtype=np.float64)
     vals = np.abs(s * t - 1.0) ** p
-    return float(np.dot(_comp_counts(k - t, m), vals))
+    return float(np.sum(_comp_counts(k - t, m) * vals))  # pairwise, as in pairsum
 
 
 def fit_slope(x, y):

@@ -49,36 +49,32 @@ def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
     of L_q, which reads only the window delta2(k..k+q-1). With ``scale`` S,
     delta2 is divided by S, giving the differences of gamma(k) / S^k.
 
-    Exact delta2 (and S exact or absent) runs on Python ints: lead is
-    L_q * den with den the window's cleared, positive denominators, and
-    tol = 0. Otherwise lead is L_q in float64, den is None, and |lead| <=
-    tol, the formula's forward error bound 4(q+1) u sum_s C(q,s) P_s(k),
-    counts as zero; a window whose bound overflows decides nothing.
+    Exact delta2 (and S exact or absent) runs on the Python ints of the
+    sequence's exact windows: lead is L_q * den with den the window's
+    cleared, positive denominators, and tol = 0. Otherwise lead is L_q in
+    float64, den is None, and |lead| <= tol, the forward error bound
+    4(q+1) u sum_s C(q,s) P_s(k), counts as zero; an overflowing bound
+    decides nothing.
     """
-    vals = seq.delta2_exact_array(K + Q - 1)
-    exact = None not in vals and (scale is None or isinstance(scale, Fraction))
-    if exact:
-        S = Fraction(1) if scale is None else scale
-        num = np.array([v.numerator * S.denominator for v in vals], dtype=object)
-        den = np.array([v.denominator * S.numerator for v in vals], dtype=object)
-    else:
-        num = seq.delta2_array(K + Q - 1) / (1.0 if scale is None else float(scale))
-        den = np.ones(K + Q)
-    one = np.ones(K + 1, dtype=num.dtype)
-    prods, dens = [one], [one]  # prod_{i<s} num(k+i); prod_{s<=i<q} den(k+i)
+    if scale is None or isinstance(scale, Fraction):
+        num, den, ok = seq.exact_windows(K, Q)
+        if ok[Q].all():  # every delta2 through K + Q - 1 is exact
+            # delta2 / S = (num Sd) / (den Sn) over each window
+            Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+            for q in range(1, Q + 1):
+                lead = sum((-1) ** (q - s) * math.comb(q, s) * Sd ** s * Sn ** (q - s)
+                           * num[s] * (den[q] // den[s]) for s in range(q + 1))
+                yield q, lead, 0, den[q] * Sn ** q
+            return
+    d2 = seq.delta2_array(K + Q - 1) / (1.0 if scale is None else float(scale))
+    prods = [np.ones(K + 1)]  # prod_{i<s} delta2(k+i) / S
     for q in range(1, Q + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            prods.append(prods[-1] * num[q - 1: q + K])
-            dens = [d * den[q - 1: q + K] for d in dens] + [one]
-            terms = [(-1) ** (q - s) * math.comb(q, s) * prods[s] * dens[s]
-                     for s in range(q + 1)]
+            prods.append(prods[-1] * d2[q - 1: q + K])
+            terms = [(-1) ** (q - s) * math.comb(q, s) * prods[s] for s in range(q + 1)]
             lead = sum(terms)
-            if not exact:
-                tol = 4 * (q + 1) * _U * sum(np.abs(t) for t in terms)
-        if exact:
-            yield q, lead, 0, dens[0]
-        else:
-            yield q, lead, np.where(np.isfinite(tol), tol, np.nan), None
+            tol = 4 * (q + 1) * _U * sum(np.abs(t) for t in terms)
+        yield q, lead, np.where(np.isfinite(tol), tol, np.nan), None
 
 
 def _first(mask) -> Optional[int]:

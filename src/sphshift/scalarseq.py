@@ -90,8 +90,9 @@ class ScalarSequence:
     rejects a delta2 that is not finite and positive: ``delta2_array`` and
     ``log_bbeta_array`` serve read-only views of it. ``delta2_exact_array``
     keeps the one exact snapshot, the only reader of ``delta2_exact``
-    outside this module. Instances are immutable after construction;
-    caches only grow and never change values.
+    outside this module; ``exact_windows`` turns it into the integer window
+    products that ``shift`` and ``classify`` read. Instances are immutable
+    after construction; caches only grow and never change values.
     """
 
     name = "scalar-sequence"
@@ -151,6 +152,27 @@ class ScalarSequence:
         if have <= kmax:
             self._d2x += tuple(self.delta2_exact(k) for k in range(have, kmax + 1))
         return self._d2x[: max(kmax + 1, 0)]
+
+    def exact_windows(self, kmax: int, smax: int):
+        """The exact windows delta2(k)...delta2(k+s-1), k = 0..kmax, s = 0..smax.
+
+        Returns (num, den, ok), each a list over s of arrays over k: num and
+        den hold the products of the reduced numerators and denominators
+        over the window as Python ints, and ok is true where every delta2
+        in the window is exact (num and den mean nothing elsewhere). Reads
+        the exact snapshot once, through kmax + smax - 1.
+        """
+        vals = self.delta2_exact_array(kmax + smax - 1)
+        n = max(kmax + 1, 0)
+        exact = np.array([v is not None for v in vals], dtype=bool)
+        nums = np.array([1 if v is None else v.numerator for v in vals], dtype=object)
+        dens = np.array([1 if v is None else v.denominator for v in vals], dtype=object)
+        num, den, ok = [np.ones(n, dtype=object)], [np.ones(n, dtype=object)], [np.ones(n, bool)]
+        for s in range(1, smax + 1):
+            num.append(num[-1] * nums[s - 1: s - 1 + n])
+            den.append(den[-1] * dens[s - 1: s - 1 + n])
+            ok.append(ok[-1] & exact[s - 1: s - 1 + n])
+        return num, den, ok
 
     def log_bbeta_array(self, kmax: int) -> np.ndarray:
         """log bbeta(0..kmax) inclusive, a read-only view.

@@ -15,14 +15,14 @@ of these forms. They stay because the benchmark's tracer
 (``perfbench/tracer.py``) wraps each of them to count its calls.
 
 Each level-wise form reads the sequence's float and exact delta2
-snapshots once, through the highest level it needs. Each closed form is
-computed in integers wherever the levels it reads are exact: a level keeps its
-commutator pair over one common denominator, and the diagonals of Q^s(I)
-and of the defect operators come from integer products of exact delta2
-over a window of levels, exact when every level in the window is. The
-small differences these contain are then rounded once, by a correctly
-rounded int/int division, which gives the same float as rounding the
-exact rational.
+snapshots once, through the highest level it needs, and keeps nothing
+between calls. A closed form is computed in integers wherever the levels it
+reads are exact: a commutator level is formed over one common denominator,
+and the diagonals of Q^s(I) and of the defect operators come from the
+sequence's table of exact windows (``ScalarSequence.exact_windows``),
+exact where every level in the window is. The small differences these
+contain are then rounded once, by a correctly rounded int/int division,
+which gives the same float as rounding the exact rational.
 """
 
 from __future__ import annotations
@@ -69,75 +69,53 @@ class SphericalShift:
         check_arity(seq, m)
         self.m = int(m)
         self.seq = seq
-        self._pairs = {}     # level k -> commutator pair
-        self._self_rows = {}  # level k -> self-commutator coefficients, n_j = 0..k
-        self._windows = {}   # level k -> [delta2(k)...delta2(k+s-1) as (num, den), s = 0, 1, ...]
 
     # -- per-level data -----------------------------------------------------
-
-    def _window(self, k: int, s: int, exact):
-        """delta2(k)...delta2(k+s-1) as (num, den), or None unless each of
-        these levels is exact."""
-        row = self._windows.setdefault(k, [(1, 1)])
-        while len(row) <= s:
-            x = exact[k + len(row) - 1]
-            if x is None:
-                return None
-            num, den = row[-1]
-            row.append((num * x.numerator, den * x.denominator))
-        return row[s]
 
     def _pair(self, k: int, d2, exact):
         """delta2(k)/(k+m) and delta2(k-1)/(k+m-1) (0 at k = 0): exactly as
         integers (A, B, D) meaning A/D and B/D when both levels are exact,
         else as floats (cur, prev, 1)."""
-        if k not in self._pairs:
-            a = exact[k]
-            b = exact[k - 1] if k >= 1 else Fraction(0)
-            if a is not None and b is not None:
-                # over D = den(a) (k+m) den(b) (k+m-1); at k = 0, b is 0 and k+m-1 may be
-                hi, lo = k + self.m, max(k + self.m - 1, 1)
-                pair = (a.numerator * b.denominator * lo, b.numerator * a.denominator * hi,
-                        a.denominator * hi * b.denominator * lo)
-            else:
-                cur = float(d2[k]) / (k + self.m)
-                prev = float(d2[k - 1]) / (k + self.m - 1) if k >= 1 else 0.0
-                pair = cur, prev, 1
-            self._pairs[k] = pair
-        return self._pairs[k]
+        a = exact[k]
+        b = exact[k - 1] if k >= 1 else Fraction(0)
+        if a is not None and b is not None:
+            # over D = den(a) (k+m) den(b) (k+m-1); at k = 0, b is 0 and k+m-1 may be
+            hi, lo = k + self.m, max(k + self.m - 1, 1)
+            return (a.numerator * b.denominator * lo, b.numerator * a.denominator * hi,
+                    a.denominator * hi * b.denominator * lo)
+        cur = float(d2[k]) / (k + self.m)
+        prev = float(d2[k - 1]) / (k + self.m - 1) if k >= 1 else 0.0
+        return cur, prev, 1
 
     def _self_row(self, k: int, d2, exact) -> list:
         """Diagonal of [T_j*, T_j] on level k, for n_j = 0..k."""
-        if k not in self._self_rows:
-            cur, prev, den = self._pair(k, d2, exact)
-            row = [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
-            self._self_rows[k] = row
-        return self._self_rows[k]
+        cur, prev, den = self._pair(k, d2, exact)
+        return [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
 
     def _cross_level(self, k: int, d2, exact) -> float:
         """delta2(k)/(k+m) - delta2(k-1)/(k+m-1), rounded once."""
         cur, prev, den = self._pair(k, d2, exact)
         return (cur - prev) / den
 
-    def _q_value(self, k: int, s: int, exact, logbb) -> float:
-        window = self._window(k, s, exact)
+    def _q_value(self, k: int, s: int, windows, logbb) -> float:
+        num, den, ok = windows
         try:
-            if window is not None:
-                return window[0] / window[1]
+            if ok[s][k]:
+                return num[s][k] / den[s][k]
             return math.exp(2.0 * (logbb[k + s] - logbb[k]))
         except OverflowError:
             return math.inf
 
-    def _bq_value(self, k: int, q: int, exact, logbb) -> float:
+    def _bq_value(self, k: int, q: int, windows, logbb) -> float:
         """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1); an exact order-q
         window sums over its denominator and rounds once."""
-        if self._window(k, q, exact) is None:
-            return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s, exact, logbb)
+        num, den, ok = windows
+        if not ok[q][k]:
+            return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s, windows, logbb)
                              for s in range(q + 1)))
-        row = self._windows[k]
-        den = row[q][1]
-        return sum((-1) ** s * math.comb(q, s) * row[s][0] * (den // row[s][1])
-                   for s in range(q + 1)) / den
+        d = den[q][k]
+        return sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
+                   for s in range(q + 1)) / d
 
     def _levels_data(self, levels):
         """The float and the exact delta2 snapshot through max(levels)."""
@@ -145,10 +123,10 @@ class SphericalShift:
         return self.seq.delta2_array(top), self.seq.delta2_exact_array(top)
 
     def _windows_data(self, levels, s: int):
-        """What the windows delta2(k..k+s-1) read: the exact delta2 snapshot
-        through max(levels) + s - 1 and log bbeta through max(levels) + s."""
+        """The exact windows of orders 0..s from each level through
+        max(levels), and log bbeta through max(levels) + s."""
         top = _top(levels, s)
-        return self.seq.delta2_exact_array(top - 1), self.seq.log_bbeta_array(top)
+        return self.seq.exact_windows(top - s, s), self.seq.log_bbeta_array(top)
 
     def _check_axis(self, i: int) -> None:
         if not 1 <= i <= self.m:

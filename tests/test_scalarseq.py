@@ -204,6 +204,39 @@ class TestSnapshot:
         with pytest.raises(TypeError):
             snapshot[0] = Fraction(1)
 
+    @staticmethod
+    def assert_windows_are_products(seq, kmax, smax):
+        num, den, ok = seq.exact_windows(kmax, smax)
+        assert len(num) == len(den) == len(ok) == smax + 1
+        for s in range(smax + 1):
+            assert len(num[s]) == len(den[s]) == len(ok[s]) == kmax + 1
+            for k in range(kmax + 1):
+                window = [seq.delta2_exact(i) for i in range(k, k + s)]
+                assert ok[s][k] == (None not in window), (seq.name, s, k)
+                if ok[s][k]:
+                    assert num[s][k] == math.prod(x.numerator for x in window)
+                    assert den[s][k] == math.prod(x.denominator for x in window)
+                    assert Fraction(num[s][k], den[s][k]) == math.prod(window, start=Fraction(1))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_exact_windows_are_products_of_the_exact_values(self, m):
+        for _, seq in default_suite(m):
+            self.assert_windows_are_products(seq, 30, 8)
+
+    def test_exact_windows_are_exact_per_window(self):
+        # delta2(2) is a float: exactly the windows that read it are not exact
+        seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75]
+                        + [Fraction(k + 2, k + 5) for k in range(20)], tail="hold")
+        self.assert_windows_are_products(seq, 15, 8)
+        ok = seq.exact_windows(15, 8)[2]
+        assert [k for k in range(16) if not ok[3][k]] == [0, 1, 2]
+
+    def test_exact_windows_read_an_error_tail_table_up_to_its_last_row(self):
+        seq = Tabulated([Fraction(k + 1, k + 3) for k in range(23)])
+        self.assert_windows_are_products(seq, 15, 8)  # reads rows 0..22
+        with pytest.raises(TableRangeError):
+            seq.exact_windows(16, 8)
+
     def test_negative_kmax_gives_empty_snapshots(self):
         seq = HpSpace(2, 3)
         seq.delta2_array(5), seq.delta2_exact_array(5), seq.log_bbeta_array(5)

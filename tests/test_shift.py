@@ -250,6 +250,16 @@ def test_library_imposes_no_arity_cap():
     assert s.weight(5, (0,) * 9) == pytest.approx(1 / 3, rel=1e-15)
 
 
+def test_diagonal_forms_of_no_levels_are_empty():
+    # no level reads nothing, not even the first rows of a table without a tail
+    for seq in (HpSpace(2, 3), Tabulated([Fraction(1, 2)])):
+        s = SphericalShift(2, seq)
+        for form in (s.q_diags, s.bq_diags):
+            for order in (1, 3):
+                out = form(order, [])
+                assert out.dtype == np.float64 and out.shape == (0,)
+
+
 def test_each_form_reads_each_snapshot_once_at_its_top_level(monkeypatch):
     seq = AlternatingTwelve()
     reads = []

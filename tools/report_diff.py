@@ -1,46 +1,31 @@
 #!/usr/bin/env python3
-"""Compare the CLI output of two source trees, run by run.
-
-    python tools/report_diff.py PARENT_TREE CHANGE_TREE
-
-Each tree is a checkout of this repository. The script runs one fixed list
-of ``python -m sphshift.cli`` invocations against each tree's ``src``, each
-from a fresh temporary working directory, and compares what a run leaves:
-its exit code, standard output, standard error and every file it writes in
-that directory. The ``timings`` block of a JSON report is dropped first,
-since it is the one part of a report that differs between identical
-requests. The script prints one line per tree with the summed wall time and
-user+sys CPU of its runs (read with ``os.wait4``), then each differing run
-with the head of its diff, then one summary line; the exit code is 1 if any
-run differs, 0 otherwise. Only the standard library is used.
+"""The committed report corpus: its list of requests and its writer.
 
     python tools/report_diff.py --write-golden
 
-writes the committed report corpus instead: one file per run of the same
-list under ``tests/golden/``, each the run's command line and then the same
-text, from ``cli.main`` of this tree called in this process. The tables
-directory is left out of every path in it. ``tests/test_golden.py`` runs
-each request again and compares the bytes.
+runs one fixed list of ``python -m sphshift.cli`` requests through
+``cli.main`` of this tree, in this process, each from a fresh temporary
+working directory, and writes one file per request under ``tests/golden/``:
+the request's command line, then its exit code, standard output and error
+and every file it writes in that directory. The ``timings`` block of a JSON
+report is dropped first, since it is the one part of a report that differs
+between identical requests, and the tables directory is left out of every
+path. ``tests/test_golden.py`` runs each request again and compares the
+bytes. Only the standard library is used, apart from the package itself.
 """
 
 from __future__ import annotations
 
 import contextlib
-import difflib
 import io
 import json
 import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-WORKERS = 2          # concurrent CLI processes per tree
-DIFF_LINES = 12      # diff lines printed per differing run
 TABLE_SEED = 20_141_014
 TABLE_ROWS = 400
 # the environment of every run: argparse wraps its usage text at the
@@ -205,31 +190,11 @@ def _collect(code, stdout: str, stderr: str, cwd: str) -> str:
     return "".join(parts)
 
 
-def run_one(tree: str, argv: list):
-    """Everything one run leaves, as one comparable text; and the run's wall
-    time and user+sys CPU in seconds."""
-    env = {k: v for k, v in os.environ.items() if k != "SPHSHIFT_OUT_DIR"}
-    env.update(RUN_ENV, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryFile("w+") as out, \
-            tempfile.TemporaryFile("w+") as err:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "sphshift.cli"] + argv, cwd=cwd,
-                                env=env, stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
-        # reaped here: Popen must not wait on the pid again, which the
-        # other worker's next child may already have
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        text = _collect(proc.returncode, out.read(), err.read(), cwd)
-    return text, wall, usage.ru_utime + usage.ru_stime
-
-
 def run_in_process(argv: list, tables_dir: str) -> str:
-    """run_one's text for one ``cli.main`` call in this process, from a
-    fresh temporary directory, with the tables directory left out of paths
-    so that the text does not depend on where the tables were written."""
+    """Everything one ``cli.main`` call in this process leaves, as one
+    text, run from a fresh temporary directory, with the tables directory
+    left out of paths so that the text does not depend on where the tables
+    were written."""
     from sphshift import cli
 
     out, err, home, environ = io.StringIO(), io.StringIO(), os.getcwd(), dict(os.environ)
@@ -284,44 +249,12 @@ def write_golden() -> int:
     return 0
 
 
-def run_tree(tree: str, runs: list) -> list:
-    """The texts of a tree's runs, after one line with their summed times."""
-    with ThreadPoolExecutor(WORKERS) as pool:
-        results = list(pool.map(lambda argv: run_one(tree, argv), runs))
-    wall = sum(r[1] for r in results)
-    cpu = sum(r[2] for r in results)
-    print(f"{tree}: {len(runs)} runs, wall {wall:.1f} s, user+sys CPU {cpu:.1f} s "
-          f"({cpu / wall:.2f}x wall)")
-    return [r[0] for r in results]
-
-
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args == ["--write-golden"]:
-        return write_golden()
-    if len(args) != 2:
-        print("usage: report_diff.py PARENT_TREE CHANGE_TREE | --write-golden", file=sys.stderr)
+    if args != ["--write-golden"]:
+        print("usage: report_diff.py --write-golden", file=sys.stderr)
         return 2
-    for tree in args:
-        if not os.path.isdir(os.path.join(tree, "src", "sphshift")):
-            print(f"report_diff: {tree!r} has no src/sphshift", file=sys.stderr)
-            return 2
-    with tempfile.TemporaryDirectory() as tables_dir:
-        runs = run_list(write_tables(tables_dir), *write_family_files(tables_dir))
-        before, after = (run_tree(tree, runs) for tree in args)
-        differ = 0
-        for argv, a, b in zip(runs, before, after):
-            if a == b:
-                continue
-            differ += 1
-            print("differs: sphshift " + _words(argv, tables_dir))
-            diff = difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change",
-                                        n=1, lineterm="")
-            for line in list(diff)[:DIFF_LINES]:
-                print("    " + line)
-    print(f"report_diff: {len(runs)} runs, {len(runs) - differ} identical apart from "
-          f"timings, {differ} differ")
-    return 1 if differ else 0
+    return write_golden()
 
 
 if __name__ == "__main__":
