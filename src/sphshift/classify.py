@@ -49,22 +49,27 @@ def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
     of L_q, which reads only the window delta2(k..k+q-1). With ``scale`` S,
     delta2 is divided by S, giving the differences of gamma(k) / S^k.
 
-    Exact delta2 (and S exact or absent) runs on the Python ints of the
-    sequence's exact windows: lead is L_q * den with den the window's
-    cleared, positive denominators, and tol = 0. Otherwise lead is L_q in
-    float64, den is None, and |lead| <= tol, the forward error bound
-    4(q+1) u sum_s C(q,s) P_s(k), counts as zero; an overflowing bound
-    decides nothing.
+    Exact delta2 (and S exact or absent) runs on Python ints: with
+    delta2(k) / S = alpha_k / beta_k from the sequence's exact values, the
+    recursion L_q(k) = (delta2(k)/S) L_{q-1}(k+1) - L_{q-1}(k) gives
+    lead_q(k) = alpha_k lead_{q-1}(k+1) - beta_{k+q-1} lead_{q-1}(k) and
+    den_q(k) = beta_k den_{q-1}(k+1) = prod_{i<q} beta_{k+i}, the window's
+    cleared, positive denominators, with lead = L_q * den and tol = 0.
+    Otherwise lead is L_q in float64, den is None, and |lead| <= tol, the
+    forward error bound 4(q+1) u sum_s C(q,s) P_s(k), counts as zero; an
+    overflowing bound decides nothing.
     """
     if scale is None or isinstance(scale, Fraction):
-        num, den, ok = seq.exact_windows(K, Q)
-        if ok[Q].all():  # every delta2 through K + Q - 1 is exact
-            # delta2 / S = (num Sd) / (den Sn) over each window
+        num, den, ok = seq.exact_windows(K + Q - 1, 1)
+        if ok[1].all():  # every delta2 through K + Q - 1 is exact
             Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+            alpha, beta = num[1] * Sd, den[1] * Sn  # delta2(k) / S = alpha_k / beta_k
+            lead = den = np.ones(K + Q + 1, dtype=object)  # L_0 = 1 on k <= K + Q
             for q in range(1, Q + 1):
-                lead = sum((-1) ** (q - s) * math.comb(q, s) * Sd ** s * Sn ** (q - s)
-                           * num[s] * (den[q] // den[s]) for s in range(q + 1))
-                yield q, lead, 0, den[q] * Sn ** q
+                n = K + Q + 1 - q  # L_q is needed on k <= K + Q - q
+                lead = alpha[:n] * lead[1: n + 1] - beta[q - 1: q - 1 + n] * lead[:n]
+                den = beta[:n] * den[1: n + 1]
+                yield q, lead[: K + 1], 0, den[: K + 1]
             return
     d2 = seq.delta2_array(K + Q - 1) / (1.0 if scale is None else float(scale))
     prods = [np.ones(K + 1)]  # prod_{i<s} delta2(k+i) / S

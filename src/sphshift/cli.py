@@ -2,8 +2,10 @@
 
 Reports are schema-stable JSON with fixed key order; identical requests
 produce identical reports apart from the wall-clock timing block. Exit
-codes: 0 success, 1 verification failure, 2 usage error, 141 when the
-reader closes standard output early (128 + SIGPIPE, as a shell reports).
+codes: 0 success, 1 verification failure, 2 usage error, 3 internal error
+(any other exception, such as a MemoryError, as one line on standard
+error), 141 when the reader closes standard output early (128 + SIGPIPE,
+as a shell reports).
 
 Each subcommand imports the layers it uses in its own body, so that a
 request, a fresh process, compiles and loads only those.
@@ -40,7 +42,7 @@ from .scalarseq import (
     parse_rational,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CLI_MAX_ARITY = 8
 
 
@@ -261,12 +263,10 @@ def cmd_spectrum(args) -> int:
     if args.plot_data:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["j", "outer", "inner", "m_infty"])
-        for j, ro, ri, mi in zip(
-            report.outer_radius.j_grid, report.outer_radius.sequence,
-            report.inner_radius.sequence, report.m_infty,
-        ):
-            writer.writerow([j, repr(ro), repr(ri), repr(mi)])
+        writer.writerow(["j", "outer", "inner"])
+        for j, ro, ri in zip(report.outer_radius.j_grid, report.outer_radius.sequence,
+                             report.inner_radius.sequence):
+            writer.writerow([j, repr(ro), repr(ri)])
         _write_text(buf.getvalue(), args.plot_data)
     _emit(payload, args)
     return 0
@@ -533,6 +533,11 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"sphshift: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # any other fault: one line, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"sphshift: internal error: {type(exc).__name__}"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
+        return 3
 
 
 def run() -> int:

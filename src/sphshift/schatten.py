@@ -177,11 +177,8 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
         reason = (f"tail-exponent fit over k in [{K // 2}, {K}]: "
                   f"series1 {status1} (slope {slope1}), series2 {status2} (slope {slope2})")
 
-    compact = is_compact(seq, K).value
-    cutoff_ok = None if compact is None else compact or not (verdict == "converges" and p <= m)
     return SchattenVerdict(p=float(p), m=m, K=K, verdict=verdict, analytic=analytic,
-                           reason=reason, tail_exponents=(slope1, slope2),
-                           cutoff_consistent=cutoff_ok)
+                           reason=reason, tail_exponents=(slope1, slope2))
 
 
 def _partial_sums(seq, m, p, K, series, checkpoints) -> list:
@@ -204,9 +201,14 @@ def _partial_sums(seq, m, p, K, series, checkpoints) -> list:
 
 def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> SchattenVerdict:
     """Full membership verdict for the commutators at exponent p, with the
-    partial sums of both series at the checkpoints for a finite p."""
+    partial sums of both series at the checkpoints for a finite p, and
+    whether a finite p obeys the cut-off (a non-compact tuple converges at
+    no p <= m); None when compactness is undecided."""
     v = _verdict(seq, m, p, K)
     if p != math.inf:
+        compact = is_compact(seq, K).value
+        if compact is not None:
+            v.cutoff_consistent = compact or not (v.verdict == "converges" and p <= m)
         v.checkpoints = _checkpoint_grid(K)
         v.partial_sums_1 = _partial_sums(seq, m, p, K, 1, v.checkpoints)
         v.partial_sums_2 = _partial_sums(seq, m, p, K, 2, v.checkpoints)

@@ -25,20 +25,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, VerificationError, check_arity
+from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, check_arity
 
 STABLE_WINDOW = 5
 STABLE_TOL = 1e-4
-MINFTY_RTOL = 1e-9
 ESSNORM_SAMPLED_TOL = 1e-6
 
 
 class NotEssentiallyNormalError(Exception):
     """The essential-spectrum shell formula requires essential normality."""
-
-
-class CrossCheckError(VerificationError):
-    """Two independent routes to one quantity disagree."""
 
 
 @dataclass
@@ -52,19 +47,13 @@ class RadiusEstimate:
 
 
 @dataclass
-class InnerRadiusEstimate(RadiusEstimate):
-    m_infty: list = field(default_factory=list)  # the cross-checked window-product route
-
-
-@dataclass
 class SpectralReport:
     m: int
     K: int
     J: int
     outer_radius: RadiusEstimate
     convergence_radius: RadiusEstimate
-    inner_radius: InnerRadiusEstimate
-    m_infty: list
+    inner_radius: RadiusEstimate
     essentially_normal: dict
     essential_inner: Optional[float]
     essential_outer: Optional[float]
@@ -132,11 +121,13 @@ def suspect_unbounded(d2: np.ndarray) -> bool:
     return all(b > a for a, b in zip(sups, sups[1:])) and sups[-1] > 2.0 * sups[0]
 
 
-def outer_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) -> RadiusEstimate:
-    """R: radius of the closed ball that is the joint spectrum."""
+def _lag_scan_radius(seq: ScalarSequence, J: int, K: int, outer: bool) -> RadiusEstimate:
+    """R (outer) or i (not outer) from the per-lag sups or infima over k <= K
+    of (bbeta_{k+j}/bbeta_k)^(1/j), lags j = 1..min(J, K-1)."""
     if J < 1 or K < 2:
         raise ValueError("need J >= 1 and K >= 2")
-    ext = _lag_extremes(seq.log_bbeta_array(K), J, np.maximum)
+    reduce, tightest = (np.maximum, min) if outer else (np.minimum, max)
+    ext = _lag_extremes(seq.log_bbeta_array(K), J, reduce)
     js = list(range(1, len(ext) + 1))
     logvals = (ext / js).tolist()
     vals = [math.exp(v) for v in logvals]
@@ -147,17 +138,23 @@ def outer_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
         est.mode = "analytic"
         est.note = "family declares lim delta2"
         return est
-    if suspect_unbounded(seq.delta2_array(K - 1)):
+    if outer and suspect_unbounded(seq.delta2_array(K - 1)):
         est.value = math.inf
         est.mode = "unbounded-suspected"
         est.note = "delta2 quarter-sups increase without settling; sup may be infinite"
         return est
-    # sup_k over a window never exceeds the true sup, and R = inf_j of the
-    # per-lag sups, so the min over computed lags is the tightest estimate.
-    est.value = min(vals)
+    # a sup over a window of k never exceeds the true sup, and R = inf_j of
+    # the per-lag sups, so the min over computed lags is the tightest
+    # estimate; dually i = sup_j of the per-lag infima, so the max
+    est.value = tightest(vals)
     est.mode = "sampled-stable" if _stabilized(vals) else "sampled-inconclusive"
     est.note = f"sampled over k <= {K}, lags j <= {js[-1]}"
     return est
+
+
+def outer_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) -> RadiusEstimate:
+    """R: radius of the closed ball that is the joint spectrum."""
+    return _lag_scan_radius(seq, J, K, outer=True)
 
 
 def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimate:
@@ -185,50 +182,9 @@ def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimat
     return est
 
 
-def inner_radius(
-    seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K
-) -> InnerRadiusEstimate:
-    """i: inner radius of the approximate point spectrum.
-
-    The per-lag infima are cross-checked against the independent route
-    through the diagonal of the iterated positive map: both are window
-    products of delta2, computed from separately accumulated sums. A
-    relative mismatch beyond 1e-9 at any lag is a hard error.
-    """
-    if J < 1 or K < 2:
-        raise ValueError("need J >= 1 and K >= 2")
-    ext = _lag_extremes(seq.log_bbeta_array(K), J, np.minimum)
-    js = list(range(1, len(ext) + 1))
-    logvals = (ext / js).tolist()
-    vals = [math.exp(v) for v in logvals]
-
-    # independent accumulation: full log delta2 sums, halved only at the end
-    s_full = np.empty(K + 1)
-    s_full[0] = 0.0
-    np.log(seq.delta2_array(K - 1), out=s_full[1:])
-    np.cumsum(s_full[1:], out=s_full[1:])
-    halved = _lag_extremes(s_full, J, np.minimum) / (2 * np.array(js))
-    m_infty = [math.exp(v) for v in halved.tolist()]
-    for j, a, b in zip(js, vals, m_infty):
-        if abs(a - b) > MINFTY_RTOL * max(abs(a), abs(b), 1e-300):
-            raise CrossCheckError(
-                f"m-infinity cross-check failed at lag {j}: {a!r} vs {b!r}"
-            )
-
-    est = InnerRadiusEstimate(value=math.nan, mode="", j_grid=js, sequence=vals,
-                              m_infty=m_infty)
-    est.richardson = _richardson(js, logvals)
-    if seq.delta2_limit is not None:
-        est.value = math.sqrt(seq.delta2_limit)
-        est.mode = "analytic"
-        est.note = "family declares lim delta2"
-        return est
-    # inf_k over a window never undershoots the true inf; i = sup_j of the
-    # per-lag infima, so the max over computed lags is the tightest estimate.
-    est.value = max(vals)
-    est.mode = "sampled-stable" if _stabilized(vals) else "sampled-inconclusive"
-    est.note = f"sampled over k <= {K}, lags j <= {js[-1]}"
-    return est
+def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) -> RadiusEstimate:
+    """i: inner radius of the approximate point spectrum."""
+    return _lag_scan_radius(seq, J, K, outer=False)
 
 
 def essential_normality_gate(seq: ScalarSequence, K: int, window: int) -> dict:
@@ -336,7 +292,6 @@ def spectral_report(
         outer_radius=outer,
         convergence_radius=conv,
         inner_radius=inner,
-        m_infty=inner.m_infty,
         essentially_normal=gate,
         essential_inner=ess_in,
         essential_outer=ess_out,

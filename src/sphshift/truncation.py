@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,9 +84,32 @@ class Basis:
         return int(self.sizes[k]) if 0 <= k <= self.N else 0
 
 
+ORACLE_BYTES = 1 << 30  # the largest tuple of level blocks the oracle builds
+
+
+def level_block_bytes(m: int, N: int) -> int:
+    """8 m sum_{k<N} n_{k+1} n_k with n_k = C(k+m-1, m-1): the float64
+    bytes of the level blocks of T_1..T_m on |n| <= N. The sum is a
+    polynomial of degree 2m - 1 in N, so it is read off its values at
+    N = 0..2m - 1 by Newton's forward differences, in O(m^2) steps for any N."""
+    sums = list(accumulate((math.comb(k + m, m - 1) * math.comb(k + m - 1, m - 1)
+                            for k in range(2 * m - 1)), initial=0))
+    total = 0
+    for i in range(2 * m):
+        total += math.comb(N, i) * sums[0]
+        sums = [b - a for a, b in zip(sums, sums[1:])]
+    return 8 * m * total
+
+
 def build_basis(m: int, N: int) -> Basis:
+    """The basis on |n| <= N; refuses, before it enumerates anything, a
+    section whose tuple would hold more than ORACLE_BYTES of level blocks."""
     if N < 0:
         raise ValueError("maximum degree N must be >= 0")
+    need = level_block_bytes(m, N)
+    if need > ORACLE_BYTES:
+        raise ValueError(f"the section m = {m}, N = {N} needs {need / 2**30:.3g} GiB of "
+                         f"level blocks, beyond the oracle's {ORACLE_BYTES / 2**30:g} GiB")
     indices = []
     bounds = [0]
     for k in range(N + 1):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -71,7 +72,7 @@ class TestSpectrum:
         assert doc["spectrum"]["outer_radius"]["value"] == 1.0
         assert doc["spectrum"]["essential_inner"] == 1.0
         rows = list(csv.reader(plot.read_text().splitlines()))
-        assert rows[0] == ["j", "outer", "inner", "m_infty"]
+        assert rows[0] == ["j", "outer", "inner"]
         assert len(rows) == 31
 
 
@@ -249,18 +250,18 @@ def leaves(*keys):
     return dict.fromkeys(keys)
 
 
-# the schema-1 key trees, spelled out independently of the result classes
+# the schema-2 key trees, spelled out independently of the result classes
 HEADER = leaves("schema_version", "tool_version")
 REQUEST = {"request": {**leaves("command", "m"), "family": leaves("family")}}
 VERDICT = leaves("value", "mode", "horizon", "witness", "note")
 BARE_VERDICT = leaves("value", "mode", "horizon", "note")
 RADIUS = leaves("value", "mode", "j_grid", "sequence", "richardson", "note")
 SPECTRUM = {
-    **leaves("m", "K", "J", "m_infty", "essential_inner", "essential_outer",
+    **leaves("m", "K", "J", "essential_inner", "essential_outer",
              "essential_refusal", "point_spectrum_boundary", "point_spectrum_exponent"),
     "outer_radius": RADIUS,
     "convergence_radius": RADIUS,
-    "inner_radius": {**RADIUS, "m_infty": None},
+    "inner_radius": RADIUS,
     "essentially_normal": leaves("value", "mode", "detail"),
 }
 SCHATTEN = leaves("p", "m", "K", "verdict", "analytic", "reason", "tail_exponents",
@@ -329,6 +330,7 @@ class TestSchema:
         code, doc = run_json(capsys, argv)
         assert code == 0
         assert key_tree(doc) == tree
+        assert doc["schema_version"] == 2
 
 
 class TestErrors:
@@ -436,15 +438,6 @@ class TestErrors:
         assert proc.returncode == 141
         assert proc.stderr == ""
 
-    def test_failed_cross_check_is_a_verification_failure(self, capsys, monkeypatch):
-        # a negative tolerance fails the m-infinity cross-check at the first lag
-        monkeypatch.setattr(spectra, "MINFTY_RTOL", -1.0)
-        assert main(["spectrum", "--family", "bergman", "--m", "2"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("sphshift: m-infinity cross-check failed")
-        assert captured.err.count("\n") == 1
-
     def test_structural_assumption_is_a_verification_failure(self, capsys, monkeypatch):
         def not_shift_structured(shift, N, tol, basis=None):
             raise StructuralAssumptionError("C*C has off-diagonal magnitude 1.000e+00")
@@ -454,6 +447,39 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "sphshift: C*C has off-diagonal magnitude 1.000e+00\n"
+
+    @pytest.mark.parametrize("fault", [MemoryError(), RuntimeError("two\nlines")],
+                             ids=lambda e: type(e).__name__)
+    def test_any_other_exception_is_an_internal_error(self, capsys, monkeypatch, fault):
+        def broken_layer(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(spectra, "spectral_report", broken_layer)
+        assert main(["spectrum", "--family", "bergman", "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sphshift: internal error: {type(fault).__name__}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("m,N", [(8, 10), (2, 100_000)])
+    def test_oversized_oracle_is_refused_before_it_is_built(self, capsys, monkeypatch, m, N):
+        def refuse(*args):
+            raise AssertionError("the basis was enumerated")
+
+        monkeypatch.setattr(truncation, "enumerate_level", refuse)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = main(["verify", "--m", str(m), "--N", str(N)])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and elapsed < 1.0 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sphshift: the section m = {m}, N = {N} needs ")
+        assert captured.err.count("\n") == 1
 
     def test_table_overrun(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"

@@ -318,6 +318,18 @@ class TestCutoff:
         assert sorted(verdicts) == [1.0, 1.5, 3.0]
         assert list(rep["verdicts"]) == ["1.0", "1.5", "3.0"]
 
+    def test_compactness_decided_once(self, monkeypatch):
+        calls = []
+        real_is_compact = schatten.is_compact
+
+        def counting_is_compact(seq, K):
+            calls.append(K)
+            return real_is_compact(seq, K)
+
+        monkeypatch.setattr(schatten, "is_compact", counting_is_compact)
+        cutoff_check(HpSpace(2, 4), 2, [1, 1.5, 2, 3], K=10_000)
+        assert calls == [10_000]  # one compactness verdict for the whole grid
+
     def test_forms_no_terms_and_no_partial_sums(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("cutoff_check formed terms or partial sums")

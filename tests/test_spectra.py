@@ -111,14 +111,6 @@ class TestRadii:
             ):
                 assert fn(scaled) == pytest.approx(c * fn(base), rel=1e-9)
 
-    def test_m_infty_agrees_with_inner_sequence(self, suite_m2):
-        for label, seq in suite_m2:
-            est = inner_radius(seq, J, K)  # raises internally on mismatch
-            m_inf = est.m_infty
-            assert len(m_inf) == len(est.sequence)
-            for a, b in zip(est.sequence, m_inf):
-                assert a == pytest.approx(b, rel=1e-9), label
-
     def test_tabulated_alternating_with_flat_tail(self):
         seq = Tabulated([1, 4] * 10 + [1], tail="hold")
         est = inner_radius(seq, J, K)

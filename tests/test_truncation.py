@@ -43,6 +43,23 @@ class TestBasis:
         assert build_basis(2, 10).dimension == 66
         assert build_basis(3, 10).dimension == math.comb(13, 3)
 
+    def test_level_block_bytes_is_the_sum_over_levels(self):
+        for m in range(1, 9):
+            sizes = [math.comb(k + m - 1, m - 1) for k in range(41)]
+            for N in range(40):
+                direct = 8 * m * sum(sizes[k + 1] * sizes[k] for k in range(N))
+                assert truncation.level_block_bytes(m, N) == direct, (m, N)
+        # at N = 10: 0.45, 3.3 and 19.4 GiB
+        gib = [truncation.level_block_bytes(m, 10) / 2**30 for m in (6, 7, 8)]
+        assert [round(g, 1) for g in gib] == [0.5, 3.3, 19.4]
+
+    def test_bound_refuses_only_beyond_a_gibibyte(self):
+        for m, N in VERIFY_SIZES + [(5, 10), (6, 10)]:
+            assert truncation.level_block_bytes(m, N) <= truncation.ORACLE_BYTES
+        for m, N in [(7, 10), (8, 10), (2, 100_000), (1, 10**12)]:
+            with pytest.raises(ValueError, match="GiB of level blocks"):
+                build_basis(m, N)
+
     def test_index_map_bijective(self):
         basis = build_basis(3, 6)
         seen = {basis.rows[n] for n in basis.indices}
