@@ -2,23 +2,24 @@
 
 Sums over a whole degree level {|n| = k} are reduced through composition
 counts C(x+m-2, m-2) and iterated prefix sums instead of enumerating the
-level: O(k) work per level for the self-commutator sums, and for the
-cross-commutator sums one convolution over all levels up to K, done by FFT
-in O(K log K). fit_slope is the one least-squares line fit of the tail
-exponents, and series_verdict the one band that reads a fitted exponent.
+level. The self-commutator sums split each level into aligned dyadic blocks
+away from the summand's root, each summed by an n-point discrete Chebyshev
+rule with n linear in p, so that the interpolation bound keeps each block
+within 1e-15; the cross-commutator sums are one convolution over all levels,
+done by FFT. Both cost O(K log K) up to level K. fit_slope is the one
+least-squares line fit of the tail exponents, and series_verdict the one
+band that reads a fitted exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import threading
 
 import numpy as np
 
-# Elements per row block of self_level_powersums, one scratch block per
-# worker (larger blocks cost memory and gain no speed).
-_BLOCK = 1 << 16
+# Levels per chunk of self_level_powersums: a CHUNK of terms at kmax 1e4.
+_LEVELS = 128
 
 # Values of k per block of every scan over a horizon (the spectra lag scans,
 # the Schatten series, the fits' centred data): a block and its temporaries
@@ -60,87 +61,106 @@ def _pair_weights(n, m, p, offset):
     return w
 
 
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+@functools.lru_cache(maxsize=None)
+def _block_rule(q, n):
+    """Nodes and weights that sum every polynomial of degree < n over the
+    integers 0..2^q-1 exactly: the first-kind Chebyshev points, weighted by
+    the block's sums of T_0..T_{n-1} (the discrete Chebyshev moments)."""
+    u = np.linspace(-1.0, 1.0, 1 << q)
+    moments, t0, t1 = np.empty(n), np.ones_like(u), u
+    for j in range(n):
+        moments[j], t0, t1 = t0.sum(), t1, 2.0 * u * t1 - t0
+    moments[0] /= 2.0
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    weights = (np.cos(np.outer(theta, np.arange(n))) * moments).sum(axis=1) * (2.0 / n)
+    return np.array([((1 << q) - 1) / 2.0 * (1.0 + np.cos(theta)), weights])
 
 
-def _row_blocks(kmax):
-    """Level blocks [k0, k1) covering 1..kmax.
+def _split(k, root, q0):
+    """Blocks (level, q, start) and direct terms (level, s) of levels k.
 
-    A block holds k1 - k0 rows of k1 columns: about _BLOCK elements, or one
-    row when a level is wider than that. Its size depends only on k0, so
-    every level lands in the same block whoever computes it.
+    A block [j 2^q, (j+1) 2^q), q >= q0, lies in [0, k], 2^q or more from the
+    root and in no such block of scale q + 1: per scale and level at most two
+    left of the root, two right of it and one at k. The rest goes direct.
     """
-    blocks, k0 = [], 1
-    while k0 <= kmax:
-        rows = max(1, (math.isqrt((k0 + 1) ** 2 + 4 * _BLOCK) - (k0 + 1)) // 2)
-        k1 = min(k0 + rows, kmax + 1)
-        blocks.append((k0, k1))
-        k0 = k1
-    return blocks
+    scales = np.arange(max(int(k[-1] + 1).bit_length(), q0 + 1), q0 - 1, -1)[:, None]
+    size = np.ldexp(1.0, scales)  # the top scale holds no block
+    end = np.floor((k + 1) / size) - 1
+    left = np.minimum(np.floor((root + 1) / size) - 2, end)
+    right = np.maximum(np.ceil(root / size) + 1, 0)
+    l, r, e, pl, pr, pe = left[1:], right[1:], end[1:], left[:-1], right[:-1], end[:-1]
+    first = 2 * np.maximum(pl, -1) + 2, r, np.maximum(np.maximum(r, 2 * pe + 2), 2 * pr)
+    j = np.stack([first[0], first[0] + 1, first[1], first[1] + 1, first[2]])
+    used = j <= np.stack([l, l, np.minimum(e, 2 * pr - 1), np.minimum(e, 2 * pr - 1), e])
+    _, bq, bl = np.nonzero(used)
+    bq = scales[1:, 0][bq]
+    lo = np.concatenate([(np.maximum(l[-1], -1) + 1) * size[-1],
+                         np.minimum(np.maximum(e[-1] + 1, r[-1]) * size[-1], k + 1)])
+    counts = (np.concatenate([np.minimum(r[-1] * size[-1], k + 1), k + 1]) - lo).astype(np.int64)
+    dl = np.repeat(np.tile(np.arange(len(k)), 2), counts)
+    ds = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return (bl, bq, np.ldexp(j[used], bq)), (dl, ds)
+
+
+def _terms(c, diff, s, m, p):
+    """C(s+m-2, m-2) |c - s diff|^p, the summand at s units off the axis; s is scratch."""
+    t = s * diff
+    np.power(np.abs(np.subtract(c, t, out=t), out=t), p, out=t)
+    for _ in range(m - 2):
+        s += 1.0
+        t *= s
+    t /= math.factorial(m - 2)
+    return t
 
 
 def self_level_powersums(d2, m, p):
     """sum over {|n| = k} of |self-commutator coefficient|^p, per level.
 
-    d2 holds delta2(0..kmax) and p > 0; returns an array over k = 0..kmax.
-    The coefficient at n with n_j = t is t*D_k + b_k where b_k = d2[k]/(k+m)
-    and D_k = d2[k]/(k+m) - d2[k-1]/(k+m-1); the t = 0 branch coincides
-    with the formula, so one linear form covers the whole level.
+    d2 holds delta2(0..kmax) and p > 0 is finite; returns an array over
+    k = 0..kmax. The coefficient at n with n_j = t is t*D_k + b_k where
+    b_k = d2[k]/(k+m) and D_k = d2[k]/(k+m) - d2[k-1]/(k+m-1); the t = 0
+    branch coincides with the formula, so one linear form covers the whole
+    level. With s = k - t units on the other coordinates the coefficient is
+    c_k - s*D_k, c_k = b_k + k*D_k, and s carries the weight C(s+m-2, m-2).
 
-    With s = k - t units on the other coordinates the coefficient is
-    c_k - s*D_k, c_k = b_k + k*D_k, and s carries the weight
-    C(s+m-2, m-2) whatever k is. A block of adjacent levels is then one
-    2-D array over (k, s), reduced row by row. The blocks are dealt out
-    over the process's CPUs; the result does not depend on how many there
-    are.
+    The summand is smooth but at the root x_k = c_k/D_k. Each level is split
+    (_split) into the largest aligned dyadic blocks at least their own
+    length from x_k, summed by the n-node rule of _block_rule. Mapped onto
+    [-1, 1], a block lies 2 or more from x_k (and the weight's roots lie at
+    s <= -1), so in the Bernstein ellipse rho = 3 + sqrt(8) the summand is
+    analytic and at most M = (m-1) 3^(p+m-2) times its block mean; n is the
+    least with 4 M rho^(1-n)/(rho-1) < 1e-15 (the Chebyshev interpolation
+    bound). The smallest block is the least power of two >= 2n with positive
+    weights, so an overflow gives inf, as a direct sum does. A level costs
+    O(n log k) terms, K levels O(K log K), in chunks of _LEVELS levels.
     """
     kmax = len(d2) - 1
     out = np.empty(kmax + 1)
     out[0] = (d2[0] / m) ** p
-    if kmax == 0:
-        return out
     k = np.arange(1, kmax + 1, dtype=np.float64)
     b = d2[1:] / (k + m)
-    diff = np.empty(kmax + 1)
-    diff[1:] = b - d2[:-1] / (k + m - 1)
-    c = np.empty(kmax + 1)
-    c[1:] = b + k * diff[1:]
-    weights = _comp_counts(np.arange(kmax + 1), m)
-    s = np.arange(kmax + 1, dtype=np.float64)
-
-    errors = []
-
-    def run(blocks):
-        try:
-            buf = np.empty(max((k1 - k0) * k1 for k0, k1 in blocks))
-            for k0, k1 in blocks:
-                V = buf[: (k1 - k0) * k1].reshape(k1 - k0, k1)
-                np.multiply.outer(diff[k0:k1], s[:k1], out=V)
-                np.subtract(c[k0:k1, None], V, out=V)
-                V[:, k0:][np.triu_indices(k1 - k0, 1)] = 0.0  # s > k lies off the level
-                np.abs(V, out=V)
-                np.power(V, p, out=V)
-                V *= weights[:k1]
-                out[k0:k1] = V.sum(axis=1)
-        except Exception as exc:  # re-raised on the calling thread below
-            errors.append(exc)
-
-    blocks = _row_blocks(kmax)
-    n = min(_cpu_count(), len(blocks))
-    runs = [blocks[i::n] for i in range(n)]
-    workers = [threading.Thread(target=run, args=(r,)) for r in runs[1:]]
-    for w in workers:
-        w.start()
-    run(runs[0])
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[0]
+    diff = b - d2[:-1] / (k + m - 1)
+    c = b + k * diff
+    if m == 1:
+        out[1:] = np.abs(c) ** p
+        return out
+    rho = 3.0 + math.sqrt(8.0)
+    bound = math.log(4e15 * (m - 1) / (rho - 1)) + (p + m - 2) * math.log(3.0)
+    n = 1 + math.ceil(bound / math.log(rho))
+    q0 = min((2 * n - 1).bit_length(), (kmax + 1).bit_length())  # past kmax: no block
+    while 1 << q0 <= kmax + 1 and _block_rule(q0, n)[1].min() <= 0:
+        q0 += 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.fmin(np.fmax(c / diff, -k - 1.0), 2.0 * k + 3.0)  # beyond either: no root
+    for a in range(0, kmax, _LEVELS):
+        z = slice(a, a + _LEVELS)
+        (bl, bq, start), (dl, ds) = _split(k[z], root[z], q0)
+        rules = [_block_rule(q, n) for q in range(q0, bq.max(initial=q0 - 1) + 1)]
+        rules = np.array(rules).reshape(-1, 2, n)
+        t = _terms(c[z][bl, None], diff[z][bl, None], rules[bq - q0, 0] + start[:, None], m, p)
+        out[1 + a : 1 + a + len(root[z])] = (
+            np.bincount(bl, (t * rules[bq - q0, 1]).sum(axis=1), minlength=len(root[z]))
+            + np.bincount(dl, _terms(c[z][dl], diff[z][dl], ds, m, p), minlength=len(root[z])))
     return out
 
 

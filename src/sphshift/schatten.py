@@ -229,8 +229,10 @@ def closed_form_level_sums(
     composition counts, never enumerated.
     """
     _require_m(shift.m)
-    if p < 1:
-        raise ValueError("Schatten exponent p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError("Schatten exponent p must be finite and >= 1")
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     for ax in (j, l):
         if not 1 <= ax <= shift.m:
             raise ValueError(f"axis {ax} out of range for arity {shift.m}")

@@ -231,32 +231,137 @@ def loop_self_level(d2, m, p):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_self_level_sums_match_loop_across_blocks(m, monkeypatch):
-    # kmax 6000 spans hundreds of row blocks, split over two workers
-    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+def test_self_level_sums_match_loop_across_blocks(m):
+    # at m >= 2, kmax 6000 spans the block sizes 2^6 or 2^7 up to 2^11
     rng = np.random.default_rng(100 + m)
     d2 = rng.uniform(0.1, 3.0, size=6001)
     p = 1.0 + 0.7 * m
-    assert len(_kernels._row_blocks(6000)) > 100
     np.testing.assert_allclose(
         _kernels.self_level_powersums(d2, m, p), loop_self_level(d2, m, p), rtol=1e-12)
 
 
-def test_self_level_sums_independent_of_cpu_count(monkeypatch):
-    d2 = np.random.default_rng(7).uniform(0.1, 3.0, size=6001)
-    outs = []
-    for n in (1, 2, 7):
-        monkeypatch.setattr(_kernels, "_cpu_count", lambda n=n: n)
-        outs.append(_kernels.self_level_powersums(d2, 3, 3.3))
-    assert all(np.array_equal(outs[0], o) for o in outs[1:])
+def loop_levels(d2, m, p, levels):
+    """loop_self_level at the given levels only, each summed by fsum."""
+    counts = np.array([math.comb(x + m - 2, m - 2) for x in range(max(levels) + 1)],
+                      dtype=np.float64)
+    out = []
+    for k in levels:
+        b = d2[k] / (k + m)
+        diff = b - d2[k - 1] / (k + m - 1)
+        t = np.arange(k + 1, dtype=np.float64)
+        out.append(math.fsum((counts[k::-1] * np.abs(t * diff + b) ** p).tolist()))
+    return np.array(out)
 
 
-def test_self_level_sums_raise_a_worker_error(monkeypatch):
-    # the second run's block is malformed, so its worker thread fails
-    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(_kernels, "_row_blocks", lambda kmax: [(1, kmax + 1), (kmax, 1)])
-    with pytest.raises(ValueError):
-        _kernels.self_level_powersums(np.ones(3001), 2, 2.0)
+def recorded_splits(monkeypatch):
+    """The block scales q that _split hands out, collected over each call."""
+    sizes = set()
+    split = _kernels._split
+
+    def recording(k, root, q0):
+        blocks, direct = split(k, root, q0)
+        sizes.update(blocks[1].tolist())
+        return blocks, direct
+
+    monkeypatch.setattr(_kernels, "_split", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [12.0, 20.0, 40.0, 80.0])
+def test_self_level_sums_match_loop_at_large_exponents(m, p, monkeypatch):
+    # larger p needs more nodes per block and larger smallest blocks; kmax
+    # 12000 still spans three block sizes at p = 80 (2^10 to 2^12)
+    sizes = recorded_splits(monkeypatch)
+    rng = np.random.default_rng(int(10 * p) + m)
+    d2 = rng.uniform(0.1, 3.0, size=12001)
+    got = _kernels.self_level_powersums(d2, m, p)
+    assert len(sizes) >= 3
+    levels = np.unique(np.concatenate([np.arange(1, 12001, 241), [11999, 12000]]))
+    np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
+
+
+def test_self_level_sums_with_zero_differences():
+    # delta2(k) = k + m makes every D_k = 0 and c_k = 1: level k counts the
+    # C(k+m-1, m-1) indices of the level, and no root lies anywhere
+    for m in (2, 3, 5):
+        d2 = np.arange(3001.0) + m
+        got = _kernels.self_level_powersums(d2, m, 3.5)
+        want = [math.comb(k + m - 1, m - 1) for k in range(3001)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m,p", [(2, 3.0), (3, 3.0), (4, 5.0), (5, 12.0)])
+def test_self_level_sums_overflow_to_inf_not_nan(m, p):
+    # each term overflows; positive block weights keep every level inf
+    with np.errstate(over="ignore"):
+        got = _kernels.self_level_powersums(np.full(3001, 1e120), m, p)
+    assert np.isinf(got).all()
+
+
+@pytest.mark.parametrize("n", [22, 24, 25, 31, 50, 74])
+def test_block_rules_sum_polynomials_exactly_with_positive_weights(n):
+    q0 = (2 * n - 1).bit_length()
+    while _kernels._block_rule(q0, n)[1].min() <= 0:
+        q0 += 1
+    for q in range(q0, q0 + 4):
+        nodes, weights = _kernels._block_rule(q, n)
+        assert weights.min() > 0
+        s = np.arange(1 << q, dtype=np.float64) / (1 << q)
+        for d in (0, 1, 5, n - 1):
+            want = math.fsum((s ** d).tolist())
+            got = math.fsum((weights * (nodes / (1 << q)) ** d).tolist())
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kmax=st.integers(1, 400),
+    q0=st.integers(1, 5),
+    where=st.sampled_from(["left", "integer", "half", "beyond", "none"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_split_covers_each_integer_once(kmax, q0, where, seed):
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    u = rng.uniform(size=kmax)
+    root = {"left": -u * (k + 1),
+            "integer": np.floor(u * (k + 1)),
+            "half": np.floor(u * k) + 0.5,
+            "beyond": k + 0.5 + u * (k + 2.5),
+            # D_k = 0: the kernel clips the infinite root to -k - 1
+            "none": -k - 1.0}[where]
+    (bl, bq, start), (dl, ds) = _kernels._split(k, root, q0)
+    cover = [np.zeros(int(level) + 1, dtype=int) for level in k]
+    for level, q, a in zip(bl.tolist(), bq.tolist(), start.tolist()):
+        size, x, top = 2 ** q, root[level], int(k[level])
+        assert q >= q0 and a % size == 0 and a + size - 1 <= top
+        assert x <= a - size or x >= a + 2 * size - 1  # at least its length from x
+        # the parent block is not admissible: the largest q is taken
+        parent = a - a % (2 * size)
+        assert (parent + 2 * size - 1 > top
+                or parent - 2 * size < x < parent + 4 * size - 1)
+        cover[level][int(a) : int(a) + size] += 1
+    for level, s in zip(dl.tolist(), ds.tolist()):
+        cover[level][int(s)] += 1
+    assert all((c == 1).all() for c in cover)
+
+
+def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
+    # at kmax 1e5 a direct sum takes K^2/2 = 5e9 terms; the block rules stay
+    # below 32 K log2 K = 5.3e7
+    counted = [0]
+    terms = _kernels._terms
+
+    def counting(c, diff, s, m, p):
+        counted[0] += s.size
+        return terms(c, diff, s, m, p)
+
+    monkeypatch.setattr(_kernels, "_terms", counting)
+    kmax = 100_000
+    d2 = np.random.default_rng(3).uniform(0.1, 3.0, size=kmax + 1)
+    _kernels.self_level_powersums(d2, 3, 2.5)
+    assert 0 < counted[0] < 32 * kmax * math.log2(kmax)
 
 
 def test_kahan_cumsum_matches_fsum(rng):

@@ -280,6 +280,24 @@ class TestClosedFormNorm:
         with pytest.raises(ValueError):
             closed_form_norm(SphericalShift(1, HpSpace(1, 1)), 1, 1, 1.0, 5)
 
+    @pytest.mark.parametrize("j,l", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_exponent(self, j, l, p):
+        # NaN gave NaN levels; the block rule of (1,1) needs a finite p
+        s = SphericalShift(2, HpSpace(2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                closed_form_level_sums(s, j, l, p, 10)
+
+    @pytest.mark.parametrize("j,l", [(1, 1), (1, 2)])
+    def test_rejects_a_negative_horizon(self, j, l):
+        # kmax = -1 leaked numpy's IndexError for (1,1) and "negative
+        # dimensions are not allowed" for (1,2)
+        s = SphericalShift(2, HpSpace(2, 3))
+        with pytest.raises(ValueError, match="kmax"):
+            closed_form_level_sums(s, j, l, 2.0, -1)
+
 
 # the CLI's default exponent grid at m = 3
 CLI_GRID_M3 = [1.0, 2.0, 2.5, 3.0, 3.25, 4.0]
