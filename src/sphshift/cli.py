@@ -1,14 +1,16 @@
 """Command-line front end: family registry, analysis commands, verification.
 
-Reports are schema-stable JSON with fixed key order; identical requests
-produce identical reports apart from the wall-clock timing block. Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 internal error
-(any other exception, such as a MemoryError, as one line on standard
-error), 141 when the reader closes standard output early (128 + SIGPIPE,
-as a shell reports).
+One runner, ``_run``, builds the report of every analysis subcommand: the
+request, then one section per stage that the subcommand names, and each
+stage's wall time under ``timings``. Reports are schema-stable JSON with
+fixed key order; identical requests produce identical reports apart from
+the timings. Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 internal error (any other exception, such as a MemoryError, as one line
+on standard error), 141 when the reader closes standard output early
+(128 + SIGPIPE, as a shell reports).
 
-Each subcommand imports the layers it uses in its own body, so that a
-request, a fresh process, compiles and loads only those.
+Each subcommand or stage imports the layers it uses when it runs, so that
+a request, a fresh process, compiles and loads only those.
 """
 
 from __future__ import annotations
@@ -101,11 +103,7 @@ def _parse_window(text: str) -> int:
 
 
 def _parse_grid(text: str):
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            vals.append(_parse_exponent(tok))
+    vals = [_parse_exponent(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise argparse.ArgumentTypeError("empty p grid")
     return vals
@@ -196,25 +194,80 @@ def _write_text(text: str, out) -> None:
         sys.stdout.flush()  # a closed pipe fails here, inside main()
 
 
-def _base_report(args, seq: ScalarSequence) -> dict:
-    return {"request": {"command": args.command, "family": seq.describe(), "m": args.m}}
-
-
 def _default_p_grid(m: int):
     return [1.0, m / 2 + 0.5, m - 0.5, float(m), m + 0.25, m + 1.0]
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# -- the report runner and the stages it runs ---------------------------------
+
+
+def _run(args, request: dict, stages, *inputs, passed=lambda sections: True) -> int:
+    """The one report path. Each stage is (key, name, compute): in order,
+    ``compute(*inputs)`` gives the report's section ``key`` and its wall
+    time goes to ``timings[name + "_s"]``; then the request, the sections
+    and the timings are emitted. The exit code is 1 when ``passed`` finds
+    the sections failed, else 0."""
+    sections, timings = {}, {}
+    for key, name, compute in stages:
+        t0 = time.perf_counter()
+        sections[key] = compute(*inputs)
+        timings[f"{name}_s"] = time.perf_counter() - t0
+    _emit({"request": request, **sections, "timings": timings}, args)
+    return 0 if passed(sections) else 1
+
+
+def _run_family(args, stages, **kwargs) -> int:
+    """``_run`` on the subcommand's family, built once, outside the timers."""
+    seq = _family_from_args(args)
+    request = {"command": args.command, "family": seq.describe(), "m": args.m}
+    return _run(args, request, stages, seq, **kwargs)
+
+
+def _spectrum(seq, m: int, K: int, J: int, window, plot_data):
+    """The spectral report; with ``plot_data``, its per-lag radii also go
+    to that CSV, before the report is emitted."""
+    from .spectra import spectral_report
+
+    report = spectral_report(seq, m, K=K, J=J, window=window)
+    if plot_data:
+        lags = zip(report.outer_radius.j_grid, report.outer_radius.sequence,
+                   report.inner_radius.sequence)
+        _write_text(_csv([["j", "outer", "inner"]]
+                         + [[j, repr(ro), repr(ri)] for j, ro, ri in lags]), plot_data)
+    return report
+
+
+def _cutoff(seq, m: int, grid, K: int) -> dict:
+    """Verdicts across ``grid``, or across a default grid that straddles m."""
+    from .schatten import cutoff_check
+
+    return cutoff_check(seq, m, grid or _default_p_grid(m), K=K)
+
+
+def _classification(seq, P: int, Q: int, K: int, horizon: int, witness: bool) -> dict:
+    """The structural classification; without ``witness``, with no failure indices."""
+    from .classify import classification
+
+    body = _sanitize(classification(seq, P=P, Q=Q, K=K, horizon=horizon))
+    if not witness:
+        for entry in [*body.values(), *body["q_expansion"].values()]:
+            if isinstance(entry, dict):
+                entry.pop("witness", None)
+    return body
 
 
 # -- subcommand bodies -------------------------------------------------------
 
 
 def cmd_families(args) -> int:
-    payload = {
-        "families": [
-            {"name": name, "description": description}
-            for name, description in FAMILIES.items()
-        ],
-    }
-    _emit(payload, args)
+    _emit({"families": [{"name": name, "description": description}
+                        for name, description in FAMILIES.items()]}, args)
     return 0
 
 
@@ -234,164 +287,80 @@ def cmd_dump_sequence(args) -> int:
         raise ValueError("--Q must be >= 0")
     seq = _family_from_args(args)
     shift = SphericalShift(args.m, seq)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]
-    )
     logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # bq_diags reads through K + Q
     d2 = seq.delta2_array(args.K).tolist()
     ks = range(args.K + 1)
     bq = [shift.bq_diags(q, ks).tolist() for q in range(1, args.Q + 1)]
-    for k in ks:
-        row = [k, repr(d2[k]), repr(_exp_or_inf(2.0 * logbb[k])), repr(logbb[k])]
-        row += [repr(col[k]) for col in bq]
-        writer.writerow(row)
-    _write_text(buf.getvalue(), args.out)
+    rows = [["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]]
+    rows += [[k, repr(d2[k]), repr(_exp_or_inf(2.0 * logbb[k])), repr(logbb[k])]
+             + [repr(col[k]) for col in bq] for k in ks]
+    _write_text(_csv(rows), args.out)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    from .spectra import spectral_report
-
-    seq = _family_from_args(args)
-    t0 = time.perf_counter()
-    report = spectral_report(seq, args.m, K=args.K, J=args.J, window=args.window)
-    payload = _base_report(args, seq)
-    payload["spectrum"] = report
-    payload["timings"] = {"spectrum_s": time.perf_counter() - t0}
-    if args.plot_data:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["j", "outer", "inner"])
-        for j, ro, ri in zip(report.outer_radius.j_grid, report.outer_radius.sequence,
-                             report.inner_radius.sequence):
-            writer.writerow([j, repr(ro), repr(ri)])
-        _write_text(buf.getvalue(), args.plot_data)
-    _emit(payload, args)
-    return 0
+    return _run_family(args, [("spectrum", "spectrum", lambda seq: _spectrum(
+        seq, args.m, args.K, args.J, args.window, args.plot_data))])
 
 
 def cmd_schatten(args) -> int:
     from .schatten import decide
 
-    seq = _family_from_args(args)
-    t0 = time.perf_counter()
-    verdict = decide(seq, args.m, args.p, K=args.K)
-    payload = _base_report(args, seq)
-    payload["schatten"] = verdict
-    payload["timings"] = {"schatten_s": time.perf_counter() - t0}
-    _emit(payload, args)
-    return 0
+    return _run_family(args, [("schatten", "schatten",
+                               lambda seq: decide(seq, args.m, args.p, K=args.K))])
 
 
 def cmd_cutoff(args) -> int:
-    from .schatten import cutoff_check
-
-    seq = _family_from_args(args)
-    grid = args.grid if args.grid else _default_p_grid(args.m)
-    t0 = time.perf_counter()
-    report = cutoff_check(seq, args.m, grid, K=args.K)
-    payload = _base_report(args, seq)
-    payload["cutoff"] = report
-    payload["timings"] = {"cutoff_s": time.perf_counter() - t0}
-    _emit(payload, args)
-    return 0
+    return _run_family(args, [("cutoff", "cutoff",
+                               lambda seq: _cutoff(seq, args.m, args.grid, args.K))])
 
 
 def cmd_classify(args) -> int:
-    from .classify import classification
-
-    seq = _family_from_args(args)
-    t0 = time.perf_counter()
-    result = classification(seq, P=args.P, Q=args.Q, K=args.K, horizon=args.horizon)
-    payload = _base_report(args, seq)
-    body = _sanitize(result)
-    if not args.witness:
-        for entry in [*body.values(), *body["q_expansion"].values()]:
-            if isinstance(entry, dict):
-                entry.pop("witness", None)
-    payload["classification"] = body
-    payload["timings"] = {"classify_s": time.perf_counter() - t0}
-    _emit(payload, args)
-    return 0
+    return _run_family(args, [("classification", "classify", lambda seq: _classification(
+        seq, args.P, args.Q, args.K, args.horizon, args.witness))])
 
 
 def cmd_lemmas(args) -> int:
     from .schatten import asymptotic_lemma_check
 
-    t0 = time.perf_counter()
-    report = asymptotic_lemma_check(
-        args.m, args.p, args.k_range, points=args.points
-    )
-    payload = {
-        "request": {"command": "lemmas", "m": args.m, "p": args.p, "k_range": list(args.k_range)},
-        "lemmas": report,
-        "timings": {"lemmas_s": time.perf_counter() - t0},
-    }
-    _emit(payload, args)
-    return 0 if report["pass"] else 1
+    request = {"command": "lemmas", "m": args.m, "p": args.p, "k_range": list(args.k_range)}
+    return _run(args, request, [("lemmas", "lemmas", lambda: asymptotic_lemma_check(
+        args.m, args.p, args.k_range, points=args.points))],
+        passed=lambda sections: sections["lemmas"]["pass"])
 
 
 def cmd_verify(args) -> int:
+    """The oracle suite on every default family; outside the runner, since
+    its report holds the rows and their overall pass at the top level."""
     from .shift import SphericalShift
     from .truncation import build_basis, oracle_suite
 
     t0 = time.perf_counter()
-    results = []
-    ok = True
     basis = build_basis(args.m, args.N)
-    for label, seq in default_suite(args.m):
-        shift = SphericalShift(args.m, seq)
-        for row in oracle_suite(shift, args.N, tol=args.tol, basis=basis):
-            entry = {"family": label, "m": args.m, "N": args.N, **row}
-            ok = ok and row["pass"]
-            results.append(entry)
-    payload = {
-        "request": {"command": "verify", "m": args.m, "N": args.N, "tol": args.tol},
-        "results": results,
-        "pass": ok,
-        "timings": {"verify_s": time.perf_counter() - t0},
-    }
-    _emit(payload, args)
+    results = [{"family": label, "m": args.m, "N": args.N, **row}
+               for label, seq in default_suite(args.m)
+               for row in oracle_suite(SphericalShift(args.m, seq), args.N, tol=args.tol,
+                                       basis=basis)]
+    ok = all(row["pass"] for row in results)
+    _emit({"request": {"command": "verify", "m": args.m, "N": args.N, "tol": args.tol},
+           "results": results, "pass": ok,
+           "timings": {"verify_s": time.perf_counter() - t0}}, args)
     return 0 if ok else 1
 
 
 def cmd_analyze(args) -> int:
-    from .classify import classification
-    from .schatten import cutoff_check
     from .shift import SphericalShift
-    from .spectra import spectral_report
     from .truncation import oracle_suite
 
-    seq = _family_from_args(args)
-    timings = {}
-    payload = _base_report(args, seq)
-
-    t0 = time.perf_counter()
-    payload["spectrum"] = spectral_report(seq, args.m, K=args.K, J=args.J)
-    timings["spectrum_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    grid = args.grid if args.grid else _default_p_grid(args.m)
-    payload["schatten_cutoff"] = cutoff_check(seq, args.m, grid, K=args.K)
-    timings["schatten_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    payload["classification"] = classification(
-        seq, P=args.P, Q=args.Q, K=args.K_exact, horizon=args.K
-    )
-    timings["classify_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    shift = SphericalShift(args.m, seq)
-    oracle = oracle_suite(shift, args.N, tol=args.tol)
-    payload["oracle"] = oracle
-    timings["oracle_s"] = time.perf_counter() - t0
-
-    payload["timings"] = timings
-    _emit(payload, args)
-    return 0 if all(row["pass"] for row in oracle) else 1
+    return _run_family(args, [
+        ("spectrum", "spectrum",
+         lambda seq: _spectrum(seq, args.m, args.K, args.J, window=None, plot_data=None)),
+        ("schatten_cutoff", "schatten", lambda seq: _cutoff(seq, args.m, args.grid, args.K)),
+        ("classification", "classify", lambda seq: _classification(
+            seq, args.P, args.Q, args.K_exact, args.K, witness=True)),
+        ("oracle", "oracle",
+         lambda seq: oracle_suite(SphericalShift(args.m, seq), args.N, tol=args.tol)),
+    ], passed=lambda sections: all(row["pass"] for row in sections["oracle"]))
 
 
 # -- argument wiring ----------------------------------------------------------

@@ -21,6 +21,7 @@ cross-commutators escape every Schatten class with exponent p <= m.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -300,7 +301,8 @@ def asymptotic_lemma_check(
     First: sum over {|n|=k, n_j>0} of n_j^(p/2) n_l^(p/2), compared with
     k^(p+m-1). Second: sum over {|n|=k} of |s n_j - 1|^p, compared with
     k^(p+m-1)|s|^p + k^(m-1); s = 0, s = 1 and s = 1/k probe the regimes.
-    Each window must stay positive with max/min <= window_bound.
+    Each window must stay positive with max/min <= window_bound. A p for
+    which k^(p+m-1) leaves the float range on the k-range is refused.
     """
     _require_m(m)
     if not (math.isfinite(p) and p >= 0):
@@ -310,6 +312,12 @@ def asymptotic_lemma_check(
         raise ValueError("need 1 <= lo < hi in k_range")
     if points < 1:
         raise ValueError("need at least one point")
+    # both estimates divide by k^(p+m-1), a float for every k <= hi only up to p_max
+    p_max = math.log(sys.float_info.max) / math.log(hi) - m + 1
+    if p > p_max:
+        raise ValueError(f"k^(p+m-1) leaves the float range at k = {hi}: the k-range "
+                         f"{lo}:{hi} allows p <= {math.floor(p_max * 100) / 100} at m = {m}, "
+                         f"got p = {p:g}")
     ks = sorted(set(np.geomspace(lo, hi, points).astype(int).tolist()))
 
     def window(ratios):

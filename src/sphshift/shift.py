@@ -108,14 +108,19 @@ class SphericalShift:
 
     def _bq_value(self, k: int, q: int, windows, logbb) -> float:
         """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1); an exact order-q
-        window sums over its denominator and rounds once."""
+        window sums over its denominator and rounds once, to +-inf beyond the
+        float range, as ``_q_value`` does."""
         num, den, ok = windows
         if not ok[q][k]:
             return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s, windows, logbb)
                              for s in range(q + 1)))
         d = den[q][k]
-        return sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
-                   for s in range(q + 1)) / d
+        total = sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
+                    for s in range(q + 1))
+        try:
+            return total / d
+        except OverflowError:  # d > 0, so the sign is the numerator's
+            return math.inf if total > 0 else -math.inf
 
     def _levels_data(self, levels):
         """The float and the exact delta2 snapshot through max(levels)."""

@@ -288,26 +288,33 @@ def _flat(op: LevelOperator, kmax: int) -> np.ndarray:
     return np.concatenate([block.ravel() for block in op.blocks[: kmax + 1]])
 
 
-def _deviation(shift, kind, N, margin, ts, powers) -> np.ndarray:
-    """Per level k <= N - margin, max |closed form - built entry| on the
-    level's block; a power kind needs only the powers."""
-    need = required_margin(kind)
-    margin = need if margin is None else margin
-    if margin < need:
-        raise ValueError(f"margin {margin} too small for kind {kind!r}; need >= {need}")
-    if margin > N:
-        raise ValueError(f"margin {margin} exceeds truncation degree {N}")
-    op, kmax = kind[0], N - margin
+def _label(kind: Tuple) -> str:
+    """A comparison kind as a report names its row, e.g. ``cross_comm/1/2``."""
+    return "/".join(str(x) for x in kind)
+
+
+def _deviation(shift, kind, N, ts, powers) -> np.ndarray:
+    """Per level k <= N - required_margin(kind), max |closed form - built
+    entry| on the level's block, inf where the closed form is not finite; a
+    power kind needs only the powers. Refuses built entries beyond the
+    float range, which no deviation could judge."""
+    op, kmax = kind[0], N - required_margin(kind)
+    if kmax < 0:
+        raise ValueError(f"the oracle row {_label(kind)} needs N >= {N - kmax}, got N = {N}")
     if ts is None and (powers is None or op.endswith("comm")):
         ts = build_tuple_matrices(shift, build_basis(shift.m, N))
     basis = (ts or powers)[0].basis
-    if op.endswith("comm"):
-        flat = _flat(commutator(ts[kind[1] - 1].adjoint(), ts[kind[-1] - 1]), kmax)
-    else:
-        s = kind[1]
-        powers = q_powers(ts, s) if powers is None else powers
-        flat = (_flat(powers[s], kmax) if op == "q_power"
-                else _defect([_flat(x, kmax) for x in powers[: s + 1]], s))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if op.endswith("comm"):
+            flat = _flat(commutator(ts[kind[1] - 1].adjoint(), ts[kind[-1] - 1]), kmax)
+        else:
+            s = kind[1]
+            powers = q_powers(ts, s) if powers is None else powers
+            flat = (_flat(powers[s], kmax) if op == "q_power"
+                    else _defect([_flat(x, kmax) for x in powers[: s + 1]], s))
+    if not np.isfinite(flat).all():
+        raise ValueError(f"the oracle row {_label(kind)} of the section m = {basis.m}, "
+                         f"N = {N} has matrix entries beyond the float range")
 
     rows, values = _expected_interior(shift, kind, basis, kmax)
     if rows is None:
@@ -318,6 +325,7 @@ def _deviation(shift, kind, N, margin, ts, powers) -> np.ndarray:
         if (basis.levels[rows] != levels).any():
             raise StructuralAssumptionError(f"{kind!r} names a target outside its level")
         flat[basis.diagonal[cols] + (rows - cols) * basis.sizes[levels]] -= values[cols]
+    flat[np.isnan(flat)] = np.inf
     return np.maximum.reduceat(np.abs(flat, out=flat), basis.squares[: kmax + 1])
 
 
@@ -325,20 +333,19 @@ def compare_with_closed_form(
     shift: SphericalShift,
     kind: Tuple,
     N: int,
-    margin: Optional[int] = None,
     ts: Optional[Sequence[LevelOperator]] = None,
     powers: Optional[Sequence[LevelOperator]] = None,
 ) -> float:
     """Max absolute deviation |matrix entry - closed form| over the interior
-    block |n| <= N - margin.
+    block |n| <= N - margin, where the margin is the operator's reach,
+    ``required_margin(kind)``; boundary rows are never compared.
 
     kind is ("self_comm", j), ("cross_comm", j, l), ("q_power", k) or
-    ("bq", q). The margin must cover the operator's reach; boundary rows
-    are never compared. ``powers`` are Q^s(I) from ``q_powers(ts, s)`` for
-    s up to at least the order of a q_power or bq kind, so one suite
-    shares them across kinds.
+    ("bq", q). ``powers`` are Q^s(I) from ``q_powers(ts, s)`` for s up to
+    at least the order of a q_power or bq kind, so one suite shares them
+    across kinds.
     """
-    return float(_deviation(shift, kind, N, margin, ts, powers).max())
+    return float(_deviation(shift, kind, N, ts, powers).max())
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -379,9 +386,9 @@ def rounding_bound(kind: Tuple, ts: Optional[Sequence[LevelOperator]],
     return terms * _U / (1.0 - terms * _U) * magnitude
 
 
-def _within_rounding(shift, kind, N, margin, ts, powers, tol) -> bool:
+def _within_rounding(shift, kind, N, ts, powers, tol) -> bool:
     """Every interior entry within tol or within its level's rounding bound."""
-    deviation = _deviation(shift, kind, N, margin, ts, powers)
+    deviation = _deviation(shift, kind, N, ts, powers)
     allowed = np.maximum(tol, rounding_bound(kind, ts, powers, len(deviation) - 1))
     return bool(np.all(deviation <= allowed))
 
@@ -417,8 +424,13 @@ def schatten_power_sum(c: LevelOperator, p: float, kmax: Optional[int] = None) -
 def oracle_suite(shift: SphericalShift, N: int, tol: float = 1e-10,
                  basis: Optional[Basis] = None) -> list:
     """Run every comparison kind for one shift; returns a list of dicts
-    {kind, margin, max_deviation, pass}. ``basis`` is ``build_basis(m, N)``,
-    built here when not given, so the shifts of one suite can share one."""
+    {kind, margin, max_deviation, pass}, a row's margin being its kind's
+    reach. ``basis`` is ``build_basis(m, N)``, built here when not given, so
+    the shifts of one suite can share one. The Q^3 rows reach three levels,
+    so N must be at least 3."""
+    if N < 3:
+        raise ValueError(f"the oracle needs N >= 3 for its Q^3 rows (q_power/3, bq/3), "
+                         f"got N = {N}")
     if basis is None:
         basis = build_basis(shift.m, N)
     elif (basis.m, basis.N) != (shift.m, N):
@@ -426,31 +438,27 @@ def oracle_suite(shift: SphericalShift, N: int, tol: float = 1e-10,
     ts = build_tuple_matrices(shift, basis)
     results = []
 
-    def record(kind, margin, powers=None):
-        dev = compare_with_closed_form(shift, kind, N, margin, ts=ts, powers=powers)
+    def record(kind, powers=None):
+        dev = compare_with_closed_form(shift, kind, N, ts=ts, powers=powers)
         # tol = 0 asks for exact agreement, which no rounding allowance may relax
-        ok = dev <= tol or (tol > 0 and _within_rounding(shift, kind, N, margin, ts, powers, tol))
-        results.append(
-            {
-                "kind": "/".join(str(x) for x in kind),
-                "margin": margin,
-                "max_deviation": dev,
-                "pass": bool(ok),
-            }
-        )
+        ok = dev <= tol or (tol > 0 and _within_rounding(shift, kind, N, ts, powers, tol))
+        results.append({"kind": _label(kind), "margin": required_margin(kind),
+                        "max_deviation": dev, "pass": bool(ok)})
 
     for j in range(1, shift.m + 1):
-        record(("self_comm", j), 1)
+        record(("self_comm", j))
     for j in range(1, shift.m + 1):
         for l in range(1, shift.m + 1):
             if j != l:
-                record(("cross_comm", j, l), 1)
+                record(("cross_comm", j, l))
     # after the commutators, so their blocks and the powers are not held
-    # together; the power rows read only the powers, so the tuple goes
-    powers = q_powers(ts, 3)
+    # together; the power rows read only the powers, so the tuple goes.
+    # A power beyond the float range is refused by its row.
+    with np.errstate(over="ignore"):
+        powers = q_powers(ts, 3)
     ts = None
     for k in range(0, 4):
-        record(("q_power", k), k, powers)
+        record(("q_power", k), powers)
     for q in range(1, 4):
-        record(("bq", q), q, powers)
+        record(("bq", q), powers)
     return results

@@ -564,6 +564,52 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+# edge inputs: the first six once ended in an internal error (exit 3), on a
+# float overflow or on the oracle's check of its own parameters; the rest
+# already ended in a verdict or a usage error
+EDGE_INPUTS = [
+    ["lemmas", "--p", "77"],
+    ["lemmas", "--m", "3", "--p", "76"],
+    ["analyze", "--family", "constant", "--c", "8e51"],
+    ["dump-sequence", "--family", "constant", "--c", "1e52", "--K", "3", "--Q", "3"],
+    ["verify", "--N", "2"],
+    ["analyze", "--family", "bergman", "--N", "1"],
+    ["spectrum", "--family", "bergman", "--K", "1"],
+    ["schatten", "--family", "bergman", "--p", "2", "--K", "999"],
+    ["cutoff", "--family", "bergman", "--grid", "0.5"],
+    ["lemmas", "--k-range", "5:3"],
+    ["verify", "--N", "-1"],
+    ["classify", "--family", "bergman", "--P", "0"],
+    ["analyze", "--family", "bergman", "--K-exact", "0"],
+    ["spectrum", "--family", "tabulated", "--table", os.devnull],
+    ["schatten", "--family", "hp", "--p-space", "1e-300", "--p", "2"],
+]
+
+
+def test_edge_inputs_end_in_a_verdict_or_a_usage_error(capsys):
+    # RuntimeWarnings are errors here, so a numpy warning ends in an internal error too
+    broken = {}
+    for argv in EDGE_INPUTS:
+        code = exit_code(argv)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "internal error" in err:
+            broken[" ".join(argv)] = (code, err)
+    assert broken == {}
+
+
+def test_float_range_edges_are_refused_or_infinite(capsys):
+    for argv in (["lemmas", "--p", "77"], ["analyze", "--family", "constant", "--c", "8e51"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+    assert main(["dump-sequence", "--family", "constant", "--c", "1e52", "--K", "3", "--Q", "3"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[-3:] for row in rows[1:]] == [["-1e+104", "1e+208", "-inf"]] * 4
+    assert main(["verify", "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "got N = 2" in err and "margin" not in err
+
+
 # inputs that once ended in a traceback with exit 1; {dir} is a directory
 # holding zero.csv (a row 1/0), d2.csv, p.fam (p = 1/0) and tail.fam (tail = bogus)
 BAD_INPUTS = {

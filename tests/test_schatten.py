@@ -413,6 +413,14 @@ class TestAsymptoticLemmas:
         with pytest.raises(ValueError):
             asymptotic_lemma_check(2, 1.0, (100, 100))
 
+    def test_exponent_beyond_the_float_range_is_refused(self):
+        # k^(p+m-1) at k = 10^4 is a float up to p = ln(DBL_MAX)/ln(10^4) - m + 1
+        assert asymptotic_lemma_check(2, 76.0, (100, 10_000), points=4)["m"] == 2
+        with pytest.raises(ValueError, match=r"allows p <= 76\.06 at m = 2"):
+            asymptotic_lemma_check(2, 77.0, (100, 10_000))
+        with pytest.raises(ValueError, match=r"allows p <= 75\.06 at m = 3"):
+            asymptotic_lemma_check(3, 76.0, (100, 10_000))
+
 
 class TestConcaveGammaDifferenceDecay:
     def test_concave_gamma_yields_1_over_k_decay(self):

@@ -185,6 +185,15 @@ class TestBqDiagonal:
         with pytest.raises(ValueError):
             szego().bq_diag(0, 0)
 
+    def test_exact_value_beyond_the_float_range_is_signed_inf(self):
+        # delta2 = c^2 = 1e104: B_q = (1 - delta2)^q on every level, so B_3 is
+        # about -1e312 and B_4 about 1e416, like the overflowing q-diagonals
+        s = SphericalShift(2, ConstantDelta("1e52"))
+        assert s.bq_diag(0, 2) == pytest.approx(1e208)
+        assert s.bq_diags(3, range(4)).tolist() == [-math.inf] * 4
+        assert s.bq_diags(4, range(4)).tolist() == [math.inf] * 4
+        assert s.q_diag(0, 4) == math.inf
+
 
 class TestCommutatorCoefficients:
     def test_self_szego_values(self):

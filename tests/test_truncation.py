@@ -184,13 +184,35 @@ class TestQPower:
 
 
 class TestCompareClosedForm:
-    def test_margin_too_small(self):
-        with pytest.raises(ValueError):
-            compare_with_closed_form(szego(), ("q_power", 3), 6, margin=2)
-        with pytest.raises(ValueError):
-            compare_with_closed_form(szego(), ("self_comm", 1), 6, margin=0)
-        with pytest.raises(ValueError):
-            compare_with_closed_form(szego(), ("bq", 2), 1, margin=2)
+    def test_N_below_the_reach_is_refused(self):
+        # a row is compared on |n| <= N - reach, so N must cover the reach
+        with pytest.raises(ValueError, match=r"row bq/2 needs N >= 2, got N = 1"):
+            compare_with_closed_form(szego(), ("bq", 2), 1)
+        with pytest.raises(ValueError, match=r"row self_comm/1 needs N >= 1, got N = 0"):
+            compare_with_closed_form(szego(), ("self_comm", 1), 0)
+        assert compare_with_closed_form(szego(), ("q_power", 3), 3) <= 1e-12
+        for N in (-1, 0, 2):
+            with pytest.raises(ValueError, match=rf"Q\^3 rows .*got N = {N}$"):
+                oracle_suite(szego(), N)
+
+    def test_matrix_entries_beyond_the_float_range_are_refused(self):
+        # delta2 = 6.4e103, so Q^3(I) ~ 2.6e311 overflows in the matrix products
+        shift = SphericalShift(2, ConstantDelta("8e51"))
+        with pytest.raises(ValueError, match=r"row q_power/3 of the section m = 2, N = 4 "):
+            oracle_suite(shift, 4)
+        with pytest.raises(ValueError, match=r"row bq/3 of the section m = 2, N = 4 "):
+            compare_with_closed_form(shift, ("bq", 3), 4)
+
+    def test_closed_form_beyond_the_float_range_fails_its_row(self):
+        class InfiniteQ(SphericalShift):
+            def q_diags(self, s, levels):  # inf for Q^2(I), nan for Q^3(I)
+                if s < 2:
+                    return super().q_diags(s, levels)
+                return np.full(len(levels), math.inf if s == 2 else math.nan)
+
+        rows = {r["kind"]: r for r in oracle_suite(InfiniteQ(2, HpSpace(2, 3)), 5)}
+        assert [rows[f"q_power/{s}"]["max_deviation"] for s in (2, 3)] == [math.inf] * 2
+        assert [r["pass"] for r in rows.values()] == [True] * 6 + [False] * 2 + [True] * 3
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -199,7 +221,7 @@ class TestCompareClosedForm:
     def test_examples(self):
         assert compare_with_closed_form(szego(), ("self_comm", 1), 6) <= 1e-12
         berg = SphericalShift(2, HpSpace(2, 3))
-        assert compare_with_closed_form(berg, ("q_power", 3), 8, margin=3) <= 1e-12
+        assert compare_with_closed_form(berg, ("q_power", 3), 8) <= 1e-12
         alt = SphericalShift(2, AlternatingTwelve())
         assert compare_with_closed_form(alt, ("cross_comm", 1, 2), 8) <= 1e-12
 

@@ -167,6 +167,12 @@ def run_list(tables: list, good_files: list, bad_files: list) -> list:
         ["lemmas", "--p", "1/0"],
     ]
     runs += [["classify", "--family-file", path] for path in bad_files]
+    # float-range edges: an exponent whose k^(p+m-1) overflows, exit 2; an
+    # oracle whose Q^3(I) overflows, exit 2; B_3 = (1 - delta2)^3 beyond the
+    # float range, printed as -inf
+    runs += [["lemmas", "--p", "77"],
+             ["analyze", "--family", "constant", "--c", "8e51", "--N", "3"],
+             ["dump-sequence", "--family", "constant", "--c", "1e52", "--K", "3", "--Q", "3"]]
     return runs
 
 
