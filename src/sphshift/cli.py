@@ -333,10 +333,10 @@ def cmd_verify(args) -> int:
     """The oracle suite on every default family; outside the runner, since
     its report holds the rows and their overall pass at the top level."""
     from .shift import SphericalShift
-    from .truncation import build_basis, oracle_suite
+    from .truncation import oracle_suite, suite_basis
 
     t0 = time.perf_counter()
-    basis = build_basis(args.m, args.N)
+    basis = suite_basis(args.m, args.N)
     results = [{"family": label, "m": args.m, "N": args.N, **row}
                for label, seq in default_suite(args.m)
                for row in oracle_suite(SphericalShift(args.m, seq), args.N, tol=args.tol,
@@ -350,8 +350,9 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .shift import SphericalShift
-    from .truncation import oracle_suite
+    from .truncation import oracle_suite, suite_basis
 
+    basis = suite_basis(args.m, args.N)  # refuses a bad section before any stage runs
     return _run_family(args, [
         ("spectrum", "spectrum",
          lambda seq: _spectrum(seq, args.m, args.K, args.J, window=None, plot_data=None)),
@@ -359,7 +360,8 @@ def cmd_analyze(args) -> int:
         ("classification", "classify", lambda seq: _classification(
             seq, args.P, args.Q, args.K_exact, args.K, witness=True)),
         ("oracle", "oracle",
-         lambda seq: oracle_suite(SphericalShift(args.m, seq), args.N, tol=args.tol)),
+         lambda seq: oracle_suite(SphericalShift(args.m, seq), args.N, tol=args.tol,
+                                  basis=basis)),
     ], passed=lambda sections: all(row["pass"] for row in sections["oracle"]))
 
 

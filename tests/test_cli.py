@@ -461,7 +461,7 @@ class TestErrors:
         assert captured.err.startswith(f"sphshift: internal error: {type(fault).__name__}")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("m,N", [(8, 10), (2, 100_000)])
+    @pytest.mark.parametrize("m,N", [(8, 11), (2, 100_000)])
     def test_oversized_oracle_is_refused_before_it_is_built(self, capsys, monkeypatch, m, N):
         def refuse(*args):
             raise AssertionError("the basis was enumerated")
@@ -478,8 +478,25 @@ class TestErrors:
         assert code == 2 and elapsed < 1.0 and peak < 1 << 20
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"sphshift: the section m = {m}, N = {N} needs ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == (f"sphshift: the section m = {m}, N = {N} needs "
+                                f"{math.comb(N + m, m)} basis columns, beyond the oracle's "
+                                f"{truncation.ORACLE_COLUMNS}\n")
+
+    @pytest.mark.parametrize("m,N", [(2, 1), (8, 11)])
+    def test_analyze_refuses_a_bad_section_before_any_stage(self, capsys, monkeypatch, m, N):
+        stages = []
+
+        def stage(*args, **kwargs):
+            stages.append(args)
+
+        for module, name in ((cli, "_spectrum"), (cli, "_cutoff"), (cli, "_classification"),
+                             (truncation, "oracle_suite")):
+            monkeypatch.setattr(module, name, stage)
+        assert main(["verify", "--m", str(m), "--N", str(N)]) == 2
+        refused = capsys.readouterr().err
+        assert main(["analyze", "--family", "bergman", "--m", str(m), "--N", str(N)]) == 2
+        captured = capsys.readouterr()
+        assert stages == [] and captured.out == "" and captured.err == refused
 
     def test_table_overrun(self, tmp_path, capsys):
         table = tmp_path / "d2.csv"

@@ -43,21 +43,34 @@ class TestBasis:
         assert build_basis(2, 10).dimension == 66
         assert build_basis(3, 10).dimension == math.comb(13, 3)
 
-    def test_level_block_bytes_is_the_sum_over_levels(self):
-        for m in range(1, 9):
-            sizes = [math.comb(k + m - 1, m - 1) for k in range(41)]
-            for N in range(40):
-                direct = 8 * m * sum(sizes[k + 1] * sizes[k] for k in range(N))
-                assert truncation.level_block_bytes(m, N) == direct, (m, N)
-        # at N = 10: 0.45, 3.3 and 19.4 GiB
-        gib = [truncation.level_block_bytes(m, 10) / 2**30 for m in (6, 7, 8)]
-        assert [round(g, 1) for g in gib] == [0.5, 3.3, 19.4]
+    def test_bound_counts_the_basis_columns(self, monkeypatch):
+        # each operator holds one row and one value per basis column, so the
+        # bound is on C(N + m, m); N one past the largest accepted is refused
+        def enumerated(*args):
+            raise LookupError("enumerated")
 
-    def test_bound_refuses_only_beyond_a_gibibyte(self):
-        for m, N in VERIFY_SIZES + [(5, 10), (6, 10)]:
-            assert truncation.level_block_bytes(m, N) <= truncation.ORACLE_BYTES
-        for m, N in [(7, 10), (8, 10), (2, 100_000), (1, 10**12)]:
-            with pytest.raises(ValueError, match="GiB of level blocks"):
+        monkeypatch.setattr(truncation, "enumerate_level", enumerated)
+        for m in range(1, 9):
+            N = 0
+            while math.comb(N + 1 + m, m) <= truncation.ORACLE_COLUMNS:
+                N += 1
+            with pytest.raises(LookupError):
+                build_basis(m, N)
+            with pytest.raises(ValueError, match=rf"needs {math.comb(N + 1 + m, m)} basis columns"):
+                build_basis(m, N + 1)
+
+    def test_bound_refuses_only_beyond_the_column_bound(self, monkeypatch):
+        def enumerated(*args):
+            raise LookupError("enumerated")
+
+        monkeypatch.setattr(truncation, "enumerate_level", enumerated)
+        for m, N in VERIFY_SIZES + [(m, 10) for m in range(5, 9)]:
+            with pytest.raises(LookupError):
+                build_basis(m, N)
+        for m, N in [(8, 11), (7, 12), (2, 100_000), (1, 10**12)]:
+            with pytest.raises(ValueError, match=rf"^the section m = {m}, N = {N} needs "
+                                                 rf"{math.comb(N + m, m)} basis columns, "
+                                                 rf"beyond the oracle's 50000$"):
                 build_basis(m, N)
 
     def test_index_map_bijective(self):
@@ -69,9 +82,9 @@ class TestBasis:
         basis = build_basis(2, 5)
         covered = []
         for k in range(6):
-            sl = basis.level_slice(k)
-            covered.extend(range(sl.start, sl.stop))
-            assert all(sum(basis.indices[i]) == k for i in range(sl.start, sl.stop))
+            start, stop = basis.bounds[k], basis.bounds[k + 1]
+            covered.extend(range(start, stop))
+            assert all(sum(basis.indices[i]) == k for i in range(start, stop))
         assert covered == list(range(basis.dimension))
 
 
@@ -136,8 +149,8 @@ class TestCommutator:
         assert c[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_dimension_mismatch(self):
-        a = LevelOperator((np.zeros((1, 1)),) * 2, 0, build_basis(1, 1), "a")
-        b = LevelOperator((np.zeros((1, 1)),) * 3, 0, build_basis(1, 2), "b")
+        a = LevelOperator(np.full(3, -1), np.zeros(3), 0, 2, build_basis(1, 1), "a")
+        b = LevelOperator(np.full(4, -1), np.zeros(4), 0, 3, build_basis(1, 2), "b")
         with pytest.raises(ValueError):
             commutator(a, b)
 
@@ -173,7 +186,7 @@ class TestQPower:
                         for _ in range(a):
                             t_alpha = ts[i].matrix @ t_alpha
                     expansion += multinomial(alpha) * (t_alpha.T @ t_alpha)
-                stop = basis.level_slice(N - k).stop
+                stop = basis.bounds[N - k + 1]
                 dev = np.max(np.abs(q_power_bruteforce(ts, k).matrix - expansion)[:stop, :stop])
                 assert dev <= 1e-13, (label, k, dev)
 
@@ -226,7 +239,8 @@ class TestCompareClosedForm:
         assert compare_with_closed_form(alt, ("cross_comm", 1, 2), 8) <= 1e-12
 
     def test_oracle_suite_all_families(self, suite_m2, suite_m3):
-        for m, suite, N in ((2, suite_m2, 8), (3, suite_m3, 8), (4, default_suite(4), 5)):
+        for m, suite, N in ((2, suite_m2, 8), (3, suite_m3, 8), (4, default_suite(4), 5),
+                            (6, default_suite(6), 10)):
             for label, seq in suite:
                 rows = oracle_suite(SphericalShift(m, seq), N=N, tol=1e-10)
                 assert all(r["pass"] for r in rows), (m, label, rows)
@@ -275,13 +289,13 @@ class TestCompareClosedForm:
 class TestGramSingularValues:
     def test_diagonal_matrix(self):
         basis = build_basis(2, 2)
-        blocks = (np.diag([3.0]), np.diag([-1.0, 0.5]), np.diag([0.0, 2.0, 1.0]))
-        sv = gram_diagonal_singular_values(LevelOperator(blocks, 0, basis, "diag"))
+        rows, vals = np.append(np.arange(6), -1), np.array([3.0, -1.0, 0.5, 0.0, 2.0, 1.0, 0.0])
+        sv = gram_diagonal_singular_values(LevelOperator(rows, vals, 0, 3, basis, "diag"))
         np.testing.assert_allclose(sv, sorted([3.0, 1.0, 0.5, 0.0, 2.0, 1.0]))
 
     def test_zero_matrix(self):
         basis = build_basis(2, 1)
-        zero = LevelOperator((np.zeros((1, 1)), np.zeros((2, 2))), 0, basis, "zero")
+        zero = LevelOperator(np.append(np.arange(3), -1), np.zeros(4), 0, 2, basis, "zero")
         sv = gram_diagonal_singular_values(zero)
         assert sv.shape == (3,) and np.all(sv == 0.0)
 
@@ -292,20 +306,20 @@ class TestGramSingularValues:
         assert np.any(np.isclose(sv, 1 / 6, atol=1e-14))
 
     def test_structural_violation_detected(self):
+        # both columns of level 1 land on one row: C*C has 1 * 0.5 off its diagonal
         basis = build_basis(2, 1)
-        blocks = (np.array([[1.0]]), np.array([[1.0, 0.5], [0.5, 1.0]]))
-        with pytest.raises(StructuralAssumptionError):
-            gram_diagonal_singular_values(LevelOperator(blocks, 0, basis, "mixing"))
+        rows, vals = np.array([0, 1, 1, -1]), np.array([1.0, 1.0, 0.5, 0.0])
+        with pytest.raises(StructuralAssumptionError, match="off-diagonal magnitude 5.000e-01"):
+            gram_diagonal_singular_values(LevelOperator(rows, vals, 0, 2, basis, "mixing"))
 
     def test_gram_off_diagonal_vanishes_for_suite(self, suite_m2):
         basis = build_basis(2, 8)
         for label, seq in suite_m2:
             ts = build_tuple_matrices(SphericalShift(2, seq), basis)
-            c = commutator(ts[0].adjoint(), ts[1])
-            for block in c.blocks:
-                gram = block.T @ block
-                off = gram - np.diag(np.diag(gram))
-                assert np.max(np.abs(off)) <= 1e-10, label
+            c = commutator(ts[0].adjoint(), ts[1]).matrix
+            gram = c.T @ c
+            off = gram - np.diag(np.diag(gram))
+            assert np.max(np.abs(off)) <= 1e-10, label
 
 
 class TestSchattenOracle:
@@ -470,7 +484,7 @@ class TestLevelWiseForms:
             shift = SphericalShift(m, seq)
             for kind in suite_kinds(m):
                 kmax = N - truncation.required_margin(kind)
-                interior = basis.level_slice(kmax).stop
+                interior = basis.bounds[kmax + 1]
                 rows, values = truncation._expected_interior(shift, kind, basis, kmax)
                 cols = np.arange(interior)
                 rows = cols if rows is None else rows
@@ -581,6 +595,20 @@ class TestRoundingBound:
         assert max(r["max_deviation"] for r in rows) > 1e280
         assert all(r["pass"] for r in rows), rows
 
+    def test_each_row_takes_its_deviations_once(self, monkeypatch):
+        # the rounding allowance reuses the per-level deviations of the row
+        kinds = []
+        original = truncation._deviation
+
+        def counted(shift, kind, *args):
+            kinds.append(truncation._label(kind))
+            return original(shift, kind, *args)
+
+        monkeypatch.setattr(truncation, "_deviation", counted)
+        rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
+        assert sum(r["max_deviation"] > 1e-10 for r in rows) == 8
+        assert kinds == [r["kind"] for r in rows]
+
     def test_zero_tol_turns_the_allowance_off(self):
         rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=0.0)
         assert not rows[0]["pass"]
@@ -615,7 +643,7 @@ class TestRoundingBound:
 
 def dense_tuple(shift, basis):
     """T_1..T_m as dense dim x dim matrices: zeros with the weights scattered
-    by ``basis.up``, built independently of the level blocks."""
+    by ``basis.up``, built independently of the one-entry-per-column form."""
     mats = []
     for j in range(1, shift.m + 1):
         mat = np.zeros((basis.dimension, basis.dimension))
@@ -629,24 +657,25 @@ class TestLevelBlocks:
     @pytest.mark.parametrize("m,N", VERIFY_SIZES)
     def test_blocks_equal_dense_products_bit_for_bit(self, m, N):
         # each entry of these products has at most one nonzero term, so the
-        # level blocks must give exactly the floats of the dense products
+        # one-entry-per-column form must give exactly the floats of the
+        # dense products
         basis = build_basis(m, N)
         for label, seq in default_suite(m):
             shift = SphericalShift(m, seq)
             ts, dense = build_tuple_matrices(shift, basis), dense_tuple(shift, basis)
-            stop = basis.level_slice(N - 1).stop
+            stop = basis.bounds[N]
             for j in range(m):
                 for l in range(m):
                     c = commutator(ts[j].adjoint(), ts[l])
                     want = dense[j].T @ dense[l] - dense[l] @ dense[j].T
-                    assert len(c.blocks) == N, (label, j, l)
+                    assert c.known == N, (label, j, l)
                     assert np.array_equal(c.matrix[:stop, :stop], want[:stop, :stop]), (label, j, l)
             x = np.eye(basis.dimension)
             for s, power in enumerate(truncation.q_powers(ts, 3)):
                 if s:
                     x = sum(t.T @ x @ t for t in dense)
-                stop = basis.level_slice(N - s).stop
-                assert len(power.blocks) == N - s + 1, (label, s)
+                stop = basis.bounds[N - s + 1]
+                assert power.known == N - s + 1, (label, s)
                 assert np.array_equal(power.matrix[:stop, :stop], x[:stop, :stop]), (label, s)
 
     def test_oracle_holds_no_dense_matrix(self):
@@ -677,3 +706,23 @@ class TestLevelBlocks:
         untouched = dataclasses.replace(basis, up=basis.up.copy())
         assert np.array_equal(build_shift_matrix(shift, 1, untouched).matrix,
                               dense_tuple(shift, basis)[0])
+
+    def test_two_columns_sent_to_one_row_are_refused(self):
+        # a target on the next level passes the builder, but T_1* would then
+        # hold two entries in one column, which the form cannot hold
+        basis = build_basis(2, 4)
+        shift = SphericalShift(2, HpSpace(2, 3))
+        up = basis.up.copy()
+        up[0, basis.rows[(0, 2)]] = basis.rows[(2, 1)]  # where T_1 sends (1, 1)
+        tampered = dataclasses.replace(basis, up=up)
+        t1 = build_shift_matrix(shift, 1, tampered)
+        with pytest.raises(StructuralAssumptionError, match="two entries in column"):
+            t1.adjoint()
+        with pytest.raises(StructuralAssumptionError):
+            oracle_suite(shift, 4, basis=tampered)
+
+    def test_terms_on_different_rows_are_refused(self):
+        basis = build_basis(2, 4)
+        t1, t2 = build_tuple_matrices(SphericalShift(2, HpSpace(2, 3)), basis)
+        with pytest.raises(StructuralAssumptionError, match="different rows in one column"):
+            truncation._sum([t1, t2], (1, 1), "T_1 + T_2")
