@@ -180,6 +180,17 @@ def _normalized(x):
     return np.ldexp(x, -e), e
 
 
+def _bands(lo, stop, exponent):
+    """The tilted FFT bands [lo, hi) that cover lo..stop-1, each with its
+    FFT size: hi/lo = 1 + min(1, 3/sqrt(exponent)), and the size a power of
+    two >= 2*hi - 1 - lo, so that no wrapped-around term reaches [lo, hi)."""
+    ratio = 1.0 + min(1.0, 3.0 / math.sqrt(exponent))
+    while lo < stop:
+        hi = min(stop, math.ceil(lo * ratio))
+        yield lo, hi, 1 << (2 * hi - lo - 2).bit_length()
+        lo = hi
+
+
 def _cross_pair_sums(n, m, p):
     """Pair sums at offset 1 of levels 1..n: entry l is sum_{i+j=l} a[i] w[j],
     a[i] = (i+1)^(p/2) and w the pair weights.
@@ -207,19 +218,13 @@ def _cross_pair_sums(n, m, p):
     with np.errstate(over="ignore"):
         out[:base] = (np.tril(w[np.abs(lag)]) * a[:base]).sum(axis=1)
     exponent = p + m - 1
-    ratio = 1.0 + min(1.0, 3.0 / math.sqrt(exponent))
-    lo = base
-    while lo < finite:
-        hi = min(finite, math.ceil(lo * ratio))
+    for lo, hi, size in _bands(base, finite, exponent):
         tilt = math.exp(-exponent / hi) ** np.arange(hi)
         at, ea = _normalized(a[:hi] * tilt)
         wt, ew = _normalized(w[:hi] * tilt)
-        # a power of two >= 2*hi - 1 - lo: no wrapped-around term reaches [lo, hi)
-        size = 1 << (2 * hi - lo - 2).bit_length()
         conv = np.fft.irfft(np.fft.rfft(at, size) * np.fft.rfft(wt, size), size)
         with np.errstate(over="ignore"):
             out[lo:hi] = np.ldexp(conv[lo:hi] / tilt[lo:hi], ea + ew)
-        lo = hi
     return out
 
 
@@ -235,23 +240,17 @@ def _log_cross_pair_sums(n, m, p, lo):
     lw = la
     for _ in range(m - 2):
         lw = np.logaddexp.accumulate(lw)
-    exponent = p + m - 1
-    ratio = 1.0 + min(1.0, 3.0 / math.sqrt(exponent))
-    start = lo
+    exponent, start = p + m - 1, lo
     out = np.empty(n - lo)
-    while lo < n:
-        hi = min(n, math.ceil(lo * ratio))
-        lam = exponent / hi
-        tilt = lam * np.arange(hi)
+    for lo, hi, size in _bands(start, n, exponent):
+        tilt = exponent / hi * np.arange(hi)
         ta = la[:hi] - tilt
         tw = lw[:hi] - tilt
         ca, cw = ta.max(), tw.max()
-        size = 1 << (2 * hi - lo - 2).bit_length()
         conv = np.fft.irfft(
             np.fft.rfft(np.exp(ta - ca), size) * np.fft.rfft(np.exp(tw - cw), size), size
         )
         out[lo - start : hi - start] = np.log(conv[lo:hi]) + tilt[lo:hi] + (ca + cw)
-        lo = hi
     return out
 
 

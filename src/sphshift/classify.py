@@ -25,7 +25,7 @@ from .scalarseq import (
     BoundednessReport,
     ScalarSequence,
 )
-from .spectra import essential_normality_gate, suspect_unbounded
+from .spectra import essential_normality_gate, quarter_sups, suspect_unbounded
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,11 @@ def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
     if seq.delta2_liminf is not None and seq.delta2_liminf > 0:
         return Verdict(False, "analytic", note="declared liminf of delta2 is positive")
     d2 = seq.delta2_array(K)
-    tail = d2[-max(1, K // 10):]
+    tail, sups = d2[-max(1, K // 10):], quarter_sups(d2)
     top, low, peak = float(np.max(tail)), float(np.min(tail)), float(np.max(d2))
-    sups = [float(np.max(q)) for q in np.array_split(d2, 4)]
-    if all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
+    if sups is None:
+        value, note = None, f"only {len(d2)} samples of delta2, too few for 4 quarters: undecided"
+    elif all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
         value, note = True, f"quarter sups of delta2 fall, last/first = {sups[-1] / sups[0]:.3e}"
     elif low > 1e-3 * peak:
         value, note = False, f"tail min delta2 = {low:.3e} > 1e-3 * max = {peak:.3e}"
@@ -115,20 +116,13 @@ def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
 
 def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
     """delta2(k) - delta2(k-1) -> 0: all commutators compact."""
-    if seq.essentially_normal_declared is not None:
-        witness = None
-        if not seq.essentially_normal_declared:
-            b, a = seq.delta2_exact_array(1)
-            if a is not None and b is not None:
-                witness = (0, abs(a - b))
-        return Verdict(
-            bool(seq.essentially_normal_declared),
-            "analytic",
-            witness=witness,
-            note="declared by family",
-        )
-    gate = essential_normality_gate(seq, K, K // 10)
-    return Verdict(gate["value"], "sampled", horizon=K, note=gate["detail"])
+    gate, witness = essential_normality_gate(seq, K, K // 10), None
+    if gate["mode"] == "analytic" and not gate["value"]:  # a declared no: the exact first step
+        b, a = seq.delta2_exact_array(1)
+        if a is not None and b is not None:
+            witness = (0, abs(a - b))
+    return Verdict(gate["value"], gate["mode"], horizon=gate.get("horizon"), witness=witness,
+                   note=gate["detail"])
 
 
 def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:

@@ -114,10 +114,16 @@ def _richardson(js, log_vals) -> Optional[float]:
     return math.exp((j2 * a2 - j1 * a1) / (j2 - j1))
 
 
+def quarter_sups(d2: np.ndarray) -> Optional[list]:
+    """The sups of delta2 over the sample's four quarters; None below four samples."""
+    return [float(np.max(q)) for q in np.array_split(d2, 4)] if len(d2) >= 4 else None
+
+
 def suspect_unbounded(d2: np.ndarray) -> bool:
     """The one unboundedness heuristic: delta2 quarter sups rise, last > 2 x first."""
-    quarters = np.array_split(d2, 4)
-    sups = [float(np.max(q)) for q in quarters]
+    sups = quarter_sups(d2)
+    if sups is None:
+        return False
     return all(b > a for a, b in zip(sups, sups[1:])) and sups[-1] > 2.0 * sups[0]
 
 

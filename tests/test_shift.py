@@ -148,7 +148,7 @@ class TestQDiagonal:
             for k in range(4):
                 for s in range(4):
                     e = np.zeros(basis.dimension)
-                    e[basis.rows[(k,)]] = 1.0
+                    e[basis.rows_of([(k,)])[0]] = 1.0
                     v = e
                     for _ in range(s):
                         v = t @ v

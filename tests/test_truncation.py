@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +37,11 @@ VERIFY_SIZES = [(2, 8), (2, 10), (2, 12), (2, 14), (3, 6), (3, 7), (4, 4), (4, 5
 
 def szego(m=2):
     return SphericalShift(m, HpSpace(m, m))
+
+
+def row(basis, n):
+    """The row of the multi-index n."""
+    return int(basis.rows_of([n])[0])
 
 
 class TestBasis:
@@ -75,8 +81,24 @@ class TestBasis:
 
     def test_index_map_bijective(self):
         basis = build_basis(3, 6)
-        seen = {basis.rows[n] for n in basis.indices}
+        seen = {row(basis, n) for k in range(7) for n in enumerate_level(3, k)}
         assert seen == set(range(basis.dimension))
+
+    @pytest.mark.parametrize("m,N", [(1, 30), (2, 14), (3, 8), (8, 10), (12, 3)])
+    def test_rank_is_the_enumeration_order(self, m, N):
+        # m = 12 is an arity only the Python API reaches
+        basis = build_basis(m, N)
+        order = [n for k in range(N + 1) for n in enumerate_level(m, k)]
+        rows = {n: c for c, n in enumerate(order)}
+        assert np.array_equal(basis.rows_of(basis.exponents), np.arange(basis.dimension))
+        assert np.array_equal(basis.rows_of(order), np.arange(basis.dimension))
+        up = [[rows[add_unit(n, j)] if sum(n) < N else -1 for n in order] for j in range(1, m + 1)]
+        assert np.array_equal(basis.up, up)
+        too_high = (0,) * (m - 1) + (N + 1,)
+        negative = (-1,) if m == 1 else (-1, 1) + (0,) * (m - 2)
+        for bad in (too_high, negative):
+            with pytest.raises(KeyError, match=re.escape(f"{bad} lies outside |n| <= {N}")):
+                basis.rows_of([order[-1], bad])
 
     def test_level_slices_partition(self):
         basis = build_basis(2, 5)
@@ -84,7 +106,7 @@ class TestBasis:
         for k in range(6):
             start, stop = basis.bounds[k], basis.bounds[k + 1]
             covered.extend(range(start, stop))
-            assert all(sum(basis.indices[i]) == k for i in range(start, stop))
+            assert all(sum(basis.exponents[i]) == k for i in range(start, stop))
         assert covered == list(range(basis.dimension))
 
 
@@ -93,7 +115,7 @@ class TestShiftMatrix:
         basis = build_basis(2, 1)
         t1 = build_shift_matrix(szego(), 1, basis).matrix
         expected = np.zeros((3, 3))
-        expected[basis.rows[(1, 0)], basis.rows[(0, 0)]] = math.sqrt(0.5)
+        expected[row(basis, (1, 0)), row(basis, (0, 0))] = math.sqrt(0.5)
         np.testing.assert_allclose(t1, expected)
 
     def test_n0_everything_truncated(self):
@@ -108,7 +130,7 @@ class TestShiftMatrix:
             s = SphericalShift(2, seq)
             ts = build_tuple_matrices(s, basis)
             total = sum(t.matrix ** 2 for t in ts)
-            for col, n in enumerate(basis.indices):
+            for col, n in enumerate(basis.exponents.tolist()):
                 if sum(n) < N:
                     assert total[:, col].sum() == pytest.approx(
                         delta2_float(seq, sum(n)), rel=1e-13
@@ -123,9 +145,9 @@ class TestShiftMatrix:
             for j in range(1, m + 1):
                 mat = build_shift_matrix(s, j, basis).matrix
                 expected = np.zeros_like(mat)
-                for col, n in enumerate(basis.indices):
+                for col, n in enumerate(basis.exponents.tolist()):
                     if sum(n) < N:
-                        expected[basis.rows[add_unit(n, j)], col] = s.weight(j, n)
+                        expected[row(basis, add_unit(n, j)), col] = s.weight(j, n)
                 assert np.array_equal(mat, expected), (label, j)
 
 
@@ -167,7 +189,7 @@ class TestQPower:
         for label, seq in suite_m2:
             ts = build_tuple_matrices(SphericalShift(2, seq), basis)
             q1 = q_power_bruteforce(ts, 1).matrix
-            for col, n in enumerate(basis.indices):
+            for col, n in enumerate(basis.exponents.tolist()):
                 if sum(n) <= N - 1:
                     assert q1[col, col] == pytest.approx(delta2_float(seq, sum(n)), rel=1e-13), label
 
@@ -255,8 +277,8 @@ class TestCompareClosedForm:
         def perturbed(shift, kind, basis, kmax):
             rows, values = original(shift, kind, basis, kmax)
             if kind == planted:
-                col = basis.rows[n0]
-                want = basis.rows[(0, 2, 1)] if kind[0] == "cross_comm" else col
+                col = row(basis, n0)
+                want = row(basis, (0, 2, 1)) if kind[0] == "cross_comm" else col
                 assert (col if rows is None else rows[col]) == want
                 values[col] += 1e-6
             return rows, values
@@ -434,7 +456,7 @@ def _per_key(basis, cols, keys, value):
     flat = np.ravel_multi_index(keys, (basis.N + 1,) * len(keys))
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     reps = cols[first]
-    return [value(basis.indices[c]) for c in reps], inverse, reps
+    return [value(tuple(basis.exponents[c].tolist())) for c in reps], inverse, reps
 
 
 def reference_expected_interior(shift, kind, basis, interior):
@@ -463,7 +485,7 @@ def reference_expected_interior(shift, kind, basis, interior):
         rows = np.where(src >= 0, basis.up[l - 1, src], -1)
         for rep, (_, target) in zip(reps, found):
             if target is not None:
-                rows[rep] = basis.rows[target]
+                rows[rep] = row(basis, target)
         hit = np.array([target is not None for _, target in found])[inverse] & (rows >= 0)
         coeffs = np.array([coeff for coeff, _ in found])[inverse]
         expected[rows[hit], cols[hit]] = coeffs[hit]
@@ -494,7 +516,7 @@ class TestLevelWiseForms:
                 assert np.array_equal(got, want), (label, kind)
             for j in range(1, m + 1):
                 cols = np.flatnonzero(basis.up[j - 1] >= 0)
-                want = [ref_weight(shift, j, basis.indices[c]) for c in cols]
+                want = [ref_weight(shift, j, tuple(basis.exponents[c].tolist())) for c in cols]
                 assert np.array_equal(shift.weights(j, basis.exponents[cols]), want), (label, j)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -625,7 +647,7 @@ class TestRoundingBound:
         def perturbed(shift, kind, basis, kmax):
             rows, values = original(shift, kind, basis, kmax)
             if kind == planted:
-                col = basis.rows[n0]
+                col = row(basis, n0)
                 assert values[col] != 0.0 and (rows is None or rows[col] >= 0)
                 values[col] *= 1 + 1e-6
             return rows, values
@@ -694,10 +716,10 @@ class TestLevelBlocks:
     def test_builder_refuses_a_target_outside_the_next_level(self):
         basis = build_basis(2, 4)
         shift = SphericalShift(2, HpSpace(2, 3))
-        col = basis.rows[(1, 1)]  # level 2, so T_1 must send it into level 3
-        for row in (basis.rows[(1, 0)], basis.rows[(4, 0)], -1):
+        col = row(basis, (1, 1))  # level 2, so T_1 must send it into level 3
+        for target in (row(basis, (1, 0)), row(basis, (4, 0)), -1):
             up = basis.up.copy()
-            up[0, col] = row
+            up[0, col] = target
             tampered = dataclasses.replace(basis, up=up)
             with pytest.raises(StructuralAssumptionError):
                 build_shift_matrix(shift, 1, tampered)
@@ -713,7 +735,7 @@ class TestLevelBlocks:
         basis = build_basis(2, 4)
         shift = SphericalShift(2, HpSpace(2, 3))
         up = basis.up.copy()
-        up[0, basis.rows[(0, 2)]] = basis.rows[(2, 1)]  # where T_1 sends (1, 1)
+        up[0, row(basis, (0, 2))] = row(basis, (2, 1))  # where T_1 sends (1, 1)
         tampered = dataclasses.replace(basis, up=up)
         t1 = build_shift_matrix(shift, 1, tampered)
         with pytest.raises(StructuralAssumptionError, match="two entries in column"):
