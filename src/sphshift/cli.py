@@ -349,10 +349,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .schatten import require_cross_arity
     from .shift import SphericalShift
     from .truncation import oracle_suite, suite_basis
 
-    basis = suite_basis(args.m, args.N)  # refuses a bad section before any stage runs
+    require_cross_arity(args.m)  # the cutoff stage's refusal, before any stage runs
+    basis = suite_basis(args.m, args.N)  # and the oracle's
     return _run_family(args, [
         ("spectrum", "spectrum",
          lambda seq: _spectrum(seq, args.m, args.K, args.J, window=None, plot_data=None)),

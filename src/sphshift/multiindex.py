@@ -1,30 +1,16 @@
-"""Exact multi-index combinatorics: fixed-degree levels and their counts.
+"""Multi-indices n in N^m, held as the rows of intp arrays, and the one
+order on them: graded-reverse-lex, by degree |n| and, within a degree,
+ascending in the reversed tuple (n_{m-1}, ..., n_0).
 
-All counting here is arbitrary-precision integer arithmetic; nothing in
-this module touches floating point.
+``level_count`` is exact integer arithmetic; ``enumerate_level`` lists a
+level in this order and ``rank`` gives each multi-index its place in it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
-
-class MultiIndex(tuple):
-    """An element of N^m: a tuple of non-negative integers."""
-
-    def __new__(cls, components):
-        if isinstance(components, MultiIndex):
-            return components  # immutable and validated on construction
-        comps = tuple(int(c) for c in components)
-        if len(comps) < 1:
-            raise ValueError("multi-index needs arity m >= 1")
-        if any(c < 0 for c in comps):
-            raise ValueError(f"negative component in {comps}")
-        return super().__new__(cls, comps)
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{tuple(self)!r}"
+import numpy as np
 
 
 def level_count(m: int, k: int) -> int:
@@ -36,25 +22,32 @@ def level_count(m: int, k: int) -> int:
     return math.comb(k + m - 1, m - 1)
 
 
-def _grevlex_key(n):
-    # Graded-reverse-lex descending within a fixed degree is ascending
-    # order of the reversed tuple.
-    return tuple(reversed(n))
+def enumerate_level(m: int, k: int) -> np.ndarray:
+    """Every n in N^m with |n| = k, once each, as the rows of a
+    (level_count(m, k), m) intp array in graded-reverse-lex order: by the
+    last coordinate t = 0..k, each t followed by the level k - t of the
+    first m - 1 coordinates in the same order."""
+    level_count(m, k)  # refuses m < 1 and k < 0
+    # levels[j]: the level j of the first i coordinates, for i = 1..m
+    levels = list(np.arange(k + 1, dtype=np.intp).reshape(k + 1, 1, 1))
+    for i in range(2, m + 1):
+        tops = range(k + 1) if i < m else [k]  # the last pass needs only level k
+        leads = [np.concatenate(levels[j::-1]) for j in tops]  # t = 0..j: level j - t
+        levels = [np.column_stack((lead, j - lead.sum(axis=1))) for j, lead in zip(tops, leads)]
+    return levels[-1]
 
 
-def enumerate_level(m: int, k: int) -> tuple:
-    """Every n in N^m with |n| = k, once each, as a tuple of MultiIndex in
-    graded-reverse-lex order."""
-    if m < 1:
-        raise ValueError("arity m must be >= 1")
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    # Place k balls into m slots: choose slot for each of k units with repetition.
-    out = []
-    for combo in combinations_with_replacement(range(m), k):
-        comps = [0] * m
-        for slot in combo:
-            comps[slot] += 1
-        out.append(MultiIndex(comps))
-    out.sort(key=_grevlex_key)
-    return tuple(out)
+def rank(exps) -> np.ndarray:
+    """The place of each row n of ``exps`` in the graded-reverse-lex order
+    of N^m: the C(|n|+m-1, m) multi-indices of lower degree, plus
+    sum_{i=1..m-1} C(r_i+i, i) - C(r_{i-1}+i, i) with r_i = n_0 + ... + n_i,
+    the ones before n in its level. Entries must be non-negative."""
+    exps = np.asarray(exps, dtype=np.intp)
+    r = np.cumsum(exps, axis=1)
+    within = np.zeros(len(exps), dtype=np.intp)
+    comb = np.ones(int(r.max(initial=0)) + 1, dtype=np.intp)
+    for i in range(1, exps.shape[1]):
+        comb = np.cumsum(comb)  # comb[t] = C(t + i, i)
+        within += comb[r[:, i]] - comb[r[:, i - 1]]
+    lower = np.concatenate(([0], np.cumsum(comb)))  # lower[d] = C(d + m - 1, m)
+    return lower[r[:, -1]] + within

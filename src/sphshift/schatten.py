@@ -56,7 +56,8 @@ class SchattenVerdict:
     cutoff_consistent: Optional[bool] = None
 
 
-def _require_m(m: int) -> None:
+def require_cross_arity(m: int) -> None:
+    """Refuses an arity below 2, which has no cross-commutators."""
     if m < 2:
         raise ValueError("cross-commutator analysis needs arity m >= 2")
 
@@ -69,7 +70,7 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int
     A delta2 or a difference whose p-th power leaves the float range gives
     an inf term, which the partial sums report as "inf".
     """
-    _require_m(m)
+    require_cross_arity(m)
     d2 = seq.delta2_array(K)
     out = []
     for s in series:
@@ -133,7 +134,7 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
     slopes is _tail_slopes(seq, K), for a caller that decides several
     exponents at one K; it is computed here when not given.
     """
-    _require_m(m)
+    require_cross_arity(m)
     check_arity(seq, m)
     if p != math.inf and p < 1:
         raise ValueError("Schatten exponent p must satisfy 1 <= p <= inf")
@@ -229,7 +230,7 @@ def closed_form_level_sums(
     singular values are the absolute coefficients. Levels are reduced with
     composition counts, never enumerated.
     """
-    _require_m(shift.m)
+    require_cross_arity(shift.m)
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("Schatten exponent p must be finite and >= 1")
     if kmax < 0:
@@ -265,7 +266,7 @@ def cutoff_check(
     partial sum; the report's grid lists the distinct exponents in
     increasing order.
     """
-    _require_m(m)
+    require_cross_arity(m)
     if not p_grid:
         raise ValueError("p grid must be non-empty")
     grid = sorted({float(p) for p in p_grid})
@@ -304,7 +305,7 @@ def asymptotic_lemma_check(
     Each window must stay positive with max/min <= window_bound. A p for
     which k^(p+m-1) leaves the float range on the k-range is refused.
     """
-    _require_m(m)
+    require_cross_arity(m)
     if not (math.isfinite(p) and p >= 0):
         raise ValueError(f"need a finite p >= 0, got {p}")
     lo, hi = k_range

@@ -7,12 +7,13 @@ only through its degree |n| and one or two of its coordinates.
 
 Each closed form is written once, as a level-wise form: ``weights``,
 ``self_comm_coeffs`` and ``cross_comm_coeffs`` take an integer array of
-multi-indices (one per row), ``q_diags`` and ``bq_diags`` an array of
-degrees, and each evaluates its formula once per distinct degree level and
-broadcasts it with numpy. The per-index methods ``weight``, ``q_diag``,
-``bq_diag``, ``self_comm_coeff`` and ``cross_comm_coeff`` are one-row views
-of these forms. They stay because the benchmark's tracer
-(``perfbench/tracer.py``) wraps each of them to count its calls.
+multi-indices (one per row, m wide, no negative entry), ``q_diags`` and
+``bq_diags`` an array of degrees, and each evaluates its formula once per
+distinct degree level and broadcasts it with numpy. The per-index methods
+``weight``, ``q_diag``, ``bq_diag``, ``self_comm_coeff`` and
+``cross_comm_coeff`` are one-row views of these forms. They stay because
+the benchmark's tracer (``perfbench/tracer.py``) wraps each of them to
+count its calls.
 
 Each level-wise form reads the sequence's float and exact delta2
 snapshots once, through the highest level it needs, and keeps nothing
@@ -33,7 +34,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .multiindex import MultiIndex
 from .scalarseq import ScalarSequence, check_arity
 
 
@@ -44,15 +44,15 @@ def _by_level(levels, value, *data, coord=None) -> np.ndarray:
     levels = np.asarray(levels, dtype=np.intp)
     if levels.size == 0:
         return np.zeros(0)
-    distinct = sorted(set(levels.tolist()))
-    per_level = [value(k, *data) for k in distinct]
+    distinct = np.flatnonzero(np.bincount(levels))
+    per_level = [value(k, *data) for k in distinct.tolist()]
     if coord is None:
         table = np.zeros(distinct[-1] + 1)
         table[distinct] = per_level
         return table[levels]
     starts = np.zeros(distinct[-1] + 1, dtype=np.intp)
     starts[distinct] = np.cumsum([0] + [len(v) for v in per_level[:-1]])
-    return np.array([x for v in per_level for x in v], dtype=np.float64)[starts[levels] + coord]
+    return np.concatenate(per_level, dtype=np.float64)[starts[levels] + coord]
 
 
 def _top(levels: np.ndarray, reach: int) -> int:
@@ -137,12 +137,20 @@ class SphericalShift:
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range for arity {self.m}")
 
+    def _exps(self, exps) -> np.ndarray:
+        """``exps`` as an intp array, refusing one not m wide or with a negative entry."""
+        exps = np.asarray(exps, dtype=np.intp)
+        if exps.ndim != 2 or exps.shape[1] != self.m or (exps < 0).any():
+            raise ValueError(f"multi-indices of arity {self.m} must be the rows of a "
+                             f"(count, {self.m}) array with no negative entry")
+        return exps
+
     # -- level-wise forms ---------------------------------------------------
 
     def weights(self, i: int, exps) -> np.ndarray:
         """w_i(n) for each row n of the integer array ``exps``."""
         self._check_axis(i)
-        exps = np.asarray(exps, dtype=np.intp)
+        exps = self._exps(exps)
         levels = exps.sum(axis=1)
         d2 = self.seq.delta2_array(_top(levels, 0))[levels]
         return np.sqrt(d2 * (exps[:, i - 1] + 1) / (levels + self.m))
@@ -164,7 +172,7 @@ class SphericalShift:
     def self_comm_coeffs(self, j: int, exps) -> np.ndarray:
         """Diagonal entry of [T_j*, T_j] at e_n for each row n of ``exps``."""
         self._check_axis(j)
-        exps = np.asarray(exps, dtype=np.intp)
+        exps = self._exps(exps)
         levels = exps.sum(axis=1)
         return _by_level(levels, self._self_row, *self._levels_data(levels), coord=exps[:, j - 1])
 
@@ -178,7 +186,7 @@ class SphericalShift:
             raise ValueError("cross-commutator needs distinct axes")
         self._check_axis(j)
         self._check_axis(l)
-        exps = np.asarray(exps, dtype=np.intp)
+        exps = self._exps(exps)
         nj, nl = exps[:, j - 1], exps[:, l - 1]
         absent = nj == 0
         levels = exps.sum(axis=1)
@@ -195,7 +203,7 @@ class SphericalShift:
 
     def weight(self, i: int, n) -> float:
         """w_i(n) > 0 for 1 <= i <= m."""
-        return float(self.weights(i, [MultiIndex(n)])[0])
+        return float(self.weights(i, [n])[0])
 
     def q_diag(self, k: int, s: int) -> float:
         """Eigenvalue of the s-th iterate of X -> sum_i T_i* X T_i applied to
@@ -212,16 +220,16 @@ class SphericalShift:
 
     def self_comm_coeff(self, j: int, n) -> float:
         """Diagonal entry of [T_j*, T_j] at e_n."""
-        return float(self.self_comm_coeffs(j, [MultiIndex(n)])[0])
+        return float(self.self_comm_coeffs(j, [n])[0])
 
-    def cross_comm_coeff(self, j: int, l: int, n) -> Tuple[float, Optional[MultiIndex]]:
+    def cross_comm_coeff(self, j: int, l: int, n) -> Tuple[float, Optional[tuple]]:
         """[T_j*, T_l] e_n = coeff * e_target; target None when n_j = 0.
 
         The n_j = 0 branch is the zero map and is reported as an absent
         target, never as a zero coefficient, so norm sums can skip
         structural zeros without counting them.
         """
-        coeffs, targets = self.cross_comm_coeffs(j, l, [MultiIndex(n)])
+        coeffs, targets = self.cross_comm_coeffs(j, l, [n])
         if targets[0, 0] < 0:
             return 0.0, None
-        return float(coeffs[0]), MultiIndex(targets[0].tolist())
+        return float(coeffs[0]), tuple(targets[0].tolist())

@@ -4,9 +4,10 @@ Each is a direct transcription of a definition, in exact Fractions where
 the family allows, and shares no code with the closed forms under test:
 gamma and its forward differences over the whole gamma list, delta2 as the
 rounded exact value, the jumps of the rho-eta recursion, multinomial
-coefficients, and monomial norms.
+coefficients, the graded-reverse-lex levels, and monomial norms.
 """
 
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -71,6 +72,14 @@ def beta_norm(shift, n) -> float:
     k, m = sum(n), shift.m
     logfac = math.lgamma(m) - math.lgamma(m + k) + sum(math.lgamma(c + 1) for c in n)
     return math.exp(shift.seq.log_bbeta_array(k)[k] + 0.5 * logfac)
+
+
+def grevlex_level(m: int, k: int) -> list:
+    """Every n in N^m with |n| = k as a tuple, in graded-reverse-lex order:
+    ascending in the reversed tuple. Each of the k units picks a slot."""
+    level = [tuple(slots.count(i) for i in range(m))
+             for slots in itertools.combinations_with_replacement(range(m), k)]
+    return sorted(level, key=lambda n: n[::-1])
 
 
 def add_unit(n, j: int) -> tuple:

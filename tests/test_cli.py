@@ -482,18 +482,22 @@ class TestErrors:
                                 f"{math.comb(N + m, m)} basis columns, beyond the oracle's "
                                 f"{truncation.ORACLE_COLUMNS}\n")
 
-    @pytest.mark.parametrize("m,N", [(2, 1), (8, 11)])
+    @pytest.mark.parametrize("m,N", [(2, 1), (8, 11), (1, 10)])
     def test_analyze_refuses_a_bad_section_before_any_stage(self, capsys, monkeypatch, m, N):
+        # verify refuses the same sections; m = 1, which verify accepts, is
+        # refused as cutoff refuses it
         stages = []
 
         def stage(*args, **kwargs):
             stages.append(args)
 
+        reference = (["verify", "--m", str(m), "--N", str(N)] if m > 1
+                     else ["cutoff", "--family", "bergman", "--m", str(m)])
+        assert main(reference) == 2
+        refused = capsys.readouterr().err
         for module, name in ((cli, "_spectrum"), (cli, "_cutoff"), (cli, "_classification"),
                              (truncation, "oracle_suite")):
             monkeypatch.setattr(module, name, stage)
-        assert main(["verify", "--m", str(m), "--N", str(N)]) == 2
-        refused = capsys.readouterr().err
         assert main(["analyze", "--family", "bergman", "--m", str(m), "--N", str(N)]) == 2
         captured = capsys.readouterr()
         assert stages == [] and captured.out == "" and captured.err == refused

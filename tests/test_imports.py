@@ -110,6 +110,37 @@ def test_scalar_requests_load_no_oracle(argv):
     assert not loaded & {"sphshift.truncation", "sphshift.multiindex"}
 
 
+def test_dump_sequence_loads_the_closed_forms_without_multiindex():
+    # the closed forms hold multi-indices as plain integer arrays
+    loaded = request_loads(["dump-sequence", "--family", "bergman", "--K", "10", "--Q", "2"])
+    assert "sphshift.shift" in loaded
+    assert not loaded & {"sphshift.truncation", "sphshift.multiindex"}
+
+
+def test_benchmark_tracer_binds_every_name_it_wraps():
+    # perfbench/tracer.py names library functions and methods by string, so
+    # a rename breaks its install; a traced verify also runs its hooks
+    code = ("import contextlib, io, tracer\n"
+            "from sphshift import cli, multiindex\n"
+            "original = multiindex.enumerate_level\n"
+            "tr = tracer.Tracer()\n"
+            "tr.install()\n"
+            "assert multiindex.enumerate_level is not original\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--m', '2', '--N', '3']) == 0\n"
+            "tr.restore()\n"
+            "assert multiindex.enumerate_level is original\n"
+            "metrics = tr.layer_metrics(1)\n"
+            "print(metrics['multiindex.enumerate_level.calls'], "
+            "metrics['truncation.dense_gflop_computed'] > 0)")
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(PYTHONPATH=os.pathsep.join([SRC, perfbench])),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "True"]
+
+
 @pytest.mark.parametrize("argv", [
     ["schatten", "--family", "bergman", "--p", "2.5", "--K", "2000"],
     ["cutoff", "--family", "bergman", "--K", "2000"],

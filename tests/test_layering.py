@@ -246,8 +246,7 @@ def test_to_dict_scan_catches_each_form():
 # README example and perfbench/reference.py import all have callers in src.
 UNCALLED_PUBLIC = {
     # bound by the benchmark's tracer, which times or counts each call
-    "perfbench/tracer.py": {"level_count", "q_power_bruteforce", "bq_bruteforce",
-                            "compare_with_closed_form",
+    "perfbench/tracer.py": {"q_power_bruteforce", "bq_bruteforce", "compare_with_closed_form",
                             "weight", "q_diag", "bq_diag", "self_comm_coeff",
                             "cross_comm_coeff", "q_isometry_order", "is_q_expansion",
                             "is_szego", "complete_hyperexpansion_up_to",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from exact_reference import add_unit, beta_norm, delta2_float, gamma_exact, nabla_gamma
-from sphshift.multiindex import MultiIndex, enumerate_level
+from sphshift.multiindex import enumerate_level
 from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated
 from sphshift.schatten import decide
 from sphshift.shift import SphericalShift
@@ -64,7 +64,7 @@ class TestBetaNorm:
     def test_weight_is_beta_ratio(self, suite_m2):
         for label, seq in suite_m2:
             s = SphericalShift(2, seq)
-            for n in (n for k in range(16) for n in enumerate_level(2, k)):
+            for n in (n for k in range(16) for n in enumerate_level(2, k).tolist()):
                 for i in (1, 2):
                     ratio = beta_norm(s, add_unit(n, i)) / beta_norm(s, n)
                     w = s.weight(i, n)
@@ -73,7 +73,7 @@ class TestBetaNorm:
     def test_weight_is_beta_ratio_m3(self, suite_m3):
         for label, seq in suite_m3:
             s = SphericalShift(3, seq)
-            for n in (n for k in range(16) for n in enumerate_level(3, k)):
+            for n in (n for k in range(16) for n in enumerate_level(3, k).tolist()):
                 for i in (1, 2, 3):
                     ratio = beta_norm(s, add_unit(n, i)) / beta_norm(s, n)
                     assert abs(s.weight(i, n) - ratio) <= 1e-12, (label, tuple(n))
@@ -84,7 +84,7 @@ class TestCommutationStructure:
         # w_j(n) w_k(n+e_j) = w_k(n) w_j(n+e_k)
         for label, seq in suite_m2:
             s = SphericalShift(2, seq)
-            for n in (n for k in range(16) for n in enumerate_level(2, k)):
+            for n in (n for k in range(16) for n in enumerate_level(2, k).tolist()):
                 lhs = s.weight(1, n) * s.weight(2, add_unit(n, 1))
                 rhs = s.weight(2, n) * s.weight(1, add_unit(n, 2))
                 assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs), label
@@ -92,7 +92,7 @@ class TestCommutationStructure:
     def test_commutativity_relation_m3(self, suite_m3):
         for label, seq in suite_m3:
             s = SphericalShift(3, seq)
-            for n in (n for k in range(16) for n in enumerate_level(3, k)):
+            for n in (n for k in range(16) for n in enumerate_level(3, k).tolist()):
                 for j, l in ((1, 2), (1, 3), (2, 3)):
                     lhs = s.weight(j, n) * s.weight(l, add_unit(n, j))
                     rhs = s.weight(l, n) * s.weight(j, add_unit(n, l))
@@ -101,7 +101,7 @@ class TestCommutationStructure:
     def test_weight_square_sum_is_delta2(self, suite_m2):
         for label, seq in suite_m2:
             s = SphericalShift(2, seq)
-            for n in (n for k in range(12) for n in enumerate_level(2, k)):
+            for n in (n for k in range(12) for n in enumerate_level(2, k).tolist()):
                 total = sum(s.weight(i, n) ** 2 for i in (1, 2))
                 assert total == pytest.approx(delta2_float(seq, sum(n)), rel=1e-13), label
 
@@ -204,7 +204,7 @@ class TestCommutatorCoefficients:
     def test_self_zero_branch(self, suite_m2):
         for label, seq in suite_m2:
             s = SphericalShift(2, seq)
-            n = MultiIndex((0, 3))
+            n = (0, 3)
             expect = delta2_float(seq, 3) / (3 + 2)
             assert s.self_comm_coeff(1, n) == pytest.approx(expect, rel=1e-13), label
 
@@ -221,11 +221,34 @@ class TestCommutatorCoefficients:
     def test_cross_szego_m3(self):
         coeff, target = szego(3).cross_comm_coeff(1, 3, (1, 1, 0))
         assert coeff == pytest.approx(-1 / 20, rel=1e-14)
-        assert tuple(target) == (0, 1, 1)
+        assert type(target) is tuple and target == (0, 1, 1)
 
     def test_cross_same_axis_rejected(self):
         with pytest.raises(ValueError):
             szego().cross_comm_coeff(1, 1, (1, 0))
+
+
+class TestMultiIndexArrays:
+    """Every closed form taking multi-indices refuses, with a ValueError, an
+    array that is not m wide or holds a negative entry, in its level-wise
+    form and its one-row view alike."""
+
+    @pytest.mark.parametrize("bad", [[[1, -1]], [[-1, 2]], [[1, 2, 3]], [[1]], [1, 2],
+                                     [[[1, 2]]], [[0, 1], [2, -3]]])
+    def test_level_wise_forms_refuse(self, bad):
+        s = SphericalShift(2, HpSpace(2, 3))
+        for form in (lambda e: s.weights(1, e), lambda e: s.self_comm_coeffs(1, e),
+                     lambda e: s.cross_comm_coeffs(1, 2, e)):
+            with pytest.raises(ValueError, match="multi-indices of arity 2"):
+                form(bad)
+
+    @pytest.mark.parametrize("bad", [(1, -1), (-1, 2), (1, 2, 3), (1,), ()])
+    def test_one_row_views_refuse(self, bad):
+        s = SphericalShift(2, HpSpace(2, 3))
+        for view in (lambda n: s.weight(1, n), lambda n: s.self_comm_coeff(1, n),
+                     lambda n: s.cross_comm_coeff(1, 2, n)):
+            with pytest.raises(ValueError, match="multi-indices of arity 2"):
+                view(bad)
 
 
 def test_degenerate_arity_one_is_classical_shift():
