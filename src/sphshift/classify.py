@@ -264,6 +264,14 @@ class Classification:
     subnormal: dict = field(default_factory=dict)
 
 
+def require_classification_orders(P: int, Q: int, K: int) -> None:
+    """Refuses a subnormality order P, a largest expansion order Q or an
+    exact horizon K below 1."""
+    for name, value in (("the largest order Q", Q), ("P", P), ("K", K)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def classification(
     seq: ScalarSequence,
     P: int = DEFAULT_P,
@@ -274,9 +282,9 @@ def classification(
     """Run the whole battery on one sequence. One pass of local defects
     decides the isometry order, the expansions and Szego; subnormality
     makes its own pass, over delta2 / sup delta2."""
-    for name, value in (("the largest order Q", Q), ("P", P), ("K", K), ("horizon", horizon)):
-        if value < 1:  # before any array is built
-            raise ValueError(f"{name} must be >= 1")
+    require_classification_orders(P, Q, K)  # before any array is built
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     defects = list(_local_defects(seq, Q, K))
     order, order_mode = _isometry_order(defects)
     q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects}

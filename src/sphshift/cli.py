@@ -349,11 +349,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .classify import require_classification_orders
     from .schatten import require_cross_arity
     from .shift import SphericalShift
     from .truncation import oracle_suite, suite_basis
 
     require_cross_arity(args.m)  # the cutoff stage's refusal, before any stage runs
+    require_classification_orders(args.P, args.Q, args.K_exact)  # the classification's
     basis = suite_basis(args.m, args.N)  # and the oracle's
     return _run_family(args, [
         ("spectrum", "spectrum",

@@ -103,6 +103,7 @@ class ScalarSequence:
     monotone_nondecreasing: Optional[bool] = None   # delta_k nondecreasing
     essentially_normal_declared: Optional[bool] = None
     diff_decay_ck: Optional[bool] = None       # |delta2(k) - delta2(k-1)| <= C/k
+    schatten_divergence: Optional[str] = None  # why no S_p, p < inf, holds the cross-commutators
 
     def __init__(self):
         self._d2 = np.zeros(0)
@@ -215,15 +216,6 @@ class ScalarSequence:
     def scale(self, c) -> "ScaledSequence":
         """The sequence with every weight multiplied by c > 0."""
         return ScaledSequence(self, c)
-
-    # -- hooks -------------------------------------------------------------
-
-    def schatten_override(self, m: int, p: float):
-        """Family-supplied analytic Schatten verdict; None = no claim.
-
-        Returns (verdict, reason) with verdict in {"converges", "diverges"}.
-        """
-        return None
 
     def params(self) -> dict:
         return {}
@@ -446,6 +438,8 @@ class RhoEta(ScalarSequence):
     monotone_nondecreasing = True
     essentially_normal_declared = True
     diff_decay_ck = False
+    schatten_divergence = ("difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
+                           "unbounded along k = 2^(2^l) + 1")
 
     def delta2_exact(self, k: int) -> Fraction:
         # 1 + sum of 2^(-l) over the jumps 2^(2^l) <= k - 1, which is
@@ -466,12 +460,6 @@ class RhoEta(ScalarSequence):
 
     def sup_delta2(self) -> Fraction:
         return Fraction(3)
-
-    def schatten_override(self, m: int, p: float):
-        if math.isinf(p):
-            return None
-        return "diverges", ("difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
-                            "unbounded along k = 2^(2^l) + 1")
 
 
 class Tabulated(ScalarSequence):
@@ -561,6 +549,9 @@ class ScaledSequence(ScalarSequence):
             setattr(self, attr, None if v is None else v * c2)
         for attr in ("monotone_nondecreasing", "essentially_normal_declared", "diff_decay_ck"):
             setattr(self, attr, getattr(base, attr))
+        if base.schatten_divergence is not None:
+            self.schatten_divergence = (f"the base sequence's reason, before the weights were "
+                                        f"scaled by c = {self.c}: {base.schatten_divergence}")
 
     def delta2_exact(self, k: int) -> Optional[Fraction]:
         c = _as_fraction(self.c)
@@ -576,14 +567,6 @@ class ScaledSequence(ScalarSequence):
         if isinstance(sup, Fraction) and c is not None:
             return c * c * sup
         return None if sup is None else float(sup) * self._c2
-
-    def schatten_override(self, m: int, p: float):
-        override = self.base.schatten_override(m, p)
-        if override is None:
-            return None
-        verdict, reason = override
-        return verdict, (f"the base sequence's reason, before the weights were "
-                         f"scaled by c = {self.c}: {reason}")
 
     def params(self):
         return {"base": self.base.describe(), "c": str(self.c)}

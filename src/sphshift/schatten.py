@@ -155,10 +155,9 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
     status1 = _kernels.series_verdict(slope1)
     status2 = b if slope2 is None else _kernels.series_verdict(slope2)
 
-    override = seq.schatten_override(m, p)
     analytic = True
-    if override is not None:
-        verdict, reason = override
+    if seq.schatten_divergence is not None:
+        verdict, reason = "diverges", seq.schatten_divergence
     elif seq.essentially_normal_declared is False:
         verdict = "diverges"
         reason = ("not essentially normal, so the cross-commutators are not compact, "

@@ -129,7 +129,10 @@ class SphericalShift:
 
     def _windows_data(self, levels, s: int):
         """The exact windows of orders 0..s from each level through
-        max(levels), and log bbeta through max(levels) + s."""
+        max(levels), and log bbeta through max(levels) + s; a negative
+        degree is refused."""
+        if levels.size and levels.min() < 0:
+            raise ValueError(f"degree {levels.min()} is negative; a degree |n| must be >= 0")
         top = _top(levels, s)
         return self.seq.exact_windows(top - s, s), self.seq.log_bbeta_array(top)
 

@@ -99,18 +99,14 @@ def _stabilized(seq_vals) -> bool:
     return max(tail) - min(tail) < STABLE_TOL
 
 
-def _richardson(js, log_vals) -> Optional[float]:
-    """1/j-extrapolation of the log-scale sequence from lags J/2 and J."""
-    if len(js) < 4:
+def _richardson(log_vals) -> Optional[float]:
+    """1/j-extrapolation of the log-scale sequence over lags j = 1..J from
+    lags J/2 and J."""
+    j2 = len(log_vals)
+    if j2 < 4:
         return None
-    j2 = js[-1]
-    half = j2 // 2
-    try:
-        idx1 = js.index(half)
-    except ValueError:
-        return None
-    a1, a2 = log_vals[idx1], log_vals[-1]
-    j1 = js[idx1]
+    j1 = j2 // 2
+    a1, a2 = log_vals[j1 - 1], log_vals[-1]
     return math.exp((j2 * a2 - j1 * a1) / (j2 - j1))
 
 
@@ -138,7 +134,7 @@ def _lag_scan_radius(seq: ScalarSequence, J: int, K: int, outer: bool) -> Radius
     logvals = (ext / js).tolist()
     vals = [math.exp(v) for v in logvals]
     est = RadiusEstimate(value=math.nan, mode="", j_grid=js, sequence=vals)
-    est.richardson = _richardson(js, logvals)
+    est.richardson = _richardson(logvals)
     if seq.delta2_limit is not None:
         est.value = math.sqrt(seq.delta2_limit)
         est.mode = "analytic"

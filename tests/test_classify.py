@@ -355,7 +355,7 @@ def test_scaling_keeps_every_scale_free_verdict(seq):
     unscaled = _scale_invariant_verdicts(seq, 2)
     for c in (2, Fraction(1, 10 ** 100), 10 ** 100):
         assert _scale_invariant_verdicts(seq.scale(c), 2) == unscaled, c
-    if seq.schatten_override(2, 1.5) is not None:  # its reason names unscaled values
+    if seq.schatten_divergence is not None:  # its reason names unscaled values
         assert decide(seq.scale(2), 2, 1.5, K=10_000).reason.startswith(
             "the base sequence's reason, before the weights were scaled by c = 2: ")
 

@@ -482,23 +482,32 @@ class TestErrors:
                                 f"{math.comb(N + m, m)} basis columns, beyond the oracle's "
                                 f"{truncation.ORACLE_COLUMNS}\n")
 
-    @pytest.mark.parametrize("m,N", [(2, 1), (8, 11), (1, 10)])
-    def test_analyze_refuses_a_bad_section_before_any_stage(self, capsys, monkeypatch, m, N):
+    @pytest.mark.parametrize("flags,reference", [
         # verify refuses the same sections; m = 1, which verify accepts, is
-        # refused as cutoff refuses it
+        # refused as cutoff refuses it, and the classification's orders and
+        # exact horizon as classify refuses them
+        pytest.param(["--m", "2", "--N", "1"], ["verify", "--m", "2", "--N", "1"], id="2-1"),
+        pytest.param(["--m", "8", "--N", "11"], ["verify", "--m", "8", "--N", "11"], id="8-11"),
+        pytest.param(["--m", "1", "--N", "10"], ["cutoff", "--family", "bergman", "--m", "1"],
+                     id="1-10"),
+        pytest.param(["--P", "0"], ["classify", "--family", "bergman", "--P", "0"], id="P-0"),
+        pytest.param(["--Q", "0"], ["classify", "--family", "bergman", "--Q", "0"], id="Q-0"),
+        pytest.param(["--K-exact", "0"], ["classify", "--family", "bergman", "--K", "0"],
+                     id="K-exact-0"),
+    ])
+    def test_analyze_refuses_a_bad_section_before_any_stage(self, capsys, monkeypatch,
+                                                            flags, reference):
         stages = []
 
         def stage(*args, **kwargs):
             stages.append(args)
 
-        reference = (["verify", "--m", str(m), "--N", str(N)] if m > 1
-                     else ["cutoff", "--family", "bergman", "--m", str(m)])
         assert main(reference) == 2
         refused = capsys.readouterr().err
         for module, name in ((cli, "_spectrum"), (cli, "_cutoff"), (cli, "_classification"),
                              (truncation, "oracle_suite")):
             monkeypatch.setattr(module, name, stage)
-        assert main(["analyze", "--family", "bergman", "--m", str(m), "--N", str(N)]) == 2
+        assert main(["analyze", "--family", "bergman", *flags]) == 2
         captured = capsys.readouterr()
         assert stages == [] and captured.out == "" and captured.err == refused
 

@@ -99,6 +99,22 @@ class TestRhoEta:
         arr = seq.delta2_array(300)
         assert all(arr[k] == float(seq.delta2_exact(k)) for k in range(301))
 
+    def test_declares_why_no_schatten_class_holds_it(self):
+        # the only family that states a divergence reason; scaling keeps it
+        # behind one prefix per scaling, the outermost first
+        reason = ("difference-series terms k^(m-1)|delta2(k)-delta2(k-1)|^p are "
+                  "unbounded along k = 2^(2^l) + 1")
+        prefix = "the base sequence's reason, before the weights were scaled by c = {}: "
+        assert RhoEta().schatten_divergence == reason
+        assert RhoEta().scale(2).schatten_divergence == prefix.format(2) + reason
+        assert (RhoEta().scale(2).scale(3).schatten_divergence
+                == prefix.format(3) + prefix.format(2) + reason)
+        for m in (2, 3):
+            for label, seq in default_suite(m):
+                if label != "rho-eta":
+                    assert seq.schatten_divergence is None, label
+                    assert seq.scale(2).schatten_divergence is None, label
+
 
 class TestAlternatingTwelve:
     def test_delta2_alternates(self):

@@ -251,6 +251,13 @@ class TestMultiIndexArrays:
                 view(bad)
 
 
+@pytest.mark.parametrize("form", [lambda s: s.q_diags(1, [3, -1]), lambda s: s.bq_diags(2, [-2]),
+                                  lambda s: s.q_diag(-1, 1), lambda s: s.bq_diag(-1, 1)])
+def test_diagonal_forms_refuse_a_negative_degree(form):
+    with pytest.raises(ValueError, match=r"degree -\d is negative"):
+        form(SphericalShift(2, HpSpace(2, 3)))
+
+
 def test_degenerate_arity_one_is_classical_shift():
     seq = HpSpace(1, 3)
     s = SphericalShift(1, seq)
