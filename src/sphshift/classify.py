@@ -2,14 +2,15 @@
 
 Every verdict records its epistemic status: "analytic" when the family
 declares the fact, "exact" when rational arithmetic certified it over the
-stated horizon, "sampled" when only floating evidence exists. Definitive
-algebraic yes-answers (isometry orders, the constant-weight detection)
-require the exact path; floating families can only earn "consistent".
+stated horizon, "sampled" when only floating evidence exists. Every family
+holds exact delta2 (a float input at its binary value), so the defect,
+isometry, Szego, hyponormality and subnormality verdicts are all exact
+about the values the family holds; compactness, essential normality and
+boundedness read the float snapshot unless the family declares them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
@@ -37,11 +38,8 @@ class Verdict:
     note: str = ""
 
 
-_U = 2.0 ** -53  # unit roundoff of float64
-
-
-def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
-    """Yield (q, lead, tol, den) for q = 1..Q, each an array over k = 0..K.
+def _local_defects(seq: ScalarSequence, Q: int, K: int, scale: Optional[Fraction] = None):
+    """Yield (q, lead, den) for q = 1..Q, each an array over k = 0..K.
 
     The q-th forward difference of gamma is gamma(k) * L_q(k) with
     L_q(k) = sum_{s<=q} (-1)^(q-s) C(q,s) prod_{i<s} delta2(k+i), the
@@ -49,47 +47,28 @@ def _local_defects(seq: ScalarSequence, Q: int, K: int, scale=None):
     of L_q, which reads only the window delta2(k..k+q-1). With ``scale`` S,
     delta2 is divided by S, giving the differences of gamma(k) / S^k.
 
-    Exact delta2 (and S exact or absent) runs on Python ints: with
-    delta2(k) / S = alpha_k / beta_k from the sequence's exact values, the
-    recursion L_q(k) = (delta2(k)/S) L_{q-1}(k+1) - L_{q-1}(k) gives
+    It runs on Python ints: with delta2(k) / S = alpha_k / beta_k from the
+    sequence's exact values, the recursion
+    L_q(k) = (delta2(k)/S) L_{q-1}(k+1) - L_{q-1}(k) gives
     lead_q(k) = alpha_k lead_{q-1}(k+1) - beta_{k+q-1} lead_{q-1}(k) and
     den_q(k) = beta_k den_{q-1}(k+1) = prod_{i<q} beta_{k+i}, the window's
-    cleared, positive denominators, with lead = L_q * den and tol = 0.
-    Otherwise lead is L_q in float64, den is None, and |lead| <= tol, the
-    forward error bound 4(q+1) u sum_s C(q,s) P_s(k), counts as zero; an
-    overflowing bound decides nothing.
+    cleared, positive denominators, with lead = L_q * den: L_q(k) has the
+    sign of lead_q(k).
     """
-    if scale is None or isinstance(scale, Fraction):
-        num, den, ok = seq.exact_windows(K + Q - 1, 1)
-        if ok[1].all():  # every delta2 through K + Q - 1 is exact
-            Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
-            alpha, beta = num[1] * Sd, den[1] * Sn  # delta2(k) / S = alpha_k / beta_k
-            lead = den = np.ones(K + Q + 1, dtype=object)  # L_0 = 1 on k <= K + Q
-            for q in range(1, Q + 1):
-                n = K + Q + 1 - q  # L_q is needed on k <= K + Q - q
-                lead = alpha[:n] * lead[1: n + 1] - beta[q - 1: q - 1 + n] * lead[:n]
-                den = beta[:n] * den[1: n + 1]
-                yield q, lead[: K + 1], 0, den[: K + 1]
-            return
-    d2 = seq.delta2_array(K + Q - 1) / (1.0 if scale is None else float(scale))
-    prods = [np.ones(K + 1)]  # prod_{i<s} delta2(k+i) / S
+    num, den = seq.exact_windows(K + Q - 1, 1)
+    Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+    alpha, beta = num[1] * Sd, den[1] * Sn  # delta2(k) / S = alpha_k / beta_k
+    lead = den = np.ones(K + Q + 1, dtype=object)  # L_0 = 1 on k <= K + Q
     for q in range(1, Q + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            prods.append(prods[-1] * d2[q - 1: q + K])
-            terms = [(-1) ** (q - s) * math.comb(q, s) * prods[s] for s in range(q + 1)]
-            lead = sum(terms)
-            tol = 4 * (q + 1) * _U * sum(np.abs(t) for t in terms)
-        yield q, lead, np.where(np.isfinite(tol), tol, np.nan), None
+        n = K + Q + 1 - q  # L_q is needed on k <= K + Q - q
+        lead = alpha[:n] * lead[1: n + 1] - beta[q - 1: q - 1 + n] * lead[:n]
+        den = beta[:n] * den[1: n + 1]
+        yield q, lead[: K + 1], den[: K + 1]
 
 
 def _first(mask) -> Optional[int]:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else None
-
-
-def _local_value(lead, den, k: int):
-    """L_q(k): an exact Fraction, or a float on the float path."""
-    return float(lead[k]) if den is None else Fraction(lead[k], den[k])
 
 
 def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
@@ -119,8 +98,7 @@ def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Ve
     gate, witness = essential_normality_gate(seq, K, K // 10), None
     if gate["mode"] == "analytic" and not gate["value"]:  # a declared no: the exact first step
         b, a = seq.delta2_exact_array(1)
-        if a is not None and b is not None:
-            witness = (0, abs(a - b))
+        witness = (0, abs(a - b))
     return Verdict(gate["value"], gate["mode"], horizon=gate.get("horizon"), witness=witness,
                    note=gate["detail"])
 
@@ -132,42 +110,32 @@ def is_hyponormal(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
     if seq.monotone_nondecreasing is True:
         return Verdict(True, "analytic", note="declared monotone nondecreasing")
     exact = seq.delta2_exact_array(K)
-    run = exact.index(None) if None in exact else K + 1  # the exact prefix
-    k = next((k for k in range(1, run) if exact[k] < exact[k - 1]), None)
+    k = next((k for k in range(1, K + 1) if exact[k] < exact[k - 1]), None)
     if k is not None:
         return Verdict(False, "exact", horizon=K, witness=(k - 1,),
                        note=f"delta2 drops from {exact[k - 1]} to {exact[k]} at k = {k - 1} -> {k}")
-    if run == K + 1:
-        return Verdict(True, "exact", horizon=K, note="no drop up to the horizon")
-    d2 = seq.delta2_array(K)
-    k = _first(np.diff(d2) < -4 * _U * (d2[:-1] + d2[1:]))  # a few ulps of the pair
-    if k is not None:
-        return Verdict(False, "sampled", horizon=K, witness=(k,))
-    return Verdict(True, "sampled", horizon=K, note="no drop up to the horizon")
+    return Verdict(True, "exact", horizon=K, note="no drop up to the horizon")
 
 
 def _isometry_order(defects) -> Tuple[Optional[int], str]:
     """(smallest q whose defect vanishes on the whole window, mode)."""
     if not defects:
         raise ValueError("the largest order Q must be >= 1")
-    q = next((q for q, lead, tol, _ in defects if np.all(np.abs(lead) <= tol)), None)
-    return q, "consistent-sampled" if defects[0][3] is None else "exact"
+    return next((q for q, lead, _ in defects if (lead == 0).all()), None), "exact"
 
 
-def _expansion(q, lead, tol, den, K: int) -> Verdict:
+def _expansion(q, lead, den, K: int) -> Verdict:
     """The order-q expansion verdict: (-1)^q L_q(k) <= 0 for all k <= K."""
-    mode = "sampled" if den is None else "exact"
-    k = _first((-1) ** q * lead > tol)
+    k = _first((-1) ** q * lead > 0)
     if k is not None:
-        return Verdict(False, mode, horizon=K, witness=(k, _local_value(lead, den, k)))
-    return Verdict(True, mode, horizon=K)
+        return Verdict(False, "exact", horizon=K, witness=(k, Fraction(lead[k], den[k])))
+    return Verdict(True, "exact", horizon=K)
 
 
-def _szego(q, lead, tol, den, K: int) -> Verdict:
+def _szego(q, lead, den, K: int) -> Verdict:
     """The order-1 (q = 1) verdict: L_1(k) = delta2(k) - 1 vanishes for all k <= K."""
-    k = _first(np.abs(lead) > tol)
-    mode = "sampled" if den is None else "exact"
-    return Verdict(k is None, mode, horizon=K, witness=None if k is None else (k,))
+    k = _first(lead != 0)
+    return Verdict(k is None, "exact", horizon=K, witness=None if k is None else (k,))
 
 
 def _expansion_depth(verdicts) -> int:
@@ -180,8 +148,7 @@ def q_isometry_order(
 ) -> Tuple[Optional[int], str]:
     """Smallest q <= Q with the q-th gamma differences all zero, k <= K.
 
-    Returns (order, mode). A definitive order needs the exact path; on
-    floats the answer is only "consistent" with being a q-isometry.
+    Returns (order, mode); the mode is "exact", since the windows are.
     """
     return _isometry_order(list(_local_defects(seq, Q, K)))
 
@@ -224,22 +191,19 @@ def subnormal_consistency(
                 f"{seq.name}: delta2 keeps growing over the probe horizon; "
                 "rescaling by sup delta is undefined for an unbounded sequence"
             )
-        # the exact value at the sampled maximum keeps exact data exact
-        at = int(np.argmax(probe))
-        exact_at = seq.delta2_exact_array(at)[at]
-        sup_val = float(probe[at]) if exact_at is None else exact_at
-        rescale_mode = "sampled"
+        at = int(np.argmax(probe))  # rescaled by the exact value at the sampled maximum
+        sup, rescale_mode = seq.delta2_exact_array(at)[at], "sampled"
     else:
-        sup_val, rescale_mode = sup, "exact" if isinstance(sup, Fraction) else "analytic"
+        rescale_mode = "exact"
 
     report = {"pass": True, "witness": None, "order": P, "horizon": K}
-    for p, lead, tol, den in _local_defects(seq, P, K, scale=sup_val):
-        k = _first((-1) ** p * lead < -tol)
+    for p, lead, den in _local_defects(seq, P, K, scale=sup):
+        k = _first((-1) ** p * lead < 0)
         if k is not None:
             report.update({"pass": False, "witness": (p, k),
-                           "witness_value": _local_value(lead, den, k)})
+                           "witness_value": Fraction(lead[k], den[k])})
             break
-    report.update({"mode": "sampled" if den is None else "exact", "rescale_mode": rescale_mode})
+    report.update({"mode": "exact", "rescale_mode": rescale_mode})
     return report
 
 

@@ -287,7 +287,7 @@ def cmd_dump_sequence(args) -> int:
         raise ValueError("--Q must be >= 0")
     seq = _family_from_args(args)
     shift = SphericalShift(args.m, seq)
-    logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # bq_diags reads through K + Q
+    logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # delta2 through K + Q - 1, as bq_diags
     d2 = seq.delta2_array(args.K).tolist()
     ks = range(args.K + 1)
     bq = [shift.bq_diags(q, ks).tolist() for q in range(1, args.Q + 1)]
@@ -350,11 +350,12 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .classify import require_classification_orders
-    from .schatten import require_cross_arity
+    from .schatten import require_cross_arity, require_exponents_and_horizon
     from .shift import SphericalShift
     from .truncation import oracle_suite, suite_basis
 
-    require_cross_arity(args.m)  # the cutoff stage's refusal, before any stage runs
+    require_cross_arity(args.m)  # the cutoff stage's refusals, before any stage runs
+    require_exponents_and_horizon(args.grid or (), args.K)
     require_classification_orders(args.P, args.Q, args.K_exact)  # the classification's
     basis = suite_basis(args.m, args.N)  # and the oracle's
     return _run_family(args, [

@@ -4,9 +4,11 @@ A sequence is defined by its squared weight ratios delta2(k) with the
 normalization log_bbeta(0) = 0 (everything downstream is scale-covariant,
 so the anchor is a pure convention); gamma(k) = exp(2 log_bbeta(k)) is the
 squared cumulative weight. Each family states delta2 once per kind: one
-float generator over a whole horizon, one exact rational evaluator per k
-(or None), and one sup. Asymptotic facts, derived from the coefficients of
-a rational delta2 (RationalDelta2) and declared by the other families, let
+float generator over a whole horizon, one exact rational evaluator per k,
+and one sup. Every number a family is given enters its exact values as a
+Fraction, a float at its exact binary value, so every delta2 and every
+known sup is exact. Asymptotic facts, derived from the coefficients of a
+rational delta2 (RationalDelta2) and declared by the other families, let
 analytic paths skip sampling; the rest falls back to sampled answers.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,13 +54,19 @@ class BoundednessReport:
     qualifier: str = ""
 
 
-def _as_fraction(x) -> Optional[Fraction]:
-    return Fraction(x) if isinstance(x, (int, Fraction)) else None
-
-
 def _to_number(x):
-    """Exact Fraction for int/str/Fraction input; floats stay float."""
+    """A parameter as given: a Fraction for int/str/Fraction input, a float
+    stays float."""
     return x if isinstance(x, float) else Fraction(x)
+
+
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction, a float at its exact binary value; ValueError naming
+    ``what`` when x is not a finite number."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} = {x} is not a finite number") from None
 
 
 def _float_square(c) -> float:
@@ -80,19 +88,21 @@ class ScalarSequence:
 
     * ``_delta2_values(kmax)``, the one float generator: delta2(0..kmax)
       as float64, called only by ``_ensure``;
-    * ``delta2_exact(k)``, the one exact evaluator: a Fraction, or None
-      when the family has no exact value at k;
-    * ``sup_delta2()``: a Fraction when the sup is certified exactly, a
-      float when only a float is known, None otherwise.
+    * ``delta2_exact(k)``, the one exact evaluator: always a Fraction;
+    * ``sup_delta2()``: the sup as a Fraction when the family knows it,
+      None otherwise.
 
     ``_ensure`` keeps the one float snapshot every array reader shares,
     grown to exactly the horizon asked for, and is the one place that
-    rejects a delta2 that is not finite and positive: ``delta2_array`` and
-    ``log_bbeta_array`` serve read-only views of it. ``delta2_exact_array``
-    keeps the one exact snapshot, the only reader of ``delta2_exact``
-    outside this module; ``exact_windows`` turns it into the integer window
-    products that ``shift`` and ``classify`` read. Instances are immutable
-    after construction; caches only grow and never change values.
+    rejects a float delta2 that is not finite and positive: ``delta2_array``
+    and ``log_bbeta_array`` serve read-only views of it. The exact values
+    take every input through ``_exact``, which refuses nan and infinities.
+    ``delta2_exact_array`` keeps the one exact snapshot and refuses a
+    delta2 that is not positive; it is the only reader of ``delta2_exact``
+    outside this module, and ``exact_windows`` turns it into
+    the integer window products that ``shift`` and ``classify`` read.
+    Instances are immutable after construction; caches only grow and never
+    change values.
     """
 
     name = "scalar-sequence"
@@ -115,10 +125,10 @@ class ScalarSequence:
     def _delta2_values(self, kmax: int) -> np.ndarray:
         raise NotImplementedError
 
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
-        return None
+    def delta2_exact(self, k: int) -> Fraction:
+        raise NotImplementedError
 
-    def sup_delta2(self) -> Union[Fraction, float, None]:
+    def sup_delta2(self) -> Optional[Fraction]:
         return None
 
     # -- the cached snapshots --------------------------------------------
@@ -143,37 +153,38 @@ class ScalarSequence:
         self._ensure(kmax)
         return self._d2[: max(kmax + 1, 0)]
 
-    def delta2_exact_array(self, kmax: int) -> Tuple[Optional[Fraction], ...]:
-        """delta2_exact(0..kmax) inclusive, each a Fraction or None.
+    def delta2_exact_array(self, kmax: int) -> Tuple[Fraction, ...]:
+        """delta2_exact(0..kmax) inclusive, each a positive Fraction.
 
         Exact values are per-k objects, so the snapshot grows by appending
         and evaluates each k once; read it once, at the largest k needed.
         """
         have = len(self._d2x)
         if have <= kmax:
-            self._d2x += tuple(self.delta2_exact(k) for k in range(have, kmax + 1))
+            new = tuple(self.delta2_exact(k) for k in range(have, kmax + 1))
+            bad = next((k for k, v in enumerate(new, have) if not v > 0), None)
+            if bad is not None:
+                raise ValueError(f"{self.name}: delta2({bad}) = {new[bad - have]} is not positive")
+            self._d2x += new
         return self._d2x[: max(kmax + 1, 0)]
 
     def exact_windows(self, kmax: int, smax: int):
         """The exact windows delta2(k)...delta2(k+s-1), k = 0..kmax, s = 0..smax.
 
-        Returns (num, den, ok), each a list over s of arrays over k: num and
-        den hold the products of the reduced numerators and denominators
-        over the window as Python ints, and ok is true where every delta2
-        in the window is exact (num and den mean nothing elsewhere). Reads
-        the exact snapshot once, through kmax + smax - 1.
+        Returns (num, den), each a list over s of arrays over k holding the
+        products of the reduced numerators and of the denominators over the
+        window as Python ints. Reads the exact snapshot once, through
+        kmax + smax - 1.
         """
         vals = self.delta2_exact_array(kmax + smax - 1)
         n = max(kmax + 1, 0)
-        exact = np.array([v is not None for v in vals], dtype=bool)
-        nums = np.array([1 if v is None else v.numerator for v in vals], dtype=object)
-        dens = np.array([1 if v is None else v.denominator for v in vals], dtype=object)
-        num, den, ok = [np.ones(n, dtype=object)], [np.ones(n, dtype=object)], [np.ones(n, bool)]
+        nums = np.array([v.numerator for v in vals], dtype=object)
+        dens = np.array([v.denominator for v in vals], dtype=object)
+        num, den = [np.ones(n, dtype=object)], [np.ones(n, dtype=object)]
         for s in range(1, smax + 1):
             num.append(num[-1] * nums[s - 1: s - 1 + n])
             den.append(den[-1] * dens[s - 1: s - 1 + n])
-            ok.append(ok[-1] & exact[s - 1: s - 1 + n])
-        return num, den, ok
+        return num, den
 
     def log_bbeta_array(self, kmax: int) -> np.ndarray:
         """log bbeta(0..kmax) inclusive, a read-only view.
@@ -267,7 +278,7 @@ def _times(a, b) -> list:
 
 def _integer_form(P, Q) -> tuple:
     """P and Q times one positive integer, as ints (a float at its exact value)."""
-    P, Q = [Fraction(c) for c in P], [Fraction(c) for c in Q]
+    P, Q = [_exact(c, "coefficient") for c in P], [_exact(c, "coefficient") for c in Q]
     scale = math.lcm(*(c.denominator for c in P + Q))
     return tuple(int(c * scale) for c in P), tuple(int(c * scale) for c in Q)
 
@@ -276,8 +287,8 @@ class RationalDelta2(ScalarSequence):
     """delta2(k) = P_i(k)/Q_i(k) with i = k mod T, T = len(branches).
 
     A branch (P, Q) lists coefficients from the constant term, the leading
-    one not 0: Fractions and ints, or floats from the Python API (then there
-    are no exact values). The facts are derived once, from exact values. A
+    one not 0: Fractions and ints, or floats from the Python API, each taken
+    at its exact value. The facts are derived once, from exact values. A
     finite limit L (a ratio of leading coefficients) shared by the branches
     is delta2_limit, each branch being L + O(1/k): essentially normal with
     O(1/k) steps. Else neither holds, nor monotonicity, and the least limit
@@ -290,7 +301,6 @@ class RationalDelta2(ScalarSequence):
     def __init__(self, branches):
         super().__init__()
         self.branches = tuple((tuple(P), tuple(Q)) for P, Q in branches)
-        self._exact = not any(isinstance(c, float) for P, Q in self.branches for c in P + Q)
         forms = self._forms = tuple(_integer_form(P, Q) for P, Q in self.branches)
         limits = [math.inf if len(P) > len(Q) else Fraction(P[-1], Q[-1]) if len(P) == len(Q)
                   else Fraction(0) for P, Q in forms]
@@ -313,11 +323,11 @@ class RationalDelta2(ScalarSequence):
         sup = max(limits) if all(len(P) == len(Q) == 1 for P, Q in forms) else None
         if len(forms) == 1 and steps[0] is not None:
             sup = limits[0] if steps[0] >= 0 else Fraction(forms[0][0][0], forms[0][1][0])
-        self._sup = None if sup in (None, math.inf) else sup if self._exact else float(sup)
+        self._sup = None if sup in (None, math.inf) else sup
 
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
+    def delta2_exact(self, k: int) -> Fraction:
         P, Q = self._forms[k % len(self._forms)]
-        return Fraction(_horner(P, k), _horner(Q, k)) if self._exact else None
+        return Fraction(_horner(P, k), _horner(Q, k))
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         T, out, k = len(self.branches), np.empty(kmax + 1), None
@@ -334,7 +344,7 @@ class RationalDelta2(ScalarSequence):
                 o /= _horner(Q, x, np.empty_like(o))
         return out
 
-    def sup_delta2(self) -> Union[Fraction, float, None]:
+    def sup_delta2(self) -> Optional[Fraction]:
         return self._sup
 
 
@@ -353,7 +363,7 @@ class HpSpace(RationalDelta2):
         self.p = _to_number(p)
         if not self.p > 0:
             raise ValueError("parameter p must be positive")
-        super().__init__([((self.m, 1), (self.p, 1))])
+        super().__init__([((self.m, 1), (_exact(self.p, "parameter p"), 1))])
 
     def params(self):
         return {"m": self.m, "p": str(self.p)}
@@ -369,7 +379,8 @@ class ConstantDelta(RationalDelta2):
         if not self.c > 0:
             raise ValueError("constant weight c must be positive")
         _float_square(self.c)
-        super().__init__([((self.c * self.c,), (1,))])
+        c = _exact(self.c, "weight c")
+        super().__init__([((c * c,), (1,))])
 
     def params(self):
         return {"c": str(self.c)}
@@ -388,7 +399,7 @@ class PolynomialGamma(RationalDelta2):
     name = "poly-gamma"
 
     def __init__(self, coefficients: Sequence):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_exact(c, "gamma coefficient") for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs or coeffs[-1] <= 0:
@@ -501,9 +512,9 @@ class Tabulated(ScalarSequence):
         raise TableRangeError(f"tabulated family has {len(self.values)} entries and no tail "
                               f"rule; cannot evaluate delta2({k})")
 
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
+    def delta2_exact(self, k: int) -> Fraction:
         v = self.values[k] if k < len(self.values) else self._tail_value(k)
-        return _as_fraction(v)
+        return _exact(v, f"{self.name}: delta2({k})")
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         n = len(self.values)
@@ -516,12 +527,10 @@ class Tabulated(ScalarSequence):
                 out[n:] = float(self._tail_value(n))
         return out
 
-    def sup_delta2(self) -> Union[Fraction, float, None]:
+    def sup_delta2(self) -> Optional[Fraction]:
         if self.tail != "hold" and not isinstance(self.tail, tuple):
             return None
-        vals = self.values + (self._tail_value(len(self.values)),)
-        top = max(vals)
-        return top if all(isinstance(v, Fraction) for v in vals) else float(top)
+        return max(self.delta2_exact_array(len(self.values)))  # the rows and the tail
 
     def params(self):
         tail = self.tail
@@ -542,6 +551,7 @@ class ScaledSequence(ScalarSequence):
         if not self.c > 0:
             raise ValueError("scale factor must be positive")
         c2 = self._c2 = _float_square(self.c)
+        self._c2x = _exact(self.c, "scale factor c") ** 2
         self.name = f"scaled({base.name})"
         self.m = getattr(base, "m", None)  # scaling keeps the base's arity
         for attr in ("delta2_limit", "delta2_liminf"):
@@ -553,20 +563,15 @@ class ScaledSequence(ScalarSequence):
             self.schatten_divergence = (f"the base sequence's reason, before the weights were "
                                         f"scaled by c = {self.c}: {base.schatten_divergence}")
 
-    def delta2_exact(self, k: int) -> Optional[Fraction]:
-        c = _as_fraction(self.c)
-        b = self.base.delta2_exact(k)
-        return None if c is None or b is None else c * c * b
+    def delta2_exact(self, k: int) -> Fraction:
+        return self._c2x * self.base.delta2_exact(k)
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
         return self._c2 * self.base.delta2_array(kmax)
 
-    def sup_delta2(self) -> Union[Fraction, float, None]:
+    def sup_delta2(self) -> Optional[Fraction]:
         sup = self.base.sup_delta2()
-        c = _as_fraction(self.c)
-        if isinstance(sup, Fraction) and c is not None:
-            return c * c * sup
-        return None if sup is None else float(sup) * self._c2
+        return None if sup is None else self._c2x * sup
 
     def params(self):
         return {"base": self.base.describe(), "c": str(self.c)}

@@ -62,6 +62,15 @@ def require_cross_arity(m: int) -> None:
         raise ValueError("cross-commutator analysis needs arity m >= 2")
 
 
+def require_exponents_and_horizon(p_grid: Sequence[float], K: int) -> None:
+    """Refuses an exponent p < 1 (p = inf is allowed) and a horizon K below
+    MIN_K, the least with a meaningful tail."""
+    if any(p != math.inf and p < 1 for p in p_grid):
+        raise ValueError("Schatten exponent p must satisfy 1 <= p <= inf")
+    if K < MIN_K:
+        raise ValueError(f"K must be >= {MIN_K} for a meaningful tail")
+
+
 def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1,
                           series: Sequence[int] = (1, 2)):
     """The terms of the given series (1, 2 or both) over k = lo..K, one
@@ -136,10 +145,7 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
     """
     require_cross_arity(m)
     check_arity(seq, m)
-    if p != math.inf and p < 1:
-        raise ValueError("Schatten exponent p must satisfy 1 <= p <= inf")
-    if K < MIN_K:
-        raise ValueError(f"K must be >= {MIN_K} for a meaningful tail")
+    require_exponents_and_horizon((p,), K)
 
     if p == math.inf:
         gate = essential_normality_gate(seq, K, K // 10)
@@ -269,10 +275,11 @@ def cutoff_check(
     if not p_grid:
         raise ValueError("p grid must be non-empty")
     grid = sorted({float(p) for p in p_grid})
+    require_exponents_and_horizon(grid, K)
     compact = is_compact(seq, K).value
     if compact:
         return {"skipped": True, "reason": "compact", "grid": grid}
-    slopes = _tail_slopes(seq, K) if K >= MIN_K else None  # shared by every exponent
+    slopes = _tail_slopes(seq, K)  # shared by every exponent
     verdicts = {p: _verdict(seq, m, p, K, slopes).verdict for p in grid}
     converging = [p for p in grid if verdicts[p] == "converges"]
     transition = converging[0] if converging else None

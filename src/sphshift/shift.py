@@ -15,21 +15,20 @@ distinct degree level and broadcasts it with numpy. The per-index methods
 the benchmark's tracer (``perfbench/tracer.py``) wraps each of them to
 count its calls.
 
-Each level-wise form reads the sequence's float and exact delta2
-snapshots once, through the highest level it needs, and keeps nothing
-between calls. A closed form is computed in integers wherever the levels it
-reads are exact: a commutator level is formed over one common denominator,
-and the diagonals of Q^s(I) and of the defect operators come from the
-sequence's table of exact windows (``ScalarSequence.exact_windows``),
-exact where every level in the window is. The small differences these
-contain are then rounded once, by a correctly rounded int/int division,
-which gives the same float as rounding the exact rational.
+Each level-wise form reads one snapshot of the sequence once, through the
+highest level it needs, and keeps nothing between calls: ``weights`` the
+float delta2, the others the exact delta2, which every family holds. These
+closed forms are computed in integers: a commutator level is formed over
+one common denominator, and the diagonals of Q^s(I) and of the defect
+operators come from the sequence's table of exact windows
+(``ScalarSequence.exact_windows``). The small differences these contain
+are then rounded once, by a correctly rounded int/int division, which
+gives the same float as rounding the exact rational.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -72,48 +71,38 @@ class SphericalShift:
 
     # -- per-level data -----------------------------------------------------
 
-    def _pair(self, k: int, d2, exact):
-        """delta2(k)/(k+m) and delta2(k-1)/(k+m-1) (0 at k = 0): exactly as
-        integers (A, B, D) meaning A/D and B/D when both levels are exact,
-        else as floats (cur, prev, 1)."""
+    def _pair(self, k: int, exact):
+        """delta2(k)/(k+m) and delta2(k-1)/(k+m-1) (0 at k = 0) as integers
+        (A, B, D) meaning A/D and B/D."""
         a = exact[k]
-        b = exact[k - 1] if k >= 1 else Fraction(0)
-        if a is not None and b is not None:
-            # over D = den(a) (k+m) den(b) (k+m-1); at k = 0, b is 0 and k+m-1 may be
-            hi, lo = k + self.m, max(k + self.m - 1, 1)
-            return (a.numerator * b.denominator * lo, b.numerator * a.denominator * hi,
-                    a.denominator * hi * b.denominator * lo)
-        cur = float(d2[k]) / (k + self.m)
-        prev = float(d2[k - 1]) / (k + self.m - 1) if k >= 1 else 0.0
-        return cur, prev, 1
+        bn, bd = (exact[k - 1].numerator, exact[k - 1].denominator) if k >= 1 else (0, 1)
+        # over D = den(a) (k+m) den(b) (k+m-1); at k = 0, b is 0 and k+m-1 may be
+        hi, lo = k + self.m, max(k + self.m - 1, 1)
+        return (a.numerator * bd * lo, bn * a.denominator * hi, a.denominator * hi * bd * lo)
 
-    def _self_row(self, k: int, d2, exact) -> list:
+    def _self_row(self, k: int, exact) -> list:
         """Diagonal of [T_j*, T_j] on level k, for n_j = 0..k."""
-        cur, prev, den = self._pair(k, d2, exact)
+        cur, prev, den = self._pair(k, exact)
         return [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
 
-    def _cross_level(self, k: int, d2, exact) -> float:
+    def _cross_level(self, k: int, exact) -> float:
         """delta2(k)/(k+m) - delta2(k-1)/(k+m-1), rounded once."""
-        cur, prev, den = self._pair(k, d2, exact)
+        cur, prev, den = self._pair(k, exact)
         return (cur - prev) / den
 
-    def _q_value(self, k: int, s: int, windows, logbb) -> float:
-        num, den, ok = windows
+    def _q_value(self, k: int, s: int, windows) -> float:
+        """delta2(k)...delta2(k+s-1), rounded once; math.inf beyond the float range."""
+        num, den = windows
         try:
-            if ok[s][k]:
-                return num[s][k] / den[s][k]
-            return math.exp(2.0 * (logbb[k + s] - logbb[k]))
+            return num[s][k] / den[s][k]
         except OverflowError:
             return math.inf
 
-    def _bq_value(self, k: int, q: int, windows, logbb) -> float:
-        """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1); an exact order-q
-        window sums over its denominator and rounds once, to +-inf beyond the
-        float range, as ``_q_value`` does."""
-        num, den, ok = windows
-        if not ok[q][k]:
-            return float(sum((-1) ** s * math.comb(q, s) * self._q_value(k, s, windows, logbb)
-                             for s in range(q + 1)))
+    def _bq_value(self, k: int, q: int, windows) -> float:
+        """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1), summed over the
+        order-q window's denominator and rounded once, to +-inf beyond the
+        float range."""
+        num, den = windows
         d = den[q][k]
         total = sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
                     for s in range(q + 1))
@@ -122,19 +111,13 @@ class SphericalShift:
         except OverflowError:  # d > 0, so the sign is the numerator's
             return math.inf if total > 0 else -math.inf
 
-    def _levels_data(self, levels):
-        """The float and the exact delta2 snapshot through max(levels)."""
-        top = _top(levels, 0)
-        return self.seq.delta2_array(top), self.seq.delta2_exact_array(top)
-
-    def _windows_data(self, levels, s: int):
+    def _windows(self, levels, s: int):
         """The exact windows of orders 0..s from each level through
-        max(levels), and log bbeta through max(levels) + s; a negative
-        degree is refused."""
+        max(levels); a negative degree is refused."""
         if levels.size and levels.min() < 0:
             raise ValueError(f"degree {levels.min()} is negative; a degree |n| must be >= 0")
         top = _top(levels, s)
-        return self.seq.exact_windows(top - s, s), self.seq.log_bbeta_array(top)
+        return self.seq.exact_windows(top - s, s)
 
     def _check_axis(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -163,21 +146,22 @@ class SphericalShift:
         if s < 0:
             raise ValueError("power s must be >= 0")
         levels = np.asarray(levels, dtype=np.intp)
-        return _by_level(levels, self._q_value, s, *self._windows_data(levels, s))
+        return _by_level(levels, self._q_value, s, self._windows(levels, s))
 
     def bq_diags(self, q: int, levels) -> np.ndarray:
         """bq_diag(k, q) for each degree k in ``levels``."""
         if q < 1:
             raise ValueError("order q must be >= 1")
         levels = np.asarray(levels, dtype=np.intp)
-        return _by_level(levels, self._bq_value, q, *self._windows_data(levels, q))
+        return _by_level(levels, self._bq_value, q, self._windows(levels, q))
 
     def self_comm_coeffs(self, j: int, exps) -> np.ndarray:
         """Diagonal entry of [T_j*, T_j] at e_n for each row n of ``exps``."""
         self._check_axis(j)
         exps = self._exps(exps)
         levels = exps.sum(axis=1)
-        return _by_level(levels, self._self_row, *self._levels_data(levels), coord=exps[:, j - 1])
+        exact = self.seq.delta2_exact_array(_top(levels, 0))
+        return _by_level(levels, self._self_row, exact, coord=exps[:, j - 1])
 
     def cross_comm_coeffs(self, j: int, l: int, exps) -> Tuple[np.ndarray, np.ndarray]:
         """[T_j*, T_l] e_n = coeff * e_target for each row n of ``exps``.
@@ -193,7 +177,7 @@ class SphericalShift:
         nj, nl = exps[:, j - 1], exps[:, l - 1]
         absent = nj == 0
         levels = exps.sum(axis=1)
-        level = _by_level(levels, self._cross_level, *self._levels_data(levels))
+        level = _by_level(levels, self._cross_level, self.seq.delta2_exact_array(_top(levels, 0)))
         coeffs = np.sqrt(nj * (nl + 1)) * level
         coeffs[absent] = 0.0
         targets = exps.copy()
@@ -210,10 +194,8 @@ class SphericalShift:
 
     def q_diag(self, k: int, s: int) -> float:
         """Eigenvalue of the s-th iterate of X -> sum_i T_i* X T_i applied to
-        the identity, on any e_n with |n| = k: delta2(k)...delta2(k+s-1).
-
-        Exact when delta2(k..k+s-1) are; otherwise (bbeta(k+s)/bbeta(k))^2
-        in log space. math.inf when the value overflows a float.
+        the identity, on any e_n with |n| = k: delta2(k)...delta2(k+s-1),
+        the exact product rounded once; math.inf when it overflows a float.
         """
         return float(self.q_diags(s, [k])[0])
 

@@ -15,39 +15,27 @@ from fractions import Fraction
 _GAMMAS = weakref.WeakKeyDictionary()  # sequence -> [gamma(0), gamma(1), ...]
 
 
-def gamma_exact(seq, k: int):
-    """gamma(k) = delta2(0)...delta2(k-1) as a Fraction, or None unless
-    each of those levels is exact (delta2(0) at least)."""
-    if seq.delta2_exact(0) is None:
-        return None
+def gamma_exact(seq, k: int) -> Fraction:
+    """gamma(k) = delta2(0)...delta2(k-1) as a Fraction."""
     cache = _GAMMAS.setdefault(seq, [Fraction(1)])
     while len(cache) <= k:
-        d2 = seq.delta2_exact(len(cache) - 1)
-        if d2 is None:
-            return None
-        cache.append(cache[-1] * d2)
+        cache.append(cache[-1] * seq.delta2_exact(len(cache) - 1))
     return cache[k]
 
 
-def nabla_gamma(seq, k: int, q: int):
+def nabla_gamma(seq, k: int, q: int) -> Fraction:
     """q-th forward difference of gamma at k by the binomial expansion
-    sum_s (-1)^(q-s) C(q,s) gamma(k+s); exact when gamma is, else float."""
+    sum_s (-1)^(q-s) C(q,s) gamma(k+s), exactly."""
     if q < 1:
         raise ValueError("difference order q must be >= 1")
-    if gamma_exact(seq, k + q) is not None:
-        return sum((-1) ** (q - s) * math.comb(q, s) * gamma_exact(seq, k + s)
-                   for s in range(q + 1))
-    logbb = seq.log_bbeta_array(k + q)
-    return float(sum((-1) ** (q - s) * math.comb(q, s) * math.exp(2.0 * logbb[k + s])
-                     for s in range(q + 1)))
+    return sum((-1) ** (q - s) * math.comb(q, s) * gamma_exact(seq, k + s)
+               for s in range(q + 1))
 
 
 def delta2_float(seq, k: int) -> float:
-    """delta2(k) as a float: the rounded exact value where the family has
-    one, so that it shares nothing with the float generator; otherwise the
-    value of the float snapshot."""
-    exact = seq.delta2_exact(k)
-    return float(seq.delta2_array(k)[k]) if exact is None else float(exact)
+    """delta2(k) as a float: the rounded exact value, so that it shares
+    nothing with the float generator."""
+    return float(seq.delta2_exact(k))
 
 
 def eta(k: int) -> Fraction:
@@ -89,33 +77,29 @@ def add_unit(n, j: int) -> tuple:
 
 # The facts each rational family stated by hand before they were derived
 # from its delta2, as its constructor set them: the five declared facts and
-# the sup, whose type (Fraction or float) says how it is known.
+# the sup, a Fraction at the exact value of the family's inputs (a float
+# input at its binary value).
 FACTS = ("delta2_limit", "delta2_liminf", "monotone_nondecreasing",
          "essentially_normal_declared", "diff_decay_ck", "sup")
 
 
 def declared_facts(seq) -> dict:
     """FACTS as the family declared them; a scaled family's as
-    ScaledSequence forms them from its base's, with c^2 rounded once."""
+    ScaledSequence forms them from its base's, with c^2 rounded once for the
+    limits and exact for the sup."""
     if seq.name.startswith("scaled("):
         base, c = declared_facts(seq.base), seq.c
         c2 = float(c * c)
-        sup = base["sup"]
-        if isinstance(sup, Fraction) and not isinstance(c, float):
-            sup = c * c * sup
-        elif sup is not None:
-            sup = float(sup) * c2
+        sup = None if base["sup"] is None else Fraction(c) ** 2 * base["sup"]
         return {**base, "sup": sup,
                 **{key: None if base[key] is None else base[key] * c2
                    for key in ("delta2_limit", "delta2_liminf")}}
     if seq.name == "hp":
-        one = 1.0 if isinstance(seq.p, float) else Fraction(1)
         return dict(zip(FACTS, (1.0, None, bool(seq.p >= seq.m), True, True,
-                                max(one, seq.m / seq.p))))
+                                max(Fraction(1), seq.m / Fraction(seq.p)))))
     if seq.name == "constant":
-        c2 = seq.c * seq.c
-        return dict(zip(FACTS, (float(c2), None, True, True, True,
-                                c2 if isinstance(c2, Fraction) else float(c2))))
+        c2 = Fraction(seq.c) ** 2
+        return dict(zip(FACTS, (float(c2), None, True, True, True, c2)))
     if seq.name == "poly-gamma":
         return dict(zip(FACTS, (1.0, None, None, True, True, None)))
     if seq.name == "alt-twelve":

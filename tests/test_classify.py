@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from sphshift.scalarseq import (
 from sphshift.shift import SphericalShift
 from sphshift import classify
 from sphshift.classify import (
+    Classification,
     classification,
     complete_hyperexpansion_up_to,
     is_compact,
@@ -123,10 +125,11 @@ class TestQIsometry:
         order, _ = q_isometry_order(HpSpace(2, Fraction(3, 2)), 6, 100)
         assert order is None
 
-    def test_float_path_only_consistent(self):
+    def test_float_table_is_an_exact_isometry(self):
+        # float rows enter at their binary values, here exactly 1
         seq = Tabulated([1.0, 1.0, 1.0], tail="hold")
         order, mode = q_isometry_order(seq, 3, 40)
-        assert order == 1 and mode == "consistent-sampled"
+        assert order == 1 and mode == "exact"
 
 
 class TestQExpansion:
@@ -151,8 +154,6 @@ class TestQExpansion:
         # two routes to the same verdict: gamma differences vs the operator
         # defect diagonal
         for label, seq in suite_m2:
-            if gamma_exact(seq, 0) is None:
-                continue
             s = SphericalShift(2, seq)
             for q in (1, 2, 3):
                 via_gamma = is_q_expansion(seq, q, 60).value
@@ -191,10 +192,11 @@ class TestSubnormalConsistency:
         with pytest.raises(ValueError):
             subnormal_consistency(seq, 4, 50)
 
-    def test_float_rescale_in_log_space(self):
-        # float gamma with sup delta2 = 4: 4.0 ** k overflows for k > 511
+    def test_float_family_rescales_exactly(self):
+        # p = 0.5 at its binary value gives sup delta2 = 4, and 4.0 ** k leaves
+        # the float range for k > 511: the integer windows of delta2 / 4 do not
         rep = subnormal_consistency(HpSpace(2, 0.5), 8, 600)
-        assert rep["mode"] == "sampled" and rep["rescale_mode"] == "analytic"
+        assert rep["mode"] == "exact" and rep["rescale_mode"] == "exact"
         assert not rep["pass"] and rep["witness"] == (2, 0)
 
     def test_scale_invariance_of_criterion(self):
@@ -288,6 +290,11 @@ class TestFullClassification:
             s = SphericalShift(m, seq)
             assert all(s.bq_diag(k, order) == 0.0 for k in range(50))
 
+    def test_a_float_input_is_classified_at_its_binary_value(self, float_input_family):
+        floats, fractions = (classification(seq) for seq in float_input_family)
+        for f in dataclasses.fields(Classification):
+            assert getattr(floats, f.name) == getattr(fractions, f.name), f.name
+
     def test_rho_eta_bundle(self):
         c = classification(RhoEta(), P=4, Q=3, K=100)
         assert c.hyponormal.value is True
@@ -371,8 +378,8 @@ class TestLocalWindows:
     @pytest.mark.parametrize("m", [2, 3])
     def test_window_signs_match_gamma_differences(self, m):
         for label, seq in default_suite(m):
-            for q, lead, tol, den in classify._local_defects(seq, 6, 200):
-                assert den is not None and tol == 0
+            for q, lead, den in classify._local_defects(seq, 6, 200):
+                assert (den > 0).all()
                 for k in range(201):
                     assert _sign(lead[k]) == _sign(nabla_gamma(seq, k, q)), (label, q, k)
 
@@ -381,7 +388,7 @@ class TestLocalWindows:
         for label, seq in default_suite(m):
             S = seq.sup_delta2() or seq.delta2_exact(0)
             diffs = [gamma_exact(seq, k) / S ** k for k in range(207)]
-            for q, lead, tol, den in classify._local_defects(seq, 6, 200, scale=S):
+            for q, lead, den in classify._local_defects(seq, 6, 200, scale=S):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
                 for k in range(201):
                     assert _sign(lead[k]) == _sign(diffs[k]), (label, q, k)
@@ -405,16 +412,16 @@ class TestLocalWindows:
         # delta2(1) = 1 + 1e-13 is not 1: neither verdict may call this an isometry
         seq = Tabulated([1.0, 1.0 + 1e-13, 1.0], tail="hold")
         order, mode = q_isometry_order(seq)
-        assert order is None and mode == "consistent-sampled"
+        assert order is None and mode == "exact"
         szego = is_szego(seq)
         assert szego.value is False and szego.witness == (1,)
 
     def test_tiny_float_drop_is_not_hyponormal(self):
         v = is_hyponormal(Tabulated([1e-20, 5e-21], tail="hold"))
-        assert v.value is False and v.mode == "sampled" and v.witness == (0,)
+        assert v.value is False and v.mode == "exact" and v.witness == (0,)
 
-    def test_overflowing_float_window_decides_nothing(self):
-        # delta2 = 1e300: the windows of q >= 2 overflow, and an
-        # overflowed window must not pass for a zero
+    def test_float_window_beyond_the_float_range_is_decided_exactly(self):
+        # delta2 = 1e300: the windows of q >= 2 leave the float range, and
+        # L_q = (delta2 - 1)^q is not zero at any order
         seq = ConstantDelta(1e150)
-        assert q_isometry_order(seq, 4, 20) == (None, "consistent-sampled")
+        assert q_isometry_order(seq, 4, 20) == (None, "exact")

@@ -483,8 +483,9 @@ class TestErrors:
                                 f"{truncation.ORACLE_COLUMNS}\n")
 
     @pytest.mark.parametrize("flags,reference", [
-        # verify refuses the same sections; m = 1, which verify accepts, is
-        # refused as cutoff refuses it, and the classification's orders and
+        # verify refuses the same sections; m = 1, which verify accepts, a
+        # grid exponent below 1 and a horizon K below schatten.MIN_K are
+        # refused as cutoff refuses them, and the classification's orders and
         # exact horizon as classify refuses them
         pytest.param(["--m", "2", "--N", "1"], ["verify", "--m", "2", "--N", "1"], id="2-1"),
         pytest.param(["--m", "8", "--N", "11"], ["verify", "--m", "8", "--N", "11"], id="8-11"),
@@ -494,6 +495,10 @@ class TestErrors:
         pytest.param(["--Q", "0"], ["classify", "--family", "bergman", "--Q", "0"], id="Q-0"),
         pytest.param(["--K-exact", "0"], ["classify", "--family", "bergman", "--K", "0"],
                      id="K-exact-0"),
+        pytest.param(["--grid", "0.5"], ["cutoff", "--family", "bergman", "--grid", "0.5"],
+                     id="grid-0.5"),
+        pytest.param(["--K", "999"], ["cutoff", "--family", "bergman", "--K", "999"],
+                     id="K-999"),
     ])
     def test_analyze_refuses_a_bad_section_before_any_stage(self, capsys, monkeypatch,
                                                             flags, reference):

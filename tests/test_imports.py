@@ -16,9 +16,9 @@ SRC = os.path.dirname(os.path.dirname(sphshift.__file__))
 
 
 def test_cli_import_loads_no_pool_modules():
-    # the level-sum kernels run plain threads and reach numpy.fft only when
-    # called; a pool module or numpy.fft would only add start-up time
-    # (concurrent.futures alone costs milliseconds)
+    # importing the CLI loads no worker-pool module and not numpy.fft, which
+    # the level-sum kernels reach only when called: each would only add
+    # start-up time (concurrent.futures alone costs milliseconds)
     code = ("import sphshift.cli, sys; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'numpy.fft') "
             "if m in sys.modules))")

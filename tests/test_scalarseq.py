@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from sphshift.scalarseq import (
     default_suite,
 )
 from sphshift.schatten import cutoff_check, decide
+from sphshift.shift import SphericalShift
 from sphshift.spectra import spectral_report
 
 
@@ -58,8 +60,8 @@ class TestHpSpace:
         assert HpSpace(2, 5).is_bounded().sup_delta2 == 1.0
         assert HpSpace(2, 1).sup_delta2() == 2
         assert isinstance(HpSpace(2, 1).sup_delta2(), Fraction)
-        assert HpSpace(2, 0.5).sup_delta2() == 4.0
-        assert isinstance(HpSpace(2, 0.5).sup_delta2(), float)
+        assert HpSpace(2, 0.5).sup_delta2() == 4
+        assert isinstance(HpSpace(2, 0.5).sup_delta2(), Fraction)
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
@@ -212,9 +214,9 @@ class TestSnapshot:
         calls = []
         real = seq.delta2_exact
         monkeypatch.setattr(seq, "delta2_exact", lambda k: calls.append(k) or real(k))
-        assert seq.delta2_exact_array(1) == (Fraction(1, 2), None)
+        assert seq.delta2_exact_array(1) == (Fraction(1, 2), Fraction(3, 4))
         snapshot = seq.delta2_exact_array(4)
-        assert snapshot == (Fraction(1, 2), None) + (Fraction(4, 5),) * 3
+        assert snapshot == (Fraction(1, 2), Fraction(3, 4)) + (Fraction(4, 5),) * 3
         assert seq.delta2_exact_array(2) == snapshot[:3]
         assert calls == [0, 1, 2, 3, 4]
         with pytest.raises(TypeError):
@@ -222,17 +224,15 @@ class TestSnapshot:
 
     @staticmethod
     def assert_windows_are_products(seq, kmax, smax):
-        num, den, ok = seq.exact_windows(kmax, smax)
-        assert len(num) == len(den) == len(ok) == smax + 1
+        num, den = seq.exact_windows(kmax, smax)
+        assert len(num) == len(den) == smax + 1
         for s in range(smax + 1):
-            assert len(num[s]) == len(den[s]) == len(ok[s]) == kmax + 1
+            assert len(num[s]) == len(den[s]) == kmax + 1
             for k in range(kmax + 1):
                 window = [seq.delta2_exact(i) for i in range(k, k + s)]
-                assert ok[s][k] == (None not in window), (seq.name, s, k)
-                if ok[s][k]:
-                    assert num[s][k] == math.prod(x.numerator for x in window)
-                    assert den[s][k] == math.prod(x.denominator for x in window)
-                    assert Fraction(num[s][k], den[s][k]) == math.prod(window, start=Fraction(1))
+                assert num[s][k] == math.prod(x.numerator for x in window), (seq.name, s, k)
+                assert den[s][k] == math.prod(x.denominator for x in window), (seq.name, s, k)
+                assert Fraction(num[s][k], den[s][k]) == math.prod(window, start=Fraction(1))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_exact_windows_are_products_of_the_exact_values(self, m):
@@ -240,12 +240,14 @@ class TestSnapshot:
             self.assert_windows_are_products(seq, 30, 8)
 
     def test_exact_windows_are_exact_per_window(self):
-        # delta2(2) is a float: exactly the windows that read it are not exact
+        # delta2(2) is the float 0.75: the windows that read it hold its
+        # binary value, 3/4, like every other window
         seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75]
                         + [Fraction(k + 2, k + 5) for k in range(20)], tail="hold")
         self.assert_windows_are_products(seq, 15, 8)
-        ok = seq.exact_windows(15, 8)[2]
-        assert [k for k in range(16) if not ok[3][k]] == [0, 1, 2]
+        num, den = seq.exact_windows(15, 8)
+        assert [Fraction(num[3][k], den[3][k]) for k in range(3)] == [
+            Fraction(1, 4), Fraction(1, 5), Fraction(3, 20)]
 
     def test_exact_windows_read_an_error_tail_table_up_to_its_last_row(self):
         seq = Tabulated([Fraction(k + 1, k + 3) for k in range(23)])
@@ -271,6 +273,19 @@ class TestSnapshot:
     def test_snapshot_rejects_non_finite_values(self, make):
         with pytest.raises(ValueError, match="finite and positive|float range"):
             make().delta2_array(3)
+
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "nan is not a finite number"), (math.inf, "inf is not a finite number"),
+        (0, "0 is not positive"), (-0.5, "-1/2 is not positive"),
+    ], ids=["nan", "inf", "zero", "negative"])
+    def test_exact_snapshot_refuses_a_tail_value_by_its_level(self, bad, message):
+        seq = Tabulated([1, 2], tail=lambda k: bad if k == 3 else 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"tabulated: delta2(3) = {message}")):
+            seq.delta2_exact_array(5)
+        shift = SphericalShift(2, seq)  # the exact closed forms read that snapshot
+        for form in (lambda: shift.q_diags(1, [3]), lambda: shift.self_comm_coeffs(1, [[3, 0]])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                form()
 
     def test_exact_constant_weight_is_rounded_once(self):
         # float(7/10) ** 2 rounds twice, to 0.48999999999999994
@@ -465,14 +480,14 @@ class TestSequenceMachinery:
 
     def test_sup_type_says_how_it_is_known(self):
         assert ConstantDelta(Fraction(7, 10)).sup_delta2() == Fraction(49, 100)
-        assert ConstantDelta(0.5).sup_delta2() == 0.25
-        assert Tabulated([1, 0.5], tail="hold").sup_delta2() == 1.0
-        assert isinstance(Tabulated([1, 0.5], tail="hold").sup_delta2(), float)
+        assert ConstantDelta(0.5).sup_delta2() == Fraction(1, 4)
+        assert Tabulated([1, 0.5], tail="hold").sup_delta2() == 1
+        assert isinstance(Tabulated([1, 0.5], tail="hold").sup_delta2(), Fraction)
         assert Tabulated([1, 2], tail="error").sup_delta2() is None
         assert PolynomialGamma([1, 1]).sup_delta2() == Fraction(2)
         assert isinstance(PolynomialGamma([1, 1]).sup_delta2(), Fraction)
         assert RhoEta().scale(Fraction(1, 2)).sup_delta2() == Fraction(3, 4)
-        assert RhoEta().scale(0.5).sup_delta2() == 0.75
+        assert RhoEta().scale(0.5).sup_delta2() == Fraction(3, 4)
 
     def test_constant_bounded(self):
         rep = ConstantDelta(Fraction(1, 2)).is_bounded()
@@ -523,7 +538,7 @@ def test_derived_facts_are_the_declared_ones(seq):
     want = declared_facts(seq)
     base = getattr(seq, "base", seq)
     if base.name == "poly-gamma":  # now also known: delta2 falls from its sup S(1)/S(0)
-        sup = Fraction(4) if seq is base else seq.c * seq.c * 4
+        sup = Fraction(4) if seq is base else Fraction(seq.c) ** 2 * 4
         want.update(monotone_nondecreasing=False, sup=sup)
     got = derived_facts(seq)
     assert [(type(got[key]), got[key]) for key in FACTS] == \

@@ -21,9 +21,7 @@ def one_variable_shift(seq, kmax):
     """The 1-variable shift with the weights delta_0..delta_kmax of seq. It
     reads them from a table, which declares no arity of its own (hp's delta2
     depends on its m, so SphericalShift(1, HpSpace(2, p)) is refused)."""
-    exact = [seq.delta2_exact(k) for k in range(kmax + 1)]
-    return SphericalShift(1, Tabulated([delta2_float(seq, k) if v is None else v
-                                        for k, v in enumerate(exact)]))
+    return SphericalShift(1, Tabulated([seq.delta2_exact(k) for k in range(kmax + 1)]))
 
 
 class TestWeights:
@@ -173,8 +171,6 @@ class TestBqDiagonal:
     def test_matches_gamma_differences(self, suite_m2):
         # B_q diagonal is the signed q-th difference over gamma, rounded once
         for label, seq in suite_m2:
-            if gamma_exact(seq, 0) is None:
-                continue
             s = SphericalShift(2, seq)
             for q in range(1, 7):
                 for k in range(101):
@@ -299,6 +295,20 @@ def test_diagonal_forms_of_no_levels_are_empty():
                 assert out.dtype == np.float64 and out.shape == (0,)
 
 
+def test_a_float_input_gives_the_forms_of_its_binary_value(float_input_family):
+    floats, fractions = (SphericalShift(2, seq) for seq in float_input_family)
+    exps = np.concatenate([enumerate_level(2, k) for k in range(9)])
+    levels = exps.sum(axis=1)
+    forms = [(f"q_diags {s}", lambda t, s=s: t.q_diags(s, levels)) for s in range(5)]
+    forms += [(f"bq_diags {q}", lambda t, q=q: t.bq_diags(q, levels)) for q in range(1, 5)]
+    forms += [(f"self_comm_coeffs {j}", lambda t, j=j: t.self_comm_coeffs(j, exps))
+              for j in (1, 2)]
+    forms += [(f"cross_comm_coeffs {j}", lambda t, j=j: t.cross_comm_coeffs(j, 3 - j, exps)[0])
+              for j in (1, 2)]
+    for name, form in forms:
+        assert form(floats).tobytes() == form(fractions).tobytes(), name
+
+
 def test_each_form_reads_each_snapshot_once_at_its_top_level(monkeypatch):
     seq = AlternatingTwelve()
     reads = []
@@ -314,8 +324,8 @@ def test_each_form_reads_each_snapshot_once_at_its_top_level(monkeypatch):
     for form in (lambda: s.self_comm_coeffs(1, exps), lambda: s.cross_comm_coeffs(1, 2, exps)):
         reads.clear()
         form()
-        assert reads == [("delta2_array", 5), ("delta2_exact_array", 5)]
+        assert reads == [("delta2_exact_array", 5)]
     for form in (s.q_diags, s.bq_diags):
         reads.clear()
         form(3, [0, 7, 2, 7])
-        assert reads == [("delta2_exact_array", 9), ("log_bbeta_array", 10)]
+        assert reads == [("delta2_exact_array", 9)]

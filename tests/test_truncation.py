@@ -392,12 +392,8 @@ class TestSchattenOracle:
 
 def _ref_pair(shift, k):
     seq, m = shift.seq, shift.m
-    a = seq.delta2_exact(k)
-    b = seq.delta2_exact(k - 1) if k >= 1 else Fraction(0)
-    if a is not None and b is not None:
-        return a / (k + m), (b / (k + m - 1) if k >= 1 else Fraction(0))
-    return (delta2_float(seq, k) / (k + m),
-            delta2_float(seq, k - 1) / (k + m - 1) if k >= 1 else 0.0)
+    return (seq.delta2_exact(k) / (k + m),
+            seq.delta2_exact(k - 1) / (k + m - 1) if k >= 1 else Fraction(0))
 
 
 def ref_weight(shift, i, n):
@@ -421,36 +417,21 @@ def ref_cross_comm(shift, j, l, n):
 
 
 def ref_q_exact(shift, k, s):
-    # exact exactly when each delta2 in the window is, whatever the levels before it
+    # the window's product alone, whatever the levels before it
     window = [shift.seq.delta2_exact(i) for i in range(k, k + s)]
-    return None if None in window else math.prod(window, start=Fraction(1))
+    return math.prod(window, start=Fraction(1))
 
 
 def ref_q(shift, k, s):
-    if s == 0:
-        return 1.0
-    exact = ref_q_exact(shift, k, s)
     try:
-        if exact is not None:
-            return float(exact)
-        logbb = shift.seq.log_bbeta_array(k + s)
-        return math.exp(2.0 * (logbb[k + s] - logbb[k]))
+        return float(ref_q_exact(shift, k, s))
     except OverflowError:
         return math.inf
 
 
-def ref_bq_exact(shift, k, q):
-    terms = [ref_q_exact(shift, k, s) for s in range(q + 1)]
-    if any(t is None for t in terms):
-        return None
-    return sum((-1) ** s * math.comb(q, s) * t for s, t in enumerate(terms))
-
-
 def ref_bq(shift, k, q):
-    exact = ref_bq_exact(shift, k, q)
-    if exact is not None:
-        return float(exact)
-    return float(sum((-1) ** s * math.comb(q, s) * ref_q(shift, k, s) for s in range(q + 1)))
+    return float(sum((-1) ** s * math.comb(q, s) * ref_q_exact(shift, k, s)
+                     for s in range(q + 1)))
 
 
 def _per_key(basis, cols, keys, value):
@@ -536,13 +517,15 @@ class TestLevelWiseForms:
                     assert shift.bq_diag(k, q) == ref_bq(shift, k, q), (label, k, q)
 
     def test_mixed_table_is_exact_per_window(self):
-        # delta2(2) is a float: only the windows that read it leave the exact path
+        # delta2(2) is the float 0.75: the windows that read it hold its binary value
         seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75, Fraction(4, 5)], tail="hold")
         shift = SphericalShift(2, seq)
         assert shift.q_diags(2, [0])[0] == float(Fraction(1, 3))
         assert shift.q_diags(1, [3])[0] == float(Fraction(4, 5))
         assert shift.bq_diags(2, [3])[0] == float(1 - 2 * Fraction(4, 5) + Fraction(4, 5) ** 2)
-        assert ref_q_exact(shift, 0, 3) is None and ref_q_exact(shift, 3, 2) is not None
+        assert ref_q_exact(shift, 0, 3) == Fraction(1, 4)
+        assert ref_q_exact(shift, 3, 2) == Fraction(16, 25)
+        assert shift.q_diags(3, [0])[0] == 0.25
         for k in range(4):
             for s in range(3):
                 assert shift.q_diag(k, s) == ref_q(shift, k, s)
