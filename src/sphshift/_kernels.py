@@ -1,14 +1,11 @@
 """Hot per-level summation kernels (numpy).
 
-Sums over a whole degree level {|n| = k} are reduced through composition
-counts C(x+m-2, m-2) and iterated prefix sums instead of enumerating the
-level. The self-commutator sums split each level into aligned dyadic blocks
-away from the summand's root, each summed by an n-point discrete Chebyshev
-rule with n linear in p, so that the interpolation bound keeps each block
-within 1e-15; the cross-commutator sums are one convolution over all levels,
-done by FFT. Both cost O(K log K) up to level K. fit_slope is the one
-least-squares line fit of the tail exponents, and series_verdict the one
-band that reads a fitted exponent.
+Sums over a whole degree level {|n| = k} are reduced through composition counts
+C(x+m-2, m-2) and iterated prefix sums instead of enumerating the level: the
+self-commutator sums by Euler-Maclaurin away from the root of the coefficient,
+O(K) terms up to level K, the cross-commutator sums by one FFT convolution over
+all levels, O(K log K). fit_slope is the one least-squares line fit of the tail
+exponents, series_verdict the one band that reads it.
 """
 
 from __future__ import annotations
@@ -17,9 +14,6 @@ import functools
 import math
 
 import numpy as np
-
-# Levels per chunk of self_level_powersums: a CHUNK of terms at kmax 1e4.
-_LEVELS = 128
 
 # Values of k per block of every scan over a horizon (the spectra lag scans,
 # the Schatten series, the fits' centred data): a block and its temporaries
@@ -61,47 +55,6 @@ def _pair_weights(n, m, p, offset):
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _block_rule(q, n):
-    """Nodes and weights that sum every polynomial of degree < n over the
-    integers 0..2^q-1 exactly: the first-kind Chebyshev points, weighted by
-    the block's sums of T_0..T_{n-1} (the discrete Chebyshev moments)."""
-    u = np.linspace(-1.0, 1.0, 1 << q)
-    moments, t0, t1 = np.empty(n), np.ones_like(u), u
-    for j in range(n):
-        moments[j], t0, t1 = t0.sum(), t1, 2.0 * u * t1 - t0
-    moments[0] /= 2.0
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    weights = (np.cos(np.outer(theta, np.arange(n))) * moments).sum(axis=1) * (2.0 / n)
-    return np.array([((1 << q) - 1) / 2.0 * (1.0 + np.cos(theta)), weights])
-
-
-def _split(k, root, q0):
-    """Blocks (level, q, start) and direct terms (level, s) of levels k.
-
-    A block [j 2^q, (j+1) 2^q), q >= q0, lies in [0, k], 2^q or more from the
-    root and in no such block of scale q + 1: per scale and level at most two
-    left of the root, two right of it and one at k. The rest goes direct.
-    """
-    scales = np.arange(max(int(k[-1] + 1).bit_length(), q0 + 1), q0 - 1, -1)[:, None]
-    size = np.ldexp(1.0, scales)  # the top scale holds no block
-    end = np.floor((k + 1) / size) - 1
-    left = np.minimum(np.floor((root + 1) / size) - 2, end)
-    right = np.maximum(np.ceil(root / size) + 1, 0)
-    l, r, e, pl, pr, pe = left[1:], right[1:], end[1:], left[:-1], right[:-1], end[:-1]
-    first = 2 * np.maximum(pl, -1) + 2, r, np.maximum(np.maximum(r, 2 * pe + 2), 2 * pr)
-    j = np.stack([first[0], first[0] + 1, first[1], first[1] + 1, first[2]])
-    used = j <= np.stack([l, l, np.minimum(e, 2 * pr - 1), np.minimum(e, 2 * pr - 1), e])
-    _, bq, bl = np.nonzero(used)
-    bq = scales[1:, 0][bq]
-    lo = np.concatenate([(np.maximum(l[-1], -1) + 1) * size[-1],
-                         np.minimum(np.maximum(e[-1] + 1, r[-1]) * size[-1], k + 1)])
-    counts = (np.concatenate([np.minimum(r[-1] * size[-1], k + 1), k + 1]) - lo).astype(np.int64)
-    dl = np.repeat(np.tile(np.arange(len(k)), 2), counts)
-    ds = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return (bl, bq, np.ldexp(j[used], bq)), (dl, ds)
-
-
 def _terms(c, diff, s, m, p):
     """C(s+m-2, m-2) |c - s diff|^p, the summand at s units off the axis; s is scratch."""
     t = s * diff
@@ -113,54 +66,101 @@ def _terms(c, diff, s, m, p):
     return t
 
 
+@functools.lru_cache(maxsize=128)  # a few kB each; a new p costs about 1 ms
+def _rules(m, p):
+    """R and the Euler-Maclaurin, Phi and Gauss-Legendre data derived in self_level_powersums."""
+    P, eps, rho = p + m - 2.0, math.log(2.0 ** -53), 3.0 + math.sqrt(8.0)
+    R, r = np.arange(1.0, P + 65)[:, None], np.arange(1, 65)  # R = P + 64 fits at r = 64
+    fits = (math.log(math.pi ** 2 / 3) + P / R + np.cumsum(np.log(P + np.arange(128)))[1::2]
+            - 2 * r * np.log(2 * math.pi * R)) <= eps
+    R, r = min(((i + 1, int(row.argmax()) + 1) for i, row in enumerate(fits) if row.any()), key=sum)
+    zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
+    for i in range(2, r + 1):  # sum_k zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i)
+        zeta.append(sum(zeta[j] * zeta[i - j] for j in range(1, i)) / (i + 0.5))
+        beta.append(-beta[-1] * zeta[i] / zeta[i - 1] * (2 * i - 1) * (i - 1) / (2 * math.pi ** 2))
+    binom = np.cumprod([1.0] + [(p - l) / ((l + 1) * R) for l in range(2 * r - 1)])
+    i = np.arange(m - 1)[:, None] + np.arange(2 * r) + 1  # 2i of beta_i C(p, l) R^-l u^l w^(j)/j!
+    coef = np.array(beta)[np.where((i % 2 == 0) & (i <= 2 * r), i // 2, 0)] * binom
+    phi = np.cumprod([1 / (p + 1)] + [-j / (p + j + 1) for j in range(1, m - 1)])
+    n = max(1, math.ceil((math.log(32 / 15 * (m - 1) * 2.0 ** (m - 2) / (rho ** 2 - 1))
+                          + p * math.log(3.0) + P / R - eps) / (2 * math.log(rho))))
+    off = np.arange(1.0, n) / np.sqrt(4.0 * np.arange(1.0, n) ** 2 - 1)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return R, coef, phi, nodes, 2 * vectors[0] ** 2
+
+
+def _ends(c, d, s, m, p, R, coef, phi):
+    """At s = (a, b): Euler-Maclaurin's (f(a) + f(b))/2 + sum_i B_2i/(2i)!
+    [f^(2i-1)]_a^b, and [Phi]_a^b, Phi(s) = |c - s d|^p sum_j (-1)^j w^(j)(s)
+    (s-x)^(j+1)/((p+1)...(p+j+1)), from the Taylor coefficients at s."""
+    g = _terms(c, d, s, 2, p)
+    u = np.where(d == 0, 0.0, d / (s * d - c))  # 1/(s - x)
+    tw = [np.ones_like(s)]
+    for i in range(1, m - 1):  # times (s + i + t)/i
+        tw = [(v * (s + i) + w) / i for v, w in zip(tw + [0.0], [0.0] + tw)]
+    corr = g * sum(t * np.polyval(row[::-1], u * R) for t, row in zip(tw, coef))
+    prim = g * sum(t * f / u ** (j + 1) for j, (t, f) in enumerate(zip(tw, phi)))
+    return (g * tw[0]).sum(axis=0) / 2 + corr[1] - corr[0], prim[1] - prim[0]
+
+
 def self_level_powersums(d2, m, p):
     """sum over {|n| = k} of |self-commutator coefficient|^p, per level.
 
-    d2 holds delta2(0..kmax) and p > 0 is finite; returns an array over
-    k = 0..kmax. The coefficient at n with n_j = t is t*D_k + b_k where
-    b_k = d2[k]/(k+m) and D_k = d2[k]/(k+m) - d2[k-1]/(k+m-1); the t = 0
-    branch coincides with the formula, so one linear form covers the whole
-    level. With s = k - t units on the other coordinates the coefficient is
-    c_k - s*D_k, c_k = b_k + k*D_k, and s carries the weight C(s+m-2, m-2).
+    d2 holds delta2(0..kmax) and p > 0 is finite; level k = 0..kmax sums
+    f(s) = w(s)|c_k - s D_k|^p over s = 0..k, w(s) = C(s+m-2, m-2): the
+    coefficient at n with n_j = k - s is c_k - s D_k, c_k = b_k + k D_k,
+    b_k = d2[k]/(k+m), D_k = b_k - d2[k-1]/(k+m-1) (n_j = 0 agrees).
 
-    The summand is smooth but at the root x_k = c_k/D_k. Each level is split
-    (_split) into the largest aligned dyadic blocks at least their own
-    length from x_k, summed by the n-node rule of _block_rule. Mapped onto
-    [-1, 1], a block lies 2 or more from x_k (and the weight's roots lie at
-    s <= -1), so in the Bernstein ellipse rho = 3 + sqrt(8) the summand is
-    analytic and at most M = (m-1) 3^(p+m-2) times its block mean; n is the
-    least with 4 M rho^(1-n)/(rho-1) < 1e-15 (the Chebyshev interpolation
-    bound). The smallest block is the least power of two >= 2n with positive
-    weights, so an overflow gives inf, as a direct sum does. A level costs
-    O(n log k) terms, K levels O(K log K), in chunks of _LEVELS levels.
+    f is smooth but at x_k = c_k/D_k, and w vanishes at s = -1..-(m-2).
+    Integers s < R or within R of x_k are summed directly, the at most two
+    segments [a, b] left by Euler-Maclaurin with r corrections and the integral
+    Phi(b) - Phi(a) (_ends) or, where x_k lies farther than b - a and Phi
+    would cancel (D_k = 0 too), an n-node Gauss-Legendre one. On a segment
+    |f^(j)| <= f (P)_j R^-j by Leibniz and Vandermonde (P = p + m - 2, (P)_j
+    rising) and int f <= e^(P/R) sum f, so the remainder 2 zeta(2r) (2 pi)^-2r
+    int |f^(2r)| is within (pi^2/3) (P)_2r (2 pi R)^-2r e^(P/R) of the sum.
+    (R, r) is the pair, r <= 64, with the least R + r (three terms a level,
+    one Horner step an end) that keeps this below 2^-53. Mapped onto [-1, 1],
+    a far segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
+    rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
+    and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the
+    Gauss-Legendre bound. A level is scaled by 2^-e to |c_k - s D_k| < 1 on
+    [0, k] and its sum multiplied by 2^(e p): past the float range it is inf,
+    never NaN. It costs 3R + 4 terms and n per far segment: O(K) in all.
     """
     kmax = len(d2) - 1
     out = np.empty(kmax + 1)
-    out[0] = (d2[0] / m) ** p
     k = np.arange(1, kmax + 1, dtype=np.float64)
     b = d2[1:] / (k + m)
     diff = b - d2[:-1] / (k + m - 1)
     c = b + k * diff
-    if m == 1:
-        out[1:] = np.abs(c) ** p
-        return out
-    rho = 3.0 + math.sqrt(8.0)
-    bound = math.log(4e15 * (m - 1) / (rho - 1)) + (p + m - 2) * math.log(3.0)
-    n = 1 + math.ceil(bound / math.log(rho))
-    q0 = min((2 * n - 1).bit_length(), (kmax + 1).bit_length())  # past kmax: no block
-    while 1 << q0 <= kmax + 1 and _block_rule(q0, n)[1].min() <= 0:
-        q0 += 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.fmin(np.fmax(c / diff, -k - 1.0), 2.0 * k + 3.0)  # beyond either: no root
-    for a in range(0, kmax, _LEVELS):
-        z = slice(a, a + _LEVELS)
-        (bl, bq, start), (dl, ds) = _split(k[z], root[z], q0)
-        rules = [_block_rule(q, n) for q in range(q0, bq.max(initial=q0 - 1) + 1)]
-        rules = np.array(rules).reshape(-1, 2, n)
-        t = _terms(c[z][bl, None], diff[z][bl, None], rules[bq - q0, 0] + start[:, None], m, p)
-        out[1 + a : 1 + a + len(root[z])] = (
-            np.bincount(bl, (t * rules[bq - q0, 1]).sum(axis=1), minlength=len(root[z]))
-            + np.bincount(dl, _terms(c[z][dl], diff[z][dl], ds, m, p), minlength=len(root[z])))
+    with np.errstate(all="ignore"):  # an overflow gives inf; the rest is masked out
+        out[0] = (d2[0] / m) ** p
+        if m == 1:
+            out[1:] = np.abs(c) ** p
+            return out
+        R, coef, phi, nodes, weights = _rules(m, p)
+        step, col = max(1, CHUNK // (16 * R)), np.arange(3 * R)
+        for z in range(0, kmax, step):
+            rows = np.s_[z : z + step, None]  # one level per row
+            e = np.frexp(np.fmax(np.abs(c[rows]), np.abs(b[rows])))[1]  # b_k = c_k - k D_k
+            kz, cz, dz = k[rows], np.ldexp(c[rows], -e), np.ldexp(diff[rows], -e)
+            # the root, clipped where that moves no window and no far test
+            x = np.clip(np.where(dz == 0, np.inf, cz / dz), -2 * (kz + R), 3 * kz + 2 * R)
+            lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
+            s = np.where(col < R, col, np.maximum(lo, R) + col - R)
+            keep = (s <= kz) & ((col < R) | (s <= hi))
+            total = np.where(keep, _terms(cz, dz, np.minimum(s, kz), m, p), 0.0).sum(axis=1)
+            sa = np.hstack([np.full_like(kz, R), np.maximum(hi + 1, R)])  # segments [sa, sb]
+            sb = np.hstack([np.minimum(lo - 1, kz), kz])
+            seg, far = sa <= sb, np.hstack([x > 2 * sb[:, :1] - R, x < 2 * sa[:, 1:] - kz])
+            em, integral = _ends(cz, dz, np.stack([sa, sb]), m, p, R, coef, phi)
+            i, j = np.nonzero(seg & far)
+            half = (sb[i, j, None] - sa[i, j, None]) / 2
+            t = _terms(cz[i], dz[i], sa[i, j, None] + half * (1 + nodes), m, p)
+            integral[i, j] = half[:, 0] * (t * weights).sum(axis=1)
+            total += np.where(seg, em + integral, 0.0).sum(axis=1)
+            out[1:][rows] = np.ldexp(total[:, None] * np.exp2(e * p % 1), (e * p // 1).astype(int))
     return out
 
 

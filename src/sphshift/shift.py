@@ -54,6 +54,14 @@ def _by_level(levels, value, *data, coord=None) -> np.ndarray:
     return np.concatenate(per_level, dtype=np.float64)[starts[levels] + coord]
 
 
+def _rounded(num: int, den: int) -> float:
+    """num/den for den > 0, correctly rounded; +-inf beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _top(levels: np.ndarray, reach: int) -> int:
     """max(levels) + reach, or -1 (read nothing) when there are no levels."""
     return int(levels.max()) + reach if levels.size else -1
@@ -83,20 +91,17 @@ class SphericalShift:
     def _self_row(self, k: int, exact) -> list:
         """Diagonal of [T_j*, T_j] on level k, for n_j = 0..k."""
         cur, prev, den = self._pair(k, exact)
-        return [cur / den] + [((t + 1) * cur - t * prev) / den for t in range(1, k + 1)]
+        return [_rounded((t + 1) * cur - t * prev, den) for t in range(k + 1)]
 
     def _cross_level(self, k: int, exact) -> float:
         """delta2(k)/(k+m) - delta2(k-1)/(k+m-1), rounded once."""
         cur, prev, den = self._pair(k, exact)
-        return (cur - prev) / den
+        return _rounded(cur - prev, den)
 
     def _q_value(self, k: int, s: int, windows) -> float:
         """delta2(k)...delta2(k+s-1), rounded once; math.inf beyond the float range."""
         num, den = windows
-        try:
-            return num[s][k] / den[s][k]
-        except OverflowError:
-            return math.inf
+        return _rounded(num[s][k], den[s][k])
 
     def _bq_value(self, k: int, q: int, windows) -> float:
         """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1), summed over the
@@ -104,12 +109,8 @@ class SphericalShift:
         float range."""
         num, den = windows
         d = den[q][k]
-        total = sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
-                    for s in range(q + 1))
-        try:
-            return total / d
-        except OverflowError:  # d > 0, so the sign is the numerator's
-            return math.inf if total > 0 else -math.inf
+        return _rounded(sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
+                            for s in range(q + 1)), d)
 
     def _windows(self, levels, s: int):
         """The exact windows of orders 0..s from each level through
@@ -178,8 +179,7 @@ class SphericalShift:
         absent = nj == 0
         levels = exps.sum(axis=1)
         level = _by_level(levels, self._cross_level, self.seq.delta2_exact_array(_top(levels, 0)))
-        coeffs = np.sqrt(nj * (nl + 1)) * level
-        coeffs[absent] = 0.0
+        coeffs = np.sqrt(nj * (nl + 1)) * np.where(absent, 0.0, level)  # no 0 * inf
         targets = exps.copy()
         targets[:, j - 1] -= 1
         targets[:, l - 1] += 1

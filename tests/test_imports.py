@@ -80,11 +80,15 @@ def layers_loaded(prelude: str, package: str = "sphshift") -> set:
     return set(proc.stdout.split())
 
 
+def request_prelude(argv: list) -> str:
+    """Code that runs one CLI request in-process, its output discarded."""
+    return ("import contextlib, io\nfrom sphshift import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+
+
 def request_loads(argv: list, package: str = "sphshift") -> set:
-    prelude = ("import contextlib, io\nfrom sphshift import cli\n"
-               "with contextlib.redirect_stdout(io.StringIO()):\n"
-               f"    assert cli.main({argv!r}) == 0")
-    return layers_loaded(prelude, package)
+    return layers_loaded(request_prelude(argv), package)
 
 
 def test_import_sphshift_loads_no_layer():
@@ -149,6 +153,22 @@ def test_benchmark_tracer_binds_every_name_it_wraps():
 def test_schatten_requests_load_no_masked_arrays(argv):
     # importing numpy.ma costs 8-15 ms of a fresh process; np.unique loads it
     assert "numpy.ma" not in request_loads(argv, "numpy")
+
+
+@pytest.mark.parametrize("prelude", [
+    "import sphshift.cli",
+    request_prelude(["schatten", "--family", "bergman", "--p", "2.5", "--K", "2000"]),
+    request_prelude(["spectrum", "--family", "bergman", "--K", "2000"]),
+    "from sphshift import scalarseq, schatten, shift\n"
+    "s = shift.SphericalShift(3, scalarseq.make_family('bergman', 3))\n"
+    "for j, l in ((1, 1), (1, 2)):\n"
+    "    schatten.closed_form_norm(s, j, l, 3.5, 2000)",
+], ids=["import", "schatten", "spectrum", "closed_form_norm"])
+def test_no_path_loads_numpy_polynomial(prelude):
+    # the self-commutator level sums build their Gauss-Legendre rule with
+    # numpy.linalg, which import numpy loads anyway; numpy.polynomial would
+    # add start-up time and memory to every run that reaches them
+    assert "numpy.polynomial" not in layers_loaded(prelude, "numpy")
 
 
 EXPORTS = {"HpSpace": scalarseq, "RhoEta": scalarseq, "SphericalShift": shift,

@@ -232,7 +232,7 @@ def loop_self_level(d2, m, p):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_self_level_sums_match_loop_across_blocks(m):
-    # at m >= 2, kmax 6000 spans the block sizes 2^6 or 2^7 up to 2^11
+    # at m >= 2, kmax 6000 puts most levels' roots far from the direct window
     rng = np.random.default_rng(100 + m)
     d2 = rng.uniform(0.1, 3.0, size=6001)
     p = 1.0 + 0.7 * m
@@ -253,30 +253,14 @@ def loop_levels(d2, m, p, levels):
     return np.array(out)
 
 
-def recorded_splits(monkeypatch):
-    """The block scales q that _split hands out, collected over each call."""
-    sizes = set()
-    split = _kernels._split
-
-    def recording(k, root, q0):
-        blocks, direct = split(k, root, q0)
-        sizes.update(blocks[1].tolist())
-        return blocks, direct
-
-    monkeypatch.setattr(_kernels, "_split", recording)
-    return sizes
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [12.0, 20.0, 40.0, 80.0])
-def test_self_level_sums_match_loop_at_large_exponents(m, p, monkeypatch):
-    # larger p needs more nodes per block and larger smallest blocks; kmax
-    # 12000 still spans three block sizes at p = 80 (2^10 to 2^12)
-    sizes = recorded_splits(monkeypatch)
+def test_self_level_sums_match_loop_at_large_exponents(m, p):
+    # larger p needs a wider direct window, more corrections and more
+    # Gauss-Legendre nodes (R = 38 and n = 37 at m = 5, p = 80)
     rng = np.random.default_rng(int(10 * p) + m)
     d2 = rng.uniform(0.1, 3.0, size=12001)
     got = _kernels.self_level_powersums(d2, m, p)
-    assert len(sizes) >= 3
     levels = np.unique(np.concatenate([np.arange(1, 12001, 241), [11999, 12000]]))
     np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
 
@@ -293,63 +277,68 @@ def test_self_level_sums_with_zero_differences():
 
 @pytest.mark.parametrize("m,p", [(2, 3.0), (3, 3.0), (4, 5.0), (5, 12.0)])
 def test_self_level_sums_overflow_to_inf_not_nan(m, p):
-    # each term overflows; positive block weights keep every level inf
+    # each term overflows; the level is summed scaled by a power of two, and
+    # the scale brought back at the end gives inf
     with np.errstate(over="ignore"):
         got = _kernels.self_level_powersums(np.full(3001, 1e120), m, p)
     assert np.isinf(got).all()
 
 
-@pytest.mark.parametrize("n", [22, 24, 25, 31, 50, 74])
-def test_block_rules_sum_polynomials_exactly_with_positive_weights(n):
-    q0 = (2 * n - 1).bit_length()
-    while _kernels._block_rule(q0, n)[1].min() <= 0:
-        q0 += 1
-    for q in range(q0, q0 + 4):
-        nodes, weights = _kernels._block_rule(q, n)
-        assert weights.min() > 0
-        s = np.arange(1 << q, dtype=np.float64) / (1 << q)
-        for d in (0, 1, 5, n - 1):
-            want = math.fsum((s ** d).tolist())
-            got = math.fsum((weights * (nodes / (1 << q)) ** d).tolist())
-            assert got == pytest.approx(want, rel=1e-12)
+def placed_roots(kmax, m, where, seed):
+    """delta2(0..kmax) that puts the root x_k = c_k/D_k of each odd level k
+    where asked: left of the level (down to the weight's roots at -1..-(m-2)
+    and beyond), on an integer of 0..k, halfway between two, beyond k, or
+    nowhere (D_k = 0). Level k reads only delta2(k-1) and delta2(k), so the
+    odd levels are set independently; the even ones fall where they may."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.uniform(0.1, 3.0, size=kmax + 1)
+    for k in range(1, kmax + 1, 2):
+        u = rng.uniform()
+        root = {"left": -u * (k + 1), "integer": np.floor(u * (k + 1)),
+                "half": np.floor(u * k) + 0.5, "beyond": k + 0.5 + u * (k + 2.5),
+                "none": math.inf}[where]
+        # c_k = x_k D_k and D_k = b_k - b_{k-1} give b_k = b_{k-1} (x_k - k)/(x_k - k - 1)
+        ratio = 1.0 if root == math.inf else (root - k) / (root - k - 1)
+        d2[k] = d2[k - 1] / (k + m - 1) * ratio * (k + m)
+    return d2
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+PLACEMENTS = ["left", "integer", "half", "beyond", "none"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    kmax=st.integers(1, 400),
-    q0=st.integers(1, 5),
-    where=st.sampled_from(["left", "integer", "half", "beyond", "none"]),
+    kmax=st.integers(1, 600),
+    p=st.floats(1.0, 30.0),
+    where=st.sampled_from(PLACEMENTS),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_split_covers_each_integer_once(kmax, q0, where, seed):
-    rng = np.random.default_rng(seed)
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    u = rng.uniform(size=kmax)
-    root = {"left": -u * (k + 1),
-            "integer": np.floor(u * (k + 1)),
-            "half": np.floor(u * k) + 0.5,
-            "beyond": k + 0.5 + u * (k + 2.5),
-            # D_k = 0: the kernel clips the infinite root to -k - 1
-            "none": -k - 1.0}[where]
-    (bl, bq, start), (dl, ds) = _kernels._split(k, root, q0)
-    cover = [np.zeros(int(level) + 1, dtype=int) for level in k]
-    for level, q, a in zip(bl.tolist(), bq.tolist(), start.tolist()):
-        size, x, top = 2 ** q, root[level], int(k[level])
-        assert q >= q0 and a % size == 0 and a + size - 1 <= top
-        assert x <= a - size or x >= a + 2 * size - 1  # at least its length from x
-        # the parent block is not admissible: the largest q is taken
-        parent = a - a % (2 * size)
-        assert (parent + 2 * size - 1 > top
-                or parent - 2 * size < x < parent + 4 * size - 1)
-        cover[level][int(a) : int(a) + size] += 1
-    for level, s in zip(dl.tolist(), ds.tolist()):
-        cover[level][int(s)] += 1
-    assert all((c == 1).all() for c in cover)
+def test_self_level_sums_match_loop_at_each_root_placement(m, kmax, p, where, seed):
+    # every level once, whichever of the direct window, the closed-form
+    # integral or the Gauss-Legendre rule covers each part of it
+    d2 = placed_roots(kmax, m, where, seed)
+    levels = np.arange(1, kmax + 1)
+    got = _kernels.self_level_powersums(d2, m, p)
+    np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
 
 
-def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
-    # at kmax 1e5 a direct sum takes K^2/2 = 5e9 terms; the block rules stay
-    # below 32 K log2 K = 5.3e7
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("where", PLACEMENTS)
+def test_self_level_sums_are_exact_on_polynomial_summands(m, where):
+    # at even p each summand is a polynomial of degree p + m - 2 in s, which
+    # Euler-Maclaurin and the closed-form or Gauss-Legendre integral sum
+    # exactly, so only rounding is left
+    for p in (2.0, 4.0, 8.0):
+        d2 = placed_roots(300, m, where, 7 * m + int(p))
+        levels = np.arange(1, 301)
+        got = _kernels.self_level_powersums(d2, m, p)
+        np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
+
+
+def counted_terms(monkeypatch, kmax):
+    """The summands _terms evaluates in one self_level_powersums call up to
+    level kmax, on random delta2 in [0.1, 3] at m = 3, p = 2.5."""
     counted = [0]
     terms = _kernels._terms
 
@@ -358,10 +347,24 @@ def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
         return terms(c, diff, s, m, p)
 
     monkeypatch.setattr(_kernels, "_terms", counting)
-    kmax = 100_000
     d2 = np.random.default_rng(3).uniform(0.1, 3.0, size=kmax + 1)
     _kernels.self_level_powersums(d2, 3, 2.5)
-    assert 0 < counted[0] < 32 * kmax * math.log2(kmax)
+    return counted[0]
+
+
+def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
+    # at kmax 1e5 a direct sum takes K^2/2 = 5e9 terms; the level sums stay
+    # below 32 K log2 K = 5.3e7
+    kmax = 100_000
+    assert 0 < counted_terms(monkeypatch, kmax) < 32 * kmax * math.log2(kmax)
+
+
+@pytest.mark.parametrize("kmax", [10_000, 100_000])
+def test_self_level_sums_cost_linear_terms(kmax, monkeypatch):
+    # each level takes its 3R direct terms and four end values, R = 10 at
+    # m = 3, p = 2.5, and n = 11 Gauss-Legendre nodes per far segment: about
+    # 34 terms per level, so 40 K bounds them at every K
+    assert 0 < counted_terms(monkeypatch, kmax) < 40 * kmax
 
 
 def test_kahan_cumsum_matches_fsum(rng):

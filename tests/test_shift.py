@@ -219,6 +219,19 @@ class TestCommutatorCoefficients:
         assert coeff == pytest.approx(-1 / 20, rel=1e-14)
         assert type(target) is tuple and target == (0, 1, 1)
 
+    def test_exact_value_beyond_the_float_range_is_signed_inf(self):
+        # delta2(0) = 1 and delta2(k) = 10^400 after it: every commutator
+        # entry past level 0 rounds to the inf of its exact sign, as the
+        # defect diagonals do, and the cross form's absent rows stay 0
+        s = SphericalShift(2, Tabulated([1], tail=lambda k: Fraction(10) ** 400))
+        exps = [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+        assert s.self_comm_coeffs(1, exps).tolist() == [0.5] + [math.inf] * 5
+        coeffs, targets = s.cross_comm_coeffs(1, 2, exps)
+        # level 1: 10^400/3 - 1/2 > 0; level 2: 10^400 (1/4 - 1/3) < 0
+        assert coeffs.tolist() == [0.0, math.inf, 0.0, -math.inf, -math.inf, 0.0]
+        assert (targets[[0, 2, 5]] == -1).all()
+        assert s.cross_comm_coeff(1, 2, (0, 1)) == (0.0, None)
+
     def test_cross_same_axis_rejected(self):
         with pytest.raises(ValueError):
             szego().cross_comm_coeff(1, 1, (1, 0))
