@@ -31,10 +31,8 @@ _BASE = 64
 
 
 def _comp_counts(x, m):
-    """C(x+m-2, m-2) for integer array x >= 0: compositions of x in m-1 parts.
-
-    With m = 1 there are no parts, and only x = 0 splits into none.
-    """
+    """C(x+m-2, m-2) for integer array x >= 0: compositions of x in m-1 parts
+    (with m = 1 there are no parts, and only x = 0 splits into none)."""
     if m == 1:
         return (np.asarray(x) == 0).astype(np.float64)
     counts = np.ones_like(x, dtype=np.float64)
@@ -44,11 +42,9 @@ def _comp_counts(x, m):
 
 
 def _pair_weights(n, m, p, offset):
-    """(u+offset)^(p/2) for u = 0..n-1, prefix-summed m-2 times.
-
-    Entry x sums (n_l + offset)^(p/2) over every way of spreading x units
-    on the m-1 coordinates other than n_j.
-    """
+    """(u+offset)^(p/2) for u = 0..n-1, prefix-summed m-2 times: entry x sums
+    (n_l + offset)^(p/2) over every way of spreading x units on the m-1
+    coordinates other than n_j."""
     w = (np.arange(n, dtype=np.float64) + offset) ** (p / 2.0)
     for _ in range(m - 2):
         w = np.cumsum(w)
@@ -66,14 +62,17 @@ def _terms(c, diff, s, m, p):
     return t
 
 
-@functools.lru_cache(maxsize=128)  # a few kB each; a new p costs about 1 ms
+@functools.lru_cache(maxsize=128)  # a few kB each; a new p costs well under 1 ms
 def _rules(m, p):
-    """R and the Euler-Maclaurin, Phi and Gauss-Legendre data derived in self_level_powersums."""
+    """R, the Euler-Maclaurin and Phi data, and n, derived in self_level_powersums."""
     P, eps, rho = p + m - 2.0, math.log(2.0 ** -53), 3.0 + math.sqrt(8.0)
-    R, r = np.arange(1.0, P + 65)[:, None], np.arange(1, 65)  # R = P + 64 fits at r = 64
-    fits = (math.log(math.pi ** 2 / 3) + P / R + np.cumsum(np.log(P + np.arange(128)))[1::2]
-            - 2 * r * np.log(2 * math.pi * R)) <= eps
-    R, r = min(((i + 1, int(row.argmax()) + 1) for i, row in enumerate(fits) if row.any()), key=sum)
+    r = np.arange(1, 65)
+    lead = np.cumsum(np.log(P + np.arange(128)))[1::2] + math.log(math.pi ** 2 / 3)  # (P)_2r
+    gap = lambda R: lead + P / R - 2 * r * np.log(2 * math.pi * R) - eps  # noqa: E731
+    least = np.where(gap(P + 64) <= 0, P + 64, np.inf)  # R = P + 64 fits at r = 64
+    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least R that fits each r
+        least = np.where(gap(least - step) <= 0, least - step, least)
+    R, r = min(((int(h), int(j)) for j, h in zip(r, least) if h < math.inf), key=lambda t: (sum(t), t))
     zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
     for i in range(2, r + 1):  # sum_k zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i)
         zeta.append(sum(zeta[j] * zeta[i - j] for j in range(1, i)) / (i + 0.5))
@@ -84,9 +83,20 @@ def _rules(m, p):
     phi = np.cumprod([1 / (p + 1)] + [-j / (p + j + 1) for j in range(1, m - 1)])
     n = max(1, math.ceil((math.log(32 / 15 * (m - 1) * 2.0 ** (m - 2) / (rho ** 2 - 1))
                           + p * math.log(3.0) + P / R - eps) / (2 * math.log(rho))))
-    off = np.arange(1.0, n) / np.sqrt(4.0 * np.arange(1.0, n) ** 2 - 1)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return R, coef, phi, nodes, 2 * vectors[0] ** 2
+    return R, coef, phi, n
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss(n):
+    """The n Gauss-Legendre nodes and weights: Newton on the Legendre recurrence."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))  # Tricomi's, off by about n^-2
+    for _ in range(6):  # quadratic convergence; O(n) memory, O(n^2) time
+        q, pn = np.ones_like(x), x
+        for j in range(1, n):
+            q, pn = pn, ((2 * j + 1) * x * pn - j * q) / (j + 1)
+        dp = n * (x * pn - q) / (x * x - 1)
+        x = x - pn / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
 def _ends(c, d, s, m, p, R, coef, phi):
@@ -124,12 +134,13 @@ def self_level_powersums(d2, m, p):
     a far segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
     rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
     and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the
-    Gauss-Legendre bound. A level is scaled by 2^-e to |c_k - s D_k| < 1 on
-    [0, k] and its sum multiplied by 2^(e p): past the float range it is inf,
-    never NaN. It costs 3R + 4 terms and n per far segment: O(K) in all.
+    Gauss-Legendre bound. A level costs 3R + 4 terms and n per far segment,
+    O(K) in all, but R > P/(2 pi): where kmax + 1 < 3R + n, each is summed
+    whole. Level k is divided by max(|c_k|, |b_k|), so its largest term is
+    about 1 and the p-th power of that scale, brought back, is 0 or inf past
+    the float range, never NaN; rounding leaves about p ulps, as in a direct sum.
     """
-    kmax = len(d2) - 1
-    out = np.empty(kmax + 1)
+    kmax, out = len(d2) - 1, np.empty(len(d2))
     k = np.arange(1, kmax + 1, dtype=np.float64)
     b = d2[1:] / (k + m)
     diff = b - d2[:-1] / (k + m - 1)
@@ -139,12 +150,14 @@ def self_level_powersums(d2, m, p):
         if m == 1:
             out[1:] = np.abs(c) ** p
             return out
-        R, coef, phi, nodes, weights = _rules(m, p)
-        step, col = max(1, CHUNK // (16 * R)), np.arange(3 * R)
+        top = np.where((c == 0) & (b == 0), 1.0, np.fmax(np.abs(c), np.abs(b)))  # at s = 0, k
+        c, diff = c / top, diff / top
+        R, coef, phi, n = _rules(m, p)
+        R = kmax + 1 if kmax + 1 < 3 * R + n else R
+        step, col = max(1, CHUNK // (16 * R)), np.arange(min(3 * R, kmax + 1))
         for z in range(0, kmax, step):
             rows = np.s_[z : z + step, None]  # one level per row
-            e = np.frexp(np.fmax(np.abs(c[rows]), np.abs(b[rows])))[1]  # b_k = c_k - k D_k
-            kz, cz, dz = k[rows], np.ldexp(c[rows], -e), np.ldexp(diff[rows], -e)
+            kz, cz, dz = k[rows], c[rows], diff[rows]
             # the root, clipped where that moves no window and no far test
             x = np.clip(np.where(dz == 0, np.inf, cz / dz), -2 * (kz + R), 3 * kz + 2 * R)
             lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
@@ -156,28 +169,25 @@ def self_level_powersums(d2, m, p):
             seg, far = sa <= sb, np.hstack([x > 2 * sb[:, :1] - R, x < 2 * sa[:, 1:] - kz])
             em, integral = _ends(cz, dz, np.stack([sa, sb]), m, p, R, coef, phi)
             i, j = np.nonzero(seg & far)
-            half = (sb[i, j, None] - sa[i, j, None]) / 2
-            t = _terms(cz[i], dz[i], sa[i, j, None] + half * (1 + nodes), m, p)
-            integral[i, j] = half[:, 0] * (t * weights).sum(axis=1)
-            total += np.where(seg, em + integral, 0.0).sum(axis=1)
-            out[1:][rows] = np.ldexp(total[:, None] * np.exp2(e * p % 1), (e * p // 1).astype(int))
+            if i.size:
+                nodes, weights = _gauss(n)
+                half = (sb[i, j, None] - sa[i, j, None]) / 2
+                t = _terms(cz[i], dz[i], sa[i, j, None] + half * (1 + nodes), m, p)
+                integral[i, j] = half[:, 0] * (t * weights).sum(axis=1)
+            out[1 + z : 1 + z + step] = total + np.where(seg, em + integral, 0.0).sum(axis=1)
+        mant, e = np.frexp(top)  # top^p = 2^(e floor(p) + f), f of the size of p
+        f = e * (p % 1) + p * np.log2(mant)
+        e = np.clip(e * (p // 1) + f // 1, -4e3, 4e3).astype(int)  # beyond: 0 or inf anyway
+        out[1:] = np.ldexp(out[1:] * np.exp2(f % 1), e)
     return out
 
 
 def pairsum(k, m, p, offset):
     """sum over {|n| = k, n_j > 0} of n_j^(p/2) * (n_l + offset)^(p/2), j != l."""
-    if k == 0:
-        return 0.0
     w = _pair_weights(k, m, p, offset)
     t = np.arange(1, k + 1, dtype=np.float64)
     # numpy's pairwise sum, not np.dot, whose BLAS kernel depends on the CPU
     return float(np.sum(t ** (p / 2.0) * w[::-1]))
-
-
-def _normalized(x):
-    """x scaled by a power of two (exactly) so that its maximum lies in [0.5, 1)."""
-    e = int(np.frexp(x.max())[1])
-    return np.ldexp(x, -e), e
 
 
 def _bands(lo, stop, exponent):
@@ -196,16 +206,15 @@ def _cross_pair_sums(n, m, p):
     a[i] = (i+1)^(p/2) and w the pair weights.
 
     Every term is positive and the sums grow like l^(p+m-1). Entries
-    0.._BASE-1 are summed directly. Above them, each band [lo, hi) of
-    entries is one FFT product of a[:hi] and w[:hi], both tilted by
-    r^i with r = e^(-lambda), lambda = (p+m-1)/hi, so that the band's
-    tilted outputs sit at the peak of l^(p+m-1) e^(-lambda l) and none is
-    lost under the transform's rounding error, which is relative to the
-    largest output. The ratio hi/lo = 1 + min(1, 3/sqrt(p+m-1)) keeps the
-    band's low end above about e^-4.5 times that peak. Inputs are scaled
-    by powers of two, which is exact, and the output is untilted by
-    dividing by r^l. Where a sum or w overflows float64 the entry is inf,
-    as a direct sum gives.
+    0.._BASE-1 are summed directly. Above them, each band [lo, hi) of entries
+    is one FFT product of a[:hi] and w[:hi], both tilted by r^i with
+    r = e^(-lambda), lambda = (p+m-1)/hi, so that the band's tilted outputs
+    sit at the peak of l^(p+m-1) e^(-lambda l) and none is lost under the
+    transform's rounding error, which is relative to the largest output. The
+    ratio hi/lo = 1 + min(1, 3/sqrt(p+m-1)) keeps the band's low end above
+    about e^-4.5 times that peak. Inputs are scaled by powers of two, which
+    is exact, and the output is untilted by dividing by r^l. Where a sum or
+    w overflows float64 the entry is inf, as a direct sum gives.
     """
     with np.errstate(over="ignore"):
         a = np.arange(1, n + 1, dtype=np.float64) ** (p / 2.0)
@@ -220,9 +229,10 @@ def _cross_pair_sums(n, m, p):
     exponent = p + m - 1
     for lo, hi, size in _bands(base, finite, exponent):
         tilt = math.exp(-exponent / hi) ** np.arange(hi)
-        at, ea = _normalized(a[:hi] * tilt)
-        wt, ew = _normalized(w[:hi] * tilt)
-        conv = np.fft.irfft(np.fft.rfft(at, size) * np.fft.rfft(wt, size), size)
+        at, wt = a[:hi] * tilt, w[:hi] * tilt
+        ea, ew = np.frexp(at.max())[1], np.frexp(wt.max())[1]  # exact scaling: maxima in [0.5, 1)
+        conv = np.fft.rfft(np.ldexp(at, -ea), size) * np.fft.rfft(np.ldexp(wt, -ew), size)
+        conv = np.fft.irfft(conv, size)
         with np.errstate(over="ignore"):
             out[lo:hi] = np.ldexp(conv[lo:hi] / tilt[lo:hi], ea + ew)
     return out
@@ -244,12 +254,10 @@ def _log_cross_pair_sums(n, m, p, lo):
     out = np.empty(n - lo)
     for lo, hi, size in _bands(start, n, exponent):
         tilt = exponent / hi * np.arange(hi)
-        ta = la[:hi] - tilt
-        tw = lw[:hi] - tilt
+        ta, tw = la[:hi] - tilt, lw[:hi] - tilt
         ca, cw = ta.max(), tw.max()
-        conv = np.fft.irfft(
-            np.fft.rfft(np.exp(ta - ca), size) * np.fft.rfft(np.exp(tw - cw), size), size
-        )
+        conv = np.fft.rfft(np.exp(ta - ca), size) * np.fft.rfft(np.exp(tw - cw), size)
+        conv = np.fft.irfft(conv, size)
         out[lo - start : hi - start] = np.log(conv[lo:hi]) + tilt[lo:hi] + (ca + cw)
     return out
 
@@ -257,26 +265,23 @@ def _log_cross_pair_sums(n, m, p, lo):
 def cross_level_powersums(d2, m, p):
     """sum over {|n| = k} of |cross-commutator singular value|^p, per level.
 
-    Level k carries |D_k|^p times the pair sum at offset 1; the pair sums
-    of all levels are one convolution of t^(p/2) with the pair weights:
-    levels 1..64 summed directly, the rest in tilted FFT bands
-    (_cross_pair_sums). A band's FFT rounding error is about log2(size)
-    ulps of its largest tilted output, and each of its levels is above
-    about e^-4.5 times that output, so the relative error per level is
-    bounded by about 90 * log2(size) ulps, 3e-13 at K = 20000.
-    Against a direct convolution the worst seen is 5.2e-15, over
-    m = 2..5, p <= 200 and K <= 20000, at every level where the direct sum
-    is finite. Where the pair sum overflows float64, the level is
-    exp(p log|D_k| + log pair sum) from _log_cross_pair_sums: 0 where
-    that underflows, inf where it overflows, and never NaN. Where instead
-    |D_k|^p underflows to 0 (D_k != 0) under a finite pair sum, the level
-    is the same exp of the sum of logs, so it is 0 only when the level
-    itself is below the float range.
+    Level k carries |D_k|^p times the pair sum at offset 1; the pair sums of
+    all levels are one convolution of t^(p/2) with the pair weights: levels
+    1..64 summed directly, the rest in tilted FFT bands (_cross_pair_sums).
+    A band's FFT rounding error is about log2(size) ulps of its largest
+    tilted output, and each of its levels is above about e^-4.5 times that
+    output, so the relative error per level is bounded by about
+    90 * log2(size) ulps, 3e-13 at K = 20000. Against a direct convolution
+    the worst seen is 5.2e-15, over m = 2..5, p <= 200 and K <= 20000, at
+    every level where the direct sum is finite. Where the pair sum overflows
+    float64, the level is exp(p log|D_k| + log pair sum) from
+    _log_cross_pair_sums: 0 where that underflows, inf where it overflows,
+    and never NaN. Where instead |D_k|^p underflows to 0 (D_k != 0) under a
+    finite pair sum, the level is the same exp of the sum of logs, so it is
+    0 only when the level itself is below the float range.
     """
     kmax = len(d2) - 1
     out = np.zeros(kmax + 1)
-    if kmax == 0:
-        return out
     k = np.arange(1, kmax + 1, dtype=np.float64)
     diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
     pair = _cross_pair_sums(kmax, m, p)
@@ -297,19 +302,17 @@ def cross_level_powersums(d2, m, p):
 def abs_sum(k, m, p, s):
     """sum over {|n| = k} of |s*n_j - 1|^p."""
     t = np.arange(k + 1, dtype=np.float64)
-    vals = np.abs(s * t - 1.0) ** p
-    return float(np.sum(_comp_counts(k - t, m) * vals))  # pairwise, as in pairsum
+    return float(np.sum(_comp_counts(k - t, m) * np.abs(s * t - 1.0) ** p))  # a pairwise sum
 
 
 def fit_slope(x, y):
     """Least-squares slope of y against x, in closed form from the centred data.
 
-    y is scratch and is overwritten; x is left as it is. The centred x is
-    formed in blocks of CHUNK, so the fit allocates nothing of the length
-    of its data. The two sums of products are pairwise sums (np.sum) over
-    the whole of y, which stay within a few ulps of an extended-precision
-    fit where np.dot does not. An inf or NaN in y gives NaN, as np.polyfit
-    does, and no warning.
+    y is scratch and is overwritten; x is left as it is. The centred x is formed
+    in blocks of CHUNK, so the fit allocates nothing of the length of its data.
+    The two sums of products are pairwise sums (np.sum) over the whole of y,
+    which stay within a few ulps of an extended-precision fit where np.dot
+    does not. An inf or NaN in y gives NaN, as np.polyfit does, and no warning.
     """
     xm = x.mean()
     with np.errstate(invalid="ignore"):
@@ -335,8 +338,5 @@ def series_verdict(slope):
 
 
 def kahan_cumsum(x):
-    """Cumulative sums of x as a plain left-to-right np.cumsum.
-
-    The name is kept for its callers; no compensation is applied.
-    """
+    """A plain left-to-right np.cumsum(x); the name is kept for its callers."""
     return np.cumsum(x)

@@ -284,6 +284,26 @@ def test_self_level_sums_overflow_to_inf_not_nan(m, p):
     assert np.isinf(got).all()
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("p,kmax", [(1100.0, 3000), (1100.0, 200), (1e5, 200)])
+def test_self_level_sums_keep_their_size_at_huge_exponents(m, p, kmax):
+    # every term is scaled by its level's largest base, so none underflows:
+    # with delta2(k) = k + m the bases are 1 and level k counts C(k+m-1, m-1)
+    # indices. Perturbed by about 1/(p kmax) the bases stay near 1 and the
+    # sums in range. Each base of either side is off by an ulp or so, which
+    # the power p carries into the level. At kmax 3000, p = 1100 takes the
+    # Euler-Maclaurin and Gauss-Legendre rules; the shorter horizons are
+    # summed whole
+    levels = np.unique(np.linspace(1, kmax, 60).astype(int))
+    d2 = np.arange(kmax + 1.0) + m
+    got = _kernels.self_level_powersums(d2, m, p)
+    np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
+    d2 *= 1 + np.random.default_rng(m).uniform(-10, 10, kmax + 1) / (p * kmax)
+    got = _kernels.self_level_powersums(d2, m, p)
+    np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels),
+                               rtol=max(1e-12, 4 * p * 2.0 ** -53))
+
+
 def placed_roots(kmax, m, where, seed):
     """delta2(0..kmax) that puts the root x_k = c_k/D_k of each odd level k
     where asked: left of the level (down to the weight's roots at -1..-(m-2)
