@@ -70,8 +70,9 @@ def _rules(m, p):
     lead = np.cumsum(np.log(P + np.arange(128)))[1::2] + math.log(math.pi ** 2 / 3)  # (P)_2r
     gap = lambda R: lead + P / R - 2 * r * np.log(2 * math.pi * R) - eps  # noqa: E731
     least = np.where(gap(P + 64) <= 0, P + 64, np.inf)  # R = P + 64 fits at r = 64
-    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least R that fits each r
-        least = np.where(gap(least - step) <= 0, least - step, least)
+    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least R >= 1 that fits each r
+        below = np.maximum(least - step, 1.0)
+        least = np.where(gap(below) <= 0, below, least)
     R, r = min(((int(h), int(j)) for j, h in zip(r, least) if h < math.inf), key=lambda t: (sum(t), t))
     zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
     for i in range(2, r + 1):  # sum_k zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i)
@@ -100,16 +101,18 @@ def _gauss(n):
 
 
 def _ends(c, d, s, m, p, R, coef, phi):
-    """At s = (a, b): Euler-Maclaurin's (f(a) + f(b))/2 + sum_i B_2i/(2i)!
-    [f^(2i-1)]_a^b, and [Phi]_a^b, Phi(s) = |c - s d|^p sum_j (-1)^j w^(j)(s)
-    (s-x)^(j+1)/((p+1)...(p+j+1)), from the Taylor coefficients at s."""
-    g = _terms(c, d, s, 2, p)
-    u = np.where(d == 0, 0.0, d / (s * d - c))  # 1/(s - x)
+    """At s = (a, b) of each segment: Euler-Maclaurin's (f(a) + f(b))/2 + sum_i
+    B_2i/(2i)! [f^(2i-1)]_a^b, and [Phi]_a^b, Phi(s) = |c - s d|^p sum_j (-1)^j
+    w^(j)(s) (s-x)^(j+1)/((p+1)...(p+j+1)), from the Taylor coefficients at s."""
+    g, off = _terms(c, d, s, 2, p), s * d - c
+    u, h = np.where(d == 0, 0.0, d / off), off / d  # 1/(s - x), s - x
     tw = [np.ones_like(s)]
     for i in range(1, m - 1):  # times (s + i + t)/i
         tw = [(v * (s + i) + w) / i for v, w in zip(tw + [0.0], [0.0] + tw)]
-    corr = g * sum(t * np.polyval(row[::-1], u * R) for t, row in zip(tw, coef))
-    prim = g * sum(t * f / u ** (j + 1) for j, (t, f) in enumerate(zip(tw, phi)))
+    horner = lambda a, z: functools.reduce(  # noqa: E731; sum_l a[l] z^l, in place in a[-1]
+        lambda y, b: np.add(np.multiply(y, z, out=y), b, out=y), a[::-1])
+    corr = g * horner(np.tensordot(coef, tw, (0, 0)), u * R)
+    prim = g * h * horner([t * f for t, f in zip(tw, phi)], h)
     return (g * tw[0]).sum(axis=0) / 2 + corr[1] - corr[0], prim[1] - prim[0]
 
 
@@ -129,22 +132,27 @@ def self_level_powersums(d2, m, p):
     |f^(j)| <= f (P)_j R^-j by Leibniz and Vandermonde (P = p + m - 2, (P)_j
     rising) and int f <= e^(P/R) sum f, so the remainder 2 zeta(2r) (2 pi)^-2r
     int |f^(2r)| is within (pi^2/3) (P)_2r (2 pi R)^-2r e^(P/R) of the sum.
-    (R, r) is the pair, r <= 64, with the least R + r (three terms a level,
-    one Horner step an end) that keeps this below 2^-53. Mapped onto [-1, 1],
+    (R, r) is the pair, r <= 64, with the least R + r (R terms a level, 2r
+    Horner steps a segment) that keeps this below 2^-53. Mapped onto [-1, 1],
     a far segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
     rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
     and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the
-    Gauss-Legendre bound. A level costs 3R + 4 terms and n per far segment,
-    O(K) in all, but R > P/(2 pi): where kmax + 1 < 3R + n, each is summed
-    whole. Level k is divided by max(|c_k|, |b_k|), so its largest term is
-    about 1 and the p-th power of that scale, brought back, is 0 or inf past
-    the float range, never NaN; rounding leaves about p ulps, as in a direct sum.
+    Gauss-Legendre bound. A level costs R terms, at most 2R more only where
+    its window [max(lo, R), min(hi, k)] of the integers lo..hi within R of
+    x_k is not empty, two end values per non-empty segment and n per far
+    segment: R + 2 where x_k <= 0 (hp, x_k = 1 - q), O(K) in all. R exceeds
+    P/(2 pi), so where kmax + 1 < 3R + n each level is summed whole. Level k is
+    divided by max(|c_k|, |b_k|), so its largest term is about 1 and the
+    p-th power of that scale, brought back, is 0 or inf past the float
+    range, never NaN; rounding leaves about p ulps, as in a direct sum.
     """
-    kmax, out = len(d2) - 1, np.empty(len(d2))
+    kmax, out = len(d2) - 1, np.zeros(len(d2))
     k = np.arange(1, kmax + 1, dtype=np.float64)
     b = d2[1:] / (k + m)
     diff = b - d2[:-1] / (k + m - 1)
     c = b + k * diff
+    if m > 1:
+        R, coef, phi, n = _rules(m, p)
     with np.errstate(all="ignore"):  # an overflow gives inf; the rest is masked out
         out[0] = (d2[0] / m) ** p
         if m == 1:
@@ -152,29 +160,34 @@ def self_level_powersums(d2, m, p):
             return out
         top = np.where((c == 0) & (b == 0), 1.0, np.fmax(np.abs(c), np.abs(b)))  # at s = 0, k
         c, diff = c / top, diff / top
-        R, coef, phi, n = _rules(m, p)
         R = kmax + 1 if kmax + 1 < 3 * R + n else R
-        step, col = max(1, CHUNK // (16 * R)), np.arange(min(3 * R, kmax + 1))
-        for z in range(0, kmax, step):
-            rows = np.s_[z : z + step, None]  # one level per row
-            kz, cz, dz = k[rows], c[rows], diff[rows]
-            # the root, clipped where that moves no window and no far test
-            x = np.clip(np.where(dz == 0, np.inf, cz / dz), -2 * (kz + R), 3 * kz + 2 * R)
-            lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
-            s = np.where(col < R, col, np.maximum(lo, R) + col - R)
-            keep = (s <= kz) & ((col < R) | (s <= hi))
-            total = np.where(keep, _terms(cz, dz, np.minimum(s, kz), m, p), 0.0).sum(axis=1)
-            sa = np.hstack([np.full_like(kz, R), np.maximum(hi + 1, R)])  # segments [sa, sb]
-            sb = np.hstack([np.minimum(lo - 1, kz), kz])
-            seg, far = sa <= sb, np.hstack([x > 2 * sb[:, :1] - R, x < 2 * sa[:, 1:] - kz])
-            em, integral = _ends(cz, dz, np.stack([sa, sb]), m, p, R, coef, phi)
-            i, j = np.nonzero(seg & far)
-            if i.size:
+        # the root, clipped where that moves no window and no far test
+        x = np.clip(np.where(diff == 0, np.inf, c / diff), -2 * (k + R), 3 * k + 2 * R)
+        lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
+        wa, wb = np.maximum(lo, R), np.minimum(hi, k)  # the window [wa, wb] about x
+        sa = np.stack([np.full_like(k, R), np.maximum(hi + 1, R)], axis=1)  # segments [sa, sb]
+        sb = np.stack([np.minimum(lo - 1, k), k], axis=1)
+        far = np.stack([x > 2 * sb[:, 0] - R, x < 2 * sa[:, 1] - k], axis=1)
+        i, j = np.nonzero(sa <= sb)  # the non-empty segments, (level, segment)
+        sa, sb, far = sa[i, j], sb[i, j], far[i, j]
+        step, w = max(1, CHUNK // (16 * R)), np.flatnonzero(wa <= wb)
+        direct = ((np.arange(kmax), np.zeros_like(k), np.minimum(k, R - 1)), (w, wa, wb))
+        for lv, first, last in direct:  # s < R at every level, then the windows
+            for z in range(0, len(lv), step):  # as wide as the block's widest, <= 2R
+                v = lv[z : z + step, None]
+                s = first[v] + np.arange((last[v] - first[v]).max() + 1)
+                t = _terms(c[v], diff[v], np.minimum(s, last[v]), m, p)
+                out[1 + v[:, 0]] += np.where(s <= last[v], t, 0.0).sum(axis=1)
+        for z in range(0, len(i), 2 * step):  # the segments' ends, then the far integrals
+            q = np.s_[z : z + 2 * step]
+            em, integral = _ends(c[i[q]], diff[i[q]], np.stack([sa[q], sb[q]]), m, p, R, coef, phi)
+            g = z + np.flatnonzero(far[q])
+            if g.size:
                 nodes, weights = _gauss(n)
-                half = (sb[i, j, None] - sa[i, j, None]) / 2
-                t = _terms(cz[i], dz[i], sa[i, j, None] + half * (1 + nodes), m, p)
-                integral[i, j] = half[:, 0] * (t * weights).sum(axis=1)
-            out[1 + z : 1 + z + step] = total + np.where(seg, em + integral, 0.0).sum(axis=1)
+                half = (sb[g, None] - sa[g, None]) / 2
+                t = _terms(c[i[g], None], diff[i[g], None], sa[g, None] + half * (1 + nodes), m, p)
+                integral[g - z] = half[:, 0] * (t * weights).sum(axis=1)
+            np.add.at(out, 1 + i[q], em + integral)
         mant, e = np.frexp(top)  # top^p = 2^(e floor(p) + f), f of the size of p
         f = e * (p % 1) + p * np.log2(mant)
         e = np.clip(e * (p // 1) + f // 1, -4e3, 4e3).astype(int)  # beyond: 0 or inf anyway

@@ -356,9 +356,8 @@ def test_self_level_sums_are_exact_on_polynomial_summands(m, where):
         np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=1e-12)
 
 
-def counted_terms(monkeypatch, kmax):
-    """The summands _terms evaluates in one self_level_powersums call up to
-    level kmax, on random delta2 in [0.1, 3] at m = 3, p = 2.5."""
+def count_terms(monkeypatch, d2, m, p):
+    """The summands _terms evaluates in one self_level_powersums call."""
     counted = [0]
     terms = _kernels._terms
 
@@ -367,9 +366,14 @@ def counted_terms(monkeypatch, kmax):
         return terms(c, diff, s, m, p)
 
     monkeypatch.setattr(_kernels, "_terms", counting)
-    d2 = np.random.default_rng(3).uniform(0.1, 3.0, size=kmax + 1)
-    _kernels.self_level_powersums(d2, 3, 2.5)
+    _kernels.self_level_powersums(d2, m, p)
     return counted[0]
+
+
+def counted_terms(monkeypatch, kmax):
+    """count_terms up to level kmax, on random delta2 in [0.1, 3] at m = 3, p = 2.5."""
+    d2 = np.random.default_rng(3).uniform(0.1, 3.0, size=kmax + 1)
+    return count_terms(monkeypatch, d2, 3, 2.5)
 
 
 def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
@@ -381,10 +385,42 @@ def test_self_level_sums_cost_k_log_k_terms(monkeypatch):
 
 @pytest.mark.parametrize("kmax", [10_000, 100_000])
 def test_self_level_sums_cost_linear_terms(kmax, monkeypatch):
-    # each level takes its 3R direct terms and four end values, R = 10 at
-    # m = 3, p = 2.5, and n = 11 Gauss-Legendre nodes per far segment: about
-    # 34 terms per level, so 40 K bounds them at every K
+    # each level takes its R = 10 first terms at m = 3, p = 2.5, at most 2R
+    # more where the root's window meets [R, k], two end values per non-empty
+    # segment and n = 11 Gauss-Legendre nodes per far segment: at most
+    # 3R + 4 + 2n = 56 terms a level, and on random delta2 well under 40
     assert 0 < counted_terms(monkeypatch, kmax) < 40 * kmax
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("q", ["szego", "bergman"])
+def test_self_level_sums_cost_where_every_root_is_negative(m, q, monkeypatch):
+    # hp families, delta2(k) = (k+m)/(k+q) with q = m (szego) or m + 1
+    # (bergman): every root is x_k = 1 - q < 0, so no level has a window
+    # about its root or a segment left of it, and each takes its R first
+    # terms and the two ends of [R, k]: R + 2 a level, against 3R + 4 when
+    # every level paid for a window and both segments
+    kmax, p = 10_000, 2.5
+    k = np.arange(kmax + 1.0)
+    d2 = (k + m) / (k + {"szego": m, "bergman": m + 1}[q])
+    R = _kernels._rules(m, p)[0]
+    assert 0 < count_terms(monkeypatch, d2, m, p) < (R + 3) * kmax
+
+
+@pytest.mark.parametrize("m,p,rules", [(2, 1.45, (8, 11)), (3, 2.58, (10, 11)),
+                                        (4, 5.26, (12, 13))])
+def test_rules_are_derived_without_warnings(m, p, rules):
+    # the search for the least R tries candidates R >= 1 only, so no log of
+    # a non-positive number is taken; the rules themselves are unchanged
+    _kernels._rules.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, _, _, n = _kernels._rules(m, p)
+        assert (R, n) == rules
+        for m2 in range(2, 9):
+            for p2 in (1.0, 1.5, 2.5, 4.0, 7.3, 12.0, 20.0, 40.0, 80.0):
+                _kernels._rules(m2, p2)
+    _kernels._rules.cache_clear()
 
 
 def test_kahan_cumsum_matches_fsum(rng):
