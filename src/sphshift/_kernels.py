@@ -71,8 +71,7 @@ def _rules(m, p):
     gap = lambda R: lead + P / R - 2 * r * np.log(2 * math.pi * R) - eps  # noqa: E731
     least = np.where(gap(P + 64) <= 0, P + 64, np.inf)  # R = P + 64 fits at r = 64
     for step in 2.0 ** np.arange(64, -1, -1):  # down to the least R >= 1 that fits each r
-        below = np.maximum(least - step, 1.0)
-        least = np.where(gap(below) <= 0, below, least)
+        least = np.where(gap(below := np.maximum(least - step, 1.0)) <= 0, below, least)
     R, r = min(((int(h), int(j)) for j, h in zip(r, least) if h < math.inf), key=lambda t: (sum(t), t))
     zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
     for i in range(2, r + 1):  # sum_k zeta(2k) zeta(2i-2k) = (i + 1/2) zeta(2i)
@@ -116,6 +115,35 @@ def _ends(c, d, s, m, p, R, coef, phi):
     return (g * tw[0]).sum(axis=0) / 2 + corr[1] - corr[0], prim[1] - prim[0]
 
 
+def _scaled_levels(k, c, d, m, p, R, coef, phi, n):
+    """The sums of self_level_powersums at levels k, c and D scaled."""
+    # the root, clipped where that moves no window and no far test
+    x = np.clip(np.where(d == 0, np.inf, c / d), -2 * (k + R), 3 * k + 2 * R)
+    lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
+    wa, wb = np.maximum(lo, R), np.minimum(hi, k)  # the window [wa, wb] about x
+    sa = np.stack([np.full_like(k, R), np.maximum(hi + 1, R)], axis=1)  # segments [sa, sb]
+    sb = np.stack([np.minimum(lo - 1, k), k], axis=1)
+    far = np.stack([x > 2 * sb[:, 0] - R, x < 2 * sa[:, 1] - k], axis=1)
+    i, j = np.nonzero(sa <= sb)  # the non-empty segments, (level, segment)
+    sa, sb, far = sa[i, j], sb[i, j], far[i, j]
+    out, step, w = np.zeros(len(k)), max(1, CHUNK // (16 * R)), np.flatnonzero(wa <= wb)
+    for lv, first, last in ((np.arange(len(k)), 0 * k, np.minimum(k, R - 1)), (w, wa, wb)):
+        # s < R at every level, then the windows, each block as wide as its widest
+        for v in (lv[z : z + step, None] for z in range(0, len(lv), step)):
+            s = first[v] + np.arange((last[v] - first[v]).max() + 1)
+            t = _terms(c[v], d[v], np.minimum(s, last[v]), m, p)
+            out[v[:, 0]] += np.where(s <= last[v], t, 0.0).sum(axis=1)
+    for q in (np.s_[z : z + 2 * step] for z in range(0, len(i), 2 * step)):  # the ends
+        em, integral = _ends(c[i[q]], d[i[q]], np.stack([sa[q], sb[q]]), m, p, R, coef, phi)
+        np.add.at(out, i[q], em + np.where(far[q], 0.0, integral))
+    (nodes, weights), g = _gauss(n), np.flatnonzero(far)  # far: Gauss-Legendre instead
+    for v in (g[z : z + 2 * step] for z in range(0, len(g), 2 * step)):
+        half = (sb[v, None] - sa[v, None]) / 2
+        t = _terms(c[i[v], None], d[i[v], None], sa[v, None] + half * (1 + nodes), m, p)
+        np.add.at(out, i[v], half[:, 0] * (t * weights).sum(axis=1))
+    return out
+
+
 def self_level_powersums(d2, m, p):
     """sum over {|n| = k} of |self-commutator coefficient|^p, per level.
 
@@ -137,57 +165,30 @@ def self_level_powersums(d2, m, p):
     a far segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
     rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
     and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the
-    Gauss-Legendre bound. A level costs R terms, at most 2R more only where
-    its window [max(lo, R), min(hi, k)] of the integers lo..hi within R of
-    x_k is not empty, two end values per non-empty segment and n per far
-    segment: R + 2 where x_k <= 0 (hp, x_k = 1 - q), O(K) in all. R exceeds
-    P/(2 pi), so where kmax + 1 < 3R + n each level is summed whole. Level k is
-    divided by max(|c_k|, |b_k|), so its largest term is about 1 and the
-    p-th power of that scale, brought back, is 0 or inf past the float
-    range, never NaN; rounding leaves about p ulps, as in a direct sum.
+    Gauss-Legendre bound. A level costs R terms, at most 2R more where the
+    integers lo..hi within R of x_k meet [R, k], two end values per non-empty
+    segment and n per far segment (R + 2 where x_k <= 0, as x_k = 1 - q on
+    hp), O(K) in all, but R > P/(2 pi): where kmax + 1 < 3R + n, each is
+    summed whole. Level k is divided by max(|c_k|, |b_k|), so its largest
+    term is about 1 and the p-th power of that scale, brought back, is 0 or
+    inf past the float range, never NaN; rounding leaves about p ulps.
     """
-    kmax, out = len(d2) - 1, np.zeros(len(d2))
+    kmax, out = len(d2) - 1, np.empty(len(d2))
     k = np.arange(1, kmax + 1, dtype=np.float64)
     b = d2[1:] / (k + m)
     diff = b - d2[:-1] / (k + m - 1)
     c = b + k * diff
-    if m > 1:
-        R, coef, phi, n = _rules(m, p)
+    if m == 1:  # one index a level: no weight and no rules
+        with np.errstate(all="ignore"):
+            return np.concatenate([[d2[0] ** p], np.abs(c) ** p])
+    R, coef, phi, n = _rules(m, p)
     with np.errstate(all="ignore"):  # an overflow gives inf; the rest is masked out
         out[0] = (d2[0] / m) ** p
-        if m == 1:
-            out[1:] = np.abs(c) ** p
-            return out
         top = np.where((c == 0) & (b == 0), 1.0, np.fmax(np.abs(c), np.abs(b)))  # at s = 0, k
         c, diff = c / top, diff / top
         R = kmax + 1 if kmax + 1 < 3 * R + n else R
-        # the root, clipped where that moves no window and no far test
-        x = np.clip(np.where(diff == 0, np.inf, c / diff), -2 * (k + R), 3 * k + 2 * R)
-        lo, hi = np.floor(x - R) + 1, np.ceil(x + R) - 1  # the integers within R of x
-        wa, wb = np.maximum(lo, R), np.minimum(hi, k)  # the window [wa, wb] about x
-        sa = np.stack([np.full_like(k, R), np.maximum(hi + 1, R)], axis=1)  # segments [sa, sb]
-        sb = np.stack([np.minimum(lo - 1, k), k], axis=1)
-        far = np.stack([x > 2 * sb[:, 0] - R, x < 2 * sa[:, 1] - k], axis=1)
-        i, j = np.nonzero(sa <= sb)  # the non-empty segments, (level, segment)
-        sa, sb, far = sa[i, j], sb[i, j], far[i, j]
-        step, w = max(1, CHUNK // (16 * R)), np.flatnonzero(wa <= wb)
-        direct = ((np.arange(kmax), np.zeros_like(k), np.minimum(k, R - 1)), (w, wa, wb))
-        for lv, first, last in direct:  # s < R at every level, then the windows
-            for z in range(0, len(lv), step):  # as wide as the block's widest, <= 2R
-                v = lv[z : z + step, None]
-                s = first[v] + np.arange((last[v] - first[v]).max() + 1)
-                t = _terms(c[v], diff[v], np.minimum(s, last[v]), m, p)
-                out[1 + v[:, 0]] += np.where(s <= last[v], t, 0.0).sum(axis=1)
-        for z in range(0, len(i), 2 * step):  # the segments' ends, then the far integrals
-            q = np.s_[z : z + 2 * step]
-            em, integral = _ends(c[i[q]], diff[i[q]], np.stack([sa[q], sb[q]]), m, p, R, coef, phi)
-            g = z + np.flatnonzero(far[q])
-            if g.size:
-                nodes, weights = _gauss(n)
-                half = (sb[g, None] - sa[g, None]) / 2
-                t = _terms(c[i[g], None], diff[i[g], None], sa[g, None] + half * (1 + nodes), m, p)
-                integral[g - z] = half[:, 0] * (t * weights).sum(axis=1)
-            np.add.at(out, 1 + i[q], em + integral)
+        for q in (np.s_[z : z + CHUNK] for z in range(0, kmax, CHUNK)):  # O(CHUNK) memory
+            out[1:][q] = _scaled_levels(k[q], c[q], diff[q], m, p, R, coef, phi, n)
         mant, e = np.frexp(top)  # top^p = 2^(e floor(p) + f), f of the size of p
         f = e * (p % 1) + p * np.log2(mant)
         e = np.clip(e * (p // 1) + f // 1, -4e3, 4e3).astype(int)  # beyond: 0 or inf anyway

@@ -240,6 +240,18 @@ def test_self_level_sums_match_loop_across_blocks(m):
         _kernels.self_level_powersums(d2, m, p), loop_self_level(d2, m, p), rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_self_level_sums_match_loop_across_level_chunks(m, monkeypatch):
+    # levels are taken CHUNK at a time; a small CHUNK puts many chunk and
+    # block boundaries inside a horizon the loop can check whole
+    monkeypatch.setattr(_kernels, "CHUNK", 700)
+    rng = np.random.default_rng(200 + m)
+    d2 = rng.uniform(0.1, 3.0, size=3001)
+    p = 1.0 + 0.7 * m
+    np.testing.assert_allclose(
+        _kernels.self_level_powersums(d2, m, p), loop_self_level(d2, m, p), rtol=1e-12)
+
+
 def loop_levels(d2, m, p, levels):
     """loop_self_level at the given levels only, each summed by fsum."""
     counts = np.array([math.comb(x + m - 2, m - 2) for x in range(max(levels) + 1)],
