@@ -419,20 +419,18 @@ def test_self_level_sums_cost_where_every_root_is_negative(m, q, monkeypatch):
     assert 0 < count_terms(monkeypatch, d2, m, p) < (R + 3) * kmax
 
 
-@pytest.mark.parametrize("m,p,rules", [(2, 1.45, (8, 11)), (3, 2.58, (10, 11)),
-                                        (4, 5.26, (12, 13))])
-def test_rules_are_derived_without_warnings(m, p, rules):
-    # the search for the least R tries candidates R >= 1 only, so no log of
-    # a non-positive number is taken; the rules themselves are unchanged
+def test_rules_are_derived_without_warnings():
+    # the search for the least R tries only candidates R >= 1, so it takes
+    # no log of a non-positive number, inside an errstate block or not
     _kernels._rules.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        R, _, _, n = _kernels._rules(m, p)
-        assert (R, n) == rules
-        for m2 in range(2, 9):
-            for p2 in (1.0, 1.5, 2.5, 4.0, 7.3, 12.0, 20.0, 40.0, 80.0):
-                _kernels._rules(m2, p2)
-    _kernels._rules.cache_clear()
+        for (m, p), rules in {(2, 1.45): (8, 11), (3, 2.58): (10, 11), (4, 5.26): (12, 13)}.items():
+            R, _, _, n = _kernels._rules(m, p)
+            assert (R, n) == rules
+        for m in range(2, 9):
+            for p in (1.0, 1.5, 2.5, 4.0, 7.3, 12.0, 20.0, 40.0, 80.0):
+                _kernels._rules(m, p)
 
 
 def test_kahan_cumsum_matches_fsum(rng):
