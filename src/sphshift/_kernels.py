@@ -70,7 +70,7 @@ def _rules(m, p):
     lead = np.cumsum(np.log(P + np.arange(128)))[1::2] + math.log(math.pi ** 2 / 3)  # (P)_2r
     gap = lambda R: lead + P / R - 2 * r * np.log(2 * math.pi * R) - eps  # noqa: E731
     least = np.where(gap(P + 64) <= 0, P + 64, np.inf)  # R = P + 64 fits at r = 64
-    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least R >= 1 that fits each r
+    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least grid point >= 1 that fits each r
         least = np.where(gap(below := np.maximum(least - step, 1.0)) <= 0, below, least)
     R, r = min(((int(h), int(j)) for j, h in zip(r, least) if h < math.inf), key=lambda t: (sum(t), t))
     zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
@@ -127,6 +127,7 @@ def _scaled_levels(k, c, d, m, p, R, coef, phi, n):
     i, j = np.nonzero(sa <= sb)  # the non-empty segments, (level, segment)
     sa, sb, far = sa[i, j], sb[i, j], far[i, j]
     out, step, w = np.zeros(len(k)), max(1, CHUNK // (16 * R)), np.flatnonzero(wa <= wb)
+    val, g = np.empty(len(i)), np.flatnonzero(far)  # each segment's sum; far ones
     for lv, first, last in ((np.arange(len(k)), 0 * k, np.minimum(k, R - 1)), (w, wa, wb)):
         # s < R at every level, then the windows, each block as wide as its widest
         for v in (lv[z : z + step, None] for z in range(0, len(lv), step)):
@@ -135,13 +136,12 @@ def _scaled_levels(k, c, d, m, p, R, coef, phi, n):
             out[v[:, 0]] += np.where(s <= last[v], t, 0.0).sum(axis=1)
     for q in (np.s_[z : z + 2 * step] for z in range(0, len(i), 2 * step)):  # the ends
         em, integral = _ends(c[i[q]], d[i[q]], np.stack([sa[q], sb[q]]), m, p, R, coef, phi)
-        np.add.at(out, i[q], em + np.where(far[q], 0.0, integral))
-    (nodes, weights), g = _gauss(n), np.flatnonzero(far)  # far: Gauss-Legendre instead
-    for v in (g[z : z + 2 * step] for z in range(0, len(g), 2 * step)):
-        half = (sb[v, None] - sa[v, None]) / 2
+        val[q] = em + np.where(far[q], 0.0, integral)
+    for v in (g[z : z + 2 * step] for z in range(0, len(g), 2 * step)):  # Gauss-Legendre instead
+        (nodes, weights), half = _gauss(n), (sb[v, None] - sa[v, None]) / 2  # built only if far
         t = _terms(c[i[v], None], d[i[v], None], sa[v, None] + half * (1 + nodes), m, p)
-        np.add.at(out, i[v], half[:, 0] * (t * weights).sum(axis=1))
-    return out
+        val[v] += half[:, 0] * (t * weights).sum(axis=1)
+    return out + np.bincount(i, val, minlength=len(k))
 
 
 def self_level_powersums(d2, m, p):
@@ -155,23 +155,24 @@ def self_level_powersums(d2, m, p):
     f is smooth but at x_k = c_k/D_k, and w vanishes at s = -1..-(m-2).
     Integers s < R or within R of x_k are summed directly, the at most two
     segments [a, b] left by Euler-Maclaurin with r corrections and the integral
-    Phi(b) - Phi(a) (_ends) or, where x_k lies farther than b - a and Phi
-    would cancel (D_k = 0 too), an n-node Gauss-Legendre one. On a segment
+    Phi(b) - Phi(a) (_ends) or, where x_k lies farther than b - a and Phi would
+    cancel (D_k = 0 too), an n-node Gauss-Legendre one. On a segment
     |f^(j)| <= f (P)_j R^-j by Leibniz and Vandermonde (P = p + m - 2, (P)_j
     rising) and int f <= e^(P/R) sum f, so the remainder 2 zeta(2r) (2 pi)^-2r
     int |f^(2r)| is within (pi^2/3) (P)_2r (2 pi R)^-2r e^(P/R) of the sum.
-    (R, r) is the pair, r <= 64, with the least R + r (R terms a level, 2r
-    Horner steps a segment) that keeps this below 2^-53. Mapped onto [-1, 1],
-    a far segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
+    (R, r), r <= 64, aims at the least R + r (R terms a level, 2r Horner steps
+    a segment) that keeps this below 2^-53, but R, a grid point rounded down,
+    leaves it up to 11x above (m <= 8, p < 80). Mapped onto [-1, 1], a far
+    segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
     rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
     and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the
     Gauss-Legendre bound. A level costs R terms, at most 2R more where the
     integers lo..hi within R of x_k meet [R, k], two end values per non-empty
-    segment and n per far segment (R + 2 where x_k <= 0, as x_k = 1 - q on
-    hp), O(K) in all, but R > P/(2 pi): where kmax + 1 < 3R + n, each is
-    summed whole. Level k is divided by max(|c_k|, |b_k|), so its largest
-    term is about 1 and the p-th power of that scale, brought back, is 0 or
-    inf past the float range, never NaN; rounding leaves about p ulps.
+    segment and n per far segment (R + 2 where x_k <= 0, as x_k = 1 - q on hp),
+    O(K) in all, but R > P/(2 pi): where kmax + 1 < 3R + n, each is summed
+    whole. Level k is divided by max(|c_k|, |b_k|), so its largest term is
+    about 1 and the p-th power of that scale, brought back, is 0 or inf past
+    the float range, never NaN; rounding leaves about p ulps.
     """
     kmax, out = len(d2) - 1, np.empty(len(d2))
     k = np.arange(1, kmax + 1, dtype=np.float64)

@@ -316,6 +316,23 @@ def test_self_level_sums_keep_their_size_at_huge_exponents(m, p, kmax):
                                rtol=max(1e-12, 4 * p * 2.0 ** -53))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_self_level_sums_summed_whole_build_no_gauss_legendre_rule(m, monkeypatch):
+    # at p = 1e5 the rules want about 3R + n = 3e4 levels, so kmax 200 is
+    # summed whole and has no segment: the n-node rule, O(n^2) to build at
+    # n of about 3e4, must not be built
+    def refuse(n):
+        raise AssertionError(f"a {n}-node Gauss-Legendre rule was built")
+
+    monkeypatch.setattr(_kernels, "_gauss", refuse)
+    kmax, p = 200, 1e5
+    levels = np.unique(np.linspace(1, kmax, 20).astype(int))
+    d2 = np.arange(kmax + 1.0) + m
+    d2 *= 1 + np.random.default_rng(m).uniform(-1, 1, kmax + 1) / (p * kmax)
+    got = _kernels.self_level_powersums(d2, m, p)
+    np.testing.assert_allclose(got[levels], loop_levels(d2, m, p, levels), rtol=4 * p * 2.0 ** -53)
+
+
 def placed_roots(kmax, m, where, seed):
     """delta2(0..kmax) that puts the root x_k = c_k/D_k of each odd level k
     where asked: left of the level (down to the weight's roots at -1..-(m-2)
