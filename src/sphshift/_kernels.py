@@ -69,8 +69,9 @@ def _rules(m, p):
     r = np.arange(1, 65)
     lead = np.cumsum(np.log(P + np.arange(128)))[1::2] + math.log(math.pi ** 2 / 3)  # (P)_2r
     gap = lambda R: lead + P / R - 2 * r * np.log(2 * math.pi * R) - eps  # noqa: E731
-    least = np.where(gap(P + 64) <= 0, P + 64, np.inf)  # R = P + 64 fits at r = 64
-    for step in 2.0 ** np.arange(64, -1, -1):  # down to the least grid point >= 1 that fits each r
+    top = math.ceil(P) + 64.0  # an integer R that fits at r = 64
+    least = np.where(gap(top) <= 0, top, np.inf)
+    for step in 2.0 ** np.arange(int(top).bit_length(), -1, -1):  # to the least integer that fits
         least = np.where(gap(below := np.maximum(least - step, 1.0)) <= 0, below, least)
     R, r = min(((int(h), int(j)) for j, h in zip(r, least) if h < math.inf), key=lambda t: (sum(t), t))
     zeta, beta = [0.0, math.pi ** 2 / 6], [0.0, 1 / 12]  # zeta(2i); beta_i = B_2i/(2i)
@@ -160,9 +161,9 @@ def self_level_powersums(d2, m, p):
     |f^(j)| <= f (P)_j R^-j by Leibniz and Vandermonde (P = p + m - 2, (P)_j
     rising) and int f <= e^(P/R) sum f, so the remainder 2 zeta(2r) (2 pi)^-2r
     int |f^(2r)| is within (pi^2/3) (P)_2r (2 pi R)^-2r e^(P/R) of the sum.
-    (R, r), r <= 64, aims at the least R + r (R terms a level, 2r Horner steps
-    a segment) that keeps this below 2^-53, but R, a grid point rounded down,
-    leaves it up to 11x above (m <= 8, p < 80). Mapped onto [-1, 1], a far
+    (R, r), r <= 64, is the pair with the least R + r (R terms a level, 2r
+    Horner steps a segment) that keeps this within 2^-53, R searched over
+    the integers. Mapped onto [-1, 1], a far
     segment has x_k beyond +-3: f is analytic in the Bernstein ellipse
     rho = 3 + sqrt(8) and at most M = (m-1) 2^(m-2) 3^p times its mean there,
     and n is the least with (32/15) M rho^-2n e^(P/R)/(rho^2-1) <= 2^-53, the

@@ -81,14 +81,20 @@ def _parse_exponent(text: str) -> float:
 
 
 def _parse_tol(text: str) -> float:
-    """A comparison tolerance: a finite float >= 0."""
+    """A comparison tolerance: a finite float >= 0. The digits before any
+    exponent give the text's sign, so '-1e-400', which rounds to -0.0, is
+    refused as negative, and '1e-400', which rounds to 0.0, as below the
+    float range: only a zero asks for exact agreement."""
     try:
-        tol = float(text)
+        tol, digits = float(text), float(text.lower().partition("e")[0])
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
+        tol = digits = math.nan
+    if not (math.isfinite(tol) and tol >= 0 and digits >= 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
+    if tol == 0 < digits:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} rounds to 0.0, below the smallest "
+                                         f"float; --tol 0 asks for exact agreement")
+    return abs(tol)  # '-0' is 0.0, not -0.0
 
 
 def _parse_window(text: str) -> int:

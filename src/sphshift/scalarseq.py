@@ -168,6 +168,13 @@ class ScalarSequence:
             self._d2x += new
         return self._d2x[: max(kmax + 1, 0)]
 
+    def float_snapshot_error(self, kmax: int) -> float:
+        """max |delta2_array(k) - delta2(k)| / delta2(k) over k = 0..kmax,
+        computed exactly from the two snapshots and rounded up."""
+        pairs = zip(self.delta2_array(kmax).tolist(), self.delta2_exact_array(kmax))
+        err = max((abs(Fraction(f) - x) / x for f, x in pairs), default=Fraction(0))
+        return math.nextafter(float(err), math.inf)
+
     def exact_windows(self, kmax: int, smax: int):
         """The exact windows delta2(k)...delta2(k+s-1), k = 0..kmax, s = 0..smax.
 

@@ -22,9 +22,10 @@ every interior entry; hard truncation drops images above degree N, so an
 operator assembled from s factors is only trusted on |n| <= N - s, and a
 product is held only on the levels where its factors are known. A row
 passes when every entry is within ``tol`` of the closed form, or within
-``rounding_bound`` of the matrix products, which judges entries near 1e300
-(hp with a tiny p) relative to their size and stays below 1e-10 on every
-``default_suite`` input; a zero ``tol`` asks for exact agreement.
+its ``rounding_bound``, counted from the roundings behind that one entry
+and the float snapshot's error in delta2, relative to the entry's terms,
+so entries near 1e300 (hp with a tiny p) are judged by their size; a zero
+``tol`` asks for exact agreement.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Basis:
 # The largest basis the oracle builds; every operator holds a row and a
 # value per column. The largest suite below it, m = 8 at N = 10 (43,758
 # columns), is the most rows and columns any CLI arity reaches; its
-# `verify` takes 3.9-4.2 s wall and 61 MB peak RSS on a 2-core VM.
+# `verify` takes 2.6-2.8 s wall and 61 MB peak RSS on a 2-core VM.
 ORACLE_COLUMNS = 50_000
 
 
@@ -274,10 +275,10 @@ def _label(kind: Tuple) -> str:
 
 
 def _deviation(shift, kind, N, ts, powers) -> np.ndarray:
-    """Per level k <= N - required_margin(kind), max |closed form - built
-    entry| over the level's columns, inf where the closed form is not
-    finite; a power kind needs only the powers. Refuses built entries beyond
-    the float range, which no deviation could judge."""
+    """|closed form - built entry| on each column with |n| <= N -
+    required_margin(kind), inf where the closed form is not finite; a power
+    kind needs only the powers. Refuses built entries beyond the float
+    range, which no deviation could judge."""
     op, kmax = kind[0], N - required_margin(kind)
     if kmax < 0:
         raise ValueError(f"the oracle row {_label(kind)} needs N >= {N - kmax}, got N = {N}")
@@ -308,7 +309,7 @@ def _deviation(shift, kind, N, ts, powers) -> np.ndarray:
     dev = np.where(got_rows == rows, np.abs(got - values),
                    np.maximum(np.abs(got), np.abs(values)))
     dev[np.isnan(dev)] = np.inf
-    return np.maximum.reduceat(dev, basis.bounds[: kmax + 1])
+    return dev
 
 
 def compare_with_closed_form(
@@ -333,65 +334,61 @@ def compare_with_closed_form(
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-def rounding_bound(kind: Tuple, ts: Optional[Sequence[LevelOperator]],
-                   powers: Optional[Sequence[LevelOperator]], kmax: int) -> np.ndarray:
-    """Forward rounding bound of the entries of ``kind``, one per degree
-    level k = 0..kmax, counted as for dim x dim matrix products.
+def rounding_bound(shift: SphericalShift, kind: Tuple, N: int,
+                   ts: Optional[Sequence[LevelOperator]],
+                   powers: Optional[Sequence[LevelOperator]]) -> np.ndarray:
+    """Forward rounding bound of each entry ``_deviation`` compares, counted
+    from the operations behind that one entry, above the subnormal range.
 
-    gamma_n = n u / (1 - n u), for n the floating-point terms behind one
-    entry, times the largest magnitude those terms reach on the level
-    (every compared operator preserves the level):
-      * [T_j*, T_l]: two products of inner length dim and one subtraction,
-        n = dim + 1; by Cauchy-Schwarz a term of T_j^T T_l is at most the
-        product of column norms of T_j and T_l, a term of T_l T_j^T the
-        product of their row norms;
-      * Q^s(I): s steps of sum_i T_i^T X T_i over nonnegative terms,
-        n = s (2 dim + m), magnitude the entries of Q^s(I) themselves;
-      * the order-q defect: n = q (2 dim + m) + q + 1, magnitude
-        sum_s C(q,s) |Q^s(I)|.
+    A rounding is a factor 1 + d, |d| <= u = 2^-53, and the float snapshot
+    holds delta2 (1 + e), |e| <= eps over the levels k < N the weights read
+    (``ScalarSequence.float_snapshot_error``). Where an entry's terms are
+    their exact values times such factors, to powers r = 1 or 1/2 that
+    count c = sum r|d| + sum r|e| < 1, the entry is within c/(1 - 2c) of
+    its exact value relative to its terms' computed size. The counts:
+      * a weight sqrt(delta2 (n_i+1)/(|n|+m)): e and two roundings halved
+        by the root, and the root's own, eps/2 + 2u;
+      * a commutator entry, two products of two weights and a difference:
+        eps + 6u, its terms the two ``_product`` gathers T_j*T_l, T_l T_j*;
+      * Q^s(I): s steps over m nonnegative terms w_i(n)^2 X_{s-1}(n+e_i),
+        each of two weights, two products and at most m - 1 additions:
+        s (eps + (m + 5)u), its terms' size the entry itself;
+      * the order-q defect: q + 1 more (a product by C(q,s), q additions),
+        its terms' size sum_s C(q,s) Q^s(I);
+      * the closed form, the exact value rounded once (a cross-commutator
+        thrice: the level's value, sqrt(n_j (n_l+1)), their product): u or
+        3u more, as the terms' size bounds the exact value.
     """
-    basis = (ts or powers)[0].basis
-    dim, m, op = basis.dimension, basis.m, kind[0]
-
-    def level_max(x):  # the largest of x over each level's columns, k = 0..kmax
-        return np.maximum.reduceat(x[: basis.bounds[kmax + 1]], basis.bounds[: kmax + 1])
-
+    basis, op, q = (ts or powers)[0].basis, kind[0], kind[1]
+    stop = basis.bounds[N - required_margin(kind) + 1]
+    eps, closed = shift.seq.float_snapshot_error(N - 1), 3 if op == "cross_comm" else 1
     if op.endswith("comm"):
-        # a column norm of T_i on level k is its one entry's size, and so is
-        # the norm of the one row of level k + 1 that entry lies in
-        a, b, terms = ts[kind[1] - 1], ts[kind[-1] - 1], dim + 1
-        norms = level_max(np.sqrt(a.vals * a.vals)) * level_max(np.sqrt(b.vals * b.vals))
-        magnitude = norms + np.append(0.0, norms[:-1])
+        a, b = ts[kind[1] - 1].adjoint(), ts[kind[-1] - 1]
+        count = eps + (6 + closed) * _U
+        terms = [(1, _product(a, b)), (1, _product(b, a))]
     else:
-        q = kind[1]
-        terms = q * (2 * dim + m) + (q + 1 if op == "bq" else 0)
-        magnitude = level_max(sum(math.comb(q, s) * np.abs(powers[s].vals)
-                                  for s in (range(q + 1) if op == "bq" else (q,))))
-    return terms * _U / (1.0 - terms * _U) * magnitude
+        count = q * (eps + (shift.m + 5) * _U) + ((q + 1 if op == "bq" else 0) + closed) * _U
+        terms = [(math.comb(q, s), powers[s]) for s in (range(q + 1) if op == "bq" else (q,))]
+    # scaled term by term, so no size near the float range overflows
+    return sum(count / (1.0 - 2.0 * count) * c * np.abs(t.vals[:stop]) for c, t in terms)
 
 
-def gram_diagonal_singular_values(c: LevelOperator, tol: float = 1e-10) -> np.ndarray:
+def gram_diagonal_singular_values(c: LevelOperator) -> np.ndarray:
     """Singular values of C via the diagonal of C*C, sorted ascending.
 
-    C*C must be diagonal up to ``tol``; its off-diagonal entries come from
-    columns whose entries share a row. The operators produced by the closed
-    forms here send basis vectors to multiples of distinct basis vectors,
-    so a violation means the structural assumption failed and is reported,
+    C*C is diagonal exactly when no two nonzero entries of C share a row.
+    The operators produced by the closed forms here send basis vectors to
+    multiples of distinct basis vectors, so two such entries, whatever
+    their size, mean the structural assumption failed and are reported,
     never papered over with a general SVD.
     """
     stop = c.basis.bounds[c.known]
-    cols = np.flatnonzero(c.rows[:stop] >= 0)
-    sizes = np.abs(c.vals[cols])
-    order = np.lexsort((-sizes, c.rows[cols]))  # by row, the largest first
-    rows, sizes = c.rows[cols][order], sizes[order]
-    shared = rows[1:] == rows[:-1]
-    worst = float(np.max(sizes[:-1][shared] * sizes[1:][shared], initial=0.0))
-    if worst > tol:
-        raise StructuralAssumptionError(
-            f"C*C has off-diagonal magnitude {worst:.3e} > {tol:.1e} for "
-            f"{c.provenance}; not a shift-structured operator"
-        )
-    return np.sort(np.sqrt(c.vals[:stop] * c.vals[:stop]))
+    rows = c.rows[:stop][(c.rows[:stop] >= 0) & (c.vals[:stop] != 0)]
+    shared = np.flatnonzero(np.bincount(rows) > 1)
+    if shared.size:
+        raise StructuralAssumptionError(f"row {shared[0]} of {c.provenance} holds two nonzero "
+                                        f"entries, so C*C is not diagonal")
+    return np.sort(np.abs(c.vals[:stop]))  # the root of a one-term diagonal, exactly
 
 
 def schatten_power_sum(c: LevelOperator, p: float, kmax: Optional[int] = None) -> float:
@@ -421,7 +418,7 @@ def oracle_suite(shift: SphericalShift, N: int, tol: float = 1e-10,
         dev = float(deviation.max())
         # tol = 0 asks for exact agreement, which no rounding allowance may relax
         ok = dev <= tol or (tol > 0 and bool(np.all(deviation <= np.maximum(
-            tol, rounding_bound(kind, ts, powers, len(deviation) - 1)))))
+            tol, rounding_bound(shift, kind, N, ts, powers)))))
         results.append({"kind": _label(kind), "margin": required_margin(kind),
                         "max_deviation": dev, "pass": bool(ok)})
 

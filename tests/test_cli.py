@@ -202,6 +202,12 @@ class TestVerify:
         assert code == 1
         assert doc["pass"] is False
 
+    @pytest.mark.parametrize("zero", ["0", "-0", "0e-400"])
+    def test_every_zero_tolerance_asks_for_exact_agreement(self, capsys, zero):
+        code, doc = run_json(capsys, ["verify", "--m", "2", "--N", "6", f"--tol={zero}"])
+        assert code == 1 and doc["pass"] is False
+        assert str(doc["request"]["tol"]) == "0.0"
+
     def test_three_variables(self, capsys):
         code, doc = run_json(capsys, ["verify", "--m", "3", "--N", "6"])
         assert code == 0 and doc["pass"] is True
@@ -355,16 +361,20 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"sphshift: {message}\n"
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-10x"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-10x", "-1e-400", "1e-400"])
     @pytest.mark.parametrize("command", [["verify"], ["analyze", "--family", "bergman"]],
                              ids=lambda c: c[0])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, command, tol):
+        # a nonzero tolerance that rounds to 0.0 would silently ask for exact agreement
         with pytest.raises(SystemExit) as exc:
             main(command + [f"--tol={tol}"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"tolerance must be finite and >= 0, got {tol!r}" in captured.err
+        says = (f"tolerance {tol!r} rounds to 0.0, below the smallest float; --tol 0 asks for "
+                f"exact agreement" if tol == "1e-400"
+                else f"tolerance must be finite and >= 0, got {tol!r}")
+        assert says in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["schatten", "--family", "bergman", "--p", "1e400"],

@@ -442,12 +442,25 @@ def test_rules_are_derived_without_warnings():
     _kernels._rules.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for (m, p), rules in {(2, 1.45): (8, 11), (3, 2.58): (10, 11), (4, 5.26): (12, 13)}.items():
+        for (m, p), rules in {(2, 1.45): (9, 11), (3, 2.58): (10, 11), (4, 5.26): (12, 13)}.items():
             R, _, _, n = _kernels._rules(m, p)
             assert (R, n) == rules
         for m in range(2, 9):
             for p in (1.0, 1.5, 2.5, 4.0, 7.3, 12.0, 20.0, 40.0, 80.0):
                 _kernels._rules(m, p)
+
+
+def test_rules_keep_the_euler_maclaurin_remainder_within_2_53():
+    # (pi^2/3) (P)_2r (2 pi R)^-2r e^(P/R), P = p + m - 2, recomputed in log
+    # space for the (R, r) each (m, p) gets; the search ends on the least
+    # integer R that fits, so no pair lands above the bound
+    for m in range(2, 9):
+        for p in np.arange(1.0, 80.001, 0.05).tolist():
+            R, coef, _, _ = _kernels._rules(m, p)
+            r, P = coef.shape[1] // 2, p + m - 2.0
+            log_bound = (math.log(math.pi ** 2 / 3) + math.fsum(math.log(P + i) for i in range(2 * r))
+                         - 2 * r * math.log(2 * math.pi * R) + P / R)
+            assert log_bound <= -53 * math.log(2.0), (m, p, R, r)
 
 
 def test_kahan_cumsum_matches_fsum(rng):

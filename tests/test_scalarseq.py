@@ -222,6 +222,19 @@ class TestSnapshot:
         with pytest.raises(TypeError):
             snapshot[0] = Fraction(1)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_float_snapshot_is_within_one_ulp_of_the_exact_values(self, m):
+        # the oracle's rounding bound counts the float snapshot's error; on
+        # the built-in families it is at most 1 ulp of the exact delta2,
+        # rounded (1 ulp for the scaled sequence, whose c^2 is a float)
+        families = default_suite(m) + [("hp p=1e-300", HpSpace(m, "1e-300")),
+                                       ("rho-eta / 7", RhoEta().scale(Fraction(1, 7)))]
+        for label, seq in families:
+            got = seq.delta2_array(20_000)
+            want = np.array([float(x) for x in seq.delta2_exact_array(20_000)])
+            off = np.flatnonzero(np.abs(got - want) > np.spacing(want))
+            assert off.size == 0, (label, off[:3])
+
     @staticmethod
     def assert_windows_are_products(seq, kmax, smax):
         num, den = seq.exact_windows(kmax, smax)

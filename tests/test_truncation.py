@@ -13,7 +13,8 @@ import pytest
 from exact_reference import add_unit, delta2_float, grevlex_level, multinomial
 from sphshift import cli, truncation
 from sphshift.multiindex import enumerate_level
-from sphshift.scalarseq import AlternatingTwelve, ConstantDelta, HpSpace, Tabulated, default_suite
+from sphshift.scalarseq import (AlternatingTwelve, ConstantDelta, HpSpace, PolynomialGamma,
+                                Tabulated, default_suite)
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
     LevelOperator,
@@ -332,8 +333,23 @@ class TestGramSingularValues:
         # both columns of level 1 land on one row: C*C has 1 * 0.5 off its diagonal
         basis = build_basis(2, 1)
         rows, vals = np.array([0, 1, 1, -1]), np.array([1.0, 1.0, 0.5, 0.0])
-        with pytest.raises(StructuralAssumptionError, match="off-diagonal magnitude 5.000e-01"):
+        with pytest.raises(StructuralAssumptionError,
+                           match="row 1 of mixing holds two nonzero entries, so C[*]C is not "
+                                 "diagonal"):
             gram_diagonal_singular_values(LevelOperator(rows, vals, 0, 2, basis, "mixing"))
+
+    def test_structural_violation_of_any_size_is_detected(self):
+        # 1e-200 * 1e-200 underflows to 0, yet the two entries still share a
+        # row; a zero entry in that row puts nothing off the diagonal, and a
+        # singular value is its entry's size at either end of the float range
+        basis = build_basis(2, 1)
+        rows = np.array([0, 1, 1, -1])
+        with pytest.raises(StructuralAssumptionError, match="row 1 of tiny"):
+            gram_diagonal_singular_values(
+                LevelOperator(rows, np.array([1.0, 1e-200, 1e-200, 0.0]), 0, 2, basis, "tiny"))
+        sv = gram_diagonal_singular_values(
+            LevelOperator(rows, np.array([-1e200, 1e-200, 0.0, 0.0]), 0, 2, basis, "one-zero"))
+        assert sv.tolist() == [0.0, 1e-200, 1e200]
 
     def test_gram_off_diagonal_vanishes_for_suite(self, suite_m2):
         basis = build_basis(2, 8)
@@ -589,12 +605,32 @@ class TestRoundingBound:
     def test_bound_stays_below_default_tol_on_the_suite(self, m, N):
         basis = build_basis(m, N)
         for label, seq in default_suite(m):
-            ts = build_tuple_matrices(SphericalShift(m, seq), basis)
+            shift = SphericalShift(m, seq)
+            ts = build_tuple_matrices(shift, basis)
             powers = truncation.q_powers(ts, 3)
             for kind in suite_kinds(m):
-                kmax = N - truncation.required_margin(kind)
-                bound = truncation.rounding_bound(kind, ts, powers, kmax)
-                assert bound.shape == (kmax + 1,) and np.all(bound < 1e-10), (label, kind)
+                stop = basis.bounds[N - truncation.required_margin(kind) + 1]
+                bound = truncation.rounding_bound(shift, kind, N, ts, powers)
+                assert bound.shape == (stop,) and np.all(bound < 1e-10), (label, kind)
+
+    @pytest.mark.parametrize("m,N", VERIFY_SIZES + [(3, 10), (4, 10), (6, 10), (8, 10)])
+    def test_the_bound_alone_passes_every_row(self, m, N):
+        # tol = 5e-324 leaves every nonzero deviation to the per-entry bound
+        basis = truncation.suite_basis(m, N)
+        tiny_p = [(f"hp p={p}", HpSpace(m, p)) for p in ("1e-300", "1e-100")]
+        for label, seq in default_suite(m) + tiny_p:
+            rows = oracle_suite(SphericalShift(m, seq), N, tol=5e-324, basis=basis)
+            assert [r["kind"] for r in rows if not r["pass"]] == [], (label, m, N)
+
+    def test_snapshot_error_is_counted(self):
+        # Horner's rule cancels in S(1) = 1 - 1.999 + 1, so the float delta2
+        # is about 990 ulps off; a count without eps fails every nonzero row
+        seq = PolynomialGamma([1, "-1.999", 1])
+        assert 900 < seq.float_snapshot_error(9) / 2.0 ** -53 < 1100
+        for m in (2, 3, 4):
+            rows = oracle_suite(SphericalShift(m, seq), 10, tol=5e-324)
+            assert max(r["max_deviation"] for r in rows) > 1e-10
+            assert all(r["pass"] for r in rows), (m, [r for r in rows if not r["pass"]])
 
     def test_tiny_p_passes_on_rounding_alone(self):
         rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
@@ -640,10 +676,26 @@ class TestRoundingBound:
         rows = oracle_suite(SphericalShift(2, HpSpace(2, "1e-300")), N=10, tol=1e-10)
         assert [r["kind"] for r in rows if not r["pass"]] == ["/".join(map(str, planted))]
 
+    @pytest.mark.parametrize("planted", [("self_comm", 1), ("cross_comm", 1, 2), ("q_power", 2),
+                                         ("bq", 1)])
+    def test_relative_defect_of_1e12_at_m8_is_caught(self, planted, monkeypatch):
+        # the bound is a few ulps of each entry's terms, not a count over dim
+        original = truncation._expected_interior
+
+        def perturbed(shift, kind, basis, kmax):
+            rows, values = original(shift, kind, basis, kmax)
+            if kind == planted:
+                values[np.argmax(np.abs(values))] *= 1 + 1e-12
+            return rows, values
+
+        monkeypatch.setattr(truncation, "_expected_interior", perturbed)
+        rows = oracle_suite(SphericalShift(8, HpSpace(8, "1e-300")), N=10, tol=1e-10)
+        assert [r["kind"] for r in rows if not r["pass"]] == ["/".join(map(str, planted))]
+
     def test_readme_states_the_rule(self):
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = " ".join(readme.split())
-        assert "within the forward rounding bound of the matrix products" in text
+        assert "within the rounding bound of that one entry" in text
         assert "`--tol 0` asks for exact agreement" in text
 
 
