@@ -38,34 +38,6 @@ class Verdict:
     note: str = ""
 
 
-def _local_defects(seq: ScalarSequence, Q: int, K: int, scale: Optional[Fraction] = None):
-    """Yield (q, lead, den) for q = 1..Q, each an array over k = 0..K.
-
-    The q-th forward difference of gamma is gamma(k) * L_q(k) with
-    L_q(k) = sum_{s<=q} (-1)^(q-s) C(q,s) prod_{i<s} delta2(k+i), the
-    diagonal of the defect operator B_q; gamma > 0, so its sign is the sign
-    of L_q, which reads only the window delta2(k..k+q-1). With ``scale`` S,
-    delta2 is divided by S, giving the differences of gamma(k) / S^k.
-
-    It runs on Python ints: with delta2(k) / S = alpha_k / beta_k from the
-    sequence's exact values, the recursion
-    L_q(k) = (delta2(k)/S) L_{q-1}(k+1) - L_{q-1}(k) gives
-    lead_q(k) = alpha_k lead_{q-1}(k+1) - beta_{k+q-1} lead_{q-1}(k) and
-    den_q(k) = beta_k den_{q-1}(k+1) = prod_{i<q} beta_{k+i}, the window's
-    cleared, positive denominators, with lead = L_q * den: L_q(k) has the
-    sign of lead_q(k).
-    """
-    num, den = seq.exact_windows(K + Q - 1, 1)
-    Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
-    alpha, beta = num[1] * Sd, den[1] * Sn  # delta2(k) / S = alpha_k / beta_k
-    lead = den = np.ones(K + Q + 1, dtype=object)  # L_0 = 1 on k <= K + Q
-    for q in range(1, Q + 1):
-        n = K + Q + 1 - q  # L_q is needed on k <= K + Q - q
-        lead = alpha[:n] * lead[1: n + 1] - beta[q - 1: q - 1 + n] * lead[:n]
-        den = beta[:n] * den[1: n + 1]
-        yield q, lead[: K + 1], den[: K + 1]
-
-
 def _first(mask) -> Optional[int]:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else None
@@ -95,7 +67,7 @@ def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
 
 def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
     """delta2(k) - delta2(k-1) -> 0: all commutators compact."""
-    gate, witness = essential_normality_gate(seq, K, K // 10), None
+    gate, witness = essential_normality_gate(seq, K), None
     if gate["mode"] == "analytic" and not gate["value"]:  # a declared no: the exact first step
         b, a = seq.delta2_exact_array(1)
         witness = (0, abs(a - b))
@@ -150,14 +122,14 @@ def q_isometry_order(
 
     Returns (order, mode); the mode is "exact", since the windows are.
     """
-    return _isometry_order(list(_local_defects(seq, Q, K)))
+    return _isometry_order(list(seq.exact_defects(K, Q)))
 
 
 def is_q_expansion(seq: ScalarSequence, q: int, K: int = DEFAULT_K_EXACT) -> Verdict:
     """(-1)^q * (q-th difference of gamma at k) <= 0 for all k <= K."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    *_, last = _local_defects(seq, q, K)  # the last window is order q
+    *_, last = seq.exact_defects(K, q)  # the last order is q
     return _expansion(*last, K)
 
 
@@ -165,7 +137,7 @@ def complete_hyperexpansion_up_to(
     seq: ScalarSequence, Q: int = DEFAULT_Q, K: int = DEFAULT_K_EXACT
 ) -> int:
     """Largest Q' <= Q with the expansion property at every order 1..Q'."""
-    return _expansion_depth(_expansion(*d, K) for d in _local_defects(seq, Q, K))
+    return _expansion_depth(_expansion(*d, K) for d in seq.exact_defects(K, Q))
 
 
 def subnormal_consistency(
@@ -184,20 +156,18 @@ def subnormal_consistency(
     if P < 1 or K < 1:
         raise ValueError("P and K must be >= 1")
     sup = seq.sup_delta2()
-    if sup is None:
-        probe = seq.delta2_array(max(K, 1000))
-        if suspect_unbounded(probe):
+    if sup is None:  # the largest delta2 the windows read, k <= K + P - 1
+        if suspect_unbounded(seq.delta2_array(K + P - 1)):
             raise ValueError(
                 f"{seq.name}: delta2 keeps growing over the probe horizon; "
                 "rescaling by sup delta is undefined for an unbounded sequence"
             )
-        at = int(np.argmax(probe))  # rescaled by the exact value at the sampled maximum
-        sup, rescale_mode = seq.delta2_exact_array(at)[at], "sampled"
+        sup, rescale_mode = max(seq.delta2_exact_array(K + P - 1)), "sampled"
     else:
         rescale_mode = "exact"
 
     report = {"pass": True, "witness": None, "order": P, "horizon": K}
-    for p, lead, den in _local_defects(seq, P, K, scale=sup):
+    for p, lead, den in seq.exact_defects(K, P, scale=sup):
         k = _first((-1) ** p * lead < 0)
         if k is not None:
             report.update({"pass": False, "witness": (p, k),
@@ -211,7 +181,7 @@ def is_szego(seq: ScalarSequence, K: int = DEFAULT_K_EXACT) -> Verdict:
     """delta2(k) = 1 for all k <= K: the tuple is the constant-one shift
     (equivalently, the iterated positive map fixes the identity), i.e. the
     first-order defect L_1(k) = delta2(k) - 1 vanishes on the window."""
-    return _szego(*next(_local_defects(seq, 1, K)), K)
+    return _szego(*next(seq.exact_defects(K, 1)), K)
 
 
 @dataclass
@@ -249,7 +219,7 @@ def classification(
     require_classification_orders(P, Q, K)  # before any array is built
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    defects = list(_local_defects(seq, Q, K))
+    defects = list(seq.exact_defects(K, Q))
     order, order_mode = _isometry_order(defects)
     q_expansion = {q: _expansion(q, *defect, K) for q, *defect in defects}
     return Classification(

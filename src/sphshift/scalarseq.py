@@ -99,8 +99,8 @@ class ScalarSequence:
     take every input through ``_exact``, which refuses nan and infinities.
     ``delta2_exact_array`` keeps the one exact snapshot and refuses a
     delta2 that is not positive; it is the only reader of ``delta2_exact``
-    outside this module, and ``exact_windows`` turns it into
-    the integer window products that ``shift`` and ``classify`` read.
+    outside this module, and ``exact_defects`` turns it into the integer
+    defect diagonals L_q that ``classify`` signs and ``shift`` rounds.
     Instances are immutable after construction; caches only grow and never
     change values.
     """
@@ -175,23 +175,29 @@ class ScalarSequence:
         err = max((abs(Fraction(f) - x) / x for f, x in pairs), default=Fraction(0))
         return math.nextafter(float(err), math.inf)
 
-    def exact_windows(self, kmax: int, smax: int):
-        """The exact windows delta2(k)...delta2(k+s-1), k = 0..kmax, s = 0..smax.
+    def exact_defects(self, kmax: int, qmax: int, scale: Optional[Fraction] = None):
+        """Yield (q, lead, den) for q = 1..qmax: arrays of Python ints over
+        k = 0..kmax with den > 0 and lead/den = L_q(k) exactly, where
+        L_q(k) = sum_{s<=q} (-1)^(q-s) C(q,s) prod_{i<s} (delta2(k+i) / S).
 
-        Returns (num, den), each a list over s of arrays over k holding the
-        products of the reduced numerators and of the denominators over the
-        window as Python ints. Reads the exact snapshot once, through
-        kmax + smax - 1.
+        gamma(k) L_q(k) / S^k is the q-th forward difference of gamma(k) / S^k
+        at k, and with S = 1 (no ``scale``) (-1)^q L_q(k) is the diagonal of
+        the defect operator B_q on level k. With delta2(k) / S = alpha_k /
+        beta_k, the recursion L_q(k) = (delta2(k)/S) L_{q-1}(k+1) - L_{q-1}(k)
+        gives lead_q(k) = alpha_k lead_{q-1}(k+1) - beta_{k+q-1} lead_{q-1}(k)
+        and den_q(k) = prod_{i<q} beta_{k+i}. Reads the exact snapshot once,
+        through kmax + qmax - 1.
         """
-        vals = self.delta2_exact_array(kmax + smax - 1)
-        n = max(kmax + 1, 0)
-        nums = np.array([v.numerator for v in vals], dtype=object)
-        dens = np.array([v.denominator for v in vals], dtype=object)
-        num, den = [np.ones(n, dtype=object)], [np.ones(n, dtype=object)]
-        for s in range(1, smax + 1):
-            num.append(num[-1] * nums[s - 1: s - 1 + n])
-            den.append(den[-1] * dens[s - 1: s - 1 + n])
-        return num, den
+        vals = self.delta2_exact_array(kmax + qmax - 1)
+        Sn, Sd = (1, 1) if scale is None else (scale.numerator, scale.denominator)
+        alpha = np.array([v.numerator * Sd for v in vals], dtype=object)
+        beta = np.array([v.denominator * Sn for v in vals], dtype=object)
+        lead = den = np.ones(kmax + qmax + 1, dtype=object)  # L_0 = 1 on k <= kmax + qmax
+        for q in range(1, qmax + 1):
+            n = kmax + qmax + 1 - q  # L_q is needed on k <= kmax + qmax - q
+            lead = alpha[:n] * lead[1: n + 1] - beta[q - 1: q - 1 + n] * lead[:n]
+            den = beta[:n] * den[1: n + 1]
+            yield q, lead[: kmax + 1], den[: kmax + 1]
 
     def log_bbeta_array(self, kmax: int) -> np.ndarray:
         """log bbeta(0..kmax) inclusive, a read-only view.

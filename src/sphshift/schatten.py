@@ -148,7 +148,7 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
     require_exponents_and_horizon((p,), K)
 
     if p == math.inf:
-        gate = essential_normality_gate(seq, K, K // 10)
+        gate = essential_normality_gate(seq, K)
         return SchattenVerdict(
             p=math.inf, m=m, K=K, verdict="converges" if gate["value"] else "diverges",
             analytic=gate["mode"] == "analytic", tail_exponents=(None, None),

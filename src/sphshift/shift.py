@@ -19,11 +19,11 @@ Each level-wise form reads one snapshot of the sequence once, through the
 highest level it needs, and keeps nothing between calls: ``weights`` the
 float delta2, the others the exact delta2, which every family holds. These
 closed forms are computed in integers: a commutator level is formed over
-one common denominator, and the diagonals of Q^s(I) and of the defect
-operators come from the sequence's table of exact windows
-(``ScalarSequence.exact_windows``). The small differences these contain
-are then rounded once, by a correctly rounded int/int division, which
-gives the same float as rounding the exact rational.
+one common denominator, a diagonal of Q^s(I) is a window product of the
+exact delta2, and a diagonal of the defect operator B_q is (-1)^q L_q from
+``ScalarSequence.exact_defects``, the integers ``classify`` signs. Each is
+then rounded once, by a correctly rounded int/int division, which gives
+the same float as rounding the exact rational.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def _rounded(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _degrees(levels) -> np.ndarray:
+    """``levels`` as an intp array, refusing a negative degree."""
+    levels = np.asarray(levels, dtype=np.intp)
+    if levels.size and levels.min() < 0:
+        raise ValueError(f"degree {levels.min()} is negative; a degree |n| must be >= 0")
+    return levels
+
+
 def _top(levels: np.ndarray, reach: int) -> int:
     """max(levels) + reach, or -1 (read nothing) when there are no levels."""
     return int(levels.max()) + reach if levels.size else -1
@@ -98,28 +106,6 @@ class SphericalShift:
         cur, prev, den = self._pair(k, exact)
         return _rounded(cur - prev, den)
 
-    def _q_value(self, k: int, s: int, windows) -> float:
-        """delta2(k)...delta2(k+s-1), rounded once; math.inf beyond the float range."""
-        num, den = windows
-        return _rounded(num[s][k], den[s][k])
-
-    def _bq_value(self, k: int, q: int, windows) -> float:
-        """sum_s (-1)^s C(q,s) delta2(k)...delta2(k+s-1), summed over the
-        order-q window's denominator and rounded once, to +-inf beyond the
-        float range."""
-        num, den = windows
-        d = den[q][k]
-        return _rounded(sum((-1) ** s * math.comb(q, s) * num[s][k] * (d // den[s][k])
-                            for s in range(q + 1)), d)
-
-    def _windows(self, levels, s: int):
-        """The exact windows of orders 0..s from each level through
-        max(levels); a negative degree is refused."""
-        if levels.size and levels.min() < 0:
-            raise ValueError(f"degree {levels.min()} is negative; a degree |n| must be >= 0")
-        top = _top(levels, s)
-        return self.seq.exact_windows(top - s, s)
-
     def _check_axis(self, i: int) -> None:
         if not 1 <= i <= self.m:
             raise ValueError(f"axis {i} out of range for arity {self.m}")
@@ -146,15 +132,24 @@ class SphericalShift:
         """q_diag(k, s) for each degree k in ``levels``."""
         if s < 0:
             raise ValueError("power s must be >= 0")
-        levels = np.asarray(levels, dtype=np.intp)
-        return _by_level(levels, self._q_value, s, self._windows(levels, s))
+        levels = _degrees(levels)
+        exact = self.seq.delta2_exact_array(_top(levels, s - 1))
+
+        def window(k):  # delta2(k)...delta2(k+s-1) over its cleared denominators
+            w = exact[k: k + s]
+            return _rounded(math.prod(x.numerator for x in w), math.prod(x.denominator for x in w))
+
+        return _by_level(levels, window)
 
     def bq_diags(self, q: int, levels) -> np.ndarray:
         """bq_diag(k, q) for each degree k in ``levels``."""
         if q < 1:
             raise ValueError("order q must be >= 1")
-        levels = np.asarray(levels, dtype=np.intp)
-        return _by_level(levels, self._bq_value, q, self._windows(levels, q))
+        levels = _degrees(levels)
+        if not levels.size:
+            return np.zeros(0)
+        *_, (_, lead, den) = self.seq.exact_defects(_top(levels, 0), q)
+        return _by_level(levels, lambda k: _rounded((-1) ** q * lead[k], den[k]))
 
     def self_comm_coeffs(self, j: int, exps) -> np.ndarray:
         """Diagonal entry of [T_j*, T_j] at e_n for each row n of ``exps``."""

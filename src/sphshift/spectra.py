@@ -189,7 +189,13 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
     return _lag_scan_radius(seq, J, K, outer=False)
 
 
-def essential_normality_gate(seq: ScalarSequence, K: int, window: int) -> dict:
+def _window(K: int, window: Optional[int]) -> int:
+    """The sampled essential-normality window: the last K // 10 levels
+    unless ``window`` is given."""
+    return K // 10 if window is None else window
+
+
+def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] = None) -> dict:
     """Affirm or refuse delta2(k) - delta2(k-1) -> 0."""
     if seq.essentially_normal_declared is not None:
         return {
@@ -198,7 +204,7 @@ def essential_normality_gate(seq: ScalarSequence, K: int, window: int) -> dict:
             "detail": "declared by family",
         }
     d2 = seq.delta2_array(K)
-    lo = max(1, K - window)
+    lo = max(1, K - _window(K, window))
     diffs = np.abs(np.diff(d2[lo - 1 :]))
     worst = float(np.max(diffs))
     return {
@@ -216,7 +222,6 @@ def essential_shell(
 
     Only meaningful under essential normality; refuses loudly otherwise.
     """
-    window = K // 10 if window is None else window
     gate = essential_normality_gate(seq, K, window)
     if not gate["value"]:
         raise NotEssentiallyNormalError(
@@ -227,7 +232,7 @@ def essential_shell(
         lam = math.sqrt(seq.delta2_limit)
         return (lam, lam)
     d2 = seq.delta2_array(K)
-    lo = max(0, K - window)
+    lo = max(0, K - _window(K, window))
     tail = d2[lo:]
     return (math.sqrt(float(np.min(tail))), math.sqrt(float(np.max(tail))))
 
@@ -276,7 +281,6 @@ def spectral_report(
     window: Optional[int] = None,
 ) -> SpectralReport:
     check_arity(seq, m)
-    window = K // 10 if window is None else window
     outer = outer_radius(seq, J, K)
     conv = convergence_radius(seq, K)
     inner = inner_radius(seq, J, K)

@@ -36,6 +36,7 @@ from sphshift.spectra import (
     inner_radius,
     outer_radius,
 )
+from sphshift.truncation import oracle_suite
 
 
 class TestCompactEssentiallyNormal:
@@ -192,6 +193,16 @@ class TestSubnormalConsistency:
         with pytest.raises(ValueError):
             subnormal_consistency(seq, 4, 50)
 
+    def test_unknown_sup_is_read_over_the_windows_only(self):
+        # a family without a sup is rescaled by its largest delta2 over the
+        # levels the windows read, k <= K + P - 1; each level is read at most
+        # twice (float and exact), and none past the classification's horizon
+        calls = Counter()
+        seq = Tabulated([1], tail=lambda k: calls.update([k]) or Fraction(k + 2, k + 3))
+        c = classification(seq, P=8, K=50, horizon=100)
+        assert c.subnormal["rescale_mode"] == "sampled"
+        assert max(calls.values()) <= 2 and max(calls) == 100
+
     def test_float_family_rescales_exactly(self):
         # p = 0.5 at its binary value gives sup delta2 = 4, and 4.0 ** k leaves
         # the float range for k > 511: the integer windows of delta2 / 4 do not
@@ -244,11 +255,11 @@ class TestFullClassification:
     @pytest.mark.parametrize("seq", _suite_and_a_held_table())
     def test_one_defect_pass_decides_every_order(self, seq, monkeypatch):
         passes = []
-        real = classify._local_defects
+        real = seq.exact_defects
 
-        def counting_pass(seq, Q, K, scale=None):
+        def counting_pass(kmax, qmax, scale=None):
             passes.append("plain" if scale is None else "subnormal")
-            return real(seq, Q, K, scale)
+            return real(kmax, qmax, scale)
 
         levels = Counter()
         exact = seq.delta2_exact
@@ -257,7 +268,7 @@ class TestFullClassification:
             levels[k] += 1
             return exact(k)
 
-        monkeypatch.setattr(classify, "_local_defects", counting_pass)
+        monkeypatch.setattr(seq, "exact_defects", counting_pass)
         monkeypatch.setattr(seq, "delta2_exact", counting_exact)
         c = classification(seq, P=8, Q=6, K=200)
         assert sorted(passes) == ["plain", "subnormal"]
@@ -378,7 +389,7 @@ class TestLocalWindows:
     @pytest.mark.parametrize("m", [2, 3])
     def test_window_signs_match_gamma_differences(self, m):
         for label, seq in default_suite(m):
-            for q, lead, den in classify._local_defects(seq, 6, 200):
+            for q, lead, den in seq.exact_defects(200, 6):
                 assert (den > 0).all()
                 for k in range(201):
                     assert _sign(lead[k]) == _sign(nabla_gamma(seq, k, q)), (label, q, k)
@@ -388,10 +399,37 @@ class TestLocalWindows:
         for label, seq in default_suite(m):
             S = seq.sup_delta2() or seq.delta2_exact(0)
             diffs = [gamma_exact(seq, k) / S ** k for k in range(207)]
-            for q, lead, den in classify._local_defects(seq, 6, 200, scale=S):
+            for q, lead, den in seq.exact_defects(200, 6, scale=S):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
                 for k in range(201):
                     assert _sign(lead[k]) == _sign(diffs[k]), (label, q, k)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_the_oracle_pins_the_integers_classify_signs(self, monkeypatch, level):
+        # one source: flipping the sign of bergman's order-2 lead at one level
+        # must fail the oracle's bq/2 row and move classify's order-2 verdicts.
+        # L_2(k) = 2/((k+3)(k+4)) > 0, so the 2-expansion fails first at
+        # k = 0 and subnormality (L_2 >= 0) holds until a flip
+        seq = HpSpace(2, 3)
+        before = classification(seq, K=200)
+        real = seq.exact_defects
+
+        def flipped(kmax, qmax, scale=None):
+            for q, lead, den in real(kmax, qmax, scale):
+                if q == 2 and kmax >= level:
+                    lead = lead.copy()
+                    lead[level] = -lead[level]
+                yield q, lead, den
+
+        monkeypatch.setattr(seq, "exact_defects", flipped)
+        rows = oracle_suite(SphericalShift(2, seq), N=10)
+        assert [r["kind"] for r in rows if not r["pass"]] == ["bq/2"]
+        after = classification(seq, K=200)
+        assert before.subnormal["witness"] is None
+        assert after.subnormal["witness"] == (2, level)
+        first = 1 if level == 0 else 0  # the first k with L_2(k) > 0 after the flip
+        assert before.q_expansion[2].witness[0] == 0
+        assert after.q_expansion[2].witness[0] == first
 
     def test_witness_value_is_the_local_value(self):
         # alt-twelve: L_5(1) over the window 1/4, 1/3, 1/4, 1/3, 1/4

@@ -160,6 +160,16 @@ class TestClassify:
         assert code == 0
         assert doc["classification"]["q_isometry_mode"] == "exact"
 
+    def test_short_table_inside_every_horizon(self, tmp_path, capsys):
+        # the request reads delta2(0..2) only: the subnormality rescale takes
+        # its sup over the same rows, k <= K + P - 1, and probes nothing past them
+        table = tmp_path / "d2.csv"
+        table.write_text("1\n0.5\n0.25\n")
+        code, doc = run_json(capsys, ["classify", "--family", "tabulated", "--table", str(table),
+                                      "--K", "1", "--P", "2", "--Q", "2", "--horizon", "2"])
+        assert code == 0
+        assert doc["classification"]["subnormal"]["rescale_mode"] == "sampled"
+
     def test_witness_suppressed_by_default(self, capsys):
         code, doc = run_json(capsys, ["classify", "--family", "alt-twelve", "--m", "2"])
         assert code == 0

@@ -236,37 +236,50 @@ class TestSnapshot:
             assert off.size == 0, (label, off[:3])
 
     @staticmethod
-    def assert_windows_are_products(seq, kmax, smax):
-        num, den = seq.exact_windows(kmax, smax)
-        assert len(num) == len(den) == smax + 1
-        for s in range(smax + 1):
-            assert len(num[s]) == len(den[s]) == kmax + 1
+    def assert_defects_are_gamma_differences(seq, kmax, qmax, scale=None):
+        # L_q(k) is the q-th difference of gamma at k over gamma(k); with a
+        # scale S, of the sequence delta2 / S, here a table of those values
+        ref = seq if scale is None else Tabulated(
+            [seq.delta2_exact(k) / scale for k in range(kmax + qmax)])
+        defects = list(seq.exact_defects(kmax, qmax, scale))
+        assert [q for q, _, _ in defects] == list(range(1, qmax + 1))
+        for q, lead, den in defects:
+            assert len(lead) == len(den) == kmax + 1
             for k in range(kmax + 1):
-                window = [seq.delta2_exact(i) for i in range(k, k + s)]
-                assert num[s][k] == math.prod(x.numerator for x in window), (seq.name, s, k)
-                assert den[s][k] == math.prod(x.denominator for x in window), (seq.name, s, k)
-                assert Fraction(num[s][k], den[s][k]) == math.prod(window, start=Fraction(1))
+                assert den[k] > 0, (seq.name, q, k)
+                assert Fraction(lead[k], den[k]) == (
+                    nabla_gamma(ref, k, q) / gamma_exact(ref, k)), (seq.name, q, k)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_exact_windows_are_products_of_the_exact_values(self, m):
+    def test_exact_defects_are_gamma_differences(self, m):
         for _, seq in default_suite(m):
-            self.assert_windows_are_products(seq, 30, 8)
+            self.assert_defects_are_gamma_differences(seq, 30, 8)
+            sup = seq.sup_delta2()
+            if sup is not None:
+                self.assert_defects_are_gamma_differences(seq, 30, 8, scale=sup)
 
-    def test_exact_windows_are_exact_per_window(self):
-        # delta2(2) is the float 0.75: the windows that read it hold its
+    def test_exact_defects_are_exact_per_window(self):
+        # delta2(2) is the float 0.75: the defects that read it hold its
         # binary value, 3/4, like every other window
         seq = Tabulated([Fraction(1, 2), Fraction(2, 3), 0.75]
                         + [Fraction(k + 2, k + 5) for k in range(20)], tail="hold")
-        self.assert_windows_are_products(seq, 15, 8)
-        num, den = seq.exact_windows(15, 8)
-        assert [Fraction(num[3][k], den[3][k]) for k in range(3)] == [
-            Fraction(1, 4), Fraction(1, 5), Fraction(3, 20)]
+        self.assert_defects_are_gamma_differences(seq, 15, 8)
+        self.assert_defects_are_gamma_differences(seq, 15, 8, scale=seq.sup_delta2())
+        (_, lead, den), (_, lead2, den2) = seq.exact_defects(2, 2)
+        assert [Fraction(lead[k], den[k]) for k in range(3)] == [
+            Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 4)]
+        assert Fraction(lead2[1], den2[1]) == Fraction(1, 6)  # (2/3)(3/4) - 2 (2/3) + 1
 
-    def test_exact_windows_read_an_error_tail_table_up_to_its_last_row(self):
+    def test_exact_defects_read_an_error_tail_table_up_to_its_last_row(self, monkeypatch):
         seq = Tabulated([Fraction(k + 1, k + 3) for k in range(23)])
-        self.assert_windows_are_products(seq, 15, 8)  # reads rows 0..22
+        read = []
+        exact = seq.delta2_exact
+        monkeypatch.setattr(seq, "delta2_exact", lambda k: read.append(k) or exact(k))
+        list(seq.exact_defects(15, 8))
+        assert read == list(range(23))  # rows 0..22, each once
+        self.assert_defects_are_gamma_differences(seq, 15, 8)
         with pytest.raises(TableRangeError):
-            seq.exact_windows(16, 8)
+            list(seq.exact_defects(16, 8))
 
     def test_negative_kmax_gives_empty_snapshots(self):
         seq = HpSpace(2, 3)
