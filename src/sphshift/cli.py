@@ -293,10 +293,10 @@ def cmd_dump_sequence(args) -> int:
         raise ValueError("--Q must be >= 0")
     seq = _family_from_args(args)
     shift = SphericalShift(args.m, seq)
-    logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # delta2 through K + Q - 1, as bq_diags
+    logbb = seq.log_bbeta_array(args.K + args.Q).tolist()  # delta2 through K + Q - 1, as bq_rows
     d2 = seq.delta2_array(args.K).tolist()
     ks = range(args.K + 1)
-    bq = [shift.bq_diags(q, ks).tolist() for q in range(1, args.Q + 1)]
+    bq = shift.bq_rows(args.Q, ks).tolist() if args.Q else []
     rows = [["k", "delta2", "gamma", "log_bbeta"] + [f"bq_{q}" for q in range(1, args.Q + 1)]]
     rows += [[k, repr(d2[k]), repr(_exp_or_inf(2.0 * logbb[k])), repr(logbb[k])]
              + [repr(col[k]) for col in bq] for k in ks]

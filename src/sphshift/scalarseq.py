@@ -29,7 +29,7 @@ import numpy as np
 DEFAULT_K = 100_000         # spectra and schatten: float horizon
 DEFAULT_J = 60              # spectra: lags of the radius scans
 DEFAULT_K_EXACT = 200       # classify: exact horizon
-DEFAULT_K_SAMPLED = 10_000  # classify: sampled horizon
+DEFAULT_K_SAMPLED = 10_000  # classify and is_bounded: sampled horizon
 DEFAULT_P = 8               # classify: subnormality order
 DEFAULT_Q = 6               # classify: expansion orders
 
@@ -225,7 +225,7 @@ class ScalarSequence:
 
     # -- derived quantities ----------------------------------------------
 
-    def is_bounded(self, K: int = 10_000) -> BoundednessReport:
+    def is_bounded(self, K: int = DEFAULT_K_SAMPLED) -> BoundednessReport:
         if K < 1:
             raise ValueError("sample horizon K must be >= 1")
         sup = self.sup_delta2()

@@ -71,31 +71,25 @@ def require_exponents_and_horizon(p_grid: Sequence[float], K: int) -> None:
         raise ValueError(f"K must be >= {MIN_K} for a meaningful tail")
 
 
-def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1,
-                          series: Sequence[int] = (1, 2)):
-    """The terms of the given series (1, 2 or both) over k = lo..K, one
-    array per entry of series.
+def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1):
+    """(series 1 terms, series 2 terms) over k = lo..K, both formed from one
+    array of k.
 
     A delta2 or a difference whose p-th power leaves the float range gives
     an inf term, which the partial sums report as "inf".
     """
     require_cross_arity(m)
     d2 = seq.delta2_array(K)
-    out = []
-    for s in series:
-        k = np.arange(lo, K + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            if s == 1:
-                t = d2[lo:] ** p
-                k **= m - p - 1
-            else:
-                t = np.diff(d2[lo - 1 :])
-                np.abs(t, out=t)
-                t **= p
-                k **= m - 1
-            t *= k
-        out.append(t)
-    return tuple(out)
+    k = np.arange(lo, K + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        t2 = np.diff(d2[lo - 1 :])
+        np.abs(t2, out=t2)
+        t2 **= p
+        t2 *= k ** (m - 1)
+        t1 = d2[lo:] ** p
+        k **= m - p - 1
+        t1 *= k
+    return t1, t2
 
 
 def _checkpoint_grid(K: int) -> list:
@@ -188,21 +182,21 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
                            reason=reason, tail_exponents=(slope1, slope2))
 
 
-def _partial_sums(seq, m, p, K, series, checkpoints) -> list:
-    """One series' partial sums at the checkpoints, in blocks of
-    _kernels.CHUNK values of k. Each block's first term gets the running
-    sum before the block's cumsum, so every partial sum is the one a cumsum
-    over k = 1..K gives, bit for bit."""
-    sums, running = [], 0.0
+def _partial_sums(seq, m, p, K, checkpoints) -> Tuple[list, list]:
+    """Both series' partial sums at the checkpoints, from one walk of k =
+    1..K in blocks of _kernels.CHUNK values. Each block's first terms get
+    the running sums before the block's cumsums, so every partial sum is
+    the one a cumsum over k = 1..K gives, bit for bit."""
+    sums, running = ([], []), [0.0, 0.0]
     for k0 in range(1, K + 1, _kernels.CHUNK):
         k1 = min(k0 + _kernels.CHUNK - 1, K)
-        (t,) = criterion_term_arrays(seq, m, p, k1, lo=k0, series=(series,))
-        if k0 > 1:
-            t[0] += running
-        t = _kernels.kahan_cumsum(t)
-        running = t[-1]
-        sums += t[[c - k0 for c in checkpoints if k0 <= c <= k1]].tolist()
-        del t  # before the next block is formed
+        at = [c - k0 for c in checkpoints if k0 <= c <= k1]
+        for i, t in enumerate(criterion_term_arrays(seq, m, p, k1, lo=k0)):
+            if k0 > 1:
+                t[0] += running[i]
+            t = _kernels.kahan_cumsum(t)
+            running[i] = t[-1]
+            sums[i].extend(t[at].tolist())
     return sums
 
 
@@ -217,8 +211,7 @@ def decide(seq: ScalarSequence, m: int, p: float, K: int = DEFAULT_K) -> Schatte
         if compact is not None:
             v.cutoff_consistent = compact or not (v.verdict == "converges" and p <= m)
         v.checkpoints = _checkpoint_grid(K)
-        v.partial_sums_1 = _partial_sums(seq, m, p, K, 1, v.checkpoints)
-        v.partial_sums_2 = _partial_sums(seq, m, p, K, 2, v.checkpoints)
+        v.partial_sums_1, v.partial_sums_2 = _partial_sums(seq, m, p, K, v.checkpoints)
     return v
 
 

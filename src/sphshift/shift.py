@@ -9,11 +9,11 @@ Each closed form is written once, as a level-wise form: ``weights``,
 ``self_comm_coeffs`` and ``cross_comm_coeffs`` take an integer array of
 multi-indices (one per row, m wide, no negative entry), ``q_diags`` and
 ``bq_diags`` an array of degrees, and each evaluates its formula once per
-distinct degree level and broadcasts it with numpy. The per-index methods
-``weight``, ``q_diag``, ``bq_diag``, ``self_comm_coeff`` and
-``cross_comm_coeff`` are one-row views of these forms. They stay because
-the benchmark's tracer (``perfbench/tracer.py``) wraps each of them to
-count its calls.
+distinct degree level and broadcasts it with numpy; ``bq_rows`` gives
+every order up to q at once. The per-index methods ``weight``, ``q_diag``,
+``bq_diag``, ``self_comm_coeff`` and ``cross_comm_coeff`` are one-row views
+of these forms. They stay because the benchmark's tracer
+(``perfbench/tracer.py``) wraps each of them to count its calls.
 
 Each level-wise form reads one snapshot of the sequence once, through the
 highest level it needs, and keeps nothing between calls: ``weights`` the
@@ -141,15 +141,20 @@ class SphericalShift:
 
         return _by_level(levels, window)
 
-    def bq_diags(self, q: int, levels) -> np.ndarray:
-        """bq_diag(k, q) for each degree k in ``levels``."""
-        if q < 1:
+    def bq_rows(self, qmax: int, levels) -> np.ndarray:
+        """bq_diags(q, levels) for q = 1..qmax, one row each, from one pass
+        of ``ScalarSequence.exact_defects``."""
+        if qmax < 1:
             raise ValueError("order q must be >= 1")
         levels = _degrees(levels)
         if not levels.size:
-            return np.zeros(0)
-        *_, (_, lead, den) = self.seq.exact_defects(_top(levels, 0), q)
-        return _by_level(levels, lambda k: _rounded((-1) ** q * lead[k], den[k]))
+            return np.zeros((qmax, 0))
+        return np.array([_by_level(levels, lambda k: _rounded((-1) ** q * lead[k], den[k]))
+                         for q, lead, den in self.seq.exact_defects(_top(levels, 0), qmax)])
+
+    def bq_diags(self, q: int, levels) -> np.ndarray:
+        """bq_diag(k, q) for each degree k in ``levels``."""
+        return self.bq_rows(q, levels)[-1]
 
     def self_comm_coeffs(self, j: int, exps) -> np.ndarray:
         """Diagonal entry of [T_j*, T_j] at e_n for each row n of ``exps``."""

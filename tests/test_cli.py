@@ -49,6 +49,22 @@ class TestDumpSequence:
         assert float(rows[1][1]) == pytest.approx(2 / 3)
         assert float(rows[1][4]) == pytest.approx(1 / 3)
 
+    def test_every_order_from_one_defect_pass(self, capsys, monkeypatch):
+        from sphshift.scalarseq import ScalarSequence
+
+        passes = []
+        exact_defects = ScalarSequence.exact_defects
+
+        def counted(seq, kmax, qmax, scale=None):
+            passes.append((kmax, qmax))
+            return exact_defects(seq, kmax, qmax, scale)
+
+        monkeypatch.setattr(ScalarSequence, "exact_defects", counted)
+        assert main(["dump-sequence", "--family", "bergman", "--K", "40", "--Q", "6"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert passes == [(40, 6)]
+        assert rows[0][-6:] == [f"bq_{q}" for q in range(1, 7)] and len(rows) == 42
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "seq.csv"
         code = main(["dump-sequence", "--family", "szego", "--K", "2", "--out", str(out)])

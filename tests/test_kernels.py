@@ -212,6 +212,48 @@ def test_cross_level_sums_carry_the_size_of_overflowing_pair_sums(m):
         assert got[level] == pytest.approx(want, rel=1e-12), level
 
 
+def two_fixup_cross_level(d2, m, p):
+    """cross_level_powersums in its former form, with one fix-up for levels
+    whose |D_k|^p underflows and another for levels whose pair sum overflows."""
+    kmax = len(d2) - 1
+    out = np.zeros(kmax + 1)
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
+    pair = _kernels._cross_pair_sums(kmax, m, p)
+    over = np.isinf(pair)
+    powered = np.abs(diff) ** p
+    out[1:] = powered * np.where(over, 1.0, pair)
+    under = (powered == 0) & (diff != 0) & ~over
+    if under.any():
+        out[1:][under] = np.exp(p * np.log(np.abs(diff[under])) + np.log(pair[under]))
+    if over.any():
+        lo = int(np.argmax(over))
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = p * np.log(np.abs(diff[lo:])) + _kernels._log_cross_pair_sums(kmax, m, p, lo)
+            out[1 + lo :][over[lo:]] = np.exp(logs[over[lo:]])
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_one_rule_past_the_float_range_matches_the_two_fixups(m):
+    # D_k = 1, 2^-10, about 1/k^2, and seeded values: levels whose pair sums
+    # overflow, whose powers underflow, both, and neither
+    k = np.arange(3001, dtype=np.float64)
+    cases = [(k + m) * (k + 1), (k + m) * (k + 1) / 1024, (k + 2) / (k + 3),
+             np.random.default_rng(m).uniform(0.1, 2.0, 1501)]
+    past = 0
+    for p in (1.0, 2.5, 8.0, 40.0, 80.0, 150.0, 200.0, 400.0, 1000.0):
+        for d2 in cases:
+            with np.errstate(over="ignore"):
+                want = two_fixup_cross_level(d2, m, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _kernels.cross_level_powersums(d2, m, p)
+            assert got.tobytes() == want.tobytes(), (p, len(d2))
+            past += not np.isfinite(_kernels._cross_pair_sums(len(d2) - 1, m, p)).all()
+    assert past >= 4  # the overflowing pair sums are reached
+
+
 def loop_self_level(d2, m, p):
     """The per-level loop that the row-block kernel replaced: one dot per level."""
     kmax = len(d2) - 1

@@ -178,7 +178,7 @@ class TestTailFit:
 
     def test_infinite_tail_term_gives_a_finite_slope_without_warning(self):
         seq = huge_every_997th()
-        (t1,) = criterion_term_arrays(seq, 2, 2.5, 2000, series=(1,))
+        t1 = criterion_term_arrays(seq, 2, 2.5, 2000)[0]
         assert np.isinf(t1[999:]).any()  # delta2^2.5 = inf at k = 1994
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -219,9 +219,22 @@ class TestBlockedScan:
         seq = HpSpace(3, 4)
         whole = criterion_term_arrays(seq, 3, 3.5, B + 9)
         for lo in (1, 2, B, B + 1):
+            blocks = criterion_term_arrays(seq, 3, 3.5, B + 9, lo=lo)
             for s in (1, 2):
-                (block,) = criterion_term_arrays(seq, 3, 3.5, B + 9, lo=lo, series=(s,))
-                assert block.tobytes() == whole[s - 1][lo - 1 :].tobytes()
+                assert blocks[s - 1].tobytes() == whole[s - 1][lo - 1 :].tobytes()
+
+    def test_decide_walks_the_horizon_once_for_both_series(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("lo", 1))
+            return criterion_term_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(schatten, "criterion_term_arrays", counted)
+        v = decide(HpSpace(3, 4), 3, 3.5, 3 * B + 7)
+        assert calls == [1, B + 1, 2 * B + 1, 3 * B + 1]  # one call per block
+        assert [v.partial_sums_1, v.partial_sums_2] == whole_array_sums(
+            HpSpace(3, 4), 3, 3.5, 3 * B + 7)
 
     def test_decide_allocates_at_most_two_horizon_arrays(self):
         K = 3 * B + 7
