@@ -15,10 +15,7 @@ import math
 
 import numpy as np
 
-# Values of k per block of every scan over a horizon (the spectra lag scans,
-# the Schatten series, the fits' centred data): a block and its temporaries
-# stay in cache, and larger blocks gain no speed.
-CHUNK = 1 << 16
+from .scalarseq import CHUNK  # the block size of every scan over a horizon
 
 # Half-width of the band around slope -1 in which a log-log tail fit
 # decides nothing.
@@ -302,15 +299,15 @@ def cross_level_powersums(d2, m, p):
     diff = d2[1:] / (k + m) - d2[:-1] / (k + m - 1)
     pair = _cross_pair_sums(kmax, m, p)
     over = np.isinf(pair)
-    powered = np.abs(diff) ** p
-    out[1:] = powered * np.where(over, 1.0, pair)
-    past = over | (powered == 0) & (diff != 0)  # the float product cannot hold the level
-    if past.any():
-        log_pair = np.log(pair)
-        if over.any():
-            lo = int(np.argmax(over))
-            log_pair[lo:][over[lo:]] = _log_cross_pair_sums(kmax, m, p, lo)[over[lo:]]
-        with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a level past the float range is inf
+        powered = np.abs(diff) ** p
+        out[1:] = powered * np.where(over, 1.0, pair)
+        past = over | (powered == 0) & (diff != 0)  # the float product cannot hold the level
+        if past.any():
+            log_pair = np.log(pair)
+            if over.any():
+                lo = int(np.argmax(over))
+                log_pair[lo:][over[lo:]] = _log_cross_pair_sums(kmax, m, p, lo)[over[lo:]]
             out[1:][past] = np.exp(p * np.log(np.abs(diff[past])) + log_pair[past])
     return out
 
@@ -321,25 +318,53 @@ def abs_sum(k, m, p, s):
     return float(np.sum(_comp_counts(k - t, m) * np.abs(s * t - 1.0) ** p))  # a pairwise sum
 
 
-def fit_slope(x, y):
-    """Least-squares slope of y against x, in closed form from the centred data.
+def _tree_sum(a, n, leaf):
+    """The sum over points a..a+n-1 that np.sum forms over them as one array:
+    numpy's pairwise summation halves a range at n // 2 rounded down to a
+    multiple of 8, and ranges of at most CHUNK points are leaf(a, b), itself
+    an np.sum. A module-level recursion, so no closure cycle keeps a
+    caller's scratch alive until the garbage collector runs."""
+    if n <= CHUNK:
+        return leaf(a, a + n)
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(a, half, leaf) + _tree_sum(a + half, n - half, leaf)
 
-    y is scratch and is overwritten; x is left as it is. The centred x is formed
-    in blocks of CHUNK, so the fit allocates nothing of the length of its data.
-    The two sums of products are pairwise sums (np.sum) over the whole of y,
-    which stay within a few ulps of an extended-precision fit where np.dot
-    does not. An inf or NaN in y gives NaN, as np.polyfit does, and no warning.
+
+def fit_slope(n, block):
+    """Least-squares slope of y against x over n points, in closed form from
+    the centred data.
+
+    block(a, b, x, y) writes points a..b-1 into x and y, views of two scratch
+    arrays of at most CHUNK values allocated once per fit; it is asked for
+    each block twice, for the means and for the centred sums, unless all n
+    points fit in the scratch, which then holds them for both. The four sums
+    (of x, of y, of (x - mean x)^2 and of (y - mean y)(x - mean x)) walk
+    numpy's pairwise-summation tree (_tree_sum), so the slope is the fit of
+    the whole arrays by np.sum bit for bit, and stays within a few ulps of an
+    extended-precision fit where np.dot does not. An inf or NaN in y gives
+    NaN, as np.polyfit does, and no warning.
     """
-    xm = x.mean()
+    xs, ys = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
+
+    def sums(a, b):
+        x, y = xs[: b - a], ys[: b - a]
+        block(a, b, x, y)
+        return np.array([x.sum(), y.sum()])
+
+    def centred(a, b):
+        x, y = xs[: b - a], ys[: b - a]
+        if n > CHUNK:
+            block(a, b, x, y)
+        x -= xm
+        y -= ym
+        y *= x
+        x *= x
+        return np.array([y.sum(), x.sum()])
+
     with np.errstate(invalid="ignore"):
-        y -= y.mean()
-        for a in range(0, len(x), CHUNK):
-            y[a : a + CHUNK] *= x[a : a + CHUNK] - xm
-        num = y.sum()
-    for a in range(0, len(x), CHUNK):
-        xc = np.subtract(x[a : a + CHUNK], xm, out=y[a : a + CHUNK])
-        xc *= xc
-    return float(num / y.sum())
+        xm, ym = _tree_sum(0, n, sums) / n
+        num, den = _tree_sum(0, n, centred)
+    return float(num / den)
 
 
 def series_verdict(slope):
@@ -353,6 +378,6 @@ def series_verdict(slope):
     return "inconclusive"
 
 
-def kahan_cumsum(x):
-    """A plain left-to-right np.cumsum(x); the name is kept for its callers."""
-    return np.cumsum(x)
+def kahan_cumsum(x, out=None):
+    """A plain left-to-right np.cumsum(x, out=out); the name is kept for its callers."""
+    return np.cumsum(x, out=out)

@@ -33,6 +33,11 @@ DEFAULT_K_SAMPLED = 10_000  # classify and is_bounded: sampled horizon
 DEFAULT_P = 8               # classify: subnormality order
 DEFAULT_Q = 6               # classify: expansion orders
 
+# Values of k per block of every scan over a horizon (the snapshot fill, the
+# spectra lag scans, the Schatten series, the streamed fits): a block and its
+# temporaries stay in cache, and larger blocks gain no speed.
+CHUNK = 1 << 16
+
 
 class VerificationError(Exception):
     """Two routes to one result disagree, or the operator under test breaks
@@ -134,16 +139,19 @@ class ScalarSequence:
     # -- the cached snapshots --------------------------------------------
 
     def _ensure(self, kmax: int) -> None:
+        """Grows the float snapshot to delta2(0..kmax). One min and one max
+        test it; the byte masks that find the first bad k are built only
+        when it has one."""
         if len(self._d2) > kmax:
             return
         try:
             with np.errstate(all="ignore"):
                 d2 = self._delta2_values(kmax)
+                good = d2.min() > 0 and d2.max() < math.inf  # a NaN fails both
         except OverflowError as exc:  # float() of a Fraction beyond the float range
             raise ValueError(f"{self.name}: delta2 over k <= {kmax} leaves the float range") from exc
-        bad = ~((d2 > 0) & (d2 < math.inf))  # NaN fails both comparisons
-        if np.any(bad):
-            k = int(np.argmax(bad))
+        if not good:
+            k = int(np.argmax(~((d2 > 0) & (d2 < math.inf))))
             raise ValueError(f"{self.name}: delta2({k}) = {d2[k]} is not finite and positive")
         d2.flags.writeable = False
         self._d2 = d2
@@ -268,6 +276,17 @@ def descartes_sign(coeffs) -> Optional[int]:
     return None if len(signs) > 1 else signs.pop() if signs else 0
 
 
+def fill_arange(out, start):
+    """out[i] = start + i, as np.arange gives it, written in place by
+    doubling: for the integers below 2^53 every sum is exact."""
+    n, w = len(out), 1
+    out[:1] = start
+    while w < n:
+        np.add(out[: min(w, n - w)], w, out=out[w : 2 * w])
+        w *= 2
+    return out
+
+
 def _horner(coeffs, k, out=None):
     """sum_i coeffs[i] k^i: exact at an integer k; at an array k, in float64 inside out."""
     if out is None:
@@ -343,18 +362,32 @@ class RationalDelta2(ScalarSequence):
         return Fraction(_horner(P, k), _horner(Q, k))
 
     def _delta2_values(self, kmax: int) -> np.ndarray:
-        T, out, k = len(self.branches), np.empty(kmax + 1), None
+        """The snapshot, formed one CHUNK block of k at a time
+        straight into it: k is never an array of the horizon's length. A
+        constant branch is a fill and a degree-1 denominator is formed
+        inside k; only another denominator has a block of scratch."""
+        T, out, chunk = len(self.branches), np.empty(kmax + 1), CHUNK
+        fills = []
         for i, ((P, Q), (Pz, Qz)) in enumerate(zip(self.branches, self._forms)):
             if len(P) == len(Q) == 1:  # a constant branch: its exact ratio, rounded once
                 out[i::T] = float(Fraction(Pz[0], Qz[0]))
-                continue
-            k = np.arange(kmax + 1, dtype=np.float64) if k is None else k
-            o, x = _horner(P, k[i::T], out[i::T]), k[i::T]
-            if len(Q) == 2:  # a degree-1 denominator is formed inside k
-                x *= float(Q[1])
-                o /= np.add(x, float(Q[0]), out=x)
             else:
-                o /= _horner(Q, x, np.empty_like(o))
+                fills.append((i, P, Q))
+        if not fills:
+            return out
+        k = np.arange(min(kmax + 1, chunk), dtype=np.float64)
+        den = np.empty(len(k)) if any(len(Q) != 2 for _, _, Q in fills) else None
+        for a in range(0, kmax + 1, chunk):
+            ks = fill_arange(k[: kmax + 1 - a], a) if a else k  # the first block is k as built
+            block = out[a : a + chunk]
+            for i, P, Q in fills:  # branch i holds the k = i mod T
+                x = ks[(i - a) % T :: T]
+                o = _horner(P, x, block[(i - a) % T :: T])
+                if len(Q) == 2:  # a degree-1 denominator is formed inside k
+                    x *= float(Q[1])
+                    o /= np.add(x, float(Q[0]), out=x)
+                else:
+                    o /= _horner(Q, x, den[: len(o)])
         return out
 
     def sup_delta2(self) -> Optional[Fraction]:

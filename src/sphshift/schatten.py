@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import is_compact
-from .scalarseq import DEFAULT_K, ScalarSequence, check_arity
+from .scalarseq import DEFAULT_K, ScalarSequence, check_arity, fill_arange
 from .spectra import essential_normality_gate
 
 if TYPE_CHECKING:
@@ -71,22 +71,28 @@ def require_exponents_and_horizon(p_grid: Sequence[float], K: int) -> None:
         raise ValueError(f"K must be >= {MIN_K} for a meaningful tail")
 
 
-def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1):
+def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int = 1, out=None):
     """(series 1 terms, series 2 terms) over k = lo..K, both formed from one
     array of k.
 
-    A delta2 or a difference whose p-th power leaves the float range gives
-    an inf term, which the partial sums report as "inf".
+    out, when given, is three scratch arrays of at least K + 1 - lo values;
+    the terms are written into views of the first two, and the third holds
+    k. A delta2 or a difference whose p-th power leaves the float range
+    gives an inf term, which the partial sums report as "inf".
     """
     require_cross_arity(m)
-    d2 = seq.delta2_array(K)
-    k = np.arange(lo, K + 1, dtype=np.float64)
+    d2, n = seq.delta2_array(K), K + 1 - lo
+    t1, t2, k = (np.empty(n) for _ in range(3)) if out is None else (o[:n] for o in out)
+    fill_arange(k, lo)
     with np.errstate(over="ignore"):
-        t2 = np.diff(d2[lo - 1 :])
+        np.subtract(d2[lo:], d2[lo - 1 : -1], out=t2)
         np.abs(t2, out=t2)
         t2 **= p
-        t2 *= k ** (m - 1)
-        t1 = d2[lo:] ** p
+        np.copyto(t1, k)
+        t1 **= m - 1
+        t2 *= t1
+        np.copyto(t1, d2[lo:])
+        t1 **= p
         k **= m - p - 1
         t1 *= k
     return t1, t2
@@ -111,22 +117,50 @@ def _tail_slopes(seq: ScalarSequence, K: int) -> Tuple[float, object]:
     give every exponent's tail slopes. The snapshot is finite and positive,
     so a is a finite float; b is "zero-tail" when every difference in the
     window is 0, and "inconclusive" when fewer than MIN_FIT_POINTS are not.
+    b fits the nonzero differences only. Both fits are streamed
+    (_kernels.fit_slope): the window is read in blocks of _kernels.CHUNK
+    values, and the nonzero differences are found through a count per
+    block, so nothing of the length of the window is held.
     """
-    d2 = seq.delta2_array(K)
-    logk = np.arange(K // 2, K + 1, dtype=np.float64)
-    np.log(logk, out=logk)
-    a = _kernels.fit_slope(logk, np.log(d2[K // 2 :]))
-    diff = np.diff(d2[K // 2 - 1 :])
-    np.abs(diff, out=diff)
-    nonzero = diff > 0
-    count = np.count_nonzero(nonzero)
+    d2, lo, chunk = seq.delta2_array(K), K // 2, _kernels.CHUNK
+    n = K + 1 - lo
+    buf = np.empty(min(n, chunk))
+
+    def logs(a, b, logk, logd2):  # k = lo + a .. lo + b - 1
+        np.log(fill_arange(logk, lo + a), out=logk)
+        np.log(d2[lo + a : lo + b], out=logd2)
+
+    slope_a = _kernels.fit_slope(n, logs)
+
+    def absdiff(s, e, out):  # |delta2(k) - delta2(k-1)| for k = s..e-1
+        return np.abs(np.subtract(d2[s:e], d2[s - 1 : e - 1], out=out), out=out)
+
+    starts = range(lo, K + 1, chunk)  # the window's blocks, and their nonzero counts
+    counts = [np.count_nonzero(absdiff(s, min(s + chunk, K + 1), buf[: K + 1 - s])) for s in starts]
+    count = sum(counts)
     if count == 0:
-        return a, "zero-tail"
+        return slope_a, "zero-tail"
     if count < MIN_FIT_POINTS:
-        return a, "inconclusive"
-    if count < len(diff):
-        logk, diff = logk[nonzero], diff[nonzero]
-    return a, _kernels.fit_slope(logk, np.log(diff, out=diff))
+        return slope_a, "inconclusive"
+    if count == n:
+        def nonzero(a, b, logk, logdiff):
+            np.log(fill_arange(logk, lo + a), out=logk)
+            np.log(absdiff(lo + a, lo + b, logdiff), out=logdiff)
+    else:
+        first = np.cumsum([0] + counts)  # the index of each block's first nonzero difference
+
+        def nonzero(a, b, logk, logdiff):  # the nonzero differences a..b-1
+            at, j = 0, int(np.searchsorted(first, a, side="right")) - 1
+            while at < b - a:
+                s = starts[j]
+                d = absdiff(s, min(s + chunk, K + 1), buf[: K + 1 - s])
+                where = np.flatnonzero(d)[a + at - first[j] :][: b - a - at]
+                x = logk[at : at + len(where)]
+                np.log(np.add(where, s, out=x), out=x)
+                np.log(d[where], out=logdiff[at : at + len(where)])
+                at, j = at + len(where), j + 1
+
+    return slope_a, _kernels.fit_slope(count, nonzero)
 
 
 def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> SchattenVerdict:
@@ -184,17 +218,19 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
 
 def _partial_sums(seq, m, p, K, checkpoints) -> Tuple[list, list]:
     """Both series' partial sums at the checkpoints, from one walk of k =
-    1..K in blocks of _kernels.CHUNK values. Each block's first terms get
-    the running sums before the block's cumsums, so every partial sum is
-    the one a cumsum over k = 1..K gives, bit for bit."""
+    1..K in blocks of _kernels.CHUNK values, formed and summed in place in
+    three scratch arrays allocated once per call. Each block's first terms
+    get the running sums before the block's cumsums, so every partial sum
+    is the one a cumsum over k = 1..K gives, bit for bit."""
     sums, running = ([], []), [0.0, 0.0]
+    scratch = [np.empty(min(K, _kernels.CHUNK)) for _ in range(3)]
     for k0 in range(1, K + 1, _kernels.CHUNK):
         k1 = min(k0 + _kernels.CHUNK - 1, K)
         at = [c - k0 for c in checkpoints if k0 <= c <= k1]
-        for i, t in enumerate(criterion_term_arrays(seq, m, p, k1, lo=k0)):
+        for i, t in enumerate(criterion_term_arrays(seq, m, p, k1, lo=k0, out=scratch)):
             if k0 > 1:
                 t[0] += running[i]
-            t = _kernels.kahan_cumsum(t)
+            t = _kernels.kahan_cumsum(t, out=t)
             running[i] = t[-1]
             sums[i].extend(t[at].tolist())
     return sums

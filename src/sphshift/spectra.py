@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, check_arity
+from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, check_arity, fill_arange
 
 STABLE_WINDOW = 5
 STABLE_TOL = 1e-4
@@ -165,11 +165,12 @@ def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimat
         raise ValueError("K must be >= 2")
     tail_start, chunk = K // 2, _kernels.CHUNK
     logbb = seq.log_bbeta_array(K)
-    # the minimum of log bbeta_j / j over the tail, taken block by block
-    low = math.exp(float(np.min([
-        (logbb[a : a + chunk] / np.arange(a, min(a + chunk, K + 1))).min()
-        for a in range(tail_start, K + 1, chunk)
-    ])))
+    # the minimum of log bbeta_j / j over the tail, taken block by block in one scratch
+    buf, lows = np.empty(min(chunk, K + 1 - tail_start)), []
+    for a in range(tail_start, K + 1, chunk):
+        j = fill_arange(buf[: K + 1 - a], a)
+        lows.append(np.divide(logbb[a : a + len(j)], j, out=j).min())
+    low = math.exp(float(np.min(lows)))
     est = RadiusEstimate(
         value=low,
         mode="sampled-stable",
@@ -203,10 +204,15 @@ def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] 
             "mode": "analytic",
             "detail": "declared by family",
         }
-    d2 = seq.delta2_array(K)
+    d2, chunk = seq.delta2_array(K), _kernels.CHUNK
     lo = max(1, K - _window(K, window))
-    diffs = np.abs(np.diff(d2[lo - 1 :]))
-    worst = float(np.max(diffs))
+    # the largest step over the window, taken block by block in one scratch
+    buf, worsts = np.empty(min(chunk, K + 1 - lo)), []
+    for a in range(lo, K + 1, chunk):
+        e = min(a + chunk, K + 1)
+        t = np.subtract(d2[a:e], d2[a - 1 : e - 1], out=buf[: e - a])
+        worsts.append(np.abs(t, out=t).max())
+    worst = float(np.max(worsts))
     return {
         "value": bool(worst < ESSNORM_SAMPLED_TOL),
         "mode": "sampled",
@@ -243,32 +249,31 @@ def point_spectrum_boundary(
     """Whether the adjoint's point spectrum is the open or the closed ball.
 
     Decided by a log-log tail-exponent fit of the boundary test series
-    terms C(m-1+k, k) r^(2k) / gamma(k); slopes within _kernels.FIT_MARGIN
-    of -1 are reported as inconclusive rather than guessed.
+    terms C(m-1+k, k) r^(2k) / gamma(k) over k in [K // 2, K]; slopes within
+    _kernels.FIT_MARGIN of -1 are reported as inconclusive rather than
+    guessed. The fit is streamed: each block of log terms and log k is
+    formed in the fit's scratch, with one more block of scratch for this
+    call, so nothing of the length of the window is held.
     """
     if r is None:
         r = convergence_radius(seq, K).value
     if not math.isfinite(r) or r <= 0:
         return "inconclusive", None
-    logbb = seq.log_bbeta_array(K)
-    lo, chunk = K // 2, _kernels.CHUNK
-    # the log terms and log k over the fit window, filled block by block
-    logterms = np.empty(K + 1 - lo)
-    logk = np.empty(K + 1 - lo)
-    for a in range(lo, K + 1, chunk):
-        ks = np.arange(a, min(a + chunk, K + 1), dtype=np.float64)
-        terms = logterms[a - lo : a - lo + len(ks)]
-        np.multiply(2.0 * math.log(r), ks, out=terms)
-        buf = np.multiply(logbb[a : a + len(ks)], 2.0)
-        terms -= buf
+    logbb, lo, two_log_r = seq.log_bbeta_array(K), K // 2, 2.0 * math.log(r)
+    buf = np.empty(min(K + 1 - lo, _kernels.CHUNK))
+
+    def block(a, b, logk, terms):  # k = lo + a .. lo + b - 1
+        ks, tmp = fill_arange(logk, lo + a), buf[: b - a]
+        np.multiply(two_log_r, ks, out=terms)
+        terms -= np.multiply(logbb[lo + a : lo + b], 2.0, out=tmp)
         # log C(m-1+k, k) = sum_{i<m} log((k+i)/i)
         for i in range(1, m):
-            np.add(ks, i, out=buf)
-            buf /= i
-            np.log(buf, out=buf)
-            terms += buf
-        np.log(ks, out=logk[a - lo : a - lo + len(ks)])
-    slope = _kernels.fit_slope(logk, logterms)
+            np.add(ks, i, out=tmp)
+            tmp /= i
+            terms += np.log(tmp, out=tmp)
+        np.log(ks, out=logk)
+
+    slope = _kernels.fit_slope(K + 1 - lo, block)
     ball = {"converges": "closed-ball", "diverges": "open-ball"}
     return ball.get(_kernels.series_verdict(slope), "inconclusive"), slope
 

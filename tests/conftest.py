@@ -41,3 +41,20 @@ def float_input_family(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def zero_step_table(K, zero_share, seed=7):
+    """A hold table of delta2(0..K) in [1, 2) whose fit window k in
+    [K // 2, K] has round(zero_share * (K + 1 - K // 2)) zero differences
+    delta2(k) - delta2(k-1), at seeded places."""
+    gen = np.random.default_rng(seed)
+    values = gen.uniform(1.0, 2.0, size=K + 1)
+    window = np.arange(K // 2, K + 1)
+    for k in np.sort(gen.choice(window, round(zero_share * len(window)), replace=False)):
+        values[k] = values[k - 1]
+    return Tabulated(values.tolist(), tail="hold")
+
+
+# the zero differences in a fit window: none, some, most, and so many that
+# fewer than MIN_FIT_POINTS are left (or none, at K = 1000)
+ZERO_SHARES = [0.0, 0.3, 0.97, 0.9999]

@@ -4,13 +4,16 @@ Each is a direct transcription of a definition, in exact Fractions where
 the family allows, and shares no code with the closed forms under test:
 gamma and its forward differences over the whole gamma list, delta2 as the
 rounded exact value, the jumps of the rho-eta recursion, multinomial
-coefficients, the graded-reverse-lex levels, and monomial norms.
+coefficients, the graded-reverse-lex levels, monomial norms, and the
+least-squares slope from whole arrays.
 """
 
 import itertools
 import math
 import weakref
 from fractions import Fraction
+
+import numpy as np
 
 _GAMMAS = weakref.WeakKeyDictionary()  # sequence -> [gamma(0), gamma(1), ...]
 
@@ -110,3 +113,16 @@ def declared_facts(seq) -> dict:
 def derived_facts(seq) -> dict:
     """FACTS as the sequence now holds them."""
     return {key: seq.sup_delta2() if key == "sup" else getattr(seq, key) for key in FACTS}
+
+
+def fit_slope_whole(x, y):
+    """The closed-form least-squares slope of y against x from whole-array
+    temporaries, every sum an np.sum, as _kernels.fit_slope formed it
+    before it centred its data in blocks."""
+    xc = x - x.mean()
+    with np.errstate(invalid="ignore"):
+        prod = y - y.mean()
+        prod *= xc
+        num = prod.sum()
+    np.multiply(xc, xc, out=prod)
+    return float(num / prod.sum())

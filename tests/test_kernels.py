@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_reference import fit_slope_whole
 from sphshift import _kernels
 from sphshift.multiindex import enumerate_level
 
@@ -521,27 +522,52 @@ def test_self_level_sums_m1():
     assert out[2] == pytest.approx(abs(3 * 0.5 / 3 - 2 * 2.0 / 2))
 
 
-def fit_slope_whole(x, y):
-    """The closed-form fit with whole-array temporaries, as fit_slope was
-    before it centred x in blocks and y in place."""
-    xc = x - x.mean()
-    with np.errstate(invalid="ignore"):
-        prod = y - y.mean()
-        prod *= xc
-        num = prod.sum()
-    np.multiply(xc, xc, out=prod)
-    return float(num / prod.sum())
+def array_blocks(x, y):
+    """fit_slope's block over two whole arrays: points a..b-1 copied out."""
+    def block(a, b, xs, ys):
+        xs[:] = x[a:b]
+        ys[:] = y[a:b]
+    return block
+
+
+TREE_LENGTHS = [_kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 5,
+                500_001, 1_000_000]
+
+
+@pytest.mark.parametrize("chunk", [128, 1000, _kernels.CHUNK])
+def test_tree_sum_is_np_sum_bit_for_bit(chunk, rng, monkeypatch):
+    # numpy's pairwise summation, pinned: at CHUNK 128 every leaf is one of
+    # numpy's own unrolled blocks, so n = 1..600 checks its halving rule
+    monkeypatch.setattr(_kernels, "CHUNK", chunk)
+    lengths = list(range(1, 601)) + (TREE_LENGTHS if chunk == _kernels.CHUNK else [])
+    for n in lengths:
+        x = rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-20, 20, size=n)
+        got = _kernels._tree_sum(0, n, lambda a, b: np.sum(x[a:b]))
+        assert repr(got) == repr(np.sum(x)), n
 
 
 @pytest.mark.parametrize("n", [2, 21, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1,
-                               3 * _kernels.CHUNK + 7])
+                               2 * _kernels.CHUNK + 5, 3 * _kernels.CHUNK + 7])
 def test_fit_slope_is_the_whole_array_fit_bit_for_bit(n, rng):
     x = np.log(np.arange(n, 2 * n, dtype=np.float64))
-    x_before = x.copy()
     for y in (-1.3 * x + rng.normal(scale=0.1, size=n), rng.uniform(-5, 5, size=n)):
         want = fit_slope_whole(x, y)
-        assert repr(_kernels.fit_slope(x, y.copy())) == repr(want)
-    assert np.array_equal(x, x_before)  # x may be shared by several fits
+        assert repr(_kernels.fit_slope(n, array_blocks(x, y))) == repr(want)
+
+
+def test_fit_slope_asks_for_each_leaf_twice_in_order():
+    B = _kernels.CHUNK
+    n, asked = 2 * B + 5, []
+    x = np.log(np.arange(n, 2 * n, dtype=np.float64))
+    block = array_blocks(x, -2.0 * x)
+    _kernels.fit_slope(n, lambda a, b, xs, ys: asked.append((a, b, len(xs), len(ys)))
+                       or block(a, b, xs, ys))
+    # numpy halves 2B + 5 at B and B + 5 at B // 2; the means, then the centred sums
+    leaves = [(0, B), (B, B + B // 2), (B + B // 2, n)]
+    assert asked == [(a, b, b - a, b - a) for a, b in leaves] * 2
+    asked.clear()  # points that fit in the scratch are asked for once
+    _kernels.fit_slope(B, lambda a, b, xs, ys: asked.append((a, b)) or block(a, b, xs, ys))
+    assert asked == [(0, B)]
 
 
 def test_fit_slope_of_inf_or_nan_is_nan_without_warning():
@@ -551,4 +577,4 @@ def test_fit_slope_of_inf_or_nan_is_nan_without_warning():
         y[150] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(_kernels.fit_slope(x, y))
+            assert math.isnan(_kernels.fit_slope(len(x), array_blocks(x, y)))

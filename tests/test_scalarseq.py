@@ -13,6 +13,7 @@ from exact_reference import (FACTS, declared_facts, delta2_float, derived_facts,
                              gamma_exact, nabla_gamma)
 from sphshift.classify import classification
 from sphshift.scalarseq import (
+    CHUNK,
     FAMILIES,
     AlternatingTwelve,
     ConstantDelta,
@@ -24,6 +25,7 @@ from sphshift.scalarseq import (
     TableRangeError,
     UnknownFamilyError,
     descartes_sign,
+    fill_arange,
     make_family,
     default_suite,
 )
@@ -408,15 +410,14 @@ class TestInPlaceGenerators:
         logbb[1:] = np.cumsum(0.5 * np.log(want))
         assert seq.log_bbeta_array(kmax + 1).tobytes() == logbb.tobytes()
 
-    @pytest.mark.parametrize("make,arrays", [
-        (lambda: HpSpace(2, 3), 2), (lambda: ConstantDelta(Fraction(1, 2)), 1.375),
-        (lambda: AlternatingTwelve(), 1.375), (lambda: PolynomialGamma([1, 2, 1]), 3),
+    @pytest.mark.parametrize("K", [200_000, 1_000_000])
+    @pytest.mark.parametrize("make", [
+        lambda: HpSpace(2, 3), lambda: ConstantDelta(Fraction(1, 2)), lambda: AlternatingTwelve(),
+        lambda: PolynomialGamma([1, 2, 1]),
     ], ids=["hp", "constant", "alt-twelve", "poly-gamma"])
-    def test_generator_peak_memory(self, make, arrays):
-        # hp forms its denominator inside the k array, a constant branch is
-        # a fill, poly-gamma holds k, S(k+1) and S(k); 0.375 is _ensure's
-        # byte masks over the snapshot
-        K = 200_000
+    def test_generator_peak_memory(self, make, K):
+        # the snapshot and at most two blocks: k and, for poly-gamma, S(k);
+        # hp forms its denominator inside k, a constant branch is a fill
         seq = make()
         tracemalloc.start()
         try:
@@ -424,7 +425,7 @@ class TestInPlaceGenerators:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= arrays * 8 * (K + 1) + 8192
+        assert peak <= 8 * (K + 1) + 2 * 8 * CHUNK + 8192
 
     def test_log_bbeta_is_built_inside_its_own_array(self):
         K = 200_000
@@ -599,3 +600,10 @@ def test_make_family_accepts_exactly_the_registry():
 def test_default_suite_names(suite_m3):
     names = [label for label, _ in suite_m3]
     assert "szego" in names and "rho-eta" in names and "alt-twelve" in names
+
+
+def test_fill_arange_is_np_arange():
+    for n in (0, 1, 2, 3, 7, 8, 9, 1000, CHUNK):
+        for start in (0, 1, 499_999, 2 ** 52):
+            got = fill_arange(np.empty(n), start)
+            assert got.tobytes() == np.arange(start, start + n, dtype=np.float64).tobytes()

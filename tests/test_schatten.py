@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import nabla_gamma
+from conftest import ZERO_SHARES, zero_step_table
+from exact_reference import fit_slope_whole, nabla_gamma
 from sphshift.multiindex import enumerate_level
 from sphshift.scalarseq import (
     AlternatingTwelve,
@@ -189,6 +190,39 @@ class TestTailFit:
 B = _kernels.CHUNK
 
 
+def whole_array_tail_slopes(seq, K):
+    """_tail_slopes as it was before its fits were streamed: whole-window
+    arrays of log k, log delta2 and the nonzero differences, each fit from
+    whole arrays."""
+    d2 = seq.delta2_array(K)
+    logk = np.log(np.arange(K // 2, K + 1, dtype=np.float64))
+    a = fit_slope_whole(logk, np.log(d2[K // 2 :]))
+    diff = np.abs(np.diff(d2[K // 2 - 1 :]))
+    nonzero = diff > 0
+    count = np.count_nonzero(nonzero)
+    if count == 0:
+        return a, "zero-tail"
+    if count < schatten.MIN_FIT_POINTS:
+        return a, "inconclusive"
+    return a, fit_slope_whole(logk[nonzero], np.log(diff[nonzero]))
+
+
+class TestStreamedTailFit:
+    @pytest.mark.parametrize("K", [1000, 2 * B + 5, 300_001])
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_slopes_are_the_whole_array_ones(self, K, zero_share):
+        seq = zero_step_table(K, zero_share)
+        got, want = schatten._tail_slopes(seq, K), whole_array_tail_slopes(seq, K)
+        assert repr(got) == repr(want)
+
+    def test_tables_reach_every_outcome(self):
+        outcomes = {K: [whole_array_tail_slopes(zero_step_table(K, z), K)[1] for z in ZERO_SHARES]
+                    for K in (1000, 2 * B + 5)}
+        assert outcomes[1000][2:] == ["inconclusive", "zero-tail"]
+        assert outcomes[2 * B + 5][3] == "inconclusive"
+        assert all(isinstance(b, float) for b in outcomes[2 * B + 5][:3])
+
+
 def whole_array_sums(seq, m, p, K):
     """Checkpoint partial sums from the whole-horizon term arrays, as decide
     formed them before it scanned in blocks."""
@@ -236,9 +270,13 @@ class TestBlockedScan:
         assert [v.partial_sums_1, v.partial_sums_2] == whole_array_sums(
             HpSpace(3, 4), 3, 3.5, 3 * B + 7)
 
-    def test_decide_allocates_at_most_two_horizon_arrays(self):
-        K = 3 * B + 7
-        for label, seq in default_suite(3) + [("table", compact_tabulated())]:
+    @pytest.mark.parametrize("K", [3 * B + 7, 1_000_000])
+    def test_decide_allocates_a_few_blocks(self, K):
+        # the streamed fits and the partial sums hold three blocks of
+        # scratch each, one after the other; at K = 1e6 one horizon array
+        # would be 15 blocks
+        table = [("table", compact_tabulated())] if K < 1_000_000 else []
+        for label, seq in default_suite(3) + table:
             seq.delta2_array(K)  # the shared snapshot is not the scan's to count
             tracemalloc.start()
             try:
@@ -246,7 +284,7 @@ class TestBlockedScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * 8 * (K + 1), label
+            assert peak <= 4 * 8 * B, label
 
 
 class TestRhoEtaWitness:
@@ -302,6 +340,14 @@ class TestClosedFormNorm:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 closed_form_level_sums(s, j, l, p, 10)
+
+    def test_cross_levels_past_the_float_range_are_inf_without_warning(self):
+        # |D_k|^8 overflows at delta2 = 1e104; the power warned outside errstate
+        s = SphericalShift(2, ConstantDelta(Fraction(10) ** 52))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = closed_form_level_sums(s, 1, 2, 8.0, 10)
+        assert levels[0] == 0.0 and np.isinf(levels[1:]).all()
 
     @pytest.mark.parametrize("j,l", [(1, 1), (1, 2)])
     def test_rejects_a_negative_horizon(self, j, l):
@@ -376,8 +422,8 @@ class TestCutoff:
             rep = cutoff_check(seq, 3, CLI_GRID_M3, K=10_000)
             assert list(rep["verdicts"].values()) == pinned[label], label
 
-    def test_allocates_at_most_one_and_a_half_horizon_arrays(self):
-        K = 3 * B + 7
+    @pytest.mark.parametrize("K", [3 * B + 7, 1_000_000])
+    def test_allocates_a_few_blocks(self, K):
         for label, seq in default_suite(3):
             seq.delta2_array(K)  # the shared snapshot is not the fits' to count
             tracemalloc.start()
@@ -386,7 +432,7 @@ class TestCutoff:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.5 * 8 * (K + 1), label
+            assert peak <= 4 * 8 * B, label
 
     def test_hardy_m3_grid(self):
         rep = cutoff_check(HpSpace(3, 3), 3, [2, 3, 3.5], K=50_000)

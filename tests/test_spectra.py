@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import ZERO_SHARES, zero_step_table
+from exact_reference import fit_slope_whole
 from sphshift.scalarseq import (
     AlternatingTwelve,
     ConstantDelta,
@@ -174,18 +176,20 @@ class TestChunkedLagScan:
                     assert got[0] == want[0]
         assert any(math.isnan(v) for v in chunked_lag_sequence(with_nan, 12, np.maximum)[1])
 
-    def test_report_peak_memory_stays_under_four_arrays(self):
+    def test_report_peak_memory_is_the_snapshots_and_a_few_blocks(self):
+        # the two snapshots, built here, and the streamed fit's three
+        # blocks of scratch; one more array of the horizon is 15 blocks
         n = 1_000_000
         seq = HpSpace(2, 3)
-        seq.log_bbeta_array(n)
-        seq.delta2_array(n)
         tracemalloc.start()
         try:
+            seq.log_bbeta_array(n)
+            seq.delta2_array(n)
             spectral_report(seq, 2, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * (n + 1)
+        assert peak <= 2 * 8 * (n + 1) + 4 * 8 * _kernels.CHUNK
 
 
 def whole_array_radius_and_boundary(seq, m, K):
@@ -200,9 +204,7 @@ def whole_array_radius_and_boundary(seq, m, K):
     logterms = 2.0 * math.log(r) * ks - 2.0 * logbb[K // 2 :]
     for i in range(1, m):
         logterms += np.log((ks + i) / i)
-    xc = np.log(ks) - np.log(ks).mean()
-    slope = float(((logterms - logterms.mean()) * xc).sum() / (xc * xc).sum())
-    return low, last, slope
+    return low, last, fit_slope_whole(np.log(ks), logterms)
 
 
 class TestBlockedWindows:
@@ -216,8 +218,8 @@ class TestBlockedWindows:
             assert rep.convergence_radius.sequence == [low, last], label
             assert repr(rep.point_spectrum_exponent) == repr(slope), label
 
-    def test_report_allocates_at_most_two_horizon_arrays(self):
-        K = 3 * self.B + 7
+    @pytest.mark.parametrize("K", [3 * B + 7, 1_000_000])
+    def test_report_allocates_a_few_blocks(self, K):
         for label, seq in default_suite(3):
             seq.log_bbeta_array(K)
             seq.delta2_array(K)  # the shared snapshots are not the report's to count
@@ -227,7 +229,14 @@ class TestBlockedWindows:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * 8 * (K + 1), label
+            assert peak <= 4 * 8 * self.B, label
+
+    @pytest.mark.parametrize("K", [1000, 2 * B + 5, 300_001])
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_boundary_of_tables_is_the_whole_array_one(self, K, zero_share):
+        seq = zero_step_table(K, zero_share)
+        _, _, slope = whole_array_radius_and_boundary(seq, 2, K)
+        assert repr(point_spectrum_boundary(seq, 2, K)[1]) == repr(slope)
 
 
 class TestEssentialShell:
