@@ -19,6 +19,7 @@ from sphshift.scalarseq import (
     ConstantDelta,
     HpSpace,
     PolynomialGamma,
+    RationalDelta2,
     RhoEta,
     ScalarSequence,
     Tabulated,
@@ -426,6 +427,17 @@ class TestInPlaceGenerators:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (K + 1) + 2 * 8 * CHUNK + 8192
+
+    def test_branches_keep_their_residues_across_blocks(self):
+        # blocks start at multiples of CHUNK, which T = 3 does not divide;
+        # a degree-1 and a degree-2 denominator beside a constant branch
+        seq = RationalDelta2([((1, 2), (3, 1)), ((Fraction(1, 3),), (1,)), ((2, 0, 1), (1, 1, 1))])
+        kmax = 2 * CHUNK + 5
+        k = np.arange(kmax + 1, dtype=np.float64)
+        want = np.full(kmax + 1, 1 / 3)
+        want[0::3] = (2 * k[0::3] + 1) / (k[0::3] + 3)
+        want[2::3] = (k[2::3] * k[2::3] + 2) / ((k[2::3] + 1) * k[2::3] + 1)
+        assert seq.delta2_array(kmax).tobytes() == want.tobytes()
 
     def test_log_bbeta_is_built_inside_its_own_array(self):
         K = 200_000
