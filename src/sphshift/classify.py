@@ -6,7 +6,8 @@ stated horizon, "sampled" when only floating evidence exists. Every family
 holds exact delta2 (a float input at its binary value), so the defect,
 isometry, Szego, hyponormality and subnormality verdicts are all exact
 about the values the family holds; compactness, essential normality and
-boundedness read the float snapshot unless the family declares them.
+boundedness read the float snapshot unless the family declares them, through
+the sampled answers in scalarseq, the one module this layer imports.
 """
 
 from __future__ import annotations
@@ -18,51 +19,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .scalarseq import (
-    DEFAULT_K_EXACT,
-    DEFAULT_K_SAMPLED,
-    DEFAULT_P,
-    DEFAULT_Q,
-    BoundednessReport,
-    ScalarSequence,
-)
-from .spectra import essential_normality_gate, quarter_sups, suspect_unbounded
-
-
-@dataclass(frozen=True)
-class Verdict:
-    value: Optional[bool]
-    mode: str                    # "analytic" | "exact" | "sampled"
-    horizon: Optional[int] = None
-    witness: Optional[tuple] = None
-    note: str = ""
+from .scalarseq import (DEFAULT_K_EXACT, DEFAULT_K_SAMPLED, DEFAULT_P, DEFAULT_Q, BoundednessReport,
+                        ScalarSequence, Verdict, essential_normality_gate, is_compact,
+                        suspect_unbounded)
 
 
 def _first(mask) -> Optional[int]:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else None
-
-
-def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
-    """delta_k -> 0, i.e. the tuple consists of compact operators. The one
-    compactness rule, also behind the Schatten cut-off; value None when the
-    sample decides nothing, and the note names the deciding branch."""
-    if seq.delta2_limit is not None:
-        return Verdict(seq.delta2_limit == 0, "analytic", note="declared limit of delta2")
-    if seq.delta2_liminf is not None and seq.delta2_liminf > 0:
-        return Verdict(False, "analytic", note="declared liminf of delta2 is positive")
-    d2 = seq.delta2_array(K)
-    tail, sups = d2[-max(1, K // 10):], quarter_sups(d2)
-    top, low, peak = float(np.max(tail)), float(np.min(tail)), float(np.max(d2))
-    if sups is None:
-        value, note = None, f"only {len(d2)} samples of delta2, too few for 4 quarters: undecided"
-    elif all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
-        value, note = True, f"quarter sups of delta2 fall, last/first = {sups[-1] / sups[0]:.3e}"
-    elif low > 1e-3 * peak:
-        value, note = False, f"tail min delta2 = {low:.3e} > 1e-3 * max = {peak:.3e}"
-    else:
-        value, note = None, f"tail delta2 in [{low:.3e}, {top:.3e}], max {peak:.3e}: undecided"
-    return Verdict(value, "sampled", horizon=K, note=note)
 
 
 def is_essentially_normal(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:

@@ -9,7 +9,11 @@ and one sup. Every number a family is given enters its exact values as a
 Fraction, a float at its exact binary value, so every delta2 and every
 known sup is exact. Asymptotic facts, derived from the coefficients of a
 rational delta2 (RationalDelta2) and declared by the other families, let
-analytic paths skip sampling; the rest falls back to sampled answers.
+analytic paths skip sampling; the rest falls back to sampled answers, which
+live here beside is_bounded, one heuristic per question with its thresholds
+and window: is_compact, essential_normality_gate and suspect_unbounded. The
+analysis layers (spectra, schatten, classify) import only this module and
+_kernels, never one another.
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ class BoundednessReport:
     sup_delta2: float       # declared or sampled sup of delta2
     horizon: Optional[int]  # sampling horizon when verdict == "no-evidence"
     qualifier: str = ""
+
+
+@dataclass(frozen=True)
+class Verdict:
+    value: Optional[bool]
+    mode: str                    # "analytic" | "exact" | "sampled"
+    horizon: Optional[int] = None
+    witness: Optional[tuple] = None
+    note: str = ""
 
 
 def _to_number(x):
@@ -266,6 +279,76 @@ def check_arity(seq: ScalarSequence, m: int) -> None:
     declared = getattr(seq, "m", None)
     if declared is not None and declared != m:
         raise ValueError(f"arity m = {m} does not match the family's own m = {declared}")
+
+
+# -- sampled answers to the sequence's own questions, beside is_bounded ---
+
+ESSNORM_SAMPLED_TOL = 1e-6
+
+
+def sampled_window(K: int, window: Optional[int] = None) -> int:
+    """The levels a sampled tail reads: the last K // 10 unless ``window`` is given."""
+    return K // 10 if window is None else window
+
+
+def quarter_sups(d2: np.ndarray) -> Optional[list]:
+    """The sups of delta2 over the sample's four quarters; None below four samples."""
+    return [float(np.max(q)) for q in np.array_split(d2, 4)] if len(d2) >= 4 else None
+
+
+def suspect_unbounded(d2: np.ndarray) -> bool:
+    """The one unboundedness heuristic: delta2 quarter sups rise, last > 2 x first."""
+    sups = quarter_sups(d2)
+    if sups is None:
+        return False
+    return all(b > a for a, b in zip(sups, sups[1:])) and sups[-1] > 2.0 * sups[0]
+
+
+def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
+    """delta_k -> 0, i.e. the tuple consists of compact operators. The one
+    compactness rule, also behind the Schatten cut-off; value None when the
+    sample decides nothing, and the note names the deciding branch."""
+    if seq.delta2_limit is not None:
+        return Verdict(seq.delta2_limit == 0, "analytic", note="declared limit of delta2")
+    if seq.delta2_liminf is not None and seq.delta2_liminf > 0:
+        return Verdict(False, "analytic", note="declared liminf of delta2 is positive")
+    d2 = seq.delta2_array(K)
+    tail, sups = d2[-max(1, sampled_window(K)):], quarter_sups(d2)
+    top, low, peak = float(np.max(tail)), float(np.min(tail)), float(np.max(d2))
+    if sups is None:
+        value, note = None, f"only {len(d2)} samples of delta2, too few for 4 quarters: undecided"
+    elif all(b < a for a, b in zip(sups, sups[1:])) and sups[-1] < 1e-2 * sups[0]:
+        value, note = True, f"quarter sups of delta2 fall, last/first = {sups[-1] / sups[0]:.3e}"
+    elif low > 1e-3 * peak:
+        value, note = False, f"tail min delta2 = {low:.3e} > 1e-3 * max = {peak:.3e}"
+    else:
+        value, note = None, f"tail delta2 in [{low:.3e}, {top:.3e}], max {peak:.3e}: undecided"
+    return Verdict(value, "sampled", horizon=K, note=note)
+
+
+def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] = None) -> dict:
+    """Affirm or refuse delta2(k) - delta2(k-1) -> 0."""
+    if seq.essentially_normal_declared is not None:
+        return {
+            "value": bool(seq.essentially_normal_declared),
+            "mode": "analytic",
+            "detail": "declared by family",
+        }
+    d2 = seq.delta2_array(K)
+    lo = max(1, K - sampled_window(K, window))
+    # the largest step over the window, taken block by block in one scratch
+    buf, worsts = np.empty(min(CHUNK, K + 1 - lo)), []
+    for a in range(lo, K + 1, CHUNK):
+        e = min(a + CHUNK, K + 1)
+        t = np.subtract(d2[a:e], d2[a - 1 : e - 1], out=buf[: e - a])
+        worsts.append(np.abs(t, out=t).max())
+    worst = float(np.max(worsts))
+    return {
+        "value": bool(worst < ESSNORM_SAMPLED_TOL),
+        "mode": "sampled",
+        "detail": f"max |delta2(k)-delta2(k-1)| = {worst:.3e} over k in [{lo}, {K}]",
+        "horizon": K,
+    }
 
 
 def descartes_sign(coeffs) -> Optional[int]:

@@ -15,7 +15,9 @@ against log k, the terms decay like k^(p a + m - p - 1) and k^(p b + m - 1).
 decide also attaches both series' partial sums at fixed checkpoints.
 
 With a non-vanishing delta limit the answer reproduces the cut-off: the
-cross-commutators escape every Schatten class with exponent p <= m.
+cross-commutators escape every Schatten class with exponent p <= m. The
+compactness and essential-normality answers it reads are scalarseq's; this
+layer imports only scalarseq and _kernels.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .classify import is_compact
-from .scalarseq import DEFAULT_K, ScalarSequence, check_arity, fill_arange
-from .spectra import essential_normality_gate
+from .scalarseq import (CHUNK, DEFAULT_K, ScalarSequence, check_arity, essential_normality_gate,
+                        fill_arange, is_compact)
 
 if TYPE_CHECKING:
     # only closed_form_norm takes a shift, built by its caller: a Schatten
@@ -118,11 +119,11 @@ def _tail_slopes(seq: ScalarSequence, K: int) -> Tuple[float, object]:
     so a is a finite float; b is "zero-tail" when every difference in the
     window is 0, and "inconclusive" when fewer than MIN_FIT_POINTS are not.
     b fits the nonzero differences only. Both fits are streamed
-    (_kernels.fit_slope): the window is read in blocks of _kernels.CHUNK
+    (_kernels.fit_slope): the window is read in blocks of CHUNK
     values, and the nonzero differences are found through a count per
     block, so nothing of the length of the window is held.
     """
-    d2, lo, chunk = seq.delta2_array(K), K // 2, _kernels.CHUNK
+    d2, lo, chunk = seq.delta2_array(K), K // 2, CHUNK
     n = K + 1 - lo
     buf = np.empty(min(n, chunk))
 
@@ -218,14 +219,14 @@ def _verdict(seq: ScalarSequence, m: int, p: float, K: int, slopes=None) -> Scha
 
 def _partial_sums(seq, m, p, K, checkpoints) -> Tuple[list, list]:
     """Both series' partial sums at the checkpoints, from one walk of k =
-    1..K in blocks of _kernels.CHUNK values, formed and summed in place in
+    1..K in blocks of CHUNK values, formed and summed in place in
     three scratch arrays allocated once per call. Each block's first terms
     get the running sums before the block's cumsums, so every partial sum
     is the one a cumsum over k = 1..K gives, bit for bit."""
     sums, running = ([], []), [0.0, 0.0]
-    scratch = [np.empty(min(K, _kernels.CHUNK)) for _ in range(3)]
-    for k0 in range(1, K + 1, _kernels.CHUNK):
-        k1 = min(k0 + _kernels.CHUNK - 1, K)
+    scratch = [np.empty(min(K, CHUNK)) for _ in range(3)]
+    for k0 in range(1, K + 1, CHUNK):
+        k1 = min(k0 + CHUNK - 1, K)
         at = [c - k0 for c in checkpoints if k0 <= c <= k1]
         for i, t in enumerate(criterion_term_arrays(seq, m, p, k1, lo=k0, out=scratch)):
             if k0 > 1:

@@ -13,7 +13,9 @@ with i <= r <= R always. The limits over j get a three-tier answer:
 analytic when the family declares a convergent delta, a stabilized sampled
 estimate otherwise, and an explicitly inconclusive sampled answer when the
 j-sequence refuses to settle. Divergence diagnostics are attached rather
-than hidden: every estimate carries its j-sequence.
+than hidden: every estimate carries its j-sequence. The essential-normality
+gate, its window and the unboundedness heuristic are scalarseq's sampled
+answers; this layer imports only scalarseq and _kernels.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .scalarseq import DEFAULT_J, DEFAULT_K, ScalarSequence, check_arity, fill_arange
+from .scalarseq import (CHUNK, DEFAULT_J, DEFAULT_K, ScalarSequence, check_arity,
+                        essential_normality_gate, fill_arange, sampled_window, suspect_unbounded)
 
 STABLE_WINDOW = 5
 STABLE_TOL = 1e-4
-ESSNORM_SAMPLED_TOL = 1e-6
 
 
 class NotEssentiallyNormalError(Exception):
@@ -66,23 +68,22 @@ def _lag_extremes(cum: np.ndarray, J: int, reduce) -> np.ndarray:
     """Per-lag extreme over k of cum[k+j] - cum[k], for lags j = 1..min(J, K-1).
 
     reduce is np.maximum or np.minimum. The scan runs over blocks of
-    _kernels.CHUNK values of k, all lags per block, through one scratch
+    CHUNK values of k, all lags per block, through one scratch
     buffer (the block and its J-lag halo stay in cache), so it allocates
     nothing of length K. A NaN difference makes its lag NaN.
     """
     K = len(cum) - 1
-    chunk = _kernels.CHUNK
     lags = min(J, K - 1)
     out = np.empty(lags)
     # the scratch block starts on a 64-byte boundary: numpy's subtract
     # stores into it about 1.7x faster than at the 16 bytes malloc promises
-    size = min(chunk, K)
+    size = min(CHUNK, K)
     raw = np.empty(size + 8)
     start = (-raw.ctypes.data % 64) // 8
     buf = raw[start : start + size]
-    for k0 in range(0, K, chunk):
+    for k0 in range(0, K, CHUNK):
         for j in range(1, lags + 1):
-            n = min(chunk, K + 1 - j - k0)
+            n = min(CHUNK, K + 1 - j - k0)
             if n <= 0:
                 break
             d = buf[:n]
@@ -108,19 +109,6 @@ def _richardson(log_vals) -> Optional[float]:
     j1 = j2 // 2
     a1, a2 = log_vals[j1 - 1], log_vals[-1]
     return math.exp((j2 * a2 - j1 * a1) / (j2 - j1))
-
-
-def quarter_sups(d2: np.ndarray) -> Optional[list]:
-    """The sups of delta2 over the sample's four quarters; None below four samples."""
-    return [float(np.max(q)) for q in np.array_split(d2, 4)] if len(d2) >= 4 else None
-
-
-def suspect_unbounded(d2: np.ndarray) -> bool:
-    """The one unboundedness heuristic: delta2 quarter sups rise, last > 2 x first."""
-    sups = quarter_sups(d2)
-    if sups is None:
-        return False
-    return all(b > a for a, b in zip(sups, sups[1:])) and sups[-1] > 2.0 * sups[0]
 
 
 def _lag_scan_radius(seq: ScalarSequence, J: int, K: int, outer: bool) -> RadiusEstimate:
@@ -163,11 +151,11 @@ def convergence_radius(seq: ScalarSequence, K: int = DEFAULT_K) -> RadiusEstimat
     """r: liminf_j bbeta_j^(1/j), the member-series convergence radius."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    tail_start, chunk = K // 2, _kernels.CHUNK
+    tail_start = K // 2
     logbb = seq.log_bbeta_array(K)
     # the minimum of log bbeta_j / j over the tail, taken block by block in one scratch
-    buf, lows = np.empty(min(chunk, K + 1 - tail_start)), []
-    for a in range(tail_start, K + 1, chunk):
+    buf, lows = np.empty(min(CHUNK, K + 1 - tail_start)), []
+    for a in range(tail_start, K + 1, CHUNK):
         j = fill_arange(buf[: K + 1 - a], a)
         lows.append(np.divide(logbb[a : a + len(j)], j, out=j).min())
     low = math.exp(float(np.min(lows)))
@@ -190,37 +178,6 @@ def inner_radius(seq: ScalarSequence, J: int = DEFAULT_J, K: int = DEFAULT_K) ->
     return _lag_scan_radius(seq, J, K, outer=False)
 
 
-def _window(K: int, window: Optional[int]) -> int:
-    """The sampled essential-normality window: the last K // 10 levels
-    unless ``window`` is given."""
-    return K // 10 if window is None else window
-
-
-def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] = None) -> dict:
-    """Affirm or refuse delta2(k) - delta2(k-1) -> 0."""
-    if seq.essentially_normal_declared is not None:
-        return {
-            "value": bool(seq.essentially_normal_declared),
-            "mode": "analytic",
-            "detail": "declared by family",
-        }
-    d2, chunk = seq.delta2_array(K), _kernels.CHUNK
-    lo = max(1, K - _window(K, window))
-    # the largest step over the window, taken block by block in one scratch
-    buf, worsts = np.empty(min(chunk, K + 1 - lo)), []
-    for a in range(lo, K + 1, chunk):
-        e = min(a + chunk, K + 1)
-        t = np.subtract(d2[a:e], d2[a - 1 : e - 1], out=buf[: e - a])
-        worsts.append(np.abs(t, out=t).max())
-    worst = float(np.max(worsts))
-    return {
-        "value": bool(worst < ESSNORM_SAMPLED_TOL),
-        "mode": "sampled",
-        "detail": f"max |delta2(k)-delta2(k-1)| = {worst:.3e} over k in [{lo}, {K}]",
-        "horizon": K,
-    }
-
-
 def essential_shell(
     seq: ScalarSequence, K: int = DEFAULT_K, window: Optional[int] = None
 ) -> Tuple[float, float]:
@@ -238,7 +195,7 @@ def essential_shell(
         lam = math.sqrt(seq.delta2_limit)
         return (lam, lam)
     d2 = seq.delta2_array(K)
-    lo = max(0, K - _window(K, window))
+    lo = max(0, K - sampled_window(K, window))
     tail = d2[lo:]
     return (math.sqrt(float(np.min(tail))), math.sqrt(float(np.max(tail))))
 
@@ -260,7 +217,7 @@ def point_spectrum_boundary(
     if not math.isfinite(r) or r <= 0:
         return "inconclusive", None
     logbb, lo, two_log_r = seq.log_bbeta_array(K), K // 2, 2.0 * math.log(r)
-    buf = np.empty(min(K + 1 - lo, _kernels.CHUNK))
+    buf = np.empty(min(K + 1 - lo, CHUNK))
 
     def block(a, b, logk, terms):  # k = lo + a .. lo + b - 1
         ks, tmp = fill_arange(logk, lo + a), buf[: b - a]

@@ -18,6 +18,7 @@ from sphshift.scalarseq import (
     HpSpace,
     RhoEta,
     default_suite,
+    is_compact,
 )
 from sphshift.shift import SphericalShift
 from sphshift.truncation import (
@@ -41,7 +42,6 @@ from sphshift.spectra import (
     outer_radius,
 )
 from sphshift.classify import (
-    is_compact,
     is_essentially_normal,
     is_hyponormal,
     is_q_expansion,

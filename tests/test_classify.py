@@ -14,6 +14,8 @@ from sphshift.scalarseq import (
     RhoEta,
     Tabulated,
     default_suite,
+    essential_normality_gate,
+    is_compact,
 )
 from sphshift.shift import SphericalShift
 from sphshift import classify
@@ -21,7 +23,6 @@ from sphshift.classify import (
     Classification,
     classification,
     complete_hyperexpansion_up_to,
-    is_compact,
     is_essentially_normal,
     is_hyponormal,
     is_q_expansion,
@@ -32,7 +33,6 @@ from sphshift.classify import (
 from sphshift.schatten import cutoff_check, decide
 from sphshift.spectra import (
     convergence_radius,
-    essential_normality_gate,
     inner_radius,
     outer_radius,
 )

@@ -16,7 +16,7 @@ from sphshift.scalarseq import (
     Tabulated,
     default_suite,
 )
-from sphshift import _kernels, spectra
+from sphshift import spectra
 from sphshift.spectra import (
     NotEssentiallyNormalError,
     convergence_radius,
@@ -141,7 +141,7 @@ class TestRadii:
 
 
 class TestChunkedLagScan:
-    CHUNK = _kernels.CHUNK
+    CHUNK = spectra.CHUNK
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     def test_bit_identical_to_loop_across_chunk_edges(self, n, rng):
@@ -151,7 +151,7 @@ class TestChunkedLagScan:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, CHUNK])
     def test_bit_identical_when_lags_reach_the_horizon(self, chunk, rng, monkeypatch):
-        monkeypatch.setattr(_kernels, "CHUNK", chunk)
+        monkeypatch.setattr(spectra, "CHUNK", chunk)
         for n in (2, 3, 5, 8, 20):
             cum = np.cumsum(rng.normal(size=n + 1))
             for lags in (n - 1, n, n + 5):
@@ -161,7 +161,7 @@ class TestChunkedLagScan:
 
     @pytest.mark.parametrize("chunk", [4, CHUNK])
     def test_infinities_and_nan_match_loop(self, chunk, rng, monkeypatch):
-        monkeypatch.setattr(_kernels, "CHUNK", chunk)
+        monkeypatch.setattr(spectra, "CHUNK", chunk)
         cum = np.cumsum(rng.normal(size=41))
         cum[[5, 30]] = np.inf
         cum[17] = -np.inf
@@ -189,7 +189,7 @@ class TestChunkedLagScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * (n + 1) + 4 * 8 * _kernels.CHUNK
+        assert peak <= 2 * 8 * (n + 1) + 4 * 8 * spectra.CHUNK
 
 
 def whole_array_radius_and_boundary(seq, m, K):
@@ -208,7 +208,7 @@ def whole_array_radius_and_boundary(seq, m, K):
 
 
 class TestBlockedWindows:
-    B = _kernels.CHUNK
+    B = spectra.CHUNK
 
     @pytest.mark.parametrize("K", [1000, B - 1, B, B + 1, 3 * B + 7])
     def test_radius_and_boundary_are_the_whole_array_ones(self, K):
