@@ -78,14 +78,16 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int
 
     out, when given, is three scratch arrays of at least K + 1 - lo values;
     the terms are written into views of the first two, and the third holds
-    k. A delta2 or a difference whose p-th power leaves the float range
-    gives an inf term, which the partial sums report as "inf".
+    k. A series-1 term whose delta2^p overflows while k^(m-p-1) < 1 is
+    exp(p (log delta2 - log k) + (m-1) log k) instead, never inf * 0 = NaN;
+    every other term is the float product. A term beyond the float range is
+    inf, which the partial sums report as "inf".
     """
     require_cross_arity(m)
     d2, n = seq.delta2_array(K), K + 1 - lo
     t1, t2, k = (np.empty(n) for _ in range(3)) if out is None else (o[:n] for o in out)
     fill_arange(k, lo)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(d2[lo:], d2[lo - 1 : -1], out=t2)
         np.abs(t2, out=t2)
         t2 **= p
@@ -96,6 +98,12 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int
         t1 **= p
         k **= m - p - 1
         t1 *= k
+        # a finite delta2^p times k^(m-p-1) <= 1 stays finite: what is not
+        # overflowed in delta2^p
+        if p > m - 1 and not t1.max() < math.inf:
+            at = np.flatnonzero(~np.isfinite(t1))
+            logk = np.log(at + float(lo))
+            t1[at] = np.exp(p * (np.log(d2[lo:][at]) - logk) + (m - 1) * logk)
     return t1, t2
 
 

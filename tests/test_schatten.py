@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,7 +22,7 @@ from sphshift.scalarseq import (
     default_suite,
 )
 from sphshift.shift import SphericalShift
-from sphshift import _kernels, schatten
+from sphshift import _kernels, cli, schatten
 from sphshift.schatten import (
     asymptotic_lemma_check,
     closed_form_level_sums,
@@ -185,6 +188,35 @@ class TestTailFit:
             warnings.simplefilter("error")
             v = schatten._verdict(seq, 2, 2.5, 2000)
         assert math.isfinite(v.tail_exponents[0])
+
+
+class TestOverflowedDeltaPower:
+    """A series-1 term whose delta2^p overflows while k^(m-p-1) < 1 is taken
+    in logs: never inf * 0 = NaN, and finite where the term is."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "constant", "--c", "3", "--m", "2", "--p", "700"],
+        ["--family", "hp", "--p-space", "1/2", "--p", "1e308"],
+    ], ids=["constant-p700", "hp-p1e308"])
+    def test_request_has_no_nan_under_warnings_as_errors(self, argv):
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("error")
+            assert cli.main(["schatten", *argv, "--K", "1000"]) == 0
+        assert "nan" not in out.getvalue()
+
+    def test_terms_match_the_exact_ones(self):
+        # delta2 = 9 at odd k, whose 9^325 overflows, and 1 at even k
+        seq = Tabulated([1], tail=lambda k: 9 if k % 2 else 1)
+        t1 = criterion_term_arrays(seq, 2, 325.0, 1000)[0]
+        ks = np.arange(1, 1001, dtype=np.float64)
+        assert t1[1::2].tobytes() == (ks[1::2] ** -324.0).tobytes()  # the float product
+        assert t1[0] == math.inf  # 9^325 itself
+        exact = [float(Fraction(9) ** 325 / Fraction(k) ** 324) for k in range(3, 1001, 2)]
+        # relative to the term, or to the least normal float below it
+        assert np.allclose(t1[2::2], exact, rtol=1e-12, atol=1e-12 * sys.float_info.min)
+        assert math.isclose(criterion_term_arrays(ConstantDelta(3), 2, 325.0, 2)[0][1],
+                            float(Fraction(9) ** 325 / 2 ** 324), rel_tol=1e-12)  # about 3.9e212
 
 
 B = _kernels.CHUNK
