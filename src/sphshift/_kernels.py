@@ -330,41 +330,45 @@ def _tree_sum(a, n, leaf):
     return _tree_sum(a, half, leaf) + _tree_sum(a + half, n - half, leaf)
 
 
-def fit_slope(n, block):
-    """Least-squares slope of y against x over n points, in closed form from
-    the centred data.
+def fit_slope(n, block, ny=1):
+    """Least-squares slopes of ny series y against one x over n points, in
+    closed form from the centred data: a float, or a tuple of ny floats
+    when ny > 1.
 
-    block(a, b, x, y) writes points a..b-1 into x and y, views of two scratch
-    arrays of at most CHUNK values allocated once per fit; it is asked for
-    each block twice, for the means and for the centred sums, unless all n
-    points fit in the scratch, which then holds them for both. The four sums
-    (of x, of y, of (x - mean x)^2 and of (y - mean y)(x - mean x)) walk
-    numpy's pairwise-summation tree (_tree_sum), so the slope is the fit of
-    the whole arrays by np.sum bit for bit, and stays within a few ulps of an
-    extended-precision fit where np.dot does not. An inf or NaN in y gives
-    NaN, as np.polyfit does, and no warning.
+    block(a, b, x, *ys) writes points a..b-1 into x and the ys, views of
+    1 + ny scratch arrays of at most CHUNK values allocated once per fit; it
+    is asked for each block twice, for the means and for the centred sums,
+    unless all n points fit in the scratch, which then holds them for both.
+    The sums (of x and each y, of (x - mean x)^2 and of each (y - mean
+    y)(x - mean x)) walk numpy's pairwise-summation tree (_tree_sum), so
+    each slope is the fit of the whole arrays by np.sum bit for bit, the
+    same as a fit of that y alone, and stays within a few ulps of an
+    extended-precision fit where np.dot does not. An inf or NaN in a y
+    gives NaN, as np.polyfit does, and no warning.
     """
-    xs, ys = np.empty(min(n, CHUNK)), np.empty(min(n, CHUNK))
+    scratch = [np.empty(min(n, CHUNK)) for _ in range(1 + ny)]
 
     def sums(a, b):
-        x, y = xs[: b - a], ys[: b - a]
-        block(a, b, x, y)
-        return np.array([x.sum(), y.sum()])
+        x, *ys = (s[: b - a] for s in scratch)
+        block(a, b, x, *ys)
+        return np.array([x.sum()] + [y.sum() for y in ys])
 
     def centred(a, b):
-        x, y = xs[: b - a], ys[: b - a]
+        x, *ys = (s[: b - a] for s in scratch)
         if n > CHUNK:
-            block(a, b, x, y)
-        x -= xm
-        y -= ym
-        y *= x
+            block(a, b, x, *ys)
+        x -= means[0]
+        for y, mean in zip(ys, means[1:]):
+            y -= mean
+            y *= x
         x *= x
-        return np.array([y.sum(), x.sum()])
+        return np.array([x.sum()] + [y.sum() for y in ys])
 
     with np.errstate(invalid="ignore"):
-        xm, ym = _tree_sum(0, n, sums) / n
-        num, den = _tree_sum(0, n, centred)
-    return float(num / den)
+        means = _tree_sum(0, n, sums) / n
+        den, *nums = _tree_sum(0, n, centred)
+    slopes = tuple(float(num / den) for num in nums)
+    return slopes if ny > 1 else slopes[0]
 
 
 def series_verdict(slope):

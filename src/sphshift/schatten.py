@@ -126,48 +126,47 @@ def _tail_slopes(seq: ScalarSequence, K: int) -> Tuple[float, object]:
     give every exponent's tail slopes. The snapshot is finite and positive,
     so a is a finite float; b is "zero-tail" when every difference in the
     window is 0, and "inconclusive" when fewer than MIN_FIT_POINTS are not.
-    b fits the nonzero differences only. Both fits are streamed
-    (_kernels.fit_slope): the window is read in blocks of CHUNK
+    b fits the nonzero differences only; when every difference is nonzero,
+    a and b come from one fit of both logs against one log k. The fits are
+    streamed (_kernels.fit_slope): the window is read in blocks of CHUNK
     values, and the nonzero differences are found through a count per
     block, so nothing of the length of the window is held.
     """
-    d2, lo, chunk = seq.delta2_array(K), K // 2, CHUNK
+    d2, lo = seq.delta2_array(K), K // 2
     n = K + 1 - lo
-    buf = np.empty(min(n, chunk))
-
-    def logs(a, b, logk, logd2):  # k = lo + a .. lo + b - 1
-        np.log(fill_arange(logk, lo + a), out=logk)
-        np.log(d2[lo + a : lo + b], out=logd2)
-
-    slope_a = _kernels.fit_slope(n, logs)
 
     def absdiff(s, e, out):  # |delta2(k) - delta2(k-1)| for k = s..e-1
         return np.abs(np.subtract(d2[s:e], d2[s - 1 : e - 1], out=out), out=out)
 
-    starts = range(lo, K + 1, chunk)  # the window's blocks, and their nonzero counts
-    counts = [np.count_nonzero(absdiff(s, min(s + chunk, K + 1), buf[: K + 1 - s])) for s in starts]
+    def logs(a, b, logk, logd2, *logdiff):  # k = lo + a .. lo + b - 1
+        np.log(fill_arange(logk, lo + a), out=logk)
+        np.log(d2[lo + a : lo + b], out=logd2)
+        for y in logdiff:  # the differences, when all are nonzero
+            np.log(absdiff(lo + a, lo + b, y), out=y)
+
+    starts, buf = range(lo, K + 1, CHUNK), np.empty(min(n, CHUNK))  # the window's blocks
+    counts = [np.count_nonzero(absdiff(s, min(s + CHUNK, K + 1), buf[: K + 1 - s])) for s in starts]
     count = sum(counts)
+    if count == n:
+        del buf  # the joint fit holds its three blocks of scratch, and no more
+        return _kernels.fit_slope(n, logs, 2)
+    slope_a = _kernels.fit_slope(n, logs)
     if count == 0:
         return slope_a, "zero-tail"
     if count < MIN_FIT_POINTS:
         return slope_a, "inconclusive"
-    if count == n:
-        def nonzero(a, b, logk, logdiff):
-            np.log(fill_arange(logk, lo + a), out=logk)
-            np.log(absdiff(lo + a, lo + b, logdiff), out=logdiff)
-    else:
-        first = np.cumsum([0] + counts)  # the index of each block's first nonzero difference
+    first = np.cumsum([0] + counts)  # the index of each block's first nonzero difference
 
-        def nonzero(a, b, logk, logdiff):  # the nonzero differences a..b-1
-            at, j = 0, int(np.searchsorted(first, a, side="right")) - 1
-            while at < b - a:
-                s = starts[j]
-                d = absdiff(s, min(s + chunk, K + 1), buf[: K + 1 - s])
-                where = np.flatnonzero(d)[a + at - first[j] :][: b - a - at]
-                x = logk[at : at + len(where)]
-                np.log(np.add(where, s, out=x), out=x)
-                np.log(d[where], out=logdiff[at : at + len(where)])
-                at, j = at + len(where), j + 1
+    def nonzero(a, b, logk, logdiff):  # the nonzero differences a..b-1
+        at, j = 0, int(np.searchsorted(first, a, side="right")) - 1
+        while at < b - a:
+            s = starts[j]
+            d = absdiff(s, min(s + CHUNK, K + 1), buf[: K + 1 - s])
+            where = np.flatnonzero(d)[a + at - first[j] :][: b - a - at]
+            x = logk[at : at + len(where)]
+            np.log(np.add(where, s, out=x), out=x)
+            np.log(d[where], out=logdiff[at : at + len(where)])
+            at, j = at + len(where), j + 1
 
     return slope_a, _kernels.fit_slope(count, nonzero)
 

@@ -555,6 +555,23 @@ def test_fit_slope_is_the_whole_array_fit_bit_for_bit(n, rng):
         assert repr(_kernels.fit_slope(n, array_blocks(x, y))) == repr(want)
 
 
+@pytest.mark.parametrize("n", [21, _kernels.CHUNK, 2 * _kernels.CHUNK + 5])
+def test_fit_of_several_y_is_each_fit_alone_bit_for_bit(n, rng):
+    x = np.log(np.arange(n, 2 * n, dtype=np.float64))
+    ys = [-1.3 * x + rng.normal(scale=0.1, size=n), rng.uniform(-5, 5, size=n)]
+    ys.append(np.where(np.arange(n) == n // 2, np.inf, ys[0]))
+
+    def block(a, b, xs, *out):
+        xs[:] = x[a:b]
+        for o, y in zip(out, ys):
+            o[:] = y[a:b]
+
+    got = _kernels.fit_slope(n, block, 3)
+    alone = [_kernels.fit_slope(n, array_blocks(x, y)) for y in ys]
+    assert isinstance(got, tuple) and repr(got) == repr(tuple(alone))
+    assert math.isnan(got[2])  # an inf in one y leaves the others' slopes alone
+
+
 def test_fit_slope_asks_for_each_leaf_twice_in_order():
     B = _kernels.CHUNK
     n, asked = 2 * B + 5, []

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from sphshift.scalarseq import (
     RhoEta,
     Tabulated,
     default_suite,
+    fill_arange,
 )
 from sphshift.shift import SphericalShift
 from sphshift import _kernels, cli, schatten
@@ -246,6 +248,23 @@ class TestStreamedTailFit:
         seq = zero_step_table(K, zero_share)
         got, want = schatten._tail_slopes(seq, K), whole_array_tail_slopes(seq, K)
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("K", [3 * B + 7, 1_000_000])
+    @pytest.mark.parametrize("seq", [HpSpace(2, 3), AlternatingTwelve()],
+                             ids=["bergman", "alt-twelve"])
+    def test_all_nonzero_window_is_one_fit(self, seq, K, monkeypatch):
+        # every difference is nonzero: a and b come from one fit of both
+        # logs, which forms each block of log k once per pass, twice in all
+        formed = Counter()
+
+        def counted(out, start):
+            formed[start, len(out)] += 1
+            return fill_arange(out, start)
+
+        monkeypatch.setattr(schatten, "fill_arange", counted)
+        got = schatten._tail_slopes(seq, K)
+        assert repr(got) == repr(whole_array_tail_slopes(seq, K))
+        assert len(formed) > 1 and set(formed.values()) == {2}
 
     def test_tables_reach_every_outcome(self):
         outcomes = {K: [whole_array_tail_slopes(zero_step_table(K, z), K)[1] for z in ZERO_SHARES]
