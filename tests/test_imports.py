@@ -101,17 +101,22 @@ def test_verify_loads_only_the_oracle_layers():
                       "sphshift.multiindex", "sphshift.truncation"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--family", "bergman", "--K", "20", "--horizon", "200"],
-    ["spectrum", "--family", "bergman", "--K", "2000"],
-    ["cutoff", "--family", "bergman", "--K", "2000"],
-    ["schatten", "--family", "bergman", "--p", "3", "--K", "2000"],
-    ["lemmas", "--k-range", "100:1000", "--points", "4"],
-], ids=lambda argv: argv[0])
-def test_scalar_requests_load_no_oracle(argv):
-    loaded = request_loads(argv)
-    assert "sphshift.cli" in loaded
-    assert not loaded & {"sphshift.truncation", "sphshift.multiindex"}
+SCALAR_REQUESTS = [  # a request and the layers it loads besides cli and scalarseq
+    (["classify", "--family", "bergman", "--K", "20", "--horizon", "200"], {"classify"}),
+    (["spectrum", "--family", "bergman", "--K", "2000"], {"_kernels", "spectra"}),
+    (["cutoff", "--family", "bergman", "--K", "2000"], {"_kernels", "schatten"}),
+    (["schatten", "--family", "bergman", "--p", "3", "--K", "2000"], {"_kernels", "schatten"}),
+    (["lemmas", "--k-range", "100:1000", "--points", "4"], {"_kernels", "schatten"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", SCALAR_REQUESTS,
+                         ids=[argv[0] for argv, _ in SCALAR_REQUESTS])
+def test_scalar_requests_load_no_oracle(argv, layers):
+    # nor another analysis layer: each imports only scalarseq and _kernels
+    # (classify only scalarseq), where the sampled answers they share live
+    assert request_loads(argv) == {"sphshift", "sphshift.cli", "sphshift.scalarseq",
+                                   *(f"sphshift.{layer}" for layer in layers)}
 
 
 def test_dump_sequence_loads_the_closed_forms_without_multiindex():

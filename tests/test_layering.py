@@ -25,6 +25,9 @@ least-squares solve; ``_kernels.fit_slope`` is the one line fit) and
 Reports have one renderer, ``cli._sanitize``, which renders a result
 dataclass as the dict of its fields: no class defines its own ``to_dict``.
 
+The analysis layers ``spectra``, ``schatten`` and ``classify`` import
+none of one another: the sampled answers they share live in ``scalarseq``.
+
 The last scan keeps the public surface to what is used: every public
 top-level function or class and every public method must be referenced
 somewhere in ``src/sphshift`` outside its own body, or be on
@@ -209,6 +212,55 @@ def test_forbidden_call_scan_catches_each_form():
         "m.py:3: uses polyfit",
         "m.py:4: uses vectorize",
         "m.py:5: uses polyfit",
+    ]
+
+
+ANALYSIS_LAYERS = {"spectra", "schatten", "classify"}
+
+
+def layer_imports(source: str, filename: str) -> list:
+    """Each analysis layer the source imports, in any form: ``from .x``,
+    ``from . import x``, ``from sphshift.x``, ``from sphshift import x`` or
+    ``import sphshift.x``."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                if path[0] != "sphshift":
+                    continue
+                path = path[1:]
+            targets = path[:1] if path and path[0] else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names if a.name.startswith("sphshift.")]
+        else:
+            continue
+        out += [f"{filename}:{node.lineno}: imports {t}" for t in targets if t in ANALYSIS_LAYERS]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_LAYERS))
+def test_analysis_layers_import_none_of_one_another(name):
+    assert layer_imports((SRC / f"{name}.py").read_text(), f"{name}.py") == []
+
+
+def test_layer_import_scan_catches_each_form():
+    source = (
+        "from . import _kernels, spectra\n"
+        "from .scalarseq import CHUNK, is_compact\n"
+        "from .classify import Classification\n"
+        "from sphshift.schatten import decide\n"
+        "from sphshift import scalarseq, classify as c\n"
+        "import sphshift.spectra, numpy\n"
+        "from numpy import spectra\n"
+        "import schatten\n"
+    )
+    assert layer_imports(source, "m.py") == [
+        "m.py:1: imports spectra",
+        "m.py:3: imports classify",
+        "m.py:4: imports schatten",
+        "m.py:5: imports classify",
+        "m.py:6: imports spectra",
     ]
 
 
