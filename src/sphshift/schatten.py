@@ -98,8 +98,7 @@ def criterion_term_arrays(seq: ScalarSequence, m: int, p: float, K: int, lo: int
         t1 **= p
         k **= m - p - 1
         t1 *= k
-        # a finite delta2^p times k^(m-p-1) <= 1 stays finite: what is not
-        # overflowed in delta2^p
+        # p > m - 1: every k^(m-p-1) <= 1, so only an overflowed delta2^p is not finite
         if p > m - 1 and not t1.max() < math.inf:
             at = np.flatnonzero(~np.isfinite(t1))
             logk = np.log(at + float(lo))
