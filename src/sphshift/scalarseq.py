@@ -329,8 +329,11 @@ def is_compact(seq: ScalarSequence, K: int = DEFAULT_K_SAMPLED) -> Verdict:
 def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] = None) -> dict:
     """Affirm or refuse delta2(k) - delta2(k-1) -> 0."""
     if seq.essentially_normal_declared is not None:
-        return {"value": bool(seq.essentially_normal_declared), "mode": "analytic",
-                "detail": "declared by family"}
+        return {
+            "value": bool(seq.essentially_normal_declared),
+            "mode": "analytic",
+            "detail": "declared by family",
+        }
     d2 = seq.delta2_array(K)
     lo = max(1, K - sampled_window(K, window))
     # the largest step over the window, taken block by block in one scratch
@@ -340,9 +343,12 @@ def essential_normality_gate(seq: ScalarSequence, K: int, window: Optional[int] 
         t = np.subtract(d2[a:e], d2[a - 1 : e - 1], out=buf[: e - a])
         worsts.append(np.abs(t, out=t).max())
     worst = float(np.max(worsts))
-    return {"value": bool(worst < ESSNORM_SAMPLED_TOL), "mode": "sampled",
-            "detail": f"max |delta2(k)-delta2(k-1)| = {worst:.3e} over k in [{lo}, {K}]",
-            "horizon": K}
+    return {
+        "value": bool(worst < ESSNORM_SAMPLED_TOL),
+        "mode": "sampled",
+        "detail": f"max |delta2(k)-delta2(k-1)| = {worst:.3e} over k in [{lo}, {K}]",
+        "horizon": K,
+    }
 
 
 def descartes_sign(coeffs) -> Optional[int]:
