@@ -215,7 +215,7 @@ class TestOverflowedDeltaPower:
         assert t1[1::2].tobytes() == (ks[1::2] ** -324.0).tobytes()  # the float product
         assert t1[0] == math.inf  # 9^325 itself
         exact = [float(Fraction(9) ** 325 / Fraction(k) ** 324) for k in range(3, 1001, 2)]
-        # relative to the term, or to the least normal float below it
+        # a subnormal term to within 1e-12 of the least normal float
         assert np.allclose(t1[2::2], exact, rtol=1e-12, atol=1e-12 * sys.float_info.min)
         assert math.isclose(criterion_term_arrays(ConstantDelta(3), 2, 325.0, 2)[0][1],
                             float(Fraction(9) ** 325 / 2 ** 324), rel_tol=1e-12)  # about 3.9e212
